@@ -22,7 +22,8 @@ from .errors import DomainError, NeumannWidthsError, NotFound
 from .kernels import EvalPolicy, NeumannParams
 from .oracles import supnorm_square_conv
 from .sk_spline import verify_cy2n
-from .thresholds import min_guaranteed_n, min_guaranteed_n_beta, verdict
+from .thresholds import (is_integer_beta, min_guaranteed_n, min_guaranteed_n_beta,
+                         verdict)
 from .widths import exact_width
 
 SWEEP_COLUMNS = ["q", "beta", "n", "theta_n", "y0", "width", "gamma_n",
@@ -165,8 +166,10 @@ def _cache_store(cache_dir: Path, key: str, row: dict) -> None:
         raise
 
 
-def _sweep_job(job: dict) -> dict:
-    """One sweep row; must stay importable at module level for worker pools."""
+def _sweep_job(task: tuple[dict, int | None]) -> dict:
+    """One sweep row from (job, its threshold n or None when not found); must
+    stay importable at module level for worker pools."""
+    job, threshold = task
     params = NeumannParams(job["q"], job["beta"])
     n = job["n"]
     policy = EvalPolicy(job["abs_tol"], job["max_terms"])
@@ -177,11 +180,7 @@ def _sweep_job(job: dict) -> dict:
         "gamma_n": report.gamma_n, "sandwich_lo": report.sandwich_lo,
         "sandwich_hi": report.sandwich_hi,
     }
-    try:
-        row["nq_flag"] = n >= min_guaranteed_n_beta(job["q"], job["beta"],
-                                                    n_cap=job["nq_cap"]).n
-    except NotFound:
-        row["nq_flag"] = None
+    row["nq_flag"] = None if threshold is None else n >= threshold
     try:
         row["cy2n_holds"] = verify_cy2n(params, n, policy=policy).holds
     except NeumannWidthsError:
@@ -195,39 +194,50 @@ def _sweep_job(job: dict) -> dict:
     return row
 
 
+def _number(convert, value, what: str):
+    """``convert(value)`` for a number read from a config or the environment;
+    a value it cannot convert is a validation error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a number, got {value!r}") from None
+
+
 def _load_sweep_config(path: str) -> dict:
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     for key in ("q_list", "beta_list"):
         if key not in cfg or not cfg[key]:
             raise DomainError(f"sweep config must set a nonempty {key}")
     for q in cfg["q_list"]:
-        if not 0.0 < q < 1.0:
-            raise DomainError(f"sweep q values must lie in (0, 1), got {q}")
+        if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
+            raise DomainError(f"sweep q values must be numbers in (0, 1), got {q!r}")
     if "n_list" in cfg:
-        n_values = [int(n) for n in cfg["n_list"]]
+        n_values = [_number(int, n, "n_list entry") for n in cfg["n_list"]]
     elif "n_range" in cfg:
-        r = cfg["n_range"]
+        r = [_number(int, v, "n_range entry") for v in cfg["n_range"]]
         if len(r) == 2:
-            n_values = list(range(int(r[0]), int(r[1]) + 1))
+            n_values = list(range(r[0], r[1] + 1))
         elif len(r) == 3:
-            n_values = list(range(int(r[0]), int(r[1]) + 1, int(r[2])))
+            n_values = list(range(r[0], r[1] + 1, r[2]))
         else:
             raise DomainError("n_range must be [start, stop] or [start, stop, step]")
     else:
         raise DomainError("sweep config must set n_list or n_range")
     if not n_values:
         raise DomainError("sweep n values are empty")
+    betas = [_number(float, b, "beta_list entry") for b in cfg["beta_list"]]
     policy = cfg.get("policy", {})
-    cfg["_jobs"] = [
-        {"q": float(q), "beta": float(b), "n": int(n),
-         "abs_tol": float(policy.get("abs_tol", 1e-14)),
-         "max_terms": int(policy.get("max_terms", 1_000_000)),
-         "verify": bool(cfg.get("verify", True)),
-         "oracle_grid": int(cfg.get("oracle_grid", 4096)),
-         "oracle_refine_tol": float(cfg.get("oracle_refine_tol", 1e-13)),
-         "nq_cap": int(cfg.get("nq_cap", 200_000)),
-         "schema": _SCHEMA_VERSION}
-        for q in cfg["q_list"] for b in cfg["beta_list"] for n in n_values]
+    shared = {
+        "abs_tol": _number(float, policy.get("abs_tol", 1e-14), "policy abs_tol"),
+        "max_terms": _number(int, policy.get("max_terms", 1_000_000), "policy max_terms"),
+        "verify": bool(cfg.get("verify", True)),
+        "oracle_grid": _number(int, cfg.get("oracle_grid", 4096), "oracle_grid"),
+        "oracle_refine_tol": _number(float, cfg.get("oracle_refine_tol", 1e-13),
+                                     "oracle_refine_tol"),
+        "nq_cap": _number(int, cfg.get("nq_cap", 200_000), "nq_cap"),
+        "schema": _SCHEMA_VERSION}
+    cfg["_jobs"] = [{"q": float(q), "beta": b, "n": n, **shared}
+                    for q in cfg["q_list"] for b in betas for n in n_values]
     return cfg
 
 
@@ -246,7 +256,8 @@ def cmd_sweep(args) -> int:
     fmt = cfg.get("format", "csv").lower()
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt}")
-    workers = int(os.environ.get(ENV_WORKERS, cfg.get("workers", 1)))
+    workers = _number(int, os.environ.get(ENV_WORKERS, cfg.get("workers", 1)),
+                      f"workers ({ENV_WORKERS} or the config)")
     cache_dir = Path(os.environ.get(ENV_CACHE_DIR, cfg.get("cache_dir", ".nw-cache")))
     stamp = not (args.no_timestamp or cfg.get("no_timestamp", False))
 
@@ -263,17 +274,30 @@ def cmd_sweep(args) -> int:
     rows: dict[int, dict] = dict(cached)
 
     def run_pending():
-        if not pending:
+        # A threshold depends on q, the beta class and the cap only: scan
+        # it once per distinct key among the rows still to compute.
+        thresholds: dict[tuple, int | None] = {}
+        tasks = []
+        for i in pending:
+            job = jobs[i]
+            key = (job["q"], is_integer_beta(job["beta"]), job["nq_cap"])
+            if key not in thresholds:
+                try:
+                    thresholds[key] = min_guaranteed_n_beta(job["q"], job["beta"],
+                                                            n_cap=job["nq_cap"]).n
+                except NotFound:
+                    thresholds[key] = None
+            tasks.append((job, thresholds[key]))
+        if not tasks:
             return
         if workers > 1:
             with Pool(processes=workers) as pool:
-                for i, row in zip(pending,
-                                  pool.imap(_sweep_job, [jobs[i] for i in pending])):
+                for i, row in zip(pending, pool.imap(_sweep_job, tasks)):
                     rows[i] = row
                     _cache_store(cache_dir, keys[i], row)
         else:
-            for i in pending:
-                rows[i] = _sweep_job(jobs[i])
+            for i, task in zip(pending, tasks):
+                rows[i] = _sweep_job(task)
                 _cache_store(cache_dir, keys[i], row=rows[i])
 
     interrupted = False

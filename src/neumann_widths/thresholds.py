@@ -12,14 +12,21 @@ Two strict inequalities on (q, n) are evaluated at machine precision:
   total correction-term budget under the strict positive floor of P_q.
 
 Here sqrt(n) is the real square root.  The smallest n >= 2 satisfying both
-is found by a plain upward scan; monotonicity is not assumed, so the scan
-also reports any later failures below 4x the first success as a diagnostic.
+is found by an upward scan over blocks of n: numpy evaluates both
+conditions for a whole block, and every n where a side lies within a few
+ulps of its bound is re-decided by the scalar ``verdict``, so the result is
+the one a scalar scan gives, bit for bit.  Blocks grow geometrically up to
+65536 indices, so memory stays bounded at any cap.  Monotonicity is not
+assumed, so the scan also reports any later failures below 4x the first
+success as a diagnostic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NotFound
 from .kernels import pq_floor
@@ -64,25 +71,35 @@ def _validate(q: float, n: int, n_min: int = 2) -> None:
         raise DomainError(f"n must be >= {n_min}, got {n}")
 
 
+def _tail_sides(q, n, sqrt):
+    """The tail condition's left side and the two terms whose minimum is its
+    right side.  ``n`` is an int or a float array, with ``sqrt`` to match."""
+    return (q**n / (1.0 - q ** (2 * n)),
+            2.0 * q ** sqrt(n) / (15.0 * n**2),
+            8.0 / (3.0 * n**2) * ((2.0 * n - 1.0) / (7.0 * (n - 1.0) ** 2)
+                                  - math.pi**2 / (8.0 * n**2)))
+
+
+def _budget_lhs(q, n, sqrt):
+    """The budget condition's left side; ``n`` as in ``_tail_sides``."""
+    rn = sqrt(n)
+    return (24.0 / (5.0 * (1.0 - q)) * q**rn
+            + 160.0 / 63.0 * (2.0 * rn - 1.0) / (n * (rn - 1.0)) * q / (1.0 - q) ** 2)
+
+
 def check_tail_condition(q: float, n: int) -> ConditionCheck:
     """Strict inequality bounding q^n/(1-q^(2n)); exact float comparison."""
     _validate(q, n)
-    lhs = q**n / (1.0 - q ** (2 * n))
-    rhs = min(
-        2.0 * q ** math.sqrt(n) / (15.0 * n**2),
-        8.0 / (3.0 * n**2) * ((2.0 * n - 1.0) / (7.0 * (n - 1.0) ** 2)
-                              - math.pi**2 / (8.0 * n**2)),
-    )
+    lhs, first, second = _tail_sides(q, n, math.sqrt)
+    rhs = min(first, second)
     return ConditionCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
 def check_budget_condition(q: float, n: int) -> ConditionCheck:
     """Correction budget against the P_q floor; needs n >= 2 (sqrt(n) > 1)."""
-    _validate(q, n)
-    rn = math.sqrt(n)
-    lhs = (24.0 / (5.0 * (1.0 - q)) * q**rn
-           + 160.0 / 63.0 * (2.0 * rn - 1.0) / (n * (rn - 1.0)) * q / (1.0 - q) ** 2)
-    return ConditionCheck(holds=lhs <= pq_floor(q), lhs=lhs, rhs=pq_floor(q))
+    lhs = gamma_budget(q, n)
+    rhs = pq_floor(q)
+    return ConditionCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
 def verdict(q: float, n: int) -> ThresholdVerdict:
@@ -95,28 +112,74 @@ def gamma_budget(q: float, n: int) -> float:
     correction sum at the peak shift (valid for n >= 2 under the tail
     condition)."""
     _validate(q, n)
-    rn = math.sqrt(n)
-    return (24.0 / (5.0 * (1.0 - q)) * q**rn
-            + 160.0 / 63.0 * (2.0 * rn - 1.0) / (n * (rn - 1.0)) * q / (1.0 - q) ** 2)
+    return _budget_lhs(q, n, math.sqrt)
+
+
+# numpy's pow and libm's differ by at most one ulp on the scan's exponents
+# n, 2n and sqrt(n) (measured); each side evaluated over an array then lies
+# within a few ulps, or a few subnormal steps, of its scalar value.
+_NEAR_RELATIVE = 8.0 * np.finfo(float).eps
+_NEAR_ABSOLUTE = 8.0 * 2.0**-1074
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1 << 16
+
+
+def _near(lhs: np.ndarray, rhs: np.ndarray, lhs_gain: float) -> np.ndarray:
+    """Where ``lhs <= rhs`` may be decided otherwise in scalar arithmetic.
+
+    ``lhs_gain`` bounds how much the left side's evaluation amplifies the
+    error of its pow.  Both sides exactly zero only arises from q^sqrt(n)
+    and q^n underflowing, which they do in scalar arithmetic too."""
+    slack = _NEAR_RELATIVE * (lhs_gain * lhs + rhs) + _NEAR_ABSOLUTE
+    return (np.abs(lhs - rhs) <= slack) & ((lhs != 0.0) | (rhs != 0.0))
+
+
+def _both_hold(q: float, floor: float, lo: int, hi: int) -> np.ndarray:
+    """``verdict(q, n).both_hold`` for n in [lo, hi), bit for bit: the array
+    verdicts, with every n near a condition's boundary re-decided by
+    ``verdict``."""
+    n = np.arange(lo, hi, dtype=float)
+    lhs, first, second = _tail_sides(q, n, np.sqrt)
+    rhs = np.minimum(first, second)
+    budget = _budget_lhs(q, n, np.sqrt)
+    holds = (lhs <= rhs) & (budget <= floor)
+    # 1 - q^(2n) >= 1 - q^4 scales the error of q^(2n) in the tail's left side
+    near = _near(lhs, rhs, 1.0 / (1.0 - q**4)) | _near(budget, floor, 1.0)
+    for i in np.flatnonzero(near):
+        holds[i] = verdict(q, lo + int(i)).both_hold
+    return holds
+
+
+def _blocks(lo: int, hi: int):
+    """[start, stop) blocks covering lo..hi, growing geometrically up to
+    _MAX_BLOCK so that memory stays bounded at any cap."""
+    size = _FIRST_BLOCK
+    while lo <= hi:
+        stop = min(hi + 1, lo + size)
+        yield lo, stop
+        lo, size = stop, min(2 * size, _MAX_BLOCK)
 
 
 def min_guaranteed_n(q: float, n_cap: int = 1_000_000) -> ScanResult:
     """Smallest n in [2, n_cap] where both conditions hold.
 
-    Linear scan with early exit; raises NotFound when the cap is exhausted
+    Block scan with early exit; raises NotFound when the cap is exhausted
     (expected behaviour for q near 1, where the budget right side collapses
     much faster than the left).
     """
     _validate(q, 2)
+    floor = pq_floor(q)
     first = None
-    for n in range(2, n_cap + 1):
-        if verdict(q, n).both_hold:
-            first = n
+    for lo, hi in _blocks(2, n_cap):
+        hits = np.flatnonzero(_both_hold(q, floor, lo, hi))
+        if hits.size:
+            first = lo + int(hits[0])
             break
     if first is None:
         raise NotFound(f"no n <= {n_cap} satisfies both conditions for q={q}")
-    later = tuple(n for n in range(first + 1, min(n_cap, 4 * first) + 1)
-                  if not verdict(q, n).both_hold)
+    later = tuple(lo + int(i)
+                  for lo, hi in _blocks(first + 1, min(n_cap, 4 * first))
+                  for i in np.flatnonzero(~_both_hold(q, floor, lo, hi)))
     return ScanResult(n=first, later_failures=later)
 
 

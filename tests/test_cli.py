@@ -1,9 +1,12 @@
 """CLI behaviours: JSON output, exit codes, sweep determinism and caching."""
 
+import csv
+import io
 import json
 
 import pytest
 
+from neumann_widths import NotFound, cli, min_guaranteed_n_beta
 from neumann_widths.cli import SWEEP_COLUMNS, main
 
 
@@ -208,3 +211,75 @@ class TestSweepCommand:
         monkeypatch.setenv("NEUMANN_WIDTHS_WORKERS", "2")
         run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         assert (tmp_path / "out.csv").read_bytes() == serial
+
+
+def per_row_csv(cfg_path):
+    """The sweep CSV built row by row, each row scanning its own threshold."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    for job in cli._load_sweep_config(str(cfg_path))["_jobs"]:
+        try:
+            threshold = min_guaranteed_n_beta(job["q"], job["beta"],
+                                              n_cap=job["nq_cap"]).n
+        except NotFound:
+            threshold = None
+        row = cli._sweep_job((job, threshold))
+        writer.writerow([cli._format_cell(row[c]) for c in SWEEP_COLUMNS])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestSweepThresholds:
+    # q below both cutoffs, between them, scanned, and beyond nq_cap; two
+    # integer and two non-integer beta
+    OVERRIDES = dict(q_list=[0.15, 0.197, 0.3, 0.9], beta_list=[0.0, 0.5, 1.0, 1.5],
+                     n_list=[1, 2, 50], verify=False, nq_cap=3000)
+
+    def test_one_scan_per_key_and_none_from_cache(self, capsys, tmp_path, monkeypatch):
+        cfg_path, _ = sweep_config(tmp_path, **self.OVERRIDES)
+        calls = []
+
+        def counting(q, beta, n_cap):
+            calls.append((q, beta % 1.0 == 0.0, n_cap))
+            return min_guaranteed_n_beta(q, beta, n_cap=n_cap)
+        monkeypatch.setattr(cli, "min_guaranteed_n_beta", counting)
+        assert run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")[0] == 0
+        assert sorted(calls) == sorted({(q, integer, 3000)
+                                        for q in self.OVERRIDES["q_list"]
+                                        for integer in (False, True)})
+        calls.clear()
+        assert run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")[0] == 0
+        assert calls == []
+
+    def test_csv_matches_per_row_thresholds(self, capsys, tmp_path):
+        cfg_path, _ = sweep_config(tmp_path, **self.OVERRIDES)
+        run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        got = (tmp_path / "out.csv").read_bytes()
+        assert got == per_row_csv(cfg_path)
+        flags = {ln.split(",")[9] for ln in got.decode().splitlines()[1:]}
+        assert flags == {"true", "false", ""}
+
+
+class TestSweepInputErrors:
+    @pytest.mark.parametrize("overrides", [
+        {"beta_list": [0.0, "half"]},
+        {"q_list": ["0.3"]},
+        {"n_list": [1, "two"]},
+        {"nq_cap": "lots"},
+    ])
+    def test_non_numeric_config_value(self, capsys, tmp_path, overrides):
+        cfg_path, _ = sweep_config(tmp_path, **overrides)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "validation"
+
+    def test_non_numeric_workers_env(self, capsys, tmp_path, monkeypatch):
+        cfg_path, _ = sweep_config(tmp_path)
+        monkeypatch.setenv("NEUMANN_WIDTHS_WORKERS", "abc")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"]["code"] == "validation"
+        assert "NEUMANN_WIDTHS_WORKERS" in doc["error"]["message"]

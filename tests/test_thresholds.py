@@ -7,9 +7,9 @@ import math
 import mpmath as mp
 import pytest
 
-from neumann_widths import (NotFound, check_budget_condition, check_tail_condition,
-                            is_integer_beta, min_guaranteed_n, min_guaranteed_n_beta,
-                            verdict)
+from neumann_widths import (NotFound, ScanResult, check_budget_condition,
+                            check_tail_condition, is_integer_beta, min_guaranteed_n,
+                            min_guaranteed_n_beta, thresholds, verdict)
 
 # frozen after confirmation by the mpmath oracle below
 NQ_FROZEN = {0.05: 4, 0.1: 5, 0.2: 13, 0.3: 42, 0.5: 1717}
@@ -104,6 +104,87 @@ class TestMinGuaranteedN:
 
     def test_determinism(self):
         assert min_guaranteed_n(0.3) == min_guaranteed_n(0.3)
+
+
+def scalar_scan(q, n_cap):
+    """The reference scan: one scalar verdict per n, upward from 2; None
+    where the block scan raises NotFound."""
+    first = next((n for n in range(2, n_cap + 1) if verdict(q, n).both_hold), None)
+    if first is None:
+        return None
+    return ScanResult(n=first, later_failures=tuple(
+        n for n in range(first + 1, min(n_cap, 4 * first) + 1)
+        if not verdict(q, n).both_hold))
+
+
+def block_scan(q, n_cap=1_000_000):
+    try:
+        res = min_guaranteed_n(q, n_cap)
+    except NotFound:
+        return None
+    # Python ints: json.dumps rejects numpy integers, and n >= res.n must
+    # stay a bool for the CSV
+    assert type(res.n) is int
+    assert all(type(n) is int for n in res.later_failures)
+    return res
+
+
+def recorded_verdicts(monkeypatch):
+    """The n of every scalar verdict the block scan asks for."""
+    seen = []
+
+    def recording(q, n):
+        seen.append(n)
+        return verdict(q, n)
+    monkeypatch.setattr(thresholds, "verdict", recording)
+    return seen
+
+
+def budget_boundary(n):
+    """Adjacent floats lo < hi: the budget condition holds at (lo, n) and
+    fails at (hi, n), so its margin at either lies within a few ulps."""
+    lo, hi = 0.2, 0.62
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if check_budget_condition(mid, n).holds else (lo, mid)
+    return lo, hi
+
+
+class TestBlockScanMatchesScalar:
+    def test_q_grid(self):
+        grid = [0.2 + 0.0025 * k for k in range(169)]
+        mismatches = [q for q in grid if block_scan(q, 50_000) != scalar_scan(q, 50_000)]
+        assert mismatches == []
+
+    def test_full_q06_range(self):
+        res = block_scan(0.6)
+        assert res == scalar_scan(0.6, 1_000_000)
+        assert res.n == 40878
+
+    @pytest.mark.parametrize("cap", [2, 1717, 3000, 1717 * 4 - 1])
+    def test_cap_edges(self, cap):
+        assert block_scan(0.5, cap) == scalar_scan(0.5, cap)
+
+    def test_not_found(self, monkeypatch):
+        assert scalar_scan(0.7, 50_000) is None and block_scan(0.7, 50_000) is None
+        seen = recorded_verdicts(monkeypatch)
+        with pytest.raises(NotFound):
+            min_guaranteed_n(0.7)
+        assert len(seen) < 100
+
+    @pytest.mark.parametrize("n", [13, 1717])
+    def test_near_margins_are_decided_by_scalar_verdict(self, monkeypatch, n):
+        for q in budget_boundary(n):
+            expected = scalar_scan(q, 4 * n + 8)
+            seen = recorded_verdicts(monkeypatch)
+            assert min_guaranteed_n(q, 4 * n + 8) == expected
+            assert n in seen
+
+    def test_zero_pairs_are_not_rechecked(self, monkeypatch):
+        # q^n and q^sqrt(n) underflow to 0: the tail sides are both 0
+        seen = recorded_verdicts(monkeypatch)
+        assert min_guaranteed_n(1e-300) == ScanResult(n=2, later_failures=())
+        assert seen == []
+        assert scalar_scan(1e-300, 1_000_000) == ScanResult(n=2, later_failures=())
 
 
 class TestCaseSplit:
