@@ -121,8 +121,6 @@ def cmd_cvd(args) -> int:
         return 0
 
     if args.vectors is not None:
-        if args.known_vectors:
-            raise DomainError("--known-vectors and --vectors are mutually exclusive")
         data = json.loads(Path(args.vectors).read_text(encoding="utf-8"))
         pairs = [("custom", cvd_mod.NodeVectors.from_json_dict(data))]
     else:  # built-in q = 0.21 witness pair
@@ -203,18 +201,29 @@ def _number(convert, value, what: str):
         raise DomainError(f"{what} must be a number, got {value!r}") from None
 
 
+def _shaped(cfg: dict, key: str, shape: type, default=None):
+    """``cfg[key]`` (``default`` when absent), which must be a ``shape``."""
+    value = cfg.get(key, default)
+    if not isinstance(value, shape):
+        kind = {dict: "an object", list: "a list", str: "a string"}[shape]
+        raise DomainError(f"sweep config {key} must be {kind}, got {value!r}")
+    return value
+
+
 def _load_sweep_config(path: str) -> dict:
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(cfg, dict):
+        raise DomainError("a sweep config must be a JSON object")
     for key in ("q_list", "beta_list"):
-        if key not in cfg or not cfg[key]:
+        if not _shaped(cfg, key, list, []):
             raise DomainError(f"sweep config must set a nonempty {key}")
     for q in cfg["q_list"]:
         if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
             raise DomainError(f"sweep q values must be numbers in (0, 1), got {q!r}")
     if "n_list" in cfg:
-        n_values = [_number(int, n, "n_list entry") for n in cfg["n_list"]]
+        n_values = [_number(int, n, "n_list entry") for n in _shaped(cfg, "n_list", list)]
     elif "n_range" in cfg:
-        r = [_number(int, v, "n_range entry") for v in cfg["n_range"]]
+        r = [_number(int, v, "n_range entry") for v in _shaped(cfg, "n_range", list)]
         if len(r) == 2:
             n_values = list(range(r[0], r[1] + 1))
         elif len(r) == 3:
@@ -226,7 +235,7 @@ def _load_sweep_config(path: str) -> dict:
     if not n_values:
         raise DomainError("sweep n values are empty")
     betas = [_number(float, b, "beta_list entry") for b in cfg["beta_list"]]
-    policy = cfg.get("policy", {})
+    policy = _shaped(cfg, "policy", dict, {})
     shared = {
         "abs_tol": _number(float, policy.get("abs_tol", 1e-14), "policy abs_tol"),
         "max_terms": _number(int, policy.get("max_terms", 1_000_000), "policy max_terms"),
@@ -252,13 +261,13 @@ def _format_cell(v) -> str:
 def cmd_sweep(args) -> int:
     cfg = _load_sweep_config(args.config)
     jobs = cfg["_jobs"]
-    out_path = Path(cfg.get("output", "sweep_out.csv"))
-    fmt = cfg.get("format", "csv").lower()
+    out_path = Path(_shaped(cfg, "output", str, "sweep_out.csv"))
+    fmt = _shaped(cfg, "format", str, "csv").lower()
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt}")
     workers = _number(int, os.environ.get(ENV_WORKERS, cfg.get("workers", 1)),
                       f"workers ({ENV_WORKERS} or the config)")
-    cache_dir = Path(os.environ.get(ENV_CACHE_DIR, cfg.get("cache_dir", ".nw-cache")))
+    cache_dir = Path(os.environ.get(ENV_CACHE_DIR, _shaped(cfg, "cache_dir", str, ".nw-cache")))
     stamp = not (args.no_timestamp or cfg.get("no_timestamp", False))
 
     keys = [_job_key(j) for j in jobs]
@@ -367,11 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--epsilon", type=int, default=1, choices=(1, -1))
-    p.add_argument("--known-vectors", action="store_true", dest="known_vectors",
-                   help="use the built-in q=0.21 witness pair (default when no "
-                        "--vectors file is given)")
     p.add_argument("--vectors", type=str, default=None,
-                   help="JSON file of node vectors as rational multiples of pi")
+                   help="JSON file of node vectors as rational multiples of pi "
+                        "(default: the built-in q=0.21 witness pair)")
     p.add_argument("--witness-search", action="store_true")
     p.add_argument("--search-budget", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

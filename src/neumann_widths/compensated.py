@@ -1,13 +1,12 @@
 """Compensated (Kahan) summation and a minimal double-double layer.
 
-Every series evaluator in the package accumulates through KahanSum; the
-determinant module additionally re-runs eliminations in double-double
-arithmetic when a result is too close to its rounding floor.
+Finite sums accumulate through KahanSum; the certified series evaluators
+(``kernels._certified_sum``) run the same Kahan-Babuska update inline.  The
+determinant module re-runs eliminations in double-double arithmetic (``DD``)
+when a result is too close to its rounding floor.
 """
 
 from __future__ import annotations
-
-import math
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -38,13 +37,6 @@ class KahanSum:
         return self._sum, self._comp
 
 
-def kahan_sum(terms) -> float:
-    acc = KahanSum()
-    for t in terms:
-        acc.add(t)
-    return acc.value
-
-
 # -- double-double primitives (hi, lo) with hi + lo exact ----------------
 
 def two_sum(a: float, b: float) -> tuple[float, float]:
@@ -66,47 +58,44 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
-def dd_from(a: float, b: float = 0.0) -> tuple[float, float]:
-    s, e = two_sum(a, b)
-    return s, e
+class DD:
+    """Double-double number hi + lo with the operators a full-pivot
+    elimination uses: ``*``, ``/``, ``-`` and ``float()``.
 
+    ``abs()`` gives the float |hi|, the magnitude the pivot search compares;
+    a float on the left of ``*`` is read as the exact pair (x, 0).
+    """
 
-def dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    hi = s + e
-    return hi, e - (hi - s)
+    __slots__ = ("hi", "lo")
 
+    def __init__(self, hi: float, lo: float = 0.0):
+        self.hi = hi
+        self.lo = lo
 
-def dd_neg(x: tuple[float, float]) -> tuple[float, float]:
-    return -x[0], -x[1]
+    def __abs__(self) -> float:
+        return abs(self.hi)
 
-def dd_sub(x, y):
-    return dd_add(x, dd_neg(y))
+    def __float__(self) -> float:
+        return self.hi + self.lo
 
+    def __sub__(self, other: "DD") -> "DD":
+        s, e = two_sum(self.hi, -other.hi)
+        e += self.lo - other.lo
+        hi = s + e
+        return DD(hi, e - (hi - s))
 
-def dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p, e = two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    hi = p + e
-    return hi, e - (hi - p)
+    def __mul__(self, other: "DD") -> "DD":
+        p, e = two_prod(self.hi, other.hi)
+        e += self.hi * other.lo + self.lo * other.hi
+        hi = p + e
+        return DD(hi, e - (hi - p))
 
+    def __rmul__(self, other: float) -> "DD":
+        return DD(other) * self
 
-def dd_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    q1 = x[0] / y[0]
-    r = dd_sub(x, dd_mul((q1, 0.0), y))
-    q2 = (r[0] + r[1]) / y[0]
-    hi = q1 + q2
-    return hi, q2 - (hi - q1)
-
-
-def dd_abs(x: tuple[float, float]) -> tuple[float, float]:
-    return dd_neg(x) if x[0] < 0.0 or (x[0] == 0.0 and x[1] < 0.0) else x
-
-
-def dd_float(x: tuple[float, float]) -> float:
-    return x[0] + x[1]
-
-
-def dd_isfinite(x: tuple[float, float]) -> bool:
-    return math.isfinite(x[0]) and math.isfinite(x[1])
+    def __truediv__(self, other: "DD") -> "DD":
+        q1 = self.hi / other.hi
+        r = self - DD(q1) * other
+        q2 = (r.hi + r.lo) / other.hi
+        hi = q1 + q2
+        return DD(hi, q2 - (hi - q1))

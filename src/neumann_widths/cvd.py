@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .compensated import dd_abs, dd_div, dd_float, dd_from, dd_mul, dd_sub
+from .compensated import DD, two_sum
 from .errors import DomainError, NotFound
 from .kernels import EvalPolicy, NeumannParams, eval_neumann, eval_neumann_pair
 
@@ -87,8 +87,21 @@ class NodeVectors:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NodeVectors":
-        return cls.from_pi_rationals([tuple(p) for p in data["x"]],
-                                     [tuple(p) for p in data["y"]])
+        """Inverse of to_json_dict; data of any other shape is a DomainError."""
+        def pairs(key):
+            v = data.get(key) if isinstance(data, dict) else None
+            if not isinstance(v, list) or not all(
+                    isinstance(p, list) and len(p) == 2
+                    and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                            for c in p) and p[1] != 0 for p in v):
+                raise DomainError(f"node vectors need {key!r} as a list of [numerator, "
+                                  "denominator] number pairs with nonzero denominators")
+            return [tuple(p) for p in v]
+
+        try:
+            return cls.from_pi_rationals(pairs("x"), pairs("y"))
+        except OverflowError:
+            raise DomainError("node vector entries must lie in [0, 2pi)") from None
 
 
 # q = 0.21 witness configurations: D_3 is negative on (WITNESS_X, WITNESS_Y_NEG)
@@ -128,8 +141,12 @@ def neumann_pair_evaluator(params: NeumannParams,
     return lambda t: eval_neumann_pair(params, t, policy)
 
 
-def _det_full_pivot(a: list[list[float]]) -> float:
-    """Determinant by Gaussian elimination with full pivoting."""
+def _det_full_pivot(a: list[list]) -> float:
+    """Determinant by Gaussian elimination with full pivoting.
+
+    Entries are floats or DD numbers: the elimination needs only abs, *, /,
+    - and float() of them, so each arithmetic runs its native operators.
+    """
     m = len(a)
     a = [row[:] for row in a]
     det_sign = 1.0
@@ -138,8 +155,9 @@ def _det_full_pivot(a: list[list[float]]) -> float:
         p_r, p_c, best = step, step, -1.0
         for i in range(step, m):
             for j in range(step, m):
-                if abs(a[i][j]) > best:
-                    best, p_r, p_c = abs(a[i][j]), i, j
+                mag = abs(a[i][j])
+                if mag > best:
+                    best, p_r, p_c = mag, i, j
         if best == 0.0:
             return 0.0
         if p_r != step:
@@ -155,37 +173,7 @@ def _det_full_pivot(a: list[list[float]]) -> float:
             factor = a[i][step] / pivot
             for j in range(step + 1, m):
                 a[i][j] -= factor * a[step][j]
-    return det_sign * det
-
-
-def _det_full_pivot_dd(a: list[list[tuple[float, float]]]) -> float:
-    m = len(a)
-    a = [row[:] for row in a]
-    sign = 1.0
-    det = dd_from(1.0)
-    for step in range(m):
-        p_r, p_c, best = step, step, -1.0
-        for i in range(step, m):
-            for j in range(step, m):
-                mag = dd_abs(a[i][j])[0]
-                if mag > best:
-                    best, p_r, p_c = mag, i, j
-        if best == 0.0:
-            return 0.0
-        if p_r != step:
-            a[step], a[p_r] = a[p_r], a[step]
-            sign = -sign
-        if p_c != step:
-            for row in a:
-                row[step], row[p_c] = row[p_c], row[step]
-            sign = -sign
-        pivot = a[step][step]
-        det = dd_mul(det, pivot)
-        for i in range(step + 1, m):
-            factor = dd_div(a[i][step], pivot)
-            for j in range(step + 1, m):
-                a[i][j] = dd_sub(a[i][j], dd_mul(factor, a[step][j]))
-    return sign * dd_float(det)
+    return det_sign * float(det)
 
 
 def _cofactor_norm(a: list[list[float]]) -> float:
@@ -226,12 +214,11 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     used_dd = False
     if abs(det) < 100.0 * err:
         if kernel_pair is not None:
-            dd_entries = [
-                [dd_mul(dd_from(float(epsilon)), dd_from(*kernel_pair(xi - yj)))
-                 for yj in nodes.y] for xi in nodes.x]
+            dd_entries = [[DD(float(epsilon)) * DD(*two_sum(*kernel_pair(xi - yj)))
+                           for yj in nodes.y] for xi in nodes.x]
         else:
-            dd_entries = [[dd_from(e) for e in row] for row in entries]
-        det = _det_full_pivot_dd(dd_entries)
+            dd_entries = [[DD(e) for e in row] for row in entries]
+        det = _det_full_pivot(dd_entries)
         used_dd = True
     return DetResult(value=det, error_estimate=err, epsilon=epsilon,
                      used_extended=used_dd)

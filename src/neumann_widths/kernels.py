@@ -4,6 +4,13 @@ Everything here is a pure function of its arguments.  Each truncated series
 carries an explicit tail bound, and summation is compensated so downstream
 determinant tests can rely on ~1e-16 entry accuracy.
 
+Every tail-checked series in the package (here, in ``widths`` and in
+``sk_spline``) runs through ``_certified_sum``: it adds the terms in order
+with a Kahan-Babuska update, stops after the first term whose tail is
+``<= tol``, and adds at most ``policy.max_terms`` terms; if the tail is still
+above ``tol`` after the last of them it raises ``TolUnreachable`` with
+``terms_used = max_terms`` and that tail as ``tail_bound``.
+
 Conventions
 -----------
 * ``N_{q,beta}(t)  = sum_{k>=1} q^k/k * cos(k t - beta*pi/2)``, 0 < q < 1.
@@ -22,11 +29,12 @@ trust as stated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
-from .compensated import KahanSum
 from .errors import DomainError, TolUnreachable
 
 TWO_PI = 2.0 * math.pi
@@ -96,26 +104,46 @@ def _reduce_phase(beta: float, shift: float = 0.0) -> float:
     return (beta % 4.0 + shift) * (math.pi / 2.0)
 
 
-def _sum_cosine_series(coef, tail, phase, t, policy, label):
-    """sum_k coef(k) * cos(k*t - phase), truncated once tail(k) <= abs_tol.
+def _certified_sum(terms: Iterable[tuple[float, float]], tol: float,
+                   policy: EvalPolicy, label: str,
+                   start: float = 0.0) -> tuple[float, float]:
+    """(sum, compensation) of a series given as (term, tail_after_term) pairs.
 
-    ``tail(k)`` must bound the absolute remainder after the k-th term.
+    Stops after the first term whose tail is <= tol; ``tail`` is whatever
+    quantity the caller compares with ``tol``.  Raises TolUnreachable once
+    policy.max_terms terms are added without that happening.
     """
+    s, c = start, 0.0
+    for term, tail in itertools.islice(terms, policy.max_terms):
+        t = s + term
+        if abs(s) >= abs(term):
+            c += (s - t) + term
+        else:
+            c += (term - t) + s
+        s = t
+        if tail <= tol:
+            return s, c
+    raise TolUnreachable(
+        f"{label}: tail {tail:.3e} still above {tol:.3e} after {policy.max_terms} terms",
+        terms_used=policy.max_terms, tail_bound=tail)
+
+
+def _cosine_terms(coef, tail, phase, t):
+    """Terms coef(k) * cos(k*t - phase), k >= 1, with tail(k) after each."""
     u = math.fmod(t, TWO_PI)
-    acc = KahanSum()
-    k = 0
-    while True:
-        k += 1
-        if k > policy.max_terms:
-            raise TolUnreachable(
-                f"{label}: tail bound {tail(k - 1):.3e} still above "
-                f"abs_tol={policy.abs_tol:.3e} after {policy.max_terms} terms",
-                terms_used=k - 1,
-                tail_bound=tail(k - 1),
-            )
-        acc.add(coef(k) * math.cos(k * u - phase))
-        if tail(k) <= policy.abs_tol:
-            return acc
+    for k in itertools.count(1):
+        yield coef(k) * math.cos(k * u - phase), tail(k)
+
+
+def _neumann_terms(params: NeumannParams, t: float):
+    """_cosine_terms for psi(k) = q^k/k, with NeumannParams.psi and
+    NeumannParams.tail_bound written inline (the hot path of det_D)."""
+    q = params.q
+    phase = _reduce_phase(params.beta)
+    u = math.fmod(t, TWO_PI)
+    r = 1.0 - q
+    for k in itertools.count(1):
+        yield q**k / k * math.cos(k * u - phase), q ** (k + 1) / ((k + 1) * r)
 
 
 def eval_neumann(params: NeumannParams, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
@@ -123,11 +151,8 @@ def eval_neumann(params: NeumannParams, t: float, policy: EvalPolicy = DEFAULT_P
 
     The truncation index K satisfies q^(K+1)/((K+1)(1-q)) <= abs_tol.
     """
-    q = params.q
-    phase = _reduce_phase(params.beta)
-    return _sum_cosine_series(
-        lambda k: q**k / k, params.tail_bound, phase, t, policy, "eval_neumann"
-    ).value
+    s, c = eval_neumann_pair(params, t, policy)
+    return s + c
 
 
 def eval_neumann_pair(params: NeumannParams, t: float,
@@ -137,17 +162,14 @@ def eval_neumann_pair(params: NeumannParams, t: float,
     Feeding both words into double-double arithmetic keeps the extra
     accuracy the compensated accumulator collected.
     """
-    q = params.q
-    phase = _reduce_phase(params.beta)
-    return _sum_cosine_series(
-        lambda k: q**k / k, params.tail_bound, phase, t, policy, "eval_neumann"
-    ).as_pair()
+    return _certified_sum(_neumann_terms(params, t), policy.abs_tol, policy, "eval_neumann")
 
 
 def eval_psi_beta(spec: KernelSpec, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Evaluate Psi_beta(t) = sum psi(k) cos(k t - beta*pi/2)."""
-    phase = _reduce_phase(spec.beta)
-    return _sum_cosine_series(spec.psi, spec.tail_bound, phase, t, policy, "eval_psi_beta").value
+    terms = _cosine_terms(spec.psi, spec.tail_bound, _reduce_phase(spec.beta), t)
+    s, c = _certified_sum(terms, policy.abs_tol, policy, "eval_psi_beta")
+    return s + c
 
 
 def eval_psi_beta1(spec: KernelSpec, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
@@ -156,12 +178,11 @@ def eval_psi_beta1(spec: KernelSpec, t: float, policy: EvalPolicy = DEFAULT_POLI
     Coefficients psi(k)/k, phase (beta+1)*pi/2; remainder after K terms is
     bounded by tail_bound(K)/(K+1).
     """
-    phase = _reduce_phase(spec.beta, shift=1.0)
-    return _sum_cosine_series(
-        lambda k: spec.psi(k) / k,
-        lambda k: spec.tail_bound(k) / (k + 1),
-        phase, t, policy, "eval_psi_beta1",
-    ).value
+    terms = _cosine_terms(lambda k: spec.psi(k) / k,
+                          lambda k: spec.tail_bound(k) / (k + 1),
+                          _reduce_phase(spec.beta, shift=1.0), t)
+    s, c = _certified_sum(terms, policy.abs_tol, policy, "eval_psi_beta1")
+    return s + c
 
 
 def eval_bernoulli(t: float) -> float:
@@ -176,6 +197,13 @@ def eval_bernoulli(t: float) -> float:
     return (math.pi - u) / 2.0
 
 
+def _pq_terms(q: float, u: float, j0: int = 1):
+    """Terms 2 cos(j u)/(q^j + q^-j), j >= j0, of P_q, each with the tail
+    bound 2 q^(j+1)/(1-q) after it."""
+    for j in itertools.count(j0):
+        yield 2.0 * math.cos(j * u) / (q**j + q**-j), 2.0 * q ** (j + 1) / (1.0 - q)
+
+
 def eval_pq(q: float, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Evaluate P_q(t) = 1/2 + 2 sum_{j>=1} cos(j t)/(q^j + q^-j).
 
@@ -183,44 +211,26 @@ def eval_pq(q: float, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    u = math.fmod(t, TWO_PI)
-    acc = KahanSum(0.5)
-    j = 0
-    while True:
-        j += 1
-        if j > policy.max_terms:
-            raise TolUnreachable(
-                f"eval_pq: tail above abs_tol after {policy.max_terms} terms",
-                terms_used=j - 1,
-                tail_bound=2.0 * q**j / (1.0 - q),
-            )
-        acc.add(2.0 * math.cos(j * u) / (q**j + q**-j))
-        if 2.0 * q ** (j + 1) / (1.0 - q) <= policy.abs_tol:
-            return acc.value
+    s, c = _certified_sum(_pq_terms(q, math.fmod(t, TWO_PI)), policy.abs_tol, policy,
+                          "eval_pq", start=0.5)
+    return s + c
 
 
-def _theta3(z: float, q: float) -> float:
-    acc = KahanSum(1.0)
-    m = 1
-    while True:
-        w = q ** (m * m)
-        if w < 1e-20:
-            return acc.value
-        acc.add(2.0 * w * math.cos(2.0 * m * z))
-        m += 1
+def _theta(z: float, q: float, sign: float) -> float:
+    """theta3(z) (sign = 1) or theta4(z) (sign = -1) in nome q:
+    1 + 2 sum_m sign^m q^(m^2) cos(2 m z).
+
+    Sums while the terms' size q^(m^2) stays >= 1e-20: a cutoff on term
+    size, not a certified tail bound.
+    """
+    terms = ((2.0 * sign**m * q ** (m * m) * math.cos(2.0 * m * z), q ** ((m + 1) * (m + 1)))
+             for m in itertools.count(1))
+    s, c = _certified_sum(terms, math.nextafter(1e-20, 0.0), DEFAULT_POLICY, "theta",
+                          start=1.0)
+    return s + c
 
 
-def _theta4(z: float, q: float) -> float:
-    acc = KahanSum(1.0)
-    m = 1
-    sign = -1.0
-    while True:
-        w = q ** (m * m)
-        if w < 1e-20:
-            return acc.value
-        acc.add(2.0 * sign * w * math.cos(2.0 * m * z))
-        sign = -sign
-        m += 1
+_theta4 = partial(_theta, sign=-1.0)
 
 
 def eval_pq_theta(q: float, t: float) -> float:
@@ -234,7 +244,7 @@ def eval_pq_theta(q: float, t: float) -> float:
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
     z = math.fmod(t, TWO_PI) / 2.0
-    return 0.5 * _theta3(0.0, q) * _theta4(0.0, q) * _theta3(z, q) / _theta4(z, q)
+    return 0.5 * _theta(0.0, q, 1.0) * _theta4(0.0, q) * _theta(z, q, 1.0) / _theta4(z, q)
 
 
 def pq_floor(q: float) -> float:

@@ -23,6 +23,7 @@ to working precision, which the test suite enforces.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .compensated import KahanSum, two_prod
-from .errors import DomainError, SignDegenerate, SingularSystem, TolUnreachable
-from .kernels import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
-                      eval_bernoulli, eval_pq, eval_psi_beta1)
+from .errors import DomainError, SignDegenerate, SingularSystem
+from .kernels import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams, _certified_sum,
+                      _pq_terms, eval_bernoulli, eval_pq, eval_psi_beta1)
 from .thresholds import gamma_budget
 from .widths import solve_theta
 
@@ -159,8 +160,60 @@ def lambda_finite_sum(spec: KernelSpec, n: int, l: int, y: float,
     return complex(re.value / n, im.value / n)
 
 
-class _EigenAssembly:
-    """Fourier-side eigenvalue decomposition for a Neumann kernel at shift y.
+class _EigenShift:
+    """Per-shift setup of the Fourier-side eigenvalue decomposition for a
+    Neumann kernel at shift y; ``column(j)`` assembles the pieces of one
+    eigenvalue lambda_{n-j}."""
+
+    def __init__(self, params: NeumannParams, n: int, y: float,
+                 policy: EvalPolicy = DEFAULT_POLICY):
+        if n < 1:
+            raise DomainError(f"n must be a positive integer, got {n}")
+        self.arg = n * y - params.beta_mod4 * math.pi / 2.0
+        self.sin_arg = math.sin(self.arg)
+        if abs(self.sin_arg) < SIGN_DEGENERATE_TOL:
+            raise SignDegenerate(
+                f"sin(n y - beta pi/2) = {self.sin_arg:.2e} at y={y}: the Fourier "
+                "decomposition is invalid here (use the finite node sum)")
+        self.params = params
+        self.n = n
+        self.y = y
+        self.policy = policy
+        self.q = params.q
+        self.s = math.copysign(1.0, self.sin_arg)
+        self.psi_n = params.q**n / n
+
+    def column(self, j: int) -> tuple[float, float, complex, complex, float]:
+        """(A_j, B_j, r1_j, r2_j, r3_j): the main coefficients psi(n-j)/(n-j)
+        and psi(n+j)/(n+j), and the three tail pieces of r_j."""
+        n, y, psi = self.n, self.y, self.params.psi
+        phase1 = (self.params.beta_mod4 + 1.0) * math.pi / 2.0
+        ratio = self.q ** (2 * n)
+
+        def r1_terms(f, lo_sign):
+            # Fourier tail over frequencies (2m+1)n - j and (2m-1)n + j; f and
+            # lo_sign pick the real (cos, +1) or imaginary (sin, -1) part
+            yield psi(3 * n - j) / (3 * n - j) * f(3 * n * y - phase1), math.inf
+            for m in itertools.count(2):
+                t_hi = psi((2 * m + 1) * n - j) / ((2 * m + 1) * n - j)
+                t_lo = psi((2 * m - 1) * n + j) / ((2 * m - 1) * n + j)
+                yield (t_hi * f((2 * m + 1) * n * y - phase1)
+                       + lo_sign * t_lo * f((2 * m - 1) * n * y - phase1),
+                       (t_hi + t_lo) * ratio / max(1.0 - ratio, 1e-300))
+
+        re, re_c = _certified_sum(r1_terms(math.cos, 1.0), self.policy.abs_tol, self.policy,
+                                  "eigenvalue tail")
+        im, im_c = _certified_sum(r1_terms(math.sin, -1.0), self.policy.abs_tol, self.policy,
+                                  "eigenvalue tail")
+        a = psi(n - j) / (n - j)
+        b = psi(n + j) / (n + j)
+        r2 = 1j * (b - a) * math.cos(self.arg)
+        r3 = (a + b) * (abs(self.sin_arg) - 1.0) * self.s
+        return a, b, complex(re + re_c, im + im_c), r2, r3
+
+
+class _EigenAssembly(_EigenShift):
+    """Fourier-side eigenvalue decomposition for all j at shift y.
 
     Holds, for j = 0..n-1 (eigenvalue index l = n-j): the main coefficient
     pair sum A_j + B_j; the tail pieces r1, r2, r3 and their sum r; the
@@ -170,68 +223,20 @@ class _EigenAssembly:
 
     def __init__(self, params: NeumannParams, n: int, y: float,
                  policy: EvalPolicy = DEFAULT_POLICY):
-        if n < 1:
-            raise DomainError(f"n must be a positive integer, got {n}")
-        q, beta = params.q, params.beta_mod4
-        arg = n * y - beta * math.pi / 2.0
-        sin_arg = math.sin(arg)
-        if abs(sin_arg) < SIGN_DEGENERATE_TOL:
-            raise SignDegenerate(
-                f"sin(n y - beta pi/2) = {sin_arg:.2e} at y={y}: the Fourier "
-                "decomposition is invalid here (use the finite node sum)")
-        self.params = params
-        self.n = n
-        self.y = y
-        self.policy = policy
-        self.q = q
-        self.s = math.copysign(1.0, sin_arg)
-        self.psi_n = q**n / n
-
-        psi = params.psi
-        phase1 = (beta + 1.0) * math.pi / 2.0
-        ratio = q ** (2 * n)
-        ab, r1s, r2s, r3s, rs, lam_abs, R = [], [], [], [], [], [], []
+        super().__init__(params, n, y, policy)
+        self.ab, self.r1, self.r2, self.r3, self.r, self.lam_abs, self.R = (
+            [], [], [], [], [], [], [])
         for j in range(n):
-            a = psi(n - j) / (n - j)
-            b = psi(n + j) / (n + j)
-            # r1: Fourier tail over frequencies (2m+1)n - j and (2m-1)n + j
-            acc = psi(3 * n - j) / (3 * n - j) * cmath.exp(1j * (3 * n * y - phase1))
-            m = 2
-            while True:
-                t_hi = psi((2 * m + 1) * n - j) / ((2 * m + 1) * n - j)
-                t_lo = psi((2 * m - 1) * n + j) / ((2 * m - 1) * n + j)
-                acc += t_hi * cmath.exp(1j * ((2 * m + 1) * n * y - phase1))
-                acc += t_lo * cmath.exp(-1j * ((2 * m - 1) * n * y - phase1))
-                if (t_hi + t_lo) * ratio / max(1.0 - ratio, 1e-300) <= policy.abs_tol:
-                    break
-                m += 1
-                if m > policy.max_terms:
-                    raise TolUnreachable("eigenvalue tail series did not converge "
-                                         "under the term cap", terms_used=m)
-            r1 = acc
-            r2 = 1j * (b - a) * math.cos(arg)
-            r3 = (a + b) * (abs(sin_arg) - 1.0) * self.s
+            a, b, r1, r2, r3 = self.column(j)
             r = r1 + r2 + r3
             inner = (a + b) * self.s + r
-            ab.append(a + b)
-            r1s.append(r1)
-            r2s.append(r2)
-            r3s.append(r3)
-            rs.append(r)
-            lam_abs.append(abs(inner))
-            R.append(abs(inner) - a - b)
-        self.ab = ab
-        self.r1 = r1s
-        self.r2 = r2s
-        self.r3 = r3s
-        self.r = rs
-        self.lam_abs = lam_abs
-        self.R = R
-
-    def lam(self, j: int) -> complex:
-        """lambda_{n-j}(y) = e^(-i j y) ((A_j+B_j) s + r_j)."""
-        inner = self.ab[j] * self.s + self.r[j]
-        return cmath.exp(-1j * j * self.y) * inner
+            self.ab.append(a + b)
+            self.r1.append(r1)
+            self.r2.append(r2)
+            self.r3.append(r3)
+            self.r.append(r)
+            self.lam_abs.append(abs(inner))
+            self.R.append(abs(inner) - a - b)
 
     def z(self, j: int, t_k: float) -> float:
         """z_j at midpoint t_k; the phase of r_j is dropped when |r_j| underflows
@@ -292,17 +297,9 @@ class _EigenAssembly:
             / (self.lam_abs[j] * math.cos(j * math.pi / (2 * n)))
             for j in range(1, root + 1))
 
-        acc = KahanSum()
-        j = root + 1
-        while True:
-            acc.add(math.cos(j * (t_k - self.y)) / (q**j + q**-j))
-            if 2.0 * q ** (j + 1) / (1.0 - q) <= self.policy.abs_tol:
-                break
-            j += 1
-            if j > root + self.policy.max_terms:
-                raise TolUnreachable("strip-kernel tail did not converge under "
-                                     "the term cap", terms_used=j)
-        g5 = -2.0 * s * acc.value
+        tail, tail_c = _certified_sum(_pq_terms(q, t_k - self.y, root + 1), self.policy.abs_tol,
+                                      self.policy, "strip-kernel tail")
+        g5 = -s * (tail + tail_c)  # P_q's terms already carry the factor 2
         return g1, g2, g3, g4, g5
 
     def delta(self, j: int) -> float:
@@ -344,7 +341,9 @@ def lambda_fourier(params: NeumannParams, n: int, j: int, y: float,
     """
     if not 0 <= j <= n - 1:
         raise DomainError(f"j must lie in 0..n-1, got j={j}, n={n}")
-    return _EigenAssembly(params, n, y, policy).lam(j)
+    shift = _EigenShift(params, n, y, policy)
+    a, b, r1, r2, r3 = shift.column(j)
+    return cmath.exp(-1j * j * y) * ((a + b) * shift.s + (r1 + r2 + r3))
 
 
 def eigen_assembly(params: NeumannParams, n: int, y: float,

@@ -16,13 +16,14 @@ exactly at beta odd.  Bisection then converges unconditionally.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .compensated import KahanSum
-from .errors import BracketFailure, DomainError, TolUnreachable
-from .kernels import DEFAULT_POLICY, EvalPolicy, NeumannParams, eval_gq, eval_hq
+from .errors import BracketFailure, DomainError
+from .kernels import (DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, eval_gq,
+                      eval_hq)
 
 _BISECT_ITERS = 64  # interval width 0.5 / 2**64 ~ 2.7e-20
 
@@ -84,21 +85,19 @@ def _theta_equation_closed(params: NeumannParams, n: int, theta: float) -> float
 def theta_equation_lhs(params: NeumannParams, n: int, theta: float,
                        policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Definitional series form of the theta-equation left side."""
-    q = params.q
-    ratio = q ** (2 * n)
+    ratio = params.q ** (2 * n)
     phase = params.beta_mod4 * (math.pi / 2.0)
-    acc = KahanSum()
-    nu = 0
-    coef = 1.0
-    while True:
-        acc.add(coef / (2 * nu + 1) * math.cos((2 * nu + 1) * theta * math.pi - phase))
-        nu += 1
-        coef *= ratio
-        if coef / (2 * nu + 1) <= min(policy.abs_tol, 1e-15) * (1.0 - ratio):
-            return acc.value
-        if nu > policy.max_terms:
-            raise TolUnreachable("theta equation series did not converge under cap",
-                                 terms_used=nu)
+
+    def terms():
+        coef = 1.0
+        for nu in itertools.count():
+            term = coef / (2 * nu + 1) * math.cos((2 * nu + 1) * theta * math.pi - phase)
+            coef *= ratio
+            yield term, coef / (2 * nu + 3)
+
+    s, c = _certified_sum(terms(), min(policy.abs_tol, 1e-15) * (1.0 - ratio), policy,
+                          "theta equation")
+    return s + c
 
 
 def _limit_theta(beta_r: float) -> float:
@@ -176,22 +175,19 @@ def conv_square_wave(params: NeumannParams, n: int, t: float,
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    q = params.q
-    ratio = q ** (2 * n)
+    ratio = params.q ** (2 * n)
     phase = params.beta_mod4 * (math.pi / 2.0)
-    acc = KahanSum()
-    nu = 0
-    coef = q**n / n
-    while True:
-        acc.add(coef / (2 * nu + 1) ** 2 * math.sin((2 * nu + 1) * n * t - phase))
-        nu += 1
-        coef *= ratio
-        tail = coef / ((2 * nu + 1) ** 2 * max(1.0 - ratio, 1e-300))
-        if (4.0 / math.pi) * tail <= policy.abs_tol:
-            return (4.0 / math.pi) * acc.value
-        if nu > policy.max_terms:
-            raise TolUnreachable("square-wave convolution series did not converge under cap",
-                                 terms_used=nu)
+
+    def terms():
+        coef = params.q**n / n
+        for nu in itertools.count():
+            term = coef / (2 * nu + 1) ** 2 * math.sin((2 * nu + 1) * n * t - phase)
+            coef *= ratio
+            tail = coef / ((2 * nu + 3) ** 2 * max(1.0 - ratio, 1e-300))
+            yield term, (4.0 / math.pi) * tail
+
+    s, c = _certified_sum(terms(), policy.abs_tol, policy, "square-wave convolution")
+    return (4.0 / math.pi) * (s + c)
 
 
 def exact_width(params: NeumannParams, n: int,
@@ -207,19 +203,16 @@ def exact_width(params: NeumannParams, n: int,
     ratio = q ** (2 * n)
     phase = params.beta_mod4 * (math.pi / 2.0)
 
-    acc = KahanSum()
-    nu = 0
-    coef = 1.0
-    while True:
-        acc.add(coef / (2 * nu + 1) ** 2
-                * math.sin((2 * nu + 1) * root.theta * math.pi - phase))
-        nu += 1
-        coef *= ratio
-        if coef <= policy.abs_tol * (1.0 - ratio):
-            break
-        if nu > policy.max_terms:
-            raise TolUnreachable("width series did not converge under cap", terms_used=nu)
-    peak = abs(acc.value)
+    def terms():
+        coef = 1.0
+        for nu in itertools.count():
+            term = (coef / (2 * nu + 1) ** 2
+                    * math.sin((2 * nu + 1) * root.theta * math.pi - phase))
+            coef *= ratio
+            yield term, coef
+
+    s, c = _certified_sum(terms(), policy.abs_tol * (1.0 - ratio), policy, "width peak")
+    peak = abs(s + c)
 
     scale = q**n / n
     width = (4.0 / math.pi) * scale * peak

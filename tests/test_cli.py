@@ -95,6 +95,22 @@ class TestCvdCommand:
         assert doc["determinants"]["custom"]["value"] == pytest.approx(
             -2.7490707450445169e-10, rel=1e-5)
 
+    @pytest.mark.parametrize("payload", [
+        {"x": 1, "y": 2},
+        {"x": [[1, 0]], "y": [[1, 2]]},
+        {"x": [["1", 18]], "y": [[1, 2]]},
+        [[1, 18]],
+        {"x": [[10**400, 1]], "y": [[1, 2]]},
+    ])
+    def test_malformed_vectors_file(self, capsys, tmp_path, payload):
+        path = tmp_path / "nodes.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "cvd", "--q", "0.21", "--beta", "0",
+                             "--vectors", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "validation"
+
     def test_witness_search(self, capsys):
         code, out, _ = run(capsys, "cvd", "--q", "0.21", "--beta", "0",
                            "--witness-search", "--search-budget", "5000")
@@ -283,3 +299,21 @@ class TestSweepInputErrors:
         doc = json.loads(err)
         assert doc["error"]["code"] == "validation"
         assert "NEUMANN_WIDTHS_WORKERS" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"q_list": 0.3},
+        {"n_list": 3},
+        {"n_list": None, "n_range": 5},
+        {"policy": []},
+        {"format": 5},
+        {"output": 5},
+        {"cache_dir": 5},
+    ])
+    def test_config_of_wrong_shape(self, capsys, tmp_path, overrides):
+        cfg_path, cfg = sweep_config(tmp_path, **overrides)
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "validation"

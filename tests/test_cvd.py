@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from neumann_widths import (DomainError, NeumannParams, NodeVectors, NotFound,
                             builtin_witnesses, cvd_witness, det_D,
                             neumann_evaluator, neumann_pair_evaluator)
-from neumann_widths.cvd import _det_full_pivot, _det_full_pivot_dd
-from neumann_widths.compensated import dd_from
+from neumann_widths.cvd import _det_full_pivot
+from neumann_widths.compensated import DD
 
 # determinants at the built-in q = 0.21 witnesses, frozen from a 40-digit
 # direct-summation evaluation
@@ -91,9 +91,9 @@ class TestDeterminants:
         assert _det_full_pivot(swapped) == -_det_full_pivot(m)
 
     def test_dd_elimination_exact_on_integers(self):
-        m = [[dd_from(v) for v in row]
+        m = [[DD(v) for v in row]
              for row in ((2.0, 1.0, 1.0), (1.0, 3.0, 2.0), (1.0, 0.0, 0.0))]
-        assert _det_full_pivot_dd(m) == -1.0  # cofactor expansion by hand
+        assert _det_full_pivot(m) == -1.0  # cofactor expansion by hand
 
     def test_near_singular_triggers_extended(self):
         kernel = math.cos  # rank-2 kernel: every 3x3 determinant vanishes

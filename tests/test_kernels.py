@@ -14,6 +14,8 @@ from neumann_widths import (EvalPolicy, KernelSpec, NeumannParams, TolUnreachabl
                             eval_neumann_pair, eval_pq, eval_pq_theta,
                             eval_psi_beta, eval_psi_beta1, pq_floor)
 from neumann_widths.compensated import KahanSum
+from neumann_widths.sk_spline import derivative_pq, lambda_fourier
+from neumann_widths.widths import conv_square_wave, exact_width, theta_equation_lhs
 
 # independently derived closed-form constants
 LN2 = 0.6931471805599453
@@ -59,6 +61,36 @@ class TestNeumann:
         params = NeumannParams(0.7, 0.3)
         hi, lo = eval_neumann_pair(params, 1.234)
         assert hi + lo == pytest.approx(eval_neumann(params, 1.234), abs=1e-16)
+
+
+NEAR_ONE = NeumannParams(0.99, 0.3)
+
+# One call per tail-checked series; each policy runs out of terms in that
+# series.  exact_width: at q = 0.5, n = 1, abs_tol = 1e-15 its theta residual
+# converges after 23 terms, so the 24-term cap is hit in the peak series.
+# derivative_pq: at q = 0.5, n = 16 the eigenvalue tails converge after two
+# terms, so the 3-term cap is hit in gamma_5's strip-kernel tail.
+TAIL_CHECKED = {
+    "eval_neumann": (lambda pol: eval_neumann(NEAR_ONE, 1.0, pol), 1e-14, 3),
+    "eval_psi_beta": (lambda pol: eval_psi_beta(NEAR_ONE.spec(), 1.0, pol), 1e-14, 3),
+    "eval_psi_beta1": (lambda pol: eval_psi_beta1(NEAR_ONE.spec(), 1.0, pol), 1e-14, 3),
+    "eval_pq": (lambda pol: eval_pq(0.99, 1.0, pol), 1e-14, 3),
+    "theta_equation_lhs": (lambda pol: theta_equation_lhs(NEAR_ONE, 1, 0.6, pol), 1e-14, 3),
+    "conv_square_wave": (lambda pol: conv_square_wave(NEAR_ONE, 1, 0.4, pol), 1e-14, 3),
+    "exact_width": (lambda pol: exact_width(NeumannParams(0.5, 0.3), 1, pol), 1e-15, 24),
+    "lambda_fourier": (lambda pol: lambda_fourier(NEAR_ONE, 4, 1, 0.1, pol), 1e-14, 3),
+    "derivative_pq": (lambda pol: derivative_pq(NeumannParams(0.5, 0.3), 16, 0.05, 1, pol),
+                      1e-14, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_CHECKED))
+def test_tol_unreachable_contract(name):
+    evaluate, abs_tol, max_terms = TAIL_CHECKED[name]
+    with pytest.raises(TolUnreachable) as info:
+        evaluate(EvalPolicy(abs_tol=abs_tol, max_terms=max_terms))
+    assert info.value.terms_used == max_terms
+    assert info.value.tail_bound > abs_tol
 
 
 class TestIntegratedKernel:
