@@ -7,7 +7,7 @@ whole stack.
 """
 
 from .errors import (BracketFailure, DomainError, NeumannWidthsError, NotFound,
-                     SignDegenerate, SingularSystem, TolUnreachable)
+                     SignDegenerate, SingularSystem, TolUnreachable, UnderflowLimit)
 from .kernels import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
                       eval_bernoulli, eval_gq, eval_hq, eval_neumann,
                       eval_neumann_pair, eval_pq, eval_pq_theta, eval_psi_beta,
@@ -32,7 +32,7 @@ from .oracles import (slow_series, supnorm_square_conv, theta_equation_series,
 
 __all__ = [
     "BracketFailure", "DomainError", "NeumannWidthsError", "NotFound",
-    "SignDegenerate", "SingularSystem", "TolUnreachable",
+    "SignDegenerate", "SingularSystem", "TolUnreachable", "UnderflowLimit",
     "DEFAULT_POLICY", "EvalPolicy", "KernelSpec", "NeumannParams",
     "eval_bernoulli", "eval_gq", "eval_hq", "eval_neumann", "eval_neumann_pair",
     "eval_pq", "eval_pq_theta", "eval_psi_beta", "eval_psi_beta1", "pq_floor",

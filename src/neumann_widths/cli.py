@@ -205,7 +205,7 @@ def _shaped(cfg: dict, key: str, shape: type, default=None):
     """``cfg[key]`` (``default`` when absent), which must be a ``shape``."""
     value = cfg.get(key, default)
     if not isinstance(value, shape):
-        kind = {dict: "an object", list: "a list", str: "a string"}[shape]
+        kind = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}[shape]
         raise DomainError(f"sweep config {key} must be {kind}, got {value!r}")
     return value
 
@@ -239,7 +239,7 @@ def _load_sweep_config(path: str) -> dict:
     shared = {
         "abs_tol": _number(float, policy.get("abs_tol", 1e-14), "policy abs_tol"),
         "max_terms": _number(int, policy.get("max_terms", 1_000_000), "policy max_terms"),
-        "verify": bool(cfg.get("verify", True)),
+        "verify": _shaped(cfg, "verify", bool, True),
         "oracle_grid": _number(int, cfg.get("oracle_grid", 4096), "oracle_grid"),
         "oracle_refine_tol": _number(float, cfg.get("oracle_refine_tol", 1e-13),
                                      "oracle_refine_tol"),
@@ -268,7 +268,7 @@ def cmd_sweep(args) -> int:
     workers = _number(int, os.environ.get(ENV_WORKERS, cfg.get("workers", 1)),
                       f"workers ({ENV_WORKERS} or the config)")
     cache_dir = Path(os.environ.get(ENV_CACHE_DIR, _shaped(cfg, "cache_dir", str, ".nw-cache")))
-    stamp = not (args.no_timestamp or cfg.get("no_timestamp", False))
+    stamp = not (_shaped(cfg, "no_timestamp", bool, False) or args.no_timestamp)
 
     keys = [_job_key(j) for j in jobs]
     cached: dict[int, dict] = {}

@@ -44,5 +44,11 @@ class SingularSystem(NeumannWidthsError):
         self.condition = condition
 
 
+class UnderflowLimit(NeumannWidthsError):
+    """A quantity the computation divides by underflows to zero in double
+    precision at this n (it scales like a power of q^n/n): the result needs
+    rescaled units, which this routine does not use."""
+
+
 class NotFound(NeumannWidthsError):
     """A bounded search ended without a result (scan cap or search budget)."""

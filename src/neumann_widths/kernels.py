@@ -10,6 +10,9 @@ with a Kahan-Babuska update, stops after the first term whose tail is
 ``<= tol``, and adds at most ``policy.max_terms`` terms; if the tail is still
 above ``tol`` after the last of them it raises ``TolUnreachable`` with
 ``terms_used = max_terms`` and that tail as ``tail_bound``.
+``_certified_lane_sum`` is the same loop over arrays of lanes that share
+one tail sequence (the P_q terms at many points t): each lane gets the
+scalar update bit for bit, and all lanes stop, or hit the cap, together.
 
 Conventions
 -----------
@@ -34,6 +37,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import DomainError, TolUnreachable
 
@@ -123,7 +128,27 @@ def _certified_sum(terms: Iterable[tuple[float, float]], tol: float,
         s = t
         if tail <= tol:
             return s, c
-    raise TolUnreachable(
+    raise _unreachable(label, tail, tol, policy)
+
+
+def _certified_lane_sum(terms: Iterable[tuple[np.ndarray, float]], tol: float,
+                        policy: EvalPolicy, label: str,
+                        start: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``_certified_sum`` over lanes: each term is an array with one entry per
+    lane, and its tail holds for every lane.  Each lane's (sum, compensation)
+    is the one ``_certified_sum`` gives for that lane's terms."""
+    s, c = start, 0.0
+    for term, tail in itertools.islice(terms, policy.max_terms):
+        t = s + term
+        c = c + np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
+        s = t
+        if tail <= tol:
+            return s, c
+    raise _unreachable(label, tail, tol, policy)
+
+
+def _unreachable(label: str, tail: float, tol: float, policy: EvalPolicy) -> TolUnreachable:
+    return TolUnreachable(
         f"{label}: tail {tail:.3e} still above {tol:.3e} after {policy.max_terms} terms",
         terms_used=policy.max_terms, tail_bound=tail)
 
@@ -197,11 +222,12 @@ def eval_bernoulli(t: float) -> float:
     return (math.pi - u) / 2.0
 
 
-def _pq_terms(q: float, u: float, j0: int = 1):
+def _pq_terms(q: float, u, j0: int = 1, cos=math.cos):
     """Terms 2 cos(j u)/(q^j + q^-j), j >= j0, of P_q, each with the tail
-    bound 2 q^(j+1)/(1-q) after it."""
+    bound 2 q^(j+1)/(1-q) after it; an array u with cos = np.cos gives one
+    term per lane."""
     for j in itertools.count(j0):
-        yield 2.0 * math.cos(j * u) / (q**j + q**-j), 2.0 * q ** (j + 1) / (1.0 - q)
+        yield 2.0 * cos(j * u) / (q**j + q**-j), 2.0 * q ** (j + 1) / (1.0 - q)
 
 
 def eval_pq(q: float, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:

@@ -73,6 +73,15 @@ class TestVerifyCy2nCommand:
         assert doc["holds"] is True
         assert len(doc["pattern"]) == 26
 
+    def test_past_underflow_edge_is_numerical_error(self, capsys):
+        code, out, err = run(capsys, "verify-cy2n", "--q", "0.01", "--beta", "0",
+                             "--n", "90")
+        assert code == 4
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"]["code"] == "numerical"
+        assert "underflows to zero at n=90" in doc["error"]["message"]
+
 
 class TestCvdCommand:
     def test_builtin_vectors_signs(self, capsys):
@@ -217,6 +226,23 @@ class TestSweepCommand:
         lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
         assert [ln.split(",")[2] for ln in lines[1:]] == ["2", "3", "4", "5"]
 
+    def test_past_underflow_edge_leaves_cy2n_cell_empty(self, capsys, tmp_path):
+        cfg_path, _ = sweep_config(tmp_path, q_list=[0.01], beta_list=[0.0],
+                                   n_list=[79, 90], verify=False)
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text())))
+        assert [r["cy2n_holds"] for r in rows] == ["true", ""]
+
+    def test_boolean_flags(self, capsys, tmp_path):
+        cfg_path, _ = sweep_config(tmp_path, verify=False, no_timestamp=True)
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 0
+        text = (tmp_path / "out.csv").read_text(encoding="utf-8")
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert text.startswith("q,")
+        assert {r["oracle_delta"] for r in rows} == {""}
+
     def test_worker_pool_matches_serial(self, capsys, tmp_path, monkeypatch):
         cfg_path, _ = sweep_config(tmp_path, verify=False)
         run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
@@ -289,6 +315,20 @@ class TestSweepInputErrors:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["code"] == "validation"
+
+    @pytest.mark.parametrize("overrides", [
+        {"verify": "false"},
+        {"verify": 0},
+        {"no_timestamp": "false"},
+        {"no_timestamp": 1},
+    ])
+    def test_flag_that_is_not_a_boolean(self, capsys, tmp_path, overrides):
+        cfg_path, _ = sweep_config(tmp_path, **overrides)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "validation"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_non_numeric_workers_env(self, capsys, tmp_path, monkeypatch):
         cfg_path, _ = sweep_config(tmp_path)

@@ -14,7 +14,8 @@ from neumann_widths import (EvalPolicy, KernelSpec, NeumannParams, TolUnreachabl
                             eval_neumann_pair, eval_pq, eval_pq_theta,
                             eval_psi_beta, eval_psi_beta1, pq_floor)
 from neumann_widths.compensated import KahanSum
-from neumann_widths.sk_spline import derivative_pq, lambda_fourier
+from neumann_widths.kernels import _certified_lane_sum, _certified_sum, _pq_terms
+from neumann_widths.sk_spline import derivative_pq, lambda_fourier, verify_cy2n
 from neumann_widths.widths import conv_square_wave, exact_width, theta_equation_lhs
 
 # independently derived closed-form constants
@@ -69,7 +70,8 @@ NEAR_ONE = NeumannParams(0.99, 0.3)
 # series.  exact_width: at q = 0.5, n = 1, abs_tol = 1e-15 its theta residual
 # converges after 23 terms, so the 24-term cap is hit in the peak series.
 # derivative_pq: at q = 0.5, n = 16 the eigenvalue tails converge after two
-# terms, so the 3-term cap is hit in gamma_5's strip-kernel tail.
+# terms, so the 3-term cap is hit in gamma_5's strip-kernel tail; verify_cy2n
+# at the same point hits it in the lane sum over all 32 midpoints.
 TAIL_CHECKED = {
     "eval_neumann": (lambda pol: eval_neumann(NEAR_ONE, 1.0, pol), 1e-14, 3),
     "eval_psi_beta": (lambda pol: eval_psi_beta(NEAR_ONE.spec(), 1.0, pol), 1e-14, 3),
@@ -81,6 +83,7 @@ TAIL_CHECKED = {
     "lambda_fourier": (lambda pol: lambda_fourier(NEAR_ONE, 4, 1, 0.1, pol), 1e-14, 3),
     "derivative_pq": (lambda pol: derivative_pq(NeumannParams(0.5, 0.3), 16, 0.05, 1, pol),
                       1e-14, 3),
+    "verify_cy2n": (lambda pol: verify_cy2n(NeumannParams(0.5, 0.3), 16, 0.05, pol), 1e-14, 3),
 }
 
 
@@ -91,6 +94,25 @@ def test_tol_unreachable_contract(name):
         evaluate(EvalPolicy(abs_tol=abs_tol, max_terms=max_terms))
     assert info.value.terms_used == max_terms
     assert info.value.tail_bound > abs_tol
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+def test_lane_sum_is_the_scalar_sum_per_lane(q):
+    # P_q's terms at 33 points as lanes: with exactly the terms the tail rule
+    # needs, every lane equals the scalar sum bit for bit; one term fewer and
+    # both raise with the same tail
+    u = np.random.default_rng(11).uniform(-1.0, 7.0, 33)
+    need = next(j for j in range(1, 10_000) if 2.0 * q ** (j + 1) / (1.0 - q) <= 1e-14)
+    policy = EvalPolicy(abs_tol=1e-14, max_terms=need)
+    s, c = _certified_lane_sum(_pq_terms(q, u, 1, np.cos), 1e-14, policy, "lanes")
+    assert list(zip(s.tolist(), c.tolist())) == [
+        _certified_sum(_pq_terms(q, v), 1e-14, policy, "scalar") for v in u.tolist()]
+    short = EvalPolicy(abs_tol=1e-14, max_terms=need - 1)
+    with pytest.raises(TolUnreachable) as lanes:
+        _certified_lane_sum(_pq_terms(q, u, 1, np.cos), 1e-14, short, "lanes")
+    with pytest.raises(TolUnreachable) as scalar:
+        _certified_sum(_pq_terms(q, u[0]), 1e-14, short, "scalar")
+    assert lanes.value.tail_bound == scalar.value.tail_bound
 
 
 class TestIntegratedKernel:

@@ -1,17 +1,20 @@
 """Eigenvalue paths, the fundamental-spline solve, derivative representations,
 and the sign-condition verifier, cross-validated against one another."""
 
+import cmath
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_widths import (EigenValue, NeumannParams, Partition2n, SignDegenerate,
-                            SingularSystem, classify_sign_pattern, derivative_eigen,
-                            derivative_pq, eigen_assembly, eval_bernoulli, eval_pq,
-                            lambda_finite_sum, lambda_fourier,
-                            solve_fundamental_spline, solve_theta, verify_cy2n)
+from neumann_widths import (DEFAULT_POLICY, EigenValue, NeumannParams, Partition2n,
+                            SignDegenerate, SingularSystem, UnderflowLimit,
+                            classify_sign_pattern, derivative_eigen, derivative_pq,
+                            eigen_assembly, eval_bernoulli, eval_pq, lambda_finite_sum,
+                            lambda_fourier, solve_fundamental_spline, solve_theta,
+                            verify_cy2n)
+from neumann_widths.compensated import KahanSum
 from neumann_widths.thresholds import check_tail_condition
 
 
@@ -104,9 +107,9 @@ class TestFourierTailBounds:
 
     def test_z_below_twice_r(self, n):
         assembly = _bound_assembly(n)
-        t1 = assembly.midpoint(1)
+        z = assembly.derivative_pq(1)[1].z  # z_j at the first midpoint t_1
         for j in range(n):
-            assert abs(assembly.z(j, t1)) <= 2 * abs(assembly.r[j]) + 1e-18
+            assert abs(z[j]) <= 2 * abs(assembly.r[j]) + 1e-18
 
     def test_lambda_lower_bound(self, n):
         assembly = _bound_assembly(n)
@@ -247,3 +250,114 @@ class TestSignCondition:
         params = NeumannParams(0.2, 0.5)
         res = verify_cy2n(params, 13, y=0.8 * y0_of(0.2, 0.5, 13))
         assert isinstance(res.holds, bool)
+
+
+# The q at the low end of each cy2n-ladder stratum of the benchmark, one beta
+# per beta class (0, a non-integer in (0, 1), 1, a non-integer in (1, 2)),
+# and n from 2 up to E - 1, the last n before |lambda_n|^2 underflows.
+LADDER_QS = (0.05, 0.12, 0.19, 0.26)
+BETA_CLASSES = (0.0, 0.37, 1.0, 1.63)
+# the array pass against the scalar loops: bound on |d_array - d_scalar|
+# relative to max_k |d_k| (the verify_cy2n docstring)
+ARRAY_PASS_REL_BOUND = 1e-15
+
+
+def underflow_edge(q):
+    """Smallest n at which (2 q^n / n^2)^2, the scale of |lambda_n|^2,
+    underflows to zero."""
+    n = 2
+    while (2.0 * q**n / n**2) ** 2 != 0.0:
+        n += 1
+    return n
+
+
+def scalar_derivatives(assembly):
+    """Midpoint derivatives via P_q from per-midpoint scalar j-loops (Kahan
+    gamma_1, fsum gamma_3 and gamma_4, a Kahan strip tail and eval_pq): the
+    loops the array pass replaced, kept as its reference."""
+    a = assembly
+    n, q, s, psi_n = a.n, a.q, a.s, a.psi_n
+    root = math.isqrt(n)
+    inv_scale = psi_n / n
+    cos_half = [math.cos(j * math.pi / (2 * n)) for j in range(n)]
+    x = a.R[0] * n / psi_n
+    g2 = -x / (2.0 * (2.0 + x)) * s
+    values = []
+    for k in range(1, 2 * n + 1):
+        d = a.midpoint(k) - a.y
+
+        def z(j):
+            c = math.cos(j * d)
+            if abs(a.r[j]) <= 1e-300:
+                return -a.R[j] * c * s
+            return abs(a.r[j]) * math.cos(j * d + cmath.phase(a.r[j])) - a.R[j] * c * s
+
+        acc = KahanSum(z(0) / a.lam_abs[0] ** 2)
+        for j in range(1, n):
+            acc.add(2.0 * z(j) / (a.lam_abs[j] ** 2 * cos_half[j]))
+        g1 = psi_n / n * acc.value
+        g3 = 2.0 * s * math.fsum(math.cos(j * d) * inv_scale / (a.lam_abs[j] * cos_half[j])
+                                 for j in range(root + 1, n))
+        g4 = -2.0 * s * math.fsum(a.delta(j) * math.cos(j * d) * inv_scale
+                                  / (a.lam_abs[j] * cos_half[j]) for j in range(1, root + 1))
+        tail, j = KahanSum(), root
+        while True:
+            j += 1
+            tail.add(2.0 * math.cos(j * d) / (q**j + q**-j))
+            if 2.0 * q ** (j + 1) / (1.0 - q) <= DEFAULT_POLICY.abs_tol:
+                break
+        gs = (g1, g2, g3, g4, -s * tail.value)
+        sign_k = 1.0 if k % 2 == 1 else -1.0
+        values.append(sign_k * math.pi / (4.0 * n * psi_n)
+                      * (eval_pq(q, d) * s + math.fsum(gs)))
+    return values
+
+
+class TestArrayPass:
+    @pytest.mark.parametrize("q", LADDER_QS)
+    def test_verdicts_match_scalar_loops(self, q):
+        for n in (2, 10, underflow_edge(q) - 1):
+            for beta in BETA_CLASSES:
+                params = NeumannParams(q, beta)
+                y0 = y0_of(q, beta, n)
+                res = verify_cy2n(params, n)
+                ref = scalar_derivatives(eigen_assembly(params, n, y0))
+                zero_tol = 1e-9 * math.pi / (4.0 * n * (q**n / n)) * eval_pq(q, 0.0)
+                holds, epsilon, pattern, signs = classify_sign_pattern(ref, zero_tol)
+                assert (res.holds, res.epsilon, res.pattern, res.signs, res.zero_tol) == \
+                    (holds, epsilon, pattern, signs, zero_tol), (q, beta, n)
+                scale = max(abs(v) for v in ref)
+                assert all(abs(u - v) <= ARRAY_PASS_REL_BOUND * scale
+                           for u, v in zip(res.derivatives, ref)), (q, beta, n)
+
+    def test_blocks_cover_every_midpoint(self):
+        # 2n = 150 midpoints span three blocks; the one-midpoint calls agree
+        params = NeumannParams(0.2, 0.37)
+        n = 75
+        y0 = y0_of(0.2, 0.37, n)
+        res = verify_cy2n(params, n)
+        assembly = eigen_assembly(params, n, y0)
+        assert len(res.derivatives) == 2 * n
+        for k in (1, 64, 65, 128, 129, 150):
+            assert res.derivatives[k - 1] == assembly.derivative_pq(k)[0]
+
+
+class TestUnderflowEdge:
+    # at q = 0.01, |lambda_n|^2 ~ (2 q^n / n^2)^2 is zero in double from n = 80 on
+    PARAMS = NeumannParams(0.01, 0.0)
+
+    def test_verify_names_the_limit(self):
+        with pytest.raises(UnderflowLimit, match=r"n=90 \(q\^n/n = "):
+            verify_cy2n(self.PARAMS, 90)
+
+    def test_single_midpoint_routes_name_the_limit(self):
+        y0 = y0_of(0.01, 0.0, 90)
+        with pytest.raises(UnderflowLimit):
+            derivative_pq(self.PARAMS, 90, y0, 1)
+        with pytest.raises(UnderflowLimit):
+            derivative_eigen(self.PARAMS, 90, y0, 1)
+
+    def test_last_n_before_the_edge_still_verifies(self):
+        q = 0.01
+        res = verify_cy2n(NeumannParams(q, 0.0), underflow_edge(q) - 1)
+        assert res.holds
