@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -48,16 +49,19 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-terms", type=int, default=1_000_000, dest="max_terms")
 
 
+def _width_fields(report) -> dict:
+    """The WidthReport fields of a width row, q .. sandwich_hi in order."""
+    return {"q": report.q, "beta": report.beta, "n": report.n,
+            "theta_n": report.theta, "y0": report.y0, "width": report.width,
+            "gamma_n": report.gamma_n, "sandwich_lo": report.sandwich_lo,
+            "sandwich_hi": report.sandwich_hi}
+
+
 def cmd_width(args) -> int:
     params = NeumannParams(args.q, args.beta)
     report = exact_width(params, args.n, _policy_from_args(args))
-    out = {
-        "q": report.q, "beta": report.beta, "n": report.n,
-        "theta_n": report.theta, "y0": report.y0, "width": report.width,
-        "gamma_n": report.gamma_n, "sandwich_lo": report.sandwich_lo,
-        "sandwich_hi": report.sandwich_hi, "residual": report.residual,
-        "branch": report.branch.value,
-    }
+    out = {**_width_fields(report), "residual": report.residual,
+           "branch": report.branch.value}
     if args.verify:
         max_abs, argmax = supnorm_square_conv(params, args.n)
         out["verify"] = {"supnorm": max_abs, "argmax": argmax,
@@ -172,12 +176,7 @@ def _sweep_job(task: tuple[dict, int | None]) -> dict:
     n = job["n"]
     policy = EvalPolicy(job["abs_tol"], job["max_terms"])
     report = exact_width(params, n, policy)
-    row = {
-        "q": job["q"], "beta": job["beta"], "n": n,
-        "theta_n": report.theta, "y0": report.y0, "width": report.width,
-        "gamma_n": report.gamma_n, "sandwich_lo": report.sandwich_lo,
-        "sandwich_hi": report.sandwich_hi,
-    }
+    row = _width_fields(report)
     row["nq_flag"] = None if threshold is None else n >= threshold
     try:
         row["cy2n_holds"] = verify_cy2n(params, n, policy=policy).holds
@@ -341,7 +340,10 @@ def cmd_sweep(args) -> int:
 
 # ---- entry point --------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process."""
     top = argparse.ArgumentParser(prog="neumann-widths",
                                   description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)

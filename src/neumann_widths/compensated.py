@@ -32,10 +32,6 @@ class KahanSum:
     def value(self) -> float:
         return self._sum + self._comp
 
-    def as_pair(self) -> tuple[float, float]:
-        """(sum, compensation): adding the parts recovers extra accuracy."""
-        return self._sum, self._comp
-
 
 # -- double-double primitives (hi, lo) with hi + lo exact ----------------
 

@@ -19,6 +19,13 @@ Eigenvalues come either from the definitional 2n-point node sum
 coefficient tails (``lambda_fourier``, Neumann kernels); the two must agree
 to working precision, which the test suite enforces.
 
+The Fourier-side decomposition is built once per shift, in one array pass
+over j = 0..n-1 (``_EigenAssembly``): the main coefficients, the tail pieces
+r1, r2, r3, the eigenvalue magnitudes and the row constants of the midpoint
+sums are numpy arrays over j, and the r1 tails of all j are one certified
+lane sum whose tail bounds every lane.  ``lambda_fourier`` reads one row of
+it.
+
 The midpoint quantities come from one array pass over a batch of midpoints:
 the sums over j = 0..n-1 (gamma_1, gamma_3, gamma_4, the eigenvalue route)
 are numpy row operations on (midpoints x n) blocks of at most 64 midpoints,
@@ -41,8 +48,7 @@ import numpy as np
 from .compensated import KahanSum, two_prod
 from .errors import DomainError, SignDegenerate, SingularSystem, UnderflowLimit
 from .kernels import (DEFAULT_POLICY, TWO_PI, EvalPolicy, KernelSpec, NeumannParams,
-                      _certified_lane_sum, _certified_sum, _pq_terms, eval_bernoulli, eval_pq,
-                      eval_psi_beta1)
+                      _certified_lane_sum, _pq_terms, eval_bernoulli, eval_pq, eval_psi_beta1)
 from .thresholds import gamma_budget
 from .widths import solve_theta
 
@@ -170,97 +176,82 @@ def lambda_finite_sum(spec: KernelSpec, n: int, l: int, y: float,
     return complex(re.value / n, im.value / n)
 
 
-class _EigenShift:
-    """Per-shift setup of the Fourier-side eigenvalue decomposition for a
-    Neumann kernel at shift y; ``column(j)`` assembles the pieces of one
-    eigenvalue lambda_{n-j}."""
+def _coef(q: float, k: np.ndarray) -> np.ndarray:
+    """psi(k)/k = q^k/k^2 for each integer k.  The powers are Python's
+    float powers: numpy's vectorised power can differ in the last bit, and
+    with these the decomposition is bit for bit the scalar one."""
+    return np.array([q**i / i / i for i in k.tolist()])
+
+
+def _r1_terms(q: float, n: int, y: float, phase1: float, j: np.ndarray):
+    """Terms of the Fourier tail r1_j over frequencies (2m+1)n - j and
+    (2m-1)n + j, m >= 1, for every j at once: row 0 of each 2 x n term is the
+    real (cos) part and row 1 the imaginary (sin) part.  The cos/sin factors
+    depend only on m, so a term is a coefficient row times two scalars.  The
+    tail after term m >= 2 is the largest lane's (t_hi + t_lo) q^(2n)/(1 - q^(2n)),
+    which bounds every lane."""
+    ratio = q ** (2 * n)
+    x = 3 * n * y - phase1
+    yield np.outer((math.cos(x), math.sin(x)), _coef(q, 3 * n - j)), math.inf
+    for m in itertools.count(2):
+        t_hi, t_lo = _coef(q, (2 * m + 1) * n - j), _coef(q, (2 * m - 1) * n + j)
+        x_hi, x_lo = (2 * m + 1) * n * y - phase1, (2 * m - 1) * n * y - phase1
+        yield (np.outer((math.cos(x_hi), math.sin(x_hi)), t_hi)
+               + np.outer((math.cos(x_lo), -math.sin(x_lo)), t_lo),
+               float((t_hi + t_lo).max()) * ratio / max(1.0 - ratio, 1e-300))
+
+
+class _EigenAssembly:
+    """Fourier-side eigenvalue decomposition for a Neumann kernel at shift y,
+    built in one array pass over j = 0..n-1 (eigenvalue index l = n-j).
+
+    Holds, as arrays over j: the tail pieces r1, r2, r3 of r_j and their sum
+    r; ``rotated`` = (A_j + B_j) s + r_j = e^(ijy) lambda_{n-j}, with the
+    main coefficients A_j = psi(n-j)/(n-j) and B_j = psi(n+j)/(n+j); the
+    magnitudes lam_abs = |lambda_{n-j}|; and the offsets R_j = |lambda_{n-j}|
+    - A_j - B_j.  The r1 tails are one certified lane sum over the real and
+    imaginary parts of all j.  The per-midpoint quantities (z_j, the gammas,
+    P_q, derivative values) come from array passes: numpy rows over the j
+    axis for the eigenvalue sums, and lanes over the midpoints for the P_q
+    series (``_gammas``, ``_pq``).
+    """
 
     def __init__(self, params: NeumannParams, n: int, y: float,
                  policy: EvalPolicy = DEFAULT_POLICY):
         if n < 1:
             raise DomainError(f"n must be a positive integer, got {n}")
-        self.arg = n * y - params.beta_mod4 * math.pi / 2.0
-        self.sin_arg = math.sin(self.arg)
-        if abs(self.sin_arg) < SIGN_DEGENERATE_TOL:
+        arg = n * y - params.beta_mod4 * math.pi / 2.0
+        sin_arg = math.sin(arg)
+        if abs(sin_arg) < SIGN_DEGENERATE_TOL:
             raise SignDegenerate(
-                f"sin(n y - beta pi/2) = {self.sin_arg:.2e} at y={y}: the Fourier "
+                f"sin(n y - beta pi/2) = {sin_arg:.2e} at y={y}: the Fourier "
                 "decomposition is invalid here (use the finite node sum)")
-        self.params = params
-        self.n = n
-        self.y = y
-        self.policy = policy
-        self.q = params.q
-        self.s = math.copysign(1.0, self.sin_arg)
+        self.n, self.y, self.q, self.policy = n, y, params.q, policy
+        self.s = math.copysign(1.0, sin_arg)
         self.psi_n = params.q**n / n
-
-    def column(self, j: int) -> tuple[float, float, complex, complex, float]:
-        """(A_j, B_j, r1_j, r2_j, r3_j): the main coefficients psi(n-j)/(n-j)
-        and psi(n+j)/(n+j), and the three tail pieces of r_j."""
-        n, y, psi = self.n, self.y, self.params.psi
-        phase1 = (self.params.beta_mod4 + 1.0) * math.pi / 2.0
-        ratio = self.q ** (2 * n)
-
-        def r1_terms(f, lo_sign):
-            # Fourier tail over frequencies (2m+1)n - j and (2m-1)n + j; f and
-            # lo_sign pick the real (cos, +1) or imaginary (sin, -1) part
-            yield psi(3 * n - j) / (3 * n - j) * f(3 * n * y - phase1), math.inf
-            for m in itertools.count(2):
-                t_hi = psi((2 * m + 1) * n - j) / ((2 * m + 1) * n - j)
-                t_lo = psi((2 * m - 1) * n + j) / ((2 * m - 1) * n + j)
-                yield (t_hi * f((2 * m + 1) * n * y - phase1)
-                       + lo_sign * t_lo * f((2 * m - 1) * n * y - phase1),
-                       (t_hi + t_lo) * ratio / max(1.0 - ratio, 1e-300))
-
-        re, re_c = _certified_sum(r1_terms(math.cos, 1.0), self.policy.abs_tol, self.policy,
-                                  "eigenvalue tail")
-        im, im_c = _certified_sum(r1_terms(math.sin, -1.0), self.policy.abs_tol, self.policy,
-                                  "eigenvalue tail")
-        a = psi(n - j) / (n - j)
-        b = psi(n + j) / (n + j)
-        r2 = 1j * (b - a) * math.cos(self.arg)
-        r3 = (a + b) * (abs(self.sin_arg) - 1.0) * self.s
-        return a, b, complex(re + re_c, im + im_c), r2, r3
-
-
-class _EigenAssembly(_EigenShift):
-    """Fourier-side eigenvalue decomposition for all j at shift y.
-
-    Holds, for j = 0..n-1 (eigenvalue index l = n-j): the main coefficient
-    pair sum A_j + B_j; the tail pieces r1, r2, r3 and their sum r; the
-    magnitudes |lambda_{n-j}|; and the offsets R_j.  The per-midpoint
-    quantities (z_j, the gammas, P_q, derivative values) come from array
-    passes: numpy rows over the j axis for the eigenvalue sums, and lanes
-    over the midpoints for the P_q series (``_gammas``, ``_pq``).
-    """
-
-    def __init__(self, params: NeumannParams, n: int, y: float,
-                 policy: EvalPolicy = DEFAULT_POLICY):
-        super().__init__(params, n, y, policy)
-        self.ab, self.r1, self.r2, self.r3, self.r, self.lam_abs, self.R = (
-            [], [], [], [], [], [], [])
-        for j in range(n):
-            a, b, r1, r2, r3 = self.column(j)
-            r = r1 + r2 + r3
-            inner = (a + b) * self.s + r
-            self.ab.append(a + b)
-            self.r1.append(r1)
-            self.r2.append(r2)
-            self.r3.append(r3)
-            self.r.append(r)
-            self.lam_abs.append(abs(inner))
-            self.R.append(abs(inner) - a - b)
+        j = np.arange(n)
+        a, b = _coef(self.q, n - j), _coef(self.q, n + j)
+        phase1 = (params.beta_mod4 + 1.0) * math.pi / 2.0
+        tail, comp = _certified_lane_sum(_r1_terms(self.q, n, y, phase1, j),
+                                         policy.abs_tol, policy, "eigenvalue tail")
+        re, im = tail + comp
+        self.r1 = re + 1j * im
+        self.r2 = 1j * (b - a) * math.cos(arg)
+        self.r3 = (a + b) * (abs(sin_arg) - 1.0) * self.s
+        self.r = self.r1 + self.r2 + self.r3
+        self.rotated = (a + b) * self.s + self.r
+        self.lam_abs = np.abs(self.rotated)
+        self.R = self.lam_abs - a - b
         # per-j constants of the midpoint sums; the phase of r_j is dropped
         # when |r_j| underflows (its cosine term is bounded by |r_j| itself)
-        cos_half = [math.cos(j * math.pi / (2 * n)) for j in range(n)]
-        kept = [abs(r) > 1e-300 for r in self.r]
-        self._j = np.arange(n, dtype=float)
-        self._r_abs = np.array([abs(r) if k else 0.0 for r, k in zip(self.r, kept)])
-        self._r_phase = np.array([cmath.phase(r) if k else 0.0 for r, k in zip(self.r, kept)])
-        self._R_row = np.array(self.R)
-        self._lam_cos = np.array([m * c for m, c in zip(self.lam_abs, cos_half)])
-        self._lam2_cos = np.array([m**2 * c for m, c in zip(self.lam_abs, cos_half)])
-        self._z_weight = np.full(n, 2.0)
-        self._z_weight[0] = 1.0
+        cos_half = np.cos(j * math.pi / (2 * n))
+        kept = np.abs(self.r) > 1e-300
+        self._j = j
+        self._r_abs = np.where(kept, np.abs(self.r), 0.0)
+        self._r_phase = np.where(kept, np.angle(self.r), 0.0)
+        self._lam_cos = self.lam_abs * cos_half
+        self._lam2_cos = self.lam_abs**2 * cos_half
+        self._z_weight = np.where(j == 0, 1.0, 2.0)
 
     def midpoint(self, k: int) -> float:
         if not 1 <= k <= 2 * self.n:
@@ -276,7 +267,7 @@ class _EigenAssembly(_EigenShift):
         j = 0..n-1 (columns) at each offset d = t_k - y (rows)."""
         jd = np.multiply.outer(d, self._j)
         c = np.cos(jd)
-        return c, self._r_abs * np.cos(jd + self._r_phase) - self._R_row * c * self.s
+        return c, self._r_abs * np.cos(jd + self._r_phase) - self.R * c * self.s
 
     def _check_scale(self) -> None:
         """Raise UnderflowLimit once |lambda_n|^2 (~ (2 q^n/n^2)^2), the
@@ -294,7 +285,7 @@ class _EigenAssembly(_EigenShift):
         return (inv_scale * (self._z_weight * z / self._lam2_cos).sum(axis=1)).tolist()
 
     def _g2(self) -> float:
-        x = self.R[0] * self.n / self.psi_n
+        x = float(self.R[0]) * self.n / self.psi_n
         return -x / (2.0 * (2.0 + x)) * self.s
 
     def _gammas(self, d: np.ndarray) -> list[tuple[float, float, float, float, float]]:
@@ -360,7 +351,7 @@ class _EigenAssembly(_EigenShift):
     def delta(self, j: int) -> float:
         """Relative offset of n |lambda_{n-j}| cos(j pi/2n) from (q^-j+q^j) psi(n)."""
         n, q = self.n, self.q
-        return (n * self.lam_abs[j] * math.cos(j * math.pi / (2 * n))
+        return (n * float(self.lam_abs[j]) * math.cos(j * math.pi / (2 * n))
                 / ((q**-j + q**j) * self.psi_n) - 1.0)
 
     def derivative_pq(self, k: int) -> tuple[float, GammaLedger]:
@@ -370,13 +361,13 @@ class _EigenAssembly(_EigenShift):
         root = math.isqrt(n)
         ledger = GammaLedger(
             k=k, y=self.y, s=self.s, gamma=gs,
-            r1=tuple(self.r1), r2=tuple(self.r2), r3=tuple(self.r3),
-            r=tuple(self.r), R=tuple(self.R),
+            r1=tuple(self.r1.tolist()), r2=tuple(self.r2.tolist()),
+            r3=tuple(self.r3.tolist()), r=tuple(self.r.tolist()), R=tuple(self.R.tolist()),
             z=tuple(self._cos_z(self._offsets([k]))[1][0].tolist()),
             delta=tuple(self.delta(j) for j in range(1, root + 1)),
             gamma_total=sum(abs(g) for g in gs),
             gamma_budget=gamma_budget(self.q, n),
-            min_abs_lambda=min(self.lam_abs),
+            min_abs_lambda=float(self.lam_abs.min()),
         )
         return value, ledger
 
@@ -391,9 +382,8 @@ def lambda_fourier(params: NeumannParams, n: int, j: int, y: float,
     """
     if not 0 <= j <= n - 1:
         raise DomainError(f"j must lie in 0..n-1, got j={j}, n={n}")
-    shift = _EigenShift(params, n, y, policy)
-    a, b, r1, r2, r3 = shift.column(j)
-    return cmath.exp(-1j * j * y) * ((a + b) * shift.s + (r1 + r2 + r3))
+    rotated = _EigenAssembly(params, n, y, policy).rotated[j]
+    return cmath.exp(-1j * j * y) * complex(rotated)
 
 
 def eigen_assembly(params: NeumannParams, n: int, y: float,
@@ -531,18 +521,15 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     1.7e-16 * max_k |d_k|, with identical verdicts; the tests hold it to
     1e-15 * max_k |d_k|.
 
-    Raises UnderflowLimit from the n at which |lambda_n|^2 ~ (2 q^n/n^2)^2
-    underflows to zero (n = 80 at q = 0.01, 226 at q = 0.2), and
-    SingularSystem further out, where |lambda_n| itself is zero.
+    Raises UnderflowLimit at every n from the one at which |lambda_n|^2 ~
+    (2 q^n/n^2)^2 underflows to zero (n = 80 at q = 0.01, 226 at q = 0.2),
+    including the n further out where |lambda_n| itself is zero.
     """
     if y is None:
         y = solve_theta(params, n, policy).y0
     elif not 0.0 <= y < math.pi / n:
         raise DomainError(f"shift y must lie in [0, pi/n), got {y}")
     assembly = _EigenAssembly(params, n, y, policy)
-    if assembly.lam_abs and min(assembly.lam_abs) == 0.0:
-        raise SingularSystem("an eigenvalue magnitude vanished; the fundamental "
-                             "spline is not determined at this shift")
     if n >= 2:
         derivs = tuple(assembly._derivatives_pq(range(1, 2 * n + 1))[0])
     else:

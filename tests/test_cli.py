@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import neumann_widths
 from neumann_widths import NotFound, cli, min_guaranteed_n_beta
 from neumann_widths.cli import SWEEP_COLUMNS, main
 
@@ -81,6 +86,45 @@ class TestVerifyCy2nCommand:
         doc = json.loads(err)
         assert doc["error"]["code"] == "numerical"
         assert "underflows to zero at n=90" in doc["error"]["message"]
+
+    def test_far_past_underflow_edge_names_the_limit(self, capsys):
+        # |lambda_n| itself is zero here, not only its square
+        code, out, err = run(capsys, "verify-cy2n", "--q", "0.01", "--beta", "0",
+                             "--n", "300")
+        assert code == 4
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"]["code"] == "numerical"
+        assert "underflows to zero at n=300" in doc["error"]["message"]
+
+
+# one command per subcommand path, and an argument error that exits 2
+PARSER_CALLS = (("verify-cy2n", "--q", "0.2", "--beta", "0.5", "--n", "10"),
+                ("width", "--q", "0.3", "--beta", "1", "--n", "4"),
+                ("width", "--q", "abc", "--beta", "0", "--n", "1"))
+
+
+def main_in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_one_parser_same_bytes_as_separate_processes(self, capsys):
+        cli.build_parser.cache_clear()
+        in_process = [main_in_process(capsys, argv) for argv in PARSER_CALLS]
+        assert cli.build_parser.cache_info().misses == 1
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(neumann_widths.__file__).parents[1])}
+        for argv, got in zip(PARSER_CALLS, in_process):
+            proc = subprocess.run([sys.executable, "-m", "neumann_widths", *argv],
+                                  capture_output=True, text=True, env=env, check=False)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert [code for code, _, _ in in_process] == [0, 0, 2]
 
 
 class TestCvdCommand:

@@ -3,6 +3,7 @@ and the sign-condition verifier, cross-validated against one another."""
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -271,20 +272,59 @@ def underflow_edge(q):
     return n
 
 
-def scalar_derivatives(assembly):
+def scalar_decomposition(params, n, y, abs_tol=DEFAULT_POLICY.abs_tol):
+    """r1_j, r_j, |lambda_{n-j}| and R_j from a per-j loop with two scalar
+    Kahan sums per r1 tail, each stopping at its own lane's tail: the loop
+    the array construction replaced, kept as its reference."""
+    q, psi = params.q, params.psi
+    arg = n * y - params.beta_mod4 * math.pi / 2.0
+    s = math.copysign(1.0, math.sin(arg))
+    phase1 = (params.beta_mod4 + 1.0) * math.pi / 2.0
+    ratio = q ** (2 * n)
+    r1s, rs, lams, Rs = [], [], [], []
+    for j in range(n):
+        parts = []
+        for f, lo_sign in ((math.cos, 1.0), (math.sin, -1.0)):
+            acc = KahanSum(psi(3 * n - j) / (3 * n - j) * f(3 * n * y - phase1))
+            m = 1
+            while True:
+                m += 1
+                t_hi = psi((2 * m + 1) * n - j) / ((2 * m + 1) * n - j)
+                t_lo = psi((2 * m - 1) * n + j) / ((2 * m - 1) * n + j)
+                acc.add(t_hi * f((2 * m + 1) * n * y - phase1)
+                        + lo_sign * t_lo * f((2 * m - 1) * n * y - phase1))
+                if (t_hi + t_lo) * ratio / max(1.0 - ratio, 1e-300) <= abs_tol:
+                    break
+            parts.append(acc.value)
+        a = psi(n - j) / (n - j)
+        b = psi(n + j) / (n + j)
+        r1 = complex(*parts)
+        r = r1 + 1j * (b - a) * math.cos(arg) + (a + b) * (abs(math.sin(arg)) - 1.0) * s
+        lam_abs = abs((a + b) * s + r)
+        r1s.append(r1)
+        rs.append(r)
+        lams.append(lam_abs)
+        Rs.append(lam_abs - a - b)
+    return SimpleNamespace(n=n, q=q, y=y, s=s, psi_n=q**n / n, r1=r1s, r=rs,
+                           lam_abs=lams, R=Rs)
+
+
+def scalar_derivatives(a):
     """Midpoint derivatives via P_q from per-midpoint scalar j-loops (Kahan
     gamma_1, fsum gamma_3 and gamma_4, a Kahan strip tail and eval_pq): the
-    loops the array pass replaced, kept as its reference."""
-    a = assembly
+    loops the array pass replaced, kept as its reference.  ``a`` is an
+    eigen_assembly or a scalar_decomposition."""
     n, q, s, psi_n = a.n, a.q, a.s, a.psi_n
     root = math.isqrt(n)
     inv_scale = psi_n / n
     cos_half = [math.cos(j * math.pi / (2 * n)) for j in range(n)]
+    delta = [n * a.lam_abs[j] * cos_half[j] / ((q**-j + q**j) * psi_n) - 1.0
+             for j in range(root + 1)]
     x = a.R[0] * n / psi_n
     g2 = -x / (2.0 * (2.0 + x)) * s
     values = []
     for k in range(1, 2 * n + 1):
-        d = a.midpoint(k) - a.y
+        d = k * math.pi / n - math.pi / (2 * n) - a.y
 
         def z(j):
             c = math.cos(j * d)
@@ -298,7 +338,7 @@ def scalar_derivatives(assembly):
         g1 = psi_n / n * acc.value
         g3 = 2.0 * s * math.fsum(math.cos(j * d) * inv_scale / (a.lam_abs[j] * cos_half[j])
                                  for j in range(root + 1, n))
-        g4 = -2.0 * s * math.fsum(a.delta(j) * math.cos(j * d) * inv_scale
+        g4 = -2.0 * s * math.fsum(delta[j] * math.cos(j * d) * inv_scale
                                   / (a.lam_abs[j] * cos_half[j]) for j in range(1, root + 1))
         tail, j = KahanSum(), root
         while True:
@@ -313,19 +353,29 @@ def scalar_derivatives(assembly):
     return values
 
 
+def verdict_of(derivatives, q, n):
+    """classify_sign_pattern at verify_cy2n's default zero_tol."""
+    zero_tol = 1e-9 * math.pi / (4.0 * n * (q**n / n)) * eval_pq(q, 0.0)
+    return (*classify_sign_pattern(derivatives, zero_tol), zero_tol)
+
+
 class TestArrayPass:
     @pytest.mark.parametrize("q", LADDER_QS)
     def test_verdicts_match_scalar_loops(self, q):
+        # the reference is scalar throughout: per-j decomposition, then
+        # per-midpoint sums.  Below n = 10 the r1 lanes may add a term their
+        # own tails did not need, so there the derivatives are held to the
+        # scalar midpoint loops over the same decomposition.
         for n in (2, 10, underflow_edge(q) - 1):
             for beta in BETA_CLASSES:
                 params = NeumannParams(q, beta)
                 y0 = y0_of(q, beta, n)
                 res = verify_cy2n(params, n)
-                ref = scalar_derivatives(eigen_assembly(params, n, y0))
-                zero_tol = 1e-9 * math.pi / (4.0 * n * (q**n / n)) * eval_pq(q, 0.0)
-                holds, epsilon, pattern, signs = classify_sign_pattern(ref, zero_tol)
+                ref = scalar_derivatives(scalar_decomposition(params, n, y0))
                 assert (res.holds, res.epsilon, res.pattern, res.signs, res.zero_tol) == \
-                    (holds, epsilon, pattern, signs, zero_tol), (q, beta, n)
+                    verdict_of(ref, q, n), (q, beta, n)
+                if n < 10:
+                    ref = scalar_derivatives(eigen_assembly(params, n, y0))
                 scale = max(abs(v) for v in ref)
                 assert all(abs(u - v) <= ARRAY_PASS_REL_BOUND * scale
                            for u, v in zip(res.derivatives, ref)), (q, beta, n)
@@ -342,6 +392,57 @@ class TestArrayPass:
             assert res.derivatives[k - 1] == assembly.derivative_pq(k)[0]
 
 
+# criterion 5's grid (tests/test_acceptance.py SMALL_GRID)
+SMALL_GRID = [(q, beta, n) for q in (0.2, 0.5) for beta in (0.0, 1.0, 0.3)
+              for n in range(2, 9)]
+CONSTRUCTION_GRID = ([(q, beta, n) for q in LADDER_QS for beta in BETA_CLASSES
+                      for n in (2, 10, underflow_edge(q) - 1)] + SMALL_GRID)
+# at n >= 10 every r1 lane needs the same number of terms, so the array
+# construction must give the per-j values to this relative bound
+CONSTRUCTION_REL_BOUND = 1e-15
+
+
+def rel_close(u, v):
+    return u == v or abs(u - v) <= CONSTRUCTION_REL_BOUND * abs(v)
+
+
+class TestArrayConstruction:
+    @pytest.mark.parametrize("q,beta,n", CONSTRUCTION_GRID)
+    def test_decomposition_matches_per_j_loop(self, q, beta, n):
+        params = NeumannParams(q, beta)
+        y0 = y0_of(q, beta, n)
+        got = eigen_assembly(params, n, y0)
+        ref = scalar_decomposition(params, n, y0)
+        # every r1 lane stops no earlier than its own tail allows
+        assert all(abs(u - v) <= DEFAULT_POLICY.abs_tol for u, v in zip(got.r1, ref.r1))
+        if n >= 10:
+            assert all(rel_close(u, v) for u, v in zip(got.r1, ref.r1))
+            assert all(rel_close(u, v) for u, v in zip(got.r, ref.r))
+            assert all(rel_close(u, v) for u, v in zip(got.lam_abs, ref.lam_abs))
+        if n <= 8:  # the scalar midpoint loops are cheap here
+            res = verify_cy2n(params, n)
+            assert (res.holds, res.epsilon, res.pattern, res.signs, res.zero_tol) == \
+                verdict_of(scalar_derivatives(ref), q, n)
+
+    def test_lambda_fourier_reads_the_assembly_row(self):
+        params = NeumannParams(0.3, 0.7)
+        n, y = 6, 0.1
+        assembly = eigen_assembly(params, n, y)
+        for j in range(n):
+            lam = lambda_fourier(params, n, j, y)
+            assert type(lam) is complex
+            assert lam == cmath.exp(-1j * j * y) * complex(assembly.rotated[j])
+            assert abs(lam) == pytest.approx(assembly.lam_abs[j], rel=1e-15)
+
+    def test_ledger_holds_python_numbers(self):
+        _, ledger = derivative_pq(NeumannParams(0.2, 0.3), 12, y0_of(0.2, 0.3, 12), 3)
+        for field in ("r1", "r2", "r", "z", "delta", "R", "r3", "gamma"):
+            values = getattr(ledger, field)
+            assert isinstance(values, tuple)
+            assert all(type(v) in (float, complex) for v in values), field
+        assert type(ledger.min_abs_lambda) is float
+
+
 class TestUnderflowEdge:
     # at q = 0.01, |lambda_n|^2 ~ (2 q^n / n^2)^2 is zero in double from n = 80 on
     PARAMS = NeumannParams(0.01, 0.0)
@@ -356,6 +457,16 @@ class TestUnderflowEdge:
             derivative_pq(self.PARAMS, 90, y0, 1)
         with pytest.raises(UnderflowLimit):
             derivative_eigen(self.PARAMS, 90, y0, 1)
+
+    def test_vanished_eigenvalue_names_the_limit(self):
+        # at n = 300 |lambda_n| itself is zero, not only its square
+        y0 = y0_of(0.01, 0.0, 300)
+        with pytest.raises(UnderflowLimit, match=r"n=300 \(q\^n/n = "):
+            verify_cy2n(self.PARAMS, 300)
+        with pytest.raises(UnderflowLimit):
+            derivative_pq(self.PARAMS, 300, y0, 1)
+        with pytest.raises(UnderflowLimit):
+            derivative_eigen(self.PARAMS, 300, y0, 1)
 
     def test_last_n_before_the_edge_still_verifies(self):
         q = 0.01
