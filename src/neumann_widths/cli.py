@@ -7,6 +7,7 @@ Errors are emitted as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import functools
@@ -79,15 +80,8 @@ def cmd_threshold(args) -> int:
     if args.beta is not None:
         out["beta"] = args.beta
     if args.trace and res.n >= 2:
-        trace = []
-        for n in range(2, res.n + 1):
-            v = verdict(args.q, n)
-            trace.append({"n": n,
-                          "tail": {"holds": v.tail.holds, "lhs": v.tail.lhs,
-                                   "rhs": v.tail.rhs},
-                          "budget": {"holds": v.budget.holds, "lhs": v.budget.lhs,
-                                     "rhs": v.budget.rhs}})
-        out["trace"] = trace
+        out["trace"] = [{"n": v.n, "tail": vars(v.tail), "budget": vars(v.budget)}
+                        for v in (verdict(args.q, n) for n in range(2, res.n + 1))]
     print(json.dumps(out))
     return 0
 
@@ -193,11 +187,12 @@ def _sweep_job(task: tuple[dict, int | None]) -> dict:
 
 def _number(convert, value, what: str):
     """``convert(value)`` for a number read from a config or the environment;
-    a value it cannot convert is a validation error."""
+    a value it cannot convert (an infinite one for ``int``) is a validation
+    error."""
     try:
         return convert(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be a number, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a finite number, got {value!r}") from None
 
 
 def _shaped(cfg: dict, key: str, shape: type, default=None):
@@ -225,10 +220,11 @@ def _load_sweep_config(path: str) -> dict:
         r = [_number(int, v, "n_range entry") for v in _shaped(cfg, "n_range", list)]
         if len(r) == 2:
             n_values = list(range(r[0], r[1] + 1))
-        elif len(r) == 3:
+        elif len(r) == 3 and r[2] != 0:
             n_values = list(range(r[0], r[1] + 1, r[2]))
         else:
-            raise DomainError("n_range must be [start, stop] or [start, stop, step]")
+            raise DomainError("n_range must be [start, stop] or [start, stop, step] "
+                              "with a nonzero step")
     else:
         raise DomainError("sweep config must set n_list or n_range")
     if not n_values:
@@ -298,15 +294,11 @@ def cmd_sweep(args) -> int:
             tasks.append((job, thresholds[key]))
         if not tasks:
             return
-        if workers > 1:
-            with Pool(processes=workers) as pool:
-                for i, row in zip(pending, pool.imap(_sweep_job, tasks)):
-                    rows[i] = row
-                    _cache_store(cache_dir, keys[i], row)
-        else:
-            for i, task in zip(pending, tasks):
-                rows[i] = _sweep_job(task)
-                _cache_store(cache_dir, keys[i], row=rows[i])
+        with Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
+            results = map(_sweep_job, tasks) if pool is None else pool.imap(_sweep_job, tasks)
+            for i, row in zip(pending, results):
+                rows[i] = row
+                _cache_store(cache_dir, keys[i], row)
 
     interrupted = False
     try:
@@ -315,12 +307,12 @@ def cmd_sweep(args) -> int:
         interrupted = True
 
     ordered = [rows[i] for i in sorted(rows)]
+    generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with out_path.open("w", newline="", encoding="utf-8") as f:
             if stamp:
-                now = datetime.datetime.now(datetime.timezone.utc)
-                f.write(f"# generated-at {now.isoformat(timespec='seconds')}\n")
+                f.write(f"# generated-at {generated_at}\n")
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(SWEEP_COLUMNS)
             for row in ordered:
@@ -328,8 +320,7 @@ def cmd_sweep(args) -> int:
     else:
         doc = {"rows": ordered}
         if stamp:
-            now = datetime.datetime.now(datetime.timezone.utc)
-            doc["generated_at"] = now.isoformat(timespec="seconds")
+            doc["generated_at"] = generated_at
         out_path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
     if interrupted:
         sys.stderr.write(f"interrupted: flushed {len(ordered)} of {len(jobs)} rows\n")

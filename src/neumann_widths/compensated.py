@@ -1,9 +1,8 @@
-"""Compensated (Kahan) summation and a minimal double-double layer.
+"""Compensated (Kahan) summation and the error-free product.
 
 Finite sums accumulate through KahanSum; the certified series evaluators
-(``kernels._certified_sum``) run the same Kahan-Babuska update inline.  The
-determinant module re-runs eliminations in double-double arithmetic (``DD``)
-when a result is too close to its rounding floor.
+(``kernels._certified_sum``) run the same Kahan-Babuska update inline.
+``two_prod`` splits a float product into its rounded value and exact error.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ class KahanSum:
         return self._sum + self._comp
 
 
-# -- double-double primitives (hi, lo) with hi + lo exact ----------------
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
+# -- error-free product: p + e == a * b exactly ---------------------------
 
 def _split(a: float) -> tuple[float, float]:
     c = _SPLITTER * a
@@ -52,46 +45,3 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     ahi, alo = _split(a)
     bhi, blo = _split(b)
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-class DD:
-    """Double-double number hi + lo with the operators a full-pivot
-    elimination uses: ``*``, ``/``, ``-`` and ``float()``.
-
-    ``abs()`` gives the float |hi|, the magnitude the pivot search compares;
-    a float on the left of ``*`` is read as the exact pair (x, 0).
-    """
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, hi: float, lo: float = 0.0):
-        self.hi = hi
-        self.lo = lo
-
-    def __abs__(self) -> float:
-        return abs(self.hi)
-
-    def __float__(self) -> float:
-        return self.hi + self.lo
-
-    def __sub__(self, other: "DD") -> "DD":
-        s, e = two_sum(self.hi, -other.hi)
-        e += self.lo - other.lo
-        hi = s + e
-        return DD(hi, e - (hi - s))
-
-    def __mul__(self, other: "DD") -> "DD":
-        p, e = two_prod(self.hi, other.hi)
-        e += self.hi * other.lo + self.lo * other.hi
-        hi = p + e
-        return DD(hi, e - (hi - p))
-
-    def __rmul__(self, other: float) -> "DD":
-        return DD(other) * self
-
-    def __truediv__(self, other: "DD") -> "DD":
-        q1 = self.hi / other.hi
-        r = self - DD(q1) * other
-        q2 = (r.hi + r.lo) / other.hi
-        hi = q1 + q2
-        return DD(hi, q2 - (hi - q1))

@@ -10,7 +10,8 @@ eps -> -eps).
 Determinants run through full-pivoting elimination with compensated entries;
 each result carries a forward-error estimate (entry error times a cofactor
 norm).  Whenever a value is within two orders of its estimate, the
-elimination is repeated in double-double arithmetic.
+determinant of the same entries is recomputed exactly, in integers, and
+rounded once.
 
 The module ships the q = 0.21 witness node vectors, all rational multiples
 of pi, on which the sign change is established for both beta = 0 and
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .compensated import DD, two_sum
 from .errors import DomainError, NotFound
 from .kernels import EvalPolicy, NeumannParams, eval_neumann, eval_neumann_pair
 
@@ -141,12 +141,8 @@ def neumann_pair_evaluator(params: NeumannParams,
     return lambda t: eval_neumann_pair(params, t, policy)
 
 
-def _det_full_pivot(a: list[list]) -> float:
-    """Determinant by Gaussian elimination with full pivoting.
-
-    Entries are floats or DD numbers: the elimination needs only abs, *, /,
-    - and float() of them, so each arithmetic runs its native operators.
-    """
+def _det_full_pivot(a: list[list[float]]) -> float:
+    """Determinant by Gaussian elimination with full pivoting, in floats."""
     m = len(a)
     a = [row[:] for row in a]
     det_sign = 1.0
@@ -173,7 +169,34 @@ def _det_full_pivot(a: list[list]) -> float:
             factor = a[i][step] / pivot
             for j in range(step + 1, m):
                 a[i][j] -= factor * a[step][j]
-    return det_sign * float(det)
+    return det_sign * det
+
+
+def _det_exact(pairs: list[list[tuple[float, float]]]) -> float:
+    """The determinant of the exact entry sums hi + lo, correctly rounded.
+
+    Every word is an integer over one common power of two ``den``, so the
+    determinant is det(integer matrix) / den**m.  A fraction-free (Bareiss)
+    elimination takes the integer determinant, every division in it exact,
+    and one int/int true division rounds the quotient.
+    """
+    ratios = [[[w.as_integer_ratio() for w in entry] for entry in row] for row in pairs]
+    den = max(d for row in ratios for entry in row for _, d in entry)
+    a = [[sum(n * (den // d) for n, d in entry) for entry in row] for row in ratios]
+    m = len(a)
+    sign, prev = 1, 1
+    for k in range(m - 1):
+        p = next((i for i in range(k, m) if a[i][k]), None)
+        if p is None:
+            return 0.0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] / den**m
 
 
 def _cofactor_norm(a: list[list[float]]) -> float:
@@ -197,8 +220,10 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     ``entry_tol`` is the caller's certified absolute error per kernel value;
     the forward estimate is entry error (plus representation rounding) times
     the cofactor-norm bound.  When |det| falls below 100x this estimate the
-    elimination is redone in double-double arithmetic, using ``kernel_pair``
-    (two-float entries) when provided.
+    determinant of the entries is recomputed exactly and rounded once
+    (``used_extended``), so entry error is then its only error.  The exact
+    entries are eps * (hi + lo) from ``kernel_pair`` when provided, else the
+    float entries.
     """
     if epsilon not in (1, -1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
@@ -211,17 +236,16 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     per_entry = entry_tol + 4.0 * eps_mach * max_entry
     err = per_entry * _cofactor_norm(entries) + m**3 * eps_mach * max_entry**m
 
-    used_dd = False
-    if abs(det) < 100.0 * err:
+    used_exact = abs(det) < 100.0 * err
+    if used_exact:
         if kernel_pair is not None:
-            dd_entries = [[DD(float(epsilon)) * DD(*two_sum(*kernel_pair(xi - yj)))
-                           for yj in nodes.y] for xi in nodes.x]
+            words = [[tuple(epsilon * w for w in kernel_pair(xi - yj)) for yj in nodes.y]
+                     for xi in nodes.x]
         else:
-            dd_entries = [[DD(e) for e in row] for row in entries]
-        det = _det_full_pivot(dd_entries)
-        used_dd = True
+            words = [[(e, 0.0) for e in row] for row in entries]
+        det = _det_exact(words)
     return DetResult(value=det, error_estimate=err, epsilon=epsilon,
-                     used_extended=used_dd)
+                     used_extended=used_exact)
 
 
 def _random_nodes(rng: random.Random, size: int) -> NodeVectors:

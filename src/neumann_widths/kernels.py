@@ -184,8 +184,8 @@ def eval_neumann_pair(params: NeumannParams, t: float,
                       policy: EvalPolicy = DEFAULT_POLICY) -> tuple[float, float]:
     """Like eval_neumann but returns the (sum, compensation) pair.
 
-    Feeding both words into double-double arithmetic keeps the extra
-    accuracy the compensated accumulator collected.
+    The determinant's exact fallback takes the exact sum of both words, so
+    it keeps the extra accuracy the compensated accumulator collected.
     """
     return _certified_sum(_neumann_terms(params, t), policy.abs_tol, policy, "eval_neumann")
 

@@ -352,6 +352,11 @@ class TestSweepInputErrors:
         {"q_list": ["0.3"]},
         {"n_list": [1, "two"]},
         {"nq_cap": "lots"},
+        {"n_list": [1e400]},  # JSON numbers too large for a float read as inf
+        {"oracle_grid": 1e400},
+        {"nq_cap": 1e400},
+        {"workers": 1e400},
+        {"policy": {"max_terms": 1e400}},
     ])
     def test_non_numeric_config_value(self, capsys, tmp_path, overrides):
         cfg_path, _ = sweep_config(tmp_path, **overrides)
@@ -388,6 +393,7 @@ class TestSweepInputErrors:
         {"q_list": 0.3},
         {"n_list": 3},
         {"n_list": None, "n_range": 5},
+        {"n_list": None, "n_range": [1, 3, 0]},
         {"policy": []},
         {"format": 5},
         {"output": 5},

@@ -2,6 +2,8 @@
 the sign-change search."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,7 @@ from hypothesis import strategies as st
 from neumann_widths import (DomainError, NeumannParams, NodeVectors, NotFound,
                             builtin_witnesses, cvd_witness, det_D,
                             neumann_evaluator, neumann_pair_evaluator)
-from neumann_widths.cvd import _det_full_pivot
-from neumann_widths.compensated import DD
+from neumann_widths.cvd import _det_exact, _det_full_pivot
 
 # determinants at the built-in q = 0.21 witnesses, frozen from a 40-digit
 # direct-summation evaluation
@@ -19,6 +20,12 @@ D_NEG_BETA0 = -2.7490707450445169e-10
 D_POS_BETA0 = 1.09109869190109031e-6
 D_NEG_BETA1 = -5.1709070375633059e-10
 D_POS_BETA1 = 3.99375164827956107e-6
+
+
+def fraction_det3(m):
+    """Exact 3x3 determinant by cofactor expansion along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def kernels_for(beta):
@@ -90,10 +97,36 @@ class TestDeterminants:
         swapped = [m[1], m[0], m[2]]
         assert _det_full_pivot(swapped) == -_det_full_pivot(m)
 
-    def test_dd_elimination_exact_on_integers(self):
-        m = [[DD(v) for v in row]
+    def test_exact_elimination_on_integers(self):
+        m = [[(v, 0.0) for v in row]
              for row in ((2.0, 1.0, 1.0), (1.0, 3.0, 2.0), (1.0, 0.0, 0.0))]
-        assert _det_full_pivot(m) == -1.0  # cofactor expansion by hand
+        assert _det_exact(m) == -1.0  # cofactor expansion by hand
+
+    def test_exact_elimination_rounds_near_rank_one_once(self):
+        # hi = u_i v_j is rank one up to rounding, so the determinant lives in
+        # the rounding errors and the lo words; it must come out as the
+        # correctly rounded exact value of hi + lo every time
+        rng = random.Random(20240)
+        for _ in range(2000):
+            u = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+            v = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+            m = [[(ui * vj, rng.uniform(-1.0, 1.0) * 2.0 ** -rng.randint(50, 90))
+                  for vj in v] for ui in u]
+            exact = fraction_det3([[Fraction(hi) + Fraction(lo) for hi, lo in row]
+                                   for row in m])
+            assert _det_exact(m) == float(exact)
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_neumann_fallback_is_exact_in_pair_entries(self, epsilon):
+        params = NeumannParams(0.7, 1.0)
+        pair = neumann_pair_evaluator(params)
+        nodes = NodeVectors.from_pi_rationals(((0, 1), (1, 1), (7, 4)),
+                                              ((0, 1), (1, 4), (7, 4)))
+        res = det_D(neumann_evaluator(params), nodes, epsilon=epsilon, kernel_pair=pair)
+        assert res.used_extended
+        exact = fraction_det3([[epsilon * sum(map(Fraction, pair(xi - yj)))
+                                for yj in nodes.y] for xi in nodes.x])
+        assert res.value == float(exact)
 
     def test_near_singular_triggers_extended(self):
         kernel = math.cos  # rank-2 kernel: every 3x3 determinant vanishes
