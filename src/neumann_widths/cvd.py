@@ -11,7 +11,10 @@ Determinants run through full-pivoting elimination with compensated entries;
 each result carries a forward-error estimate (entry error times a cofactor
 norm).  Whenever a value is within two orders of its estimate, the
 determinant of the same entries is recomputed exactly, in integers, and
-rounded once.
+rounded once.  For the Neumann kernel (``neumann_evaluator``) all entries of
+a determinant, with the compensation words the exact fallback needs, come
+from one array pass over the series, bit for bit the per-entry
+``eval_neumann_pair``.
 
 The module ships the q = 0.21 witness node vectors, all rational multiples
 of pi, on which the sign change is established for both beta = 0 and
@@ -23,11 +26,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, NotFound
-from .kernels import EvalPolicy, NeumannParams, eval_neumann, eval_neumann_pair
+from .kernels import (EvalPolicy, NeumannParams, _cosine_block_sum, _neumann_coefficients,
+                      _reduce_phase, eval_neumann, eval_neumann_pair)
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,14 +78,14 @@ class NodeVectors:
         def enc(v):
             out = []
             for t in v:
-                ratio = Fraction(t / math.pi)
-                f = ratio  # exact dyadic fallback
+                num, den = (t / math.pi).as_integer_ratio()
+                pair = [num, den]  # exact dyadic fallback
                 for cap in (1, 10, 100, 1000, 10**6, 10**9, 10**12, 10**15):
-                    g = ratio.limit_denominator(cap)
-                    if float(g.numerator * math.pi / g.denominator) == t:
-                        f = g
+                    p, q = _limit_denominator(num, den, cap)
+                    if float(p * math.pi / q) == t:
+                        pair = [p, q]
                         break
-                out.append([f.numerator, f.denominator])
+                out.append(pair)
             return out
 
         return {"x": enc(self.x), "y": enc(self.y)}
@@ -102,6 +107,29 @@ class NodeVectors:
             return cls.from_pi_rationals(pairs("x"), pairs("y"))
         except OverflowError:
             raise DomainError("node vector entries must lie in [0, 2pi)") from None
+
+
+def _limit_denominator(num: int, den: int, cap: int) -> tuple[int, int]:
+    """``Fraction(num, den).limit_denominator(cap)`` as (numerator,
+    denominator), in integers: the closest fraction to num/den (den > 0, in
+    lowest terms) with denominator <= cap, from its continued fraction."""
+    if den <= cap:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (cap - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # the last convergent p1/q1, unless the semiconvergent p/q is strictly closer
+    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+        return p1, q1
+    return p, q
 
 
 # q = 0.21 witness configurations: D_3 is negative on (WITNESS_X, WITNESS_Y_NEG)
@@ -131,9 +159,35 @@ class DetResult:
         return abs(self.value) > 10.0 * self.error_estimate
 
 
+class NeumannKernel:
+    """The Neumann kernel N_{q,beta} as an entry evaluator for ``det_D``.
+
+    Called on a float it is ``eval_neumann``.  ``pairs`` maps an array of
+    differences to the arrays of ``eval_neumann_pair`` words, bit for bit, in
+    one block pass.  The coefficient row (and with it K) is built on first
+    use and kept, so all determinants of one witness search share it.
+    """
+
+    def __init__(self, params: NeumannParams, policy: EvalPolicy = ENTRY_POLICY):
+        self.params = params
+        self.policy = policy
+        self._coef: np.ndarray | None = None
+
+    def __call__(self, t: float) -> float:
+        return eval_neumann(self.params, t, self.policy)
+
+    def pairs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sum, compensation) arrays of the series at every entry of t."""
+        if self._coef is None:
+            self._coef = _neumann_coefficients(self.params, self.policy)
+        return _cosine_block_sum(self._coef, _reduce_phase(self.params.beta), t)
+
+
 def neumann_evaluator(params: NeumannParams,
-                      policy: EvalPolicy = ENTRY_POLICY) -> Callable[[float], float]:
-    return lambda t: eval_neumann(params, t, policy)
+                      policy: EvalPolicy = ENTRY_POLICY) -> NeumannKernel:
+    """N_{q,beta} to within policy.abs_tol per value: a callable on floats
+    whose ``pairs`` gives ``det_D`` all entries of a determinant at once."""
+    return NeumannKernel(params, policy)
 
 
 def neumann_pair_evaluator(params: NeumannParams,
@@ -224,11 +278,29 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     (``used_extended``), so entry error is then its only error.  The exact
     entries are eps * (hi + lo) from ``kernel_pair`` when provided, else the
     float entries.
+
+    A ``NeumannKernel`` (what ``neumann_evaluator`` returns) evaluates all
+    m^2 entries in one block pass over the differences x_i - y_j.  That pass
+    yields each entry's (hi, lo) words too, so the exact fallback takes them
+    from it in place of calling ``kernel_pair``, which must then be the same
+    kernel's pair evaluator.  Any other callable is called once per entry.
     """
     if epsilon not in (1, -1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
     m = nodes.size
-    entries = [[float(epsilon) * kernel(xi - yj) for yj in nodes.y] for xi in nodes.x]
+    eps = float(epsilon)
+    if isinstance(kernel, NeumannKernel):
+        hi, lo = kernel.pairs(np.subtract.outer(nodes.x, nodes.y))
+        entries = (eps * (hi + lo)).tolist()
+
+        def pair_words():
+            return [list(zip(*rows)) for rows in zip((eps * hi).tolist(), (eps * lo).tolist())]
+    else:
+        entries = [[eps * kernel(xi - yj) for yj in nodes.y] for xi in nodes.x]
+
+        def pair_words():
+            return [[tuple(eps * w for w in kernel_pair(xi - yj)) for yj in nodes.y]
+                    for xi in nodes.x]
     det = _det_full_pivot(entries)
 
     max_entry = max(abs(e) for row in entries for e in row)
@@ -239,8 +311,7 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     used_exact = abs(det) < 100.0 * err
     if used_exact:
         if kernel_pair is not None:
-            words = [[tuple(epsilon * w for w in kernel_pair(xi - yj)) for yj in nodes.y]
-                     for xi in nodes.x]
+            words = pair_words()
         else:
             words = [[(e, 0.0) for e in row] for row in entries]
         det = _det_exact(words)
@@ -278,10 +349,13 @@ def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 1
     descent from the configuration closest to the missing sign.  A returned
     pair defeats the CVD property for both eps.  Raises NotFound after
     ``search_budget`` determinant evaluations -- which is inconclusive, not a
-    proof of the property.
+    proof of the property.  The budget must be at least 1; the sampling takes
+    at least one evaluation of it, so the descent has a start.
     """
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l}")
+    if search_budget < 1:
+        raise DomainError(f"search_budget must be >= 1, got {search_budget}")
     size = 2 * l + 1
     rng = random.Random(rng_seed)
     neg = pos = None
@@ -310,7 +384,7 @@ def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 1
         if neg is not None and pos is not None:
             return neg, pos
 
-    sample_budget = search_budget // 2
+    sample_budget = max(search_budget // 2, 1)  # the descent starts from a sample
     while spent < sample_budget and (neg is None or pos is None):
         consider(_random_nodes(rng, size))
     # local descent toward whichever sign is still missing

@@ -13,6 +13,11 @@ above ``tol`` after the last of them it raises ``TolUnreachable`` with
 ``_certified_lane_sum`` is the same loop over arrays of lanes that share
 one tail sequence (the P_q terms at many points t): each lane gets the
 scalar update bit for bit, and all lanes stop, or hit the cap, together.
+``_cosine_block_sum`` is the same sum for the Neumann kernel at many points
+in one array pass: its tail does not depend on t, so ``_neumann_coefficients``
+finds the common stopping index K (or raises the same ``TolUnreachable``)
+before any array exists, and running sums down a (terms x points) block give
+every point the scalar (sum, compensation) bit for bit.
 
 Conventions
 -----------
@@ -153,6 +158,56 @@ def _unreachable(label: str, tail: float, tol: float, policy: EvalPolicy) -> Tol
         terms_used=policy.max_terms, tail_bound=tail)
 
 
+# Rows (k values) per chunk of a block sum: bounds its memory at any K.
+_BLOCK_ROWS = 1024
+
+
+def _neumann_coefficients(params: NeumannParams, policy: EvalPolicy) -> np.ndarray:
+    """The coefficients q^k/k, k = 1..K, that ``eval_neumann_pair`` adds.
+
+    The tail after term k, q^(k+1)/((k+1)(1-q)), does not depend on t, so
+    every point stops at the same K: the first k whose tail (computed as in
+    ``_neumann_terms``) is <= policy.abs_tol.  Raises the TolUnreachable of
+    ``eval_neumann_pair`` when no k up to policy.max_terms qualifies.
+    """
+    q, r, tol = params.q, 1.0 - params.q, policy.abs_tol
+    for k in range(1, policy.max_terms + 1):
+        tail = q ** (k + 1) / ((k + 1) * r)
+        if tail <= tol:
+            # Python's float power, not numpy's: they can differ in the last bit
+            return np.fromiter((q**j / j for j in range(1, k + 1)), float, count=k)
+    raise _unreachable("eval_neumann", tail, tol, policy)
+
+
+def _cosine_block_sum(coef: np.ndarray, phase: float,
+                      t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_certified_sum`` of coef[k-1] * cos(k u - phase), k = 1..len(coef),
+    u = fmod(t, 2pi), at every entry of the array t in one block pass.
+
+    The block has one row per k and one column per entry.
+    ``np.add.accumulate`` down the rows gives each entry's running sums in
+    the scalar loop's order (``np.sum`` may add pairwise, in another order);
+    each Kahan-Babuska correction comes elementwise from two consecutive
+    running sums, and a second accumulate adds the corrections.  So each
+    entry's (sum, compensation) is bit for bit the scalar loop's.  Rows go
+    in chunks of ``_BLOCK_ROWS``, each continuing from the (sum,
+    compensation) the previous chunk left.
+    """
+    u = np.fmod(t, TWO_PI)
+    s, c = np.zeros(u.shape), np.zeros(u.shape)
+    for k0 in range(0, len(coef), _BLOCK_ROWS):
+        a = coef[k0:k0 + _BLOCK_ROWS]
+        k = np.arange(k0 + 1.0, k0 + 1.0 + len(a)).reshape((-1,) + (1,) * u.ndim)
+        terms = a.reshape(k.shape) * np.cos(k * u - phase)
+        sums = np.add.accumulate(np.concatenate((s[None], terms)), axis=0)
+        before, after = sums[:-1], sums[1:]
+        corr = np.where(np.abs(before) >= np.abs(terms),
+                        (before - after) + terms, (terms - after) + before)
+        c = np.add.accumulate(np.concatenate((c[None], corr)), axis=0)[-1]
+        s = sums[-1]
+    return s, c
+
+
 def _cosine_terms(coef, tail, phase, t):
     """Terms coef(k) * cos(k*t - phase), k >= 1, with tail(k) after each."""
     u = math.fmod(t, TWO_PI)
@@ -162,7 +217,8 @@ def _cosine_terms(coef, tail, phase, t):
 
 def _neumann_terms(params: NeumannParams, t: float):
     """_cosine_terms for psi(k) = q^k/k, with NeumannParams.psi and
-    NeumannParams.tail_bound written inline (the hot path of det_D)."""
+    NeumannParams.tail_bound written inline; ``_neumann_coefficients`` uses
+    the same expressions, so the block pass adds the same terms."""
     q = params.q
     phase = _reduce_phase(params.beta)
     u = math.fmod(t, TWO_PI)

@@ -171,6 +171,20 @@ class TestCvdCommand:
         doc = json.loads(out)
         assert doc["det_negative"]["value"] < 0.0 < doc["det_positive"]["value"]
 
+    @pytest.mark.parametrize("budget,code,error,message", [
+        ("0", 2, "validation", "search_budget must be >= 1, got 0"),
+        ("-5", 2, "validation", "search_budget must be >= 1, got -5"),
+        ("1", 3, "not-found", "observed range [-2.452e-02, -2.452e-02]"),
+        # the node sets drawn for a budget of 2 or more are unchanged
+        ("3", 3, "not-found", "observed range [-2.452e-02, -4.390e-03]"),
+    ])
+    def test_small_search_budget(self, capsys, budget, code, error, message):
+        got, out, err = run(capsys, "cvd", "--q", "0.5", "--beta", "0",
+                            "--witness-search", "--search-budget", budget)
+        assert (got, out) == (code, "")
+        doc = json.loads(err)["error"]
+        assert doc["code"] == error and message in doc["message"]
+
 
 def sweep_config(tmp_path, **overrides):
     cfg = {

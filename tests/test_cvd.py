@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neumann_widths import (DomainError, NeumannParams, NodeVectors, NotFound,
-                            builtin_witnesses, cvd_witness, det_D,
+                            builtin_witnesses, cvd_witness, det_D, eval_neumann,
                             neumann_evaluator, neumann_pair_evaluator)
-from neumann_widths.cvd import _det_exact, _det_full_pivot
+from neumann_widths.cvd import (ENTRY_POLICY, _det_exact, _det_full_pivot,
+                                _limit_denominator, _random_nodes)
 
 # determinants at the built-in q = 0.21 witnesses, frozen from a 40-digit
 # direct-summation evaluation
@@ -53,6 +54,20 @@ class TestNodeVectors:
         back = NodeVectors.from_json_dict(nodes.to_json_dict())
         for a, b in zip(nodes.x + nodes.y, back.x + back.y):
             assert b == pytest.approx(a, rel=1e-15)
+
+    def test_limit_denominator_is_fractions(self):
+        # uniform floats, pi/3600 lattice nodes (the benchmark's), small
+        # p/q multiples of pi, and halves, where the cap-1 choice is a tie
+        rng = random.Random(31)
+        values = ([rng.uniform(0.0, 2.0 * math.pi) for _ in range(400)]
+                  + [k * math.pi / 3600 for k in rng.sample(range(7200), 200)]
+                  + [p * math.pi / q for q in range(1, 25) for p in range(2 * q)])
+        ratios = [(v / math.pi).as_integer_ratio() for v in values]
+        ratios += [(k, 2) for k in range(-5, 6, 2)] + [(-355, 113 * 2**40)]
+        for num, den in ratios:
+            for cap in (1, 10, 100, 1000, 10**6, 10**9, 10**12, 10**15):
+                g = Fraction(num, den).limit_denominator(cap)
+                assert _limit_denominator(num, den, cap) == (g.numerator, g.denominator)
 
 
 class TestDeterminants:
@@ -137,6 +152,51 @@ class TestDeterminants:
         assert abs(res.value) <= 1e-13
 
 
+def scalar_kernels(params):
+    """The same kernel as plain callables: det_D evaluates them per entry."""
+    return (lambda t: eval_neumann(params, t, ENTRY_POLICY),
+            neumann_pair_evaluator(params))
+
+
+class TestKernelObjectMatchesScalar:
+    """det_D over the kernel object's block pass equals det_D over plain
+    per-entry callables of the same kernel, in every DetResult field."""
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    @pytest.mark.parametrize("size", [1, 3, 5, 7])
+    def test_det_fields(self, size, epsilon):
+        rng = random.Random(100 + size)
+        fallbacks = 0
+        for q, beta in ((0.05, 0.0), (0.21, 1.0), (0.5, 0.5), (0.8, 1.7), (0.95, 3.2)):
+            params = NeumannParams(q, beta)
+            kernel = neumann_evaluator(params)
+            scalar, pair = scalar_kernels(params)
+            for _ in range(4):
+                nodes = _random_nodes(rng, size)
+                for with_pair in (pair, None):
+                    res = det_D(kernel, nodes, epsilon=epsilon, kernel_pair=with_pair)
+                    assert res == det_D(scalar, nodes, epsilon=epsilon, kernel_pair=with_pair)
+                    fallbacks += res.used_extended
+        if size == 7:
+            assert fallbacks > 0  # the exact fallback ran on block words too
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_near_singular_fallback(self, epsilon):
+        params = NeumannParams(0.7, 1.0)
+        scalar, pair = scalar_kernels(params)
+        nodes = NodeVectors.from_pi_rationals(((0, 1), (1, 1), (7, 4)),
+                                              ((0, 1), (1, 4), (7, 4)))
+        res = det_D(neumann_evaluator(params), nodes, epsilon=epsilon, kernel_pair=pair)
+        assert res.used_extended
+        assert res == det_D(scalar, nodes, epsilon=epsilon, kernel_pair=pair)
+
+    def test_witness_search(self):
+        params = NeumannParams(0.21, 1.0)
+        scalar, _ = scalar_kernels(params)
+        assert (cvd_witness(neumann_evaluator(params), 1, search_budget=400, rng_seed=5)
+                == cvd_witness(scalar, 1, search_budget=400, rng_seed=5))
+
+
 class TestWitnessSearch:
     def test_seeded_with_builtin_is_immediate(self):
         kernel, _ = kernels_for(0.0)
@@ -160,6 +220,16 @@ class TestWitnessSearch:
         b = cvd_witness(kernel, 1, search_budget=5_000, rng_seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one(self, budget):
+        kernel, _ = kernels_for(0.0)
+        with pytest.raises(DomainError):
+            cvd_witness(kernel, 1, search_budget=budget)
+
+    def test_budget_of_one_samples_once(self):
+        with pytest.raises(NotFound, match=r"budget 1 \(observed range \[(\S+), \1\]\)"):
+            cvd_witness(math.cos, 1, search_budget=1)
+
     def test_seed_size_mismatch(self):
         kernel, _ = kernels_for(0.0)
         with pytest.raises(DomainError):
@@ -169,10 +239,6 @@ class TestWitnessSearch:
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=10, deadline=None)
 def test_random_nodes_always_valid(seed):
-    import random
-
-    from neumann_widths.cvd import _random_nodes
-
     nodes = _random_nodes(random.Random(seed), 5)
     assert len(nodes.x) == 5
     assert all(a < b for a, b in zip(nodes.x, nodes.x[1:]))

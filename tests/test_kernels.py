@@ -14,7 +14,10 @@ from neumann_widths import (EvalPolicy, KernelSpec, NeumannParams, TolUnreachabl
                             eval_neumann_pair, eval_pq, eval_pq_theta,
                             eval_psi_beta, eval_psi_beta1, pq_floor)
 from neumann_widths.compensated import KahanSum
-from neumann_widths.kernels import _certified_lane_sum, _certified_sum, _pq_terms
+from neumann_widths import kernels
+from neumann_widths.kernels import (TWO_PI, _certified_lane_sum, _certified_sum,
+                                    _cosine_block_sum, _neumann_coefficients, _pq_terms,
+                                    _reduce_phase)
 from neumann_widths.sk_spline import derivative_pq, lambda_fourier, verify_cy2n
 from neumann_widths.widths import conv_square_wave, exact_width, theta_equation_lhs
 
@@ -65,6 +68,13 @@ class TestNeumann:
 
 
 NEAR_ONE = NeumannParams(0.99, 0.3)
+ENTRY_POLICY = EvalPolicy(abs_tol=1e-16)  # det_D's per-entry policy
+
+
+def block_pairs(params, t, policy=ENTRY_POLICY):
+    """The block pass det_D takes over an array of differences t."""
+    coef = _neumann_coefficients(params, policy)
+    return _cosine_block_sum(coef, _reduce_phase(params.beta), t)
 
 # One call per tail-checked series; each policy runs out of terms in that
 # series.  exact_width: at q = 0.5, n = 1, abs_tol = 1e-15 its theta residual
@@ -74,6 +84,8 @@ NEAR_ONE = NeumannParams(0.99, 0.3)
 # at the same point hits it in the lane sum over all 32 midpoints.
 TAIL_CHECKED = {
     "eval_neumann": (lambda pol: eval_neumann(NEAR_ONE, 1.0, pol), 1e-14, 3),
+    "eval_neumann_block": (lambda pol: block_pairs(NEAR_ONE, np.array([1.0, 7.0]), pol),
+                           1e-14, 3),
     "eval_psi_beta": (lambda pol: eval_psi_beta(NEAR_ONE.spec(), 1.0, pol), 1e-14, 3),
     "eval_psi_beta1": (lambda pol: eval_psi_beta1(NEAR_ONE.spec(), 1.0, pol), 1e-14, 3),
     "eval_pq": (lambda pol: eval_pq(0.99, 1.0, pol), 1e-14, 3),
@@ -113,6 +125,56 @@ def test_lane_sum_is_the_scalar_sum_per_lane(q):
     with pytest.raises(TolUnreachable) as scalar:
         _certified_sum(_pq_terms(q, u[0]), 1e-14, short, "scalar")
     assert lanes.value.tail_bound == scalar.value.tail_bound
+
+
+def scalar_pairs(params, t, policy=ENTRY_POLICY):
+    return [eval_neumann_pair(params, v, policy) for v in t.ravel().tolist()]
+
+
+def entry_pairs(s, c):
+    return list(zip(s.ravel().tolist(), c.ravel().tolist()))
+
+
+# seeded differences on both sides of [0, 2pi), and the points where fmod
+# and the phase meet exact values
+BLOCK_T = np.concatenate([np.random.default_rng(23).uniform(-20.0, 20.0, 33),
+                          [0.0, -0.0, math.pi, TWO_PI, -TWO_PI]]).reshape(2, 19, 1)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.21, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.7, 3.2])
+def test_block_pass_is_the_scalar_pair_per_entry(q, beta):
+    params = NeumannParams(q, beta)
+    s, c = block_pairs(params, BLOCK_T)
+    assert s.shape == c.shape == BLOCK_T.shape
+    assert entry_pairs(s, c) == scalar_pairs(params, BLOCK_T)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 650])
+def test_block_chunks_continue_bit_for_bit(monkeypatch, rows):
+    # K = 650 at q = 0.95: chunk boundaries fall inside K (and at its end
+    # for 650), and each chunk must carry on from the last one's sums
+    params = NeumannParams(0.95, 0.5)
+    assert len(_neumann_coefficients(params, ENTRY_POLICY)) == 650
+    monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
+    assert entry_pairs(*block_pairs(params, BLOCK_T)) == scalar_pairs(params, BLOCK_T)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+def test_block_pass_stops_where_the_scalar_sum_stops(q):
+    # with K terms allowed both succeed; with K - 1 both raise the same error
+    params = NeumannParams(q, 0.3)
+    need = len(_neumann_coefficients(params, ENTRY_POLICY))
+    exact = EvalPolicy(abs_tol=1e-16, max_terms=need)
+    assert entry_pairs(*block_pairs(params, BLOCK_T, exact)) == scalar_pairs(
+        params, BLOCK_T, exact)
+    short = EvalPolicy(abs_tol=1e-16, max_terms=need - 1)
+    with pytest.raises(TolUnreachable) as block:
+        block_pairs(params, BLOCK_T, short)
+    with pytest.raises(TolUnreachable) as scalar:
+        eval_neumann_pair(params, 1.0, short)
+    assert (str(block.value), block.value.terms_used, block.value.tail_bound) == (
+        str(scalar.value), scalar.value.terms_used, scalar.value.tail_bound)
 
 
 class TestIntegratedKernel:
