@@ -9,8 +9,7 @@ Example:
 
 import argparse
 
-from neumann_widths import (NeumannParams, builtin_witnesses, det_D,
-                            neumann_evaluator, neumann_pair_evaluator)
+from neumann_widths import NeumannParams, builtin_witnesses, det_D, neumann_evaluator
 
 
 def main() -> int:
@@ -25,11 +24,9 @@ def main() -> int:
     print(f"{'q':>6} {'D3(neg nodes)':>16} {'D3(pos nodes)':>16} {'sign change':>12}")
     for i in range(args.steps):
         q = args.q_min + (args.q_max - args.q_min) * i / (args.steps - 1)
-        params = NeumannParams(q, args.beta)
-        kernel = neumann_evaluator(params)
-        pair = neumann_pair_evaluator(params)
-        r_neg = det_D(kernel, neg_nodes, kernel_pair=pair)
-        r_pos = det_D(kernel, pos_nodes, kernel_pair=pair)
+        kernel = neumann_evaluator(NeumannParams(q, args.beta))
+        r_neg = det_D(kernel, neg_nodes)
+        r_pos = det_D(kernel, pos_nodes)
         flips = (r_neg.significant and r_pos.significant
                  and r_neg.value * r_pos.value < 0.0)
         print(f"{q:>6.3f} {r_neg.value:>16.3e} {r_pos.value:>16.3e} {str(flips):>12}")

@@ -20,7 +20,7 @@ from .thresholds import (INTEGER_BETA_Q_CUTOFF, NONINTEGER_BETA_Q_CUTOFF,
                          check_budget_condition, check_tail_condition,
                          gamma_budget, is_integer_beta, min_guaranteed_n,
                          min_guaranteed_n_beta, verdict)
-from .sk_spline import (Cy2nVerdict, EigenValue, GammaLedger, Partition2n,
+from .sk_spline import (Cy2nVerdict, GammaLedger, Partition2n,
                         SKSplineSolution, classify_sign_pattern,
                         derivative_eigen, derivative_pq, eigen_assembly,
                         lambda_finite_sum, lambda_fourier,
@@ -42,7 +42,7 @@ __all__ = [
     "ScanResult", "ThresholdVerdict", "check_budget_condition",
     "check_tail_condition", "gamma_budget", "is_integer_beta",
     "min_guaranteed_n", "min_guaranteed_n_beta", "verdict",
-    "Cy2nVerdict", "EigenValue", "GammaLedger", "Partition2n",
+    "Cy2nVerdict", "GammaLedger", "Partition2n",
     "SKSplineSolution", "classify_sign_pattern", "derivative_eigen",
     "derivative_pq", "eigen_assembly", "lambda_finite_sum", "lambda_fourier",
     "solve_fundamental_spline", "verify_cy2n",

@@ -101,7 +101,6 @@ def cmd_verify_cy2n(args) -> int:
 def cmd_cvd(args) -> int:
     params = NeumannParams(args.q, args.beta)
     kernel = cvd_mod.neumann_evaluator(params)
-    kernel_pair = cvd_mod.neumann_pair_evaluator(params)
     out = {"q": args.q, "beta": args.beta, "epsilon": args.epsilon}
 
     if args.witness_search:
@@ -110,8 +109,7 @@ def cmd_cvd(args) -> int:
                                        rng_seed=args.seed, seeds=seeds)
         out["witnesses"] = {"negative": neg.to_json_dict(), "positive": pos.to_json_dict()}
         for label, nodes in (("negative", neg), ("positive", pos)):
-            res = cvd_mod.det_D(kernel, nodes, epsilon=args.epsilon,
-                                kernel_pair=kernel_pair)
+            res = cvd_mod.det_D(kernel, nodes, epsilon=args.epsilon)
             out[f"det_{label}"] = {"value": res.value,
                                    "error_estimate": res.error_estimate,
                                    "significant": res.significant}
@@ -126,8 +124,7 @@ def cmd_cvd(args) -> int:
         pairs = [("negative_nodes", neg), ("positive_nodes", pos)]
     dets = {}
     for label, nodes in pairs:
-        res = cvd_mod.det_D(kernel, nodes, epsilon=args.epsilon,
-                            kernel_pair=kernel_pair)
+        res = cvd_mod.det_D(kernel, nodes, epsilon=args.epsilon)
         dets[label] = {"nodes": nodes.to_json_dict(), "value": res.value,
                        "error_estimate": res.error_estimate,
                        "significant": res.significant,

@@ -14,7 +14,7 @@ determinant of the same entries is recomputed exactly, in integers, and
 rounded once.  For the Neumann kernel (``neumann_evaluator``) all entries of
 a determinant, with the compensation words the exact fallback needs, come
 from one array pass over the series, bit for bit the per-entry
-``eval_neumann_pair``.
+``eval_neumann_pair``; no separate pair evaluator is needed.
 
 The module ships the q = 0.21 witness node vectors, all rational multiples
 of pi, on which the sign change is established for both beta = 0 and
@@ -276,14 +276,12 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     the cofactor-norm bound.  When |det| falls below 100x this estimate the
     determinant of the entries is recomputed exactly and rounded once
     (``used_extended``), so entry error is then its only error.  The exact
-    entries are eps * (hi + lo) from ``kernel_pair`` when provided, else the
-    float entries.
+    entries are eps * (hi + lo), the sum of each entry's (hi, lo) words.
 
-    A ``NeumannKernel`` (what ``neumann_evaluator`` returns) evaluates all
-    m^2 entries in one block pass over the differences x_i - y_j.  That pass
-    yields each entry's (hi, lo) words too, so the exact fallback takes them
-    from it in place of calling ``kernel_pair``, which must then be the same
-    kernel's pair evaluator.  Any other callable is called once per entry.
+    A ``NeumannKernel`` (what ``neumann_evaluator`` returns) gives all m^2
+    entries and their words in one block pass over the differences
+    x_i - y_j.  Any other callable is called once per entry; its words come
+    from ``kernel_pair`` when provided, else they are (entry, 0).
     """
     if epsilon not in (1, -1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
@@ -299,6 +297,8 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
         entries = [[eps * kernel(xi - yj) for yj in nodes.y] for xi in nodes.x]
 
         def pair_words():
+            if kernel_pair is None:
+                return [[(e, 0.0) for e in row] for row in entries]
             return [[tuple(eps * w for w in kernel_pair(xi - yj)) for yj in nodes.y]
                     for xi in nodes.x]
     det = _det_full_pivot(entries)
@@ -310,11 +310,7 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
 
     used_exact = abs(det) < 100.0 * err
     if used_exact:
-        if kernel_pair is not None:
-            words = pair_words()
-        else:
-            words = [[(e, 0.0) for e in row] for row in entries]
-        det = _det_exact(words)
+        det = _det_exact(pair_words())
     return DetResult(value=det, error_estimate=err, epsilon=epsilon,
                      used_extended=used_exact)
 

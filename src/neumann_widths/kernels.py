@@ -17,7 +17,10 @@ scalar update bit for bit, and all lanes stop, or hit the cap, together.
 in one array pass: its tail does not depend on t, so ``_neumann_coefficients``
 finds the common stopping index K (or raises the same ``TolUnreachable``)
 before any array exists, and running sums down a (terms x points) block give
-every point the scalar (sum, compensation) bit for bit.
+every point the scalar (sum, compensation) bit for bit.  These three are the
+only places that write the Kahan-Babuska update (scalar, lanes, blocks), and
+both Neumann paths take the coefficient q^k/k and its tail from
+``NeumannParams.psi`` and ``NeumannParams.tail_bound``.
 
 Conventions
 -----------
@@ -163,19 +166,19 @@ _BLOCK_ROWS = 1024
 
 
 def _neumann_coefficients(params: NeumannParams, policy: EvalPolicy) -> np.ndarray:
-    """The coefficients q^k/k, k = 1..K, that ``eval_neumann_pair`` adds.
+    """The coefficients psi(k) = q^k/k, k = 1..K, that ``eval_neumann_pair`` adds.
 
-    The tail after term k, q^(k+1)/((k+1)(1-q)), does not depend on t, so
-    every point stops at the same K: the first k whose tail (computed as in
-    ``_neumann_terms``) is <= policy.abs_tol.  Raises the TolUnreachable of
-    ``eval_neumann_pair`` when no k up to policy.max_terms qualifies.
+    The tail after term k, ``params.tail_bound(k)``, does not depend on t, so
+    every point stops at the same K: the first k whose tail is
+    <= policy.abs_tol.  Raises the TolUnreachable of ``eval_neumann_pair``
+    when no k up to policy.max_terms qualifies.
     """
-    q, r, tol = params.q, 1.0 - params.q, policy.abs_tol
+    tol = policy.abs_tol
     for k in range(1, policy.max_terms + 1):
-        tail = q ** (k + 1) / ((k + 1) * r)
+        tail = params.tail_bound(k)
         if tail <= tol:
             # Python's float power, not numpy's: they can differ in the last bit
-            return np.fromiter((q**j / j for j in range(1, k + 1)), float, count=k)
+            return np.fromiter(map(params.psi, range(1, k + 1)), float, count=k)
     raise _unreachable("eval_neumann", tail, tol, policy)
 
 
@@ -215,18 +218,6 @@ def _cosine_terms(coef, tail, phase, t):
         yield coef(k) * math.cos(k * u - phase), tail(k)
 
 
-def _neumann_terms(params: NeumannParams, t: float):
-    """_cosine_terms for psi(k) = q^k/k, with NeumannParams.psi and
-    NeumannParams.tail_bound written inline; ``_neumann_coefficients`` uses
-    the same expressions, so the block pass adds the same terms."""
-    q = params.q
-    phase = _reduce_phase(params.beta)
-    u = math.fmod(t, TWO_PI)
-    r = 1.0 - q
-    for k in itertools.count(1):
-        yield q**k / k * math.cos(k * u - phase), q ** (k + 1) / ((k + 1) * r)
-
-
 def eval_neumann(params: NeumannParams, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Evaluate the Neumann kernel N_{q,beta}(t) to within policy.abs_tol.
 
@@ -243,7 +234,8 @@ def eval_neumann_pair(params: NeumannParams, t: float,
     The determinant's exact fallback takes the exact sum of both words, so
     it keeps the extra accuracy the compensated accumulator collected.
     """
-    return _certified_sum(_neumann_terms(params, t), policy.abs_tol, policy, "eval_neumann")
+    terms = _cosine_terms(params.psi, params.tail_bound, _reduce_phase(params.beta), t)
+    return _certified_sum(terms, policy.abs_tol, policy, "eval_neumann")
 
 
 def eval_psi_beta(spec: KernelSpec, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:

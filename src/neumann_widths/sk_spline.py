@@ -4,7 +4,8 @@ Three independent routes to the (psi, beta)-derivative of the fundamental
 spline at interval midpoints:
 
 1. ``solve_fundamental_spline`` -- direct linear solve of the interpolation
-   system, derivative assembled from Bernoulli-kernel translates.  Exact in
+   system, refined against residuals formed from error-free products,
+   derivative assembled from Bernoulli-kernel translates.  Exact in
    principle, but its conditioning degrades like max|lambda|/min|lambda|,
    so it is the cross-check path at small n only.
 2. ``derivative_eigen`` -- closed-form representation through eigenvalue
@@ -15,7 +16,8 @@ spline at interval midpoints:
    sign-condition verifier.
 
 Eigenvalues come either from the definitional 2n-point node sum
-(``lambda_finite_sum``, any kernel spec) or assembled from Fourier
+(``lambda_finite_sum``, any kernel spec, correctly rounded by
+``math.fsum``) or assembled from Fourier
 coefficient tails (``lambda_fourier``, Neumann kernels); the two must agree
 to working precision, which the test suite enforces.
 
@@ -45,7 +47,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .compensated import KahanSum, two_prod
 from .errors import DomainError, SignDegenerate, SingularSystem, UnderflowLimit
 from .kernels import (DEFAULT_POLICY, TWO_PI, EvalPolicy, KernelSpec, NeumannParams,
                       _certified_lane_sum, _pq_terms, eval_bernoulli, eval_pq, eval_psi_beta1)
@@ -77,22 +78,6 @@ class Partition2n:
         """t_k = k*pi/n - pi/(2n), k = 1..2n (midpoint of ((k-1)pi/n, k pi/n))."""
         return tuple(k * math.pi / self.n - math.pi / (2 * self.n)
                      for k in range(1, 2 * self.n + 1))
-
-
-@dataclass(frozen=True)
-class EigenValue:
-    """One eigenvalue lambda_l(y) of the interpolation problem."""
-
-    l: int
-    value: complex
-
-    @property
-    def rho(self) -> float:
-        return self.value.real
-
-    @property
-    def sigma(self) -> float:
-        return self.value.imag
 
 
 @dataclass(frozen=True)
@@ -161,19 +146,19 @@ def lambda_finite_sum(spec: KernelSpec, n: int, l: int, y: float,
     """Definitional eigenvalue: (1/n) sum_{nu=1..2n} e^(i l nu pi/n) Psi_{beta,1}(y - nu pi/n).
 
     Each kernel value is certified to abs_tol/(2n), so the sum carries the
-    policy tolerance as a whole.
+    policy tolerance as a whole; the 2n products are summed correctly
+    rounded (``math.fsum``).
     """
     if not 1 <= l <= n:
         raise DomainError(f"l must lie in 1..n, got l={l}, n={n}")
     sub = EvalPolicy(policy.abs_tol / (2 * n), policy.max_terms)
-    re = KahanSum()
-    im = KahanSum()
+    re, im = [], []
     for nu in range(1, 2 * n + 1):
         g = eval_psi_beta1(spec, y - nu * math.pi / n, sub)
         w = cmath.exp(1j * l * nu * math.pi / n)
-        re.add(w.real * g)
-        im.add(w.imag * g)
-    return complex(re.value / n, im.value / n)
+        re.append(w.real * g)
+        im.append(w.imag * g)
+    return complex(math.fsum(re) / n, math.fsum(im) / n)
 
 
 def _coef(q: float, k: np.ndarray) -> np.ndarray:
@@ -406,6 +391,23 @@ def derivative_pq(params: NeumannParams, n: int, y: float, k: int,
     return _EigenAssembly(params, n, y, policy).derivative_pq(k)
 
 
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _split(a: float) -> tuple[float, float]:
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """Error-free product: (p, e) with p = fl(a*b) and p + e == a*b exactly."""
+    p = a * b
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
 def solve_fundamental_spline(spec: KernelSpec, n: int, y: float,
                              policy: EvalPolicy = DEFAULT_POLICY) -> SKSplineSolution:
     """Solve the (2n+1) x (2n+1) interpolation system for the fundamental spline.
@@ -449,7 +451,7 @@ def solve_fundamental_spline(spec: KernelSpec, n: int, y: float,
         for k in range(size + 1):
             parts = [-rhs[k]]
             for l in range(size + 1):
-                p, e = two_prod(mat[k, l], a[l])
+                p, e = _two_prod(mat[k, l], a[l])
                 parts.append(p)
                 parts.append(e)
             out[k] = -math.fsum(parts)

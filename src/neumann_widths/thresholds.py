@@ -15,7 +15,9 @@ Here sqrt(n) is the real square root.  The smallest n >= 2 satisfying both
 is found by an upward scan over blocks of n: numpy evaluates both
 conditions for a whole block, and every n where a side lies within a few
 ulps of its bound is re-decided by the scalar ``verdict``, so the result is
-the one a scalar scan gives, bit for bit.  Blocks grow geometrically up to
+the one a scalar scan gives, bit for bit.  Once n log2(1/q) > 1080, q^n is
+exactly 0 in scalar arithmetic too, and the block sets the tail condition's
+left side to 0.0 without its pow calls.  Blocks grow geometrically up to
 65536 indices, so memory stays bounded at any cap.  Monotonicity is not
 assumed, so the scan also reports any later failures below 4x the first
 success as a diagnostic.
@@ -71,17 +73,21 @@ def _validate(q: float, n: int, n_min: int = 2) -> None:
         raise DomainError(f"n must be >= {n_min}, got {n}")
 
 
-def _tail_sides(q, n, sqrt):
-    """The tail condition's left side and the two terms whose minimum is its
-    right side.  ``n`` is an int or a float array, with ``sqrt`` to match."""
-    return (q**n / (1.0 - q ** (2 * n)),
-            2.0 * q ** sqrt(n) / (15.0 * n**2),
+def _tail_lhs(q, n):
+    """The tail condition's left side; ``n`` is an int or a float array."""
+    return q**n / (1.0 - q ** (2 * n))
+
+
+def _tail_rhs_terms(q, n, sqrt):
+    """The two terms whose minimum is the tail condition's right side; ``n``
+    as in ``_tail_lhs``, with ``sqrt`` to match."""
+    return (2.0 * q ** sqrt(n) / (15.0 * n**2),
             8.0 / (3.0 * n**2) * ((2.0 * n - 1.0) / (7.0 * (n - 1.0) ** 2)
                                   - math.pi**2 / (8.0 * n**2)))
 
 
 def _budget_lhs(q, n, sqrt):
-    """The budget condition's left side; ``n`` as in ``_tail_sides``."""
+    """The budget condition's left side; ``n`` as in ``_tail_rhs_terms``."""
     rn = sqrt(n)
     return (24.0 / (5.0 * (1.0 - q)) * q**rn
             + 160.0 / 63.0 * (2.0 * rn - 1.0) / (n * (rn - 1.0)) * q / (1.0 - q) ** 2)
@@ -90,8 +96,8 @@ def _budget_lhs(q, n, sqrt):
 def check_tail_condition(q: float, n: int) -> ConditionCheck:
     """Strict inequality bounding q^n/(1-q^(2n)); exact float comparison."""
     _validate(q, n)
-    lhs, first, second = _tail_sides(q, n, math.sqrt)
-    rhs = min(first, second)
+    lhs = _tail_lhs(q, n)
+    rhs = min(_tail_rhs_terms(q, n, math.sqrt))
     return ConditionCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
@@ -122,6 +128,9 @@ _NEAR_RELATIVE = 8.0 * np.finfo(float).eps
 _NEAR_ABSOLUTE = 8.0 * 2.0**-1074
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 16
+# q^n is exactly 0 once n log2(1/q) > 1075, in scalar arithmetic too; past
+# 1080 (a margin for the rounding of n log2(1/q)) the scan skips its pow calls
+_UNDERFLOW_LOG2 = 1080.0
 
 
 def _near(lhs: np.ndarray, rhs: np.ndarray, lhs_gain: float) -> np.ndarray:
@@ -139,8 +148,11 @@ def _both_hold(q: float, floor: float, lo: int, hi: int) -> np.ndarray:
     verdicts, with every n near a condition's boundary re-decided by
     ``verdict``."""
     n = np.arange(lo, hi, dtype=float)
-    lhs, first, second = _tail_sides(q, n, np.sqrt)
-    rhs = np.minimum(first, second)
+    # the tail's left side is 0.0 from the first n with n log2(1/q) > 1080 on
+    live = min(max(int(_UNDERFLOW_LOG2 // -math.log2(q)) + 1 - lo, 0), hi - lo)
+    lhs = np.zeros(hi - lo)
+    lhs[:live] = _tail_lhs(q, n[:live])
+    rhs = np.minimum(*_tail_rhs_terms(q, n, np.sqrt))
     budget = _budget_lhs(q, n, np.sqrt)
     holds = (lhs <= rhs) & (budget <= floor)
     # 1 - q^(2n) >= 1 - q^4 scales the error of q^(2n) in the tail's left side

@@ -160,7 +160,9 @@ def scalar_kernels(params):
 
 class TestKernelObjectMatchesScalar:
     """det_D over the kernel object's block pass equals det_D over plain
-    per-entry callables of the same kernel, in every DetResult field."""
+    per-entry callables of the same kernel, with its pair evaluator, in every
+    DetResult field; the kernel object's result does not depend on
+    ``kernel_pair``."""
 
     @pytest.mark.parametrize("epsilon", [1, -1])
     @pytest.mark.parametrize("size", [1, 3, 5, 7])
@@ -173,10 +175,11 @@ class TestKernelObjectMatchesScalar:
             scalar, pair = scalar_kernels(params)
             for _ in range(4):
                 nodes = _random_nodes(rng, size)
+                expected = det_D(scalar, nodes, epsilon=epsilon, kernel_pair=pair)
                 for with_pair in (pair, None):
-                    res = det_D(kernel, nodes, epsilon=epsilon, kernel_pair=with_pair)
-                    assert res == det_D(scalar, nodes, epsilon=epsilon, kernel_pair=with_pair)
-                    fallbacks += res.used_extended
+                    assert det_D(kernel, nodes, epsilon=epsilon,
+                                 kernel_pair=with_pair) == expected
+                fallbacks += expected.used_extended
         if size == 7:
             assert fallbacks > 0  # the exact fallback ran on block words too
 
@@ -186,7 +189,7 @@ class TestKernelObjectMatchesScalar:
         scalar, pair = scalar_kernels(params)
         nodes = NodeVectors.from_pi_rationals(((0, 1), (1, 1), (7, 4)),
                                               ((0, 1), (1, 4), (7, 4)))
-        res = det_D(neumann_evaluator(params), nodes, epsilon=epsilon, kernel_pair=pair)
+        res = det_D(neumann_evaluator(params), nodes, epsilon=epsilon)
         assert res.used_extended
         assert res == det_D(scalar, nodes, epsilon=epsilon, kernel_pair=pair)
 

@@ -3,17 +3,18 @@ tail-control contracts, and the basic symmetry properties."""
 
 import cmath
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_widths import (EvalPolicy, KernelSpec, NeumannParams, TolUnreachable,
-                            eval_bernoulli, eval_gq, eval_hq, eval_neumann,
+from neumann_widths import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
+                            TolUnreachable, eval_bernoulli, eval_gq, eval_hq, eval_neumann,
                             eval_neumann_pair, eval_pq, eval_pq_theta,
                             eval_psi_beta, eval_psi_beta1, pq_floor)
-from neumann_widths.compensated import KahanSum
 from neumann_widths import kernels
 from neumann_widths.kernels import (TWO_PI, _certified_lane_sum, _certified_sum,
                                     _cosine_block_sum, _neumann_coefficients, _pq_terms,
@@ -39,7 +40,56 @@ def neumann_log_oracle(q, beta, t):
     return (cmath.exp(-1j * beta * math.pi / 2) * (-cmath.log(1 - q * cmath.exp(1j * t)))).real
 
 
+def neumann_mp_series(q, beta, t):
+    """sum_k q^k/k cos(k t - beta pi/2) at 40 digits, summed until the
+    geometric tail is below 1e-45."""
+    with mp.workdps(40):
+        q, t, phase = mp.mpf(q), mp.mpf(t), mp.mpf(beta) * mp.pi / 2
+        total, k = mp.mpf(0), 0
+        while k == 0 or q ** (k + 1) / ((k + 1) * (1 - q)) >= mp.mpf("1e-45"):
+            k += 1
+            total += q**k / k * mp.cos(k * t - phase)
+        return total
+
+
+_ORACLE_RNG = random.Random(20261018)
+ORACLE_POINTS = [(q, _ORACLE_RNG.uniform(-6.0, 6.0), _ORACLE_RNG.uniform(-20.0, 20.0))
+                 for q in [0.05, 0.3, 0.5, 0.8, 0.9, 0.95]
+                 + [_ORACLE_RNG.uniform(0.01, 0.95) for _ in range(18)]]
+
+# eval_neumann_pair words (q, beta, t, abs_tol, hi, lo), frozen as float.hex
+PAIR_PINS = [
+    (0.46, -1.27, -10.844, 1e-14, "-0x1.37e5f1bd59fedp-2", "-0x1.05aeb1813b400p-56"),
+    (0.843, -4.94, 0.083, 1e-16, "-0x1.f7a9ef2525c08p-3", "0x1.374adac8eb112p-52"),
+    (0.873, -4.19, 1.628, 1e-14, "-0x1.0068a743e7cc7p-1", "-0x1.a03a0db53d518p-53"),
+    (0.606, -4.59, -3.629, 1e-16, "-0x1.a7a5c4712051fp-2", "-0x1.3962c8b318640p-56"),
+    (0.688, -0.48, 6.752, 1e-14, "0x1.856730657daa2p-5", "0x1.65c0a41bbc0a0p-55"),
+    (0.169, -2.62, -11.672, 1e-16, "0x1.0702629adc4e8p-4", "-0x1.fbd769790bf30p-58"),
+    (0.501, 4.24, 2.713, 1e-14, "-0x1.3993160d67528p-2", "0x1.998f5ed49c000p-55"),
+    (0.755, -1.16, 7.383, 1e-16, "-0x1.93040815b018bp-1", "0x1.55c13ab7ea1acp-52"),
+    (0.117, -2.09, 5.227, 1e-14, "-0x1.171a7006b1fd8p-4", "0x1.3dd966b7fd000p-56"),
+    (0.709, -0.78, -12.369, 1e-16, "-0x1.07db5f68dc223p-5", "-0x1.7c95b23e0b38ep-59"),
+    (0.273, -2.9, -6.564, 1e-14, "-0x1.2e873172233ffp-3", "0x1.00ce78d00df80p-55"),
+    (0.789, -3.01, 11.592, 1e-16, "-0x1.b95dd859315d6p-1", "-0x1.dc06947d39a5ep-55"),
+]
+
+
 class TestNeumann:
+    @pytest.mark.parametrize("q,beta,t", ORACLE_POINTS)
+    def test_against_40_digit_series(self, q, beta, t):
+        # abs_tol bounds the truncation; each term's argument k u - phase,
+        # u = fmod(t, 2pi), is off by about eps k (|t| + 2pi), which the
+        # coefficients q^k/k sum to eps (|t| + 2pi) q/(1-q): allow 4x that
+        eps = np.finfo(float).eps
+        bound = DEFAULT_POLICY.abs_tol + 4.0 * eps * (abs(t) + TWO_PI) / (1.0 - q)
+        got = eval_neumann(NeumannParams(q, beta), t)
+        assert abs(got - float(neumann_mp_series(q, beta, t))) <= bound
+
+    @pytest.mark.parametrize("q,beta,t,tol,hi,lo", PAIR_PINS)
+    def test_pair_words_are_pinned(self, q, beta, t, tol, hi, lo):
+        got = eval_neumann_pair(NeumannParams(q, beta), t, EvalPolicy(abs_tol=tol))
+        assert got == (float.fromhex(hi), float.fromhex(lo))
+
     def test_odd_symmetry_at_zero(self):
         assert eval_neumann(NeumannParams(0.5, 1.0), 0.0) == pytest.approx(0.0, abs=1e-14)
 
@@ -313,20 +363,3 @@ class TestPolicies:
         for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):
             with pytest.raises(Exception):
                 NeumannParams(bad, 0.0)
-
-
-class TestKahan:
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_fsum(self, xs):
-        acc = KahanSum()
-        for x in xs:
-            acc.add(x)
-        exact = math.fsum(xs)
-        assert acc.value == pytest.approx(exact, abs=1e-9 * max(1.0, abs(exact)))
-
-    def test_recovers_cancellation(self):
-        acc = KahanSum()
-        for x in [1.0] + [1e-16] * 1000 + [-1.0]:
-            acc.add(x)
-        assert acc.value == pytest.approx(1e-13, rel=1e-10)

@@ -2,6 +2,7 @@
 and the sign-condition verifier, cross-validated against one another."""
 
 import cmath
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_widths import (DEFAULT_POLICY, EigenValue, NeumannParams, Partition2n,
+from neumann_widths import (DEFAULT_POLICY, NeumannParams, Partition2n,
                             SignDegenerate, SingularSystem, UnderflowLimit,
                             classify_sign_pattern, derivative_eigen, derivative_pq,
                             eigen_assembly, eval_bernoulli, eval_pq, lambda_finite_sum,
                             lambda_fourier, solve_fundamental_spline, solve_theta,
                             verify_cy2n)
-from neumann_widths.compensated import KahanSum
+from neumann_widths.kernels import _certified_sum
 from neumann_widths.thresholds import check_tail_condition
 
 
@@ -49,9 +50,7 @@ class TestEigenvaluePaths:
         params = NeumannParams(0.3, 0.7)
         lam = lambda_finite_sum(params.spec(), 5, 5, 0.1)
         assert abs(lam.imag) <= 1e-12
-        ev = EigenValue(l=5, value=lam)
-        assert ev.rho == lam.real and ev.sigma == lam.imag
-        assert abs(ev.value) > 0.0
+        assert abs(lam) > 0.0
 
     def test_beta_shift_leaves_lambdas(self):
         a = lambda_finite_sum(NeumannParams(0.4, 0.6).spec(), 4, 2, 0.2)
@@ -274,28 +273,29 @@ def underflow_edge(q):
 
 def scalar_decomposition(params, n, y, abs_tol=DEFAULT_POLICY.abs_tol):
     """r1_j, r_j, |lambda_{n-j}| and R_j from a per-j loop with two scalar
-    Kahan sums per r1 tail, each stopping at its own lane's tail: the loop
-    the array construction replaced, kept as its reference."""
+    compensated sums per r1 tail, each stopping at its own lane's tail: the
+    loop the array construction replaced, kept as its reference."""
     q, psi = params.q, params.psi
     arg = n * y - params.beta_mod4 * math.pi / 2.0
     s = math.copysign(1.0, math.sin(arg))
     phase1 = (params.beta_mod4 + 1.0) * math.pi / 2.0
     ratio = q ** (2 * n)
+
+    def tail_terms(j, f, lo_sign):
+        for m in itertools.count(2):
+            t_hi = psi((2 * m + 1) * n - j) / ((2 * m + 1) * n - j)
+            t_lo = psi((2 * m - 1) * n + j) / ((2 * m - 1) * n + j)
+            yield (t_hi * f((2 * m + 1) * n * y - phase1)
+                   + lo_sign * t_lo * f((2 * m - 1) * n * y - phase1),
+                   (t_hi + t_lo) * ratio / max(1.0 - ratio, 1e-300))
+
     r1s, rs, lams, Rs = [], [], [], []
     for j in range(n):
         parts = []
         for f, lo_sign in ((math.cos, 1.0), (math.sin, -1.0)):
-            acc = KahanSum(psi(3 * n - j) / (3 * n - j) * f(3 * n * y - phase1))
-            m = 1
-            while True:
-                m += 1
-                t_hi = psi((2 * m + 1) * n - j) / ((2 * m + 1) * n - j)
-                t_lo = psi((2 * m - 1) * n + j) / ((2 * m - 1) * n + j)
-                acc.add(t_hi * f((2 * m + 1) * n * y - phase1)
-                        + lo_sign * t_lo * f((2 * m - 1) * n * y - phase1))
-                if (t_hi + t_lo) * ratio / max(1.0 - ratio, 1e-300) <= abs_tol:
-                    break
-            parts.append(acc.value)
+            first = psi(3 * n - j) / (3 * n - j) * f(3 * n * y - phase1)
+            parts.append(sum(_certified_sum(tail_terms(j, f, lo_sign), abs_tol,
+                                            DEFAULT_POLICY, "r1", start=first)))
         a = psi(n - j) / (n - j)
         b = psi(n + j) / (n + j)
         r1 = complex(*parts)
@@ -310,8 +310,8 @@ def scalar_decomposition(params, n, y, abs_tol=DEFAULT_POLICY.abs_tol):
 
 
 def scalar_derivatives(a):
-    """Midpoint derivatives via P_q from per-midpoint scalar j-loops (Kahan
-    gamma_1, fsum gamma_3 and gamma_4, a Kahan strip tail and eval_pq): the
+    """Midpoint derivatives via P_q from per-midpoint scalar j-loops (fsum
+    gamma_1, gamma_3 and gamma_4, a compensated strip tail and eval_pq): the
     loops the array pass replaced, kept as its reference.  ``a`` is an
     eigen_assembly or a scalar_decomposition."""
     n, q, s, psi_n = a.n, a.q, a.s, a.psi_n
@@ -332,21 +332,17 @@ def scalar_derivatives(a):
                 return -a.R[j] * c * s
             return abs(a.r[j]) * math.cos(j * d + cmath.phase(a.r[j])) - a.R[j] * c * s
 
-        acc = KahanSum(z(0) / a.lam_abs[0] ** 2)
-        for j in range(1, n):
-            acc.add(2.0 * z(j) / (a.lam_abs[j] ** 2 * cos_half[j]))
-        g1 = psi_n / n * acc.value
+        g1 = psi_n / n * math.fsum(
+            [z(0) / a.lam_abs[0] ** 2]
+            + [2.0 * z(j) / (a.lam_abs[j] ** 2 * cos_half[j]) for j in range(1, n)])
         g3 = 2.0 * s * math.fsum(math.cos(j * d) * inv_scale / (a.lam_abs[j] * cos_half[j])
                                  for j in range(root + 1, n))
         g4 = -2.0 * s * math.fsum(delta[j] * math.cos(j * d) * inv_scale
                                   / (a.lam_abs[j] * cos_half[j]) for j in range(1, root + 1))
-        tail, j = KahanSum(), root
-        while True:
-            j += 1
-            tail.add(2.0 * math.cos(j * d) / (q**j + q**-j))
-            if 2.0 * q ** (j + 1) / (1.0 - q) <= DEFAULT_POLICY.abs_tol:
-                break
-        gs = (g1, g2, g3, g4, -s * tail.value)
+        strip = ((2.0 * math.cos(j * d) / (q**j + q**-j), 2.0 * q ** (j + 1) / (1.0 - q))
+                 for j in itertools.count(root + 1))
+        tail = sum(_certified_sum(strip, DEFAULT_POLICY.abs_tol, DEFAULT_POLICY, "strip"))
+        gs = (g1, g2, g3, g4, -s * tail)
         sign_k = 1.0 if k % 2 == 1 else -1.0
         values.append(sign_k * math.pi / (4.0 * n * psi_n)
                       * (eval_pq(q, d) * s + math.fsum(gs)))

@@ -5,6 +5,7 @@ frozen."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from neumann_widths import (NotFound, ScanResult, check_budget_condition,
@@ -178,6 +179,25 @@ class TestBlockScanMatchesScalar:
             seen = recorded_verdicts(monkeypatch)
             assert min_guaranteed_n(q, 4 * n + 8) == expected
             assert n in seen
+
+    # the first skipped n falls on a block edge (1986 starts a block of the
+    # scan) and inside a block (3000)
+    @pytest.mark.parametrize("cut", [1986, 3000])
+    def test_underflow_cut(self, monkeypatch, cut):
+        q = 2.0 ** (-1080.0 / (cut - 0.5))  # floor(1080 / log2(1/q)) + 1 == cut
+        powed = []
+        tail_lhs = thresholds._tail_lhs
+
+        def recording(q, n):
+            if isinstance(n, np.ndarray):
+                powed.extend(n.tolist())
+            return tail_lhs(q, n)
+        monkeypatch.setattr(thresholds, "_tail_lhs", recording)
+        assert block_scan(q, 2 * cut) == scalar_scan(q, 2 * cut)
+        # the array pows stop just before the cut; from there on the scalar
+        # left side, which verdict compares, is 0.0 as well
+        assert powed == list(range(2, cut))
+        assert all(tail_lhs(q, n) == 0.0 for n in range(cut, 2 * cut + 1))
 
     def test_zero_pairs_are_not_rechecked(self, monkeypatch):
         # q^n and q^sqrt(n) underflow to 0: the tail sides are both 0
