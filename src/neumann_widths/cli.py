@@ -13,6 +13,7 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import cvd as cvd_mod
 from .errors import DomainError, NeumannWidthsError, NotFound
-from .kernels import EvalPolicy, NeumannParams
+from .kernels import DEFAULT_POLICY, EvalPolicy, NeumannParams
 from .oracles import supnorm_square_conv
 from .sk_spline import verify_cy2n
 from .thresholds import (is_integer_beta, min_guaranteed_n, min_guaranteed_n_beta,
@@ -46,8 +47,8 @@ def _policy_from_args(args) -> EvalPolicy:
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=float, default=1e-14, dest="abs_tol")
-    p.add_argument("--max-terms", type=int, default=1_000_000, dest="max_terms")
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_POLICY.abs_tol, dest="abs_tol")
+    p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms, dest="max_terms")
 
 
 def _width_fields(report) -> dict:
@@ -182,14 +183,15 @@ def _sweep_job(task: tuple[dict, int | None]) -> dict:
     return row
 
 
-def _number(convert, value, what: str):
-    """``convert(value)`` for a number read from a config or the environment;
-    a value it cannot convert (an infinite one for ``int``) is a validation
-    error."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be a finite number, got {value!r}") from None
+def _number(value, what: str, integral: bool = False):
+    """A sweep config value, a finite JSON number (not a string or a boolean),
+    as a float, or as an int where ``integral`` (1e6 is 1000000, 2.5 an error)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise DomainError(f"sweep config {what} must be a finite number, got {value!r}")
+    if integral and value != int(value):
+        raise DomainError(f"sweep config {what} must be an integer, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 def _shaped(cfg: dict, key: str, shape: type, default=None):
@@ -212,9 +214,9 @@ def _load_sweep_config(path: str) -> dict:
         if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
             raise DomainError(f"sweep q values must be numbers in (0, 1), got {q!r}")
     if "n_list" in cfg:
-        n_values = [_number(int, n, "n_list entry") for n in _shaped(cfg, "n_list", list)]
+        n_values = [_number(n, "n_list entry", True) for n in _shaped(cfg, "n_list", list)]
     elif "n_range" in cfg:
-        r = [_number(int, v, "n_range entry") for v in _shaped(cfg, "n_range", list)]
+        r = [_number(v, "n_range entry", True) for v in _shaped(cfg, "n_range", list)]
         if len(r) == 2:
             n_values = list(range(r[0], r[1] + 1))
         elif len(r) == 3 and r[2] != 0:
@@ -226,16 +228,16 @@ def _load_sweep_config(path: str) -> dict:
         raise DomainError("sweep config must set n_list or n_range")
     if not n_values:
         raise DomainError("sweep n values are empty")
-    betas = [_number(float, b, "beta_list entry") for b in cfg["beta_list"]]
+    betas = [_number(b, "beta_list entry") for b in cfg["beta_list"]]
     policy = _shaped(cfg, "policy", dict, {})
     shared = {
-        "abs_tol": _number(float, policy.get("abs_tol", 1e-14), "policy abs_tol"),
-        "max_terms": _number(int, policy.get("max_terms", 1_000_000), "policy max_terms"),
+        "abs_tol": _number(policy.get("abs_tol", DEFAULT_POLICY.abs_tol), "policy abs_tol"),
+        "max_terms": _number(policy.get("max_terms", DEFAULT_POLICY.max_terms),
+                             "policy max_terms", True),
         "verify": _shaped(cfg, "verify", bool, True),
-        "oracle_grid": _number(int, cfg.get("oracle_grid", 4096), "oracle_grid"),
-        "oracle_refine_tol": _number(float, cfg.get("oracle_refine_tol", 1e-13),
-                                     "oracle_refine_tol"),
-        "nq_cap": _number(int, cfg.get("nq_cap", 200_000), "nq_cap"),
+        "oracle_grid": _number(cfg.get("oracle_grid", 4096), "oracle_grid", True),
+        "oracle_refine_tol": _number(cfg.get("oracle_refine_tol", 1e-13), "oracle_refine_tol"),
+        "nq_cap": _number(cfg.get("nq_cap", 200_000), "nq_cap", True),
         "schema": _SCHEMA_VERSION}
     cfg["_jobs"] = [{"q": float(q), "beta": b, "n": n, **shared}
                     for q in cfg["q_list"] for b in betas for n in n_values]
@@ -257,8 +259,12 @@ def cmd_sweep(args) -> int:
     fmt = _shaped(cfg, "format", str, "csv").lower()
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt}")
-    workers = _number(int, os.environ.get(ENV_WORKERS, cfg.get("workers", 1)),
-                      f"workers ({ENV_WORKERS} or the config)")
+    workers = _number(cfg.get("workers", 1), "workers", True)
+    try:  # the environment's value is a string by nature
+        workers = int(os.environ.get(ENV_WORKERS, workers))
+    except ValueError:
+        raise DomainError(f"{ENV_WORKERS} must be an integer, "
+                          f"got {os.environ[ENV_WORKERS]!r}") from None
     cache_dir = Path(os.environ.get(ENV_CACHE_DIR, _shaped(cfg, "cache_dir", str, ".nw-cache")))
     stamp = not (_shaped(cfg, "no_timestamp", bool, False) or args.no_timestamp)
 

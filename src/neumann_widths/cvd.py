@@ -25,18 +25,17 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotFound
-from .kernels import (EvalPolicy, NeumannParams, _cosine_block_sum, _neumann_coefficients,
-                      _reduce_phase, eval_neumann, eval_neumann_pair)
+from .kernels import (TWO_PI, EvalPolicy, NeumannParams, _cosine_block_sum,
+                      _neumann_coefficients, _reduce_phase, eval_neumann, eval_neumann_pair)
 
-TWO_PI = 2.0 * math.pi
-
-ENTRY_POLICY = EvalPolicy(abs_tol=1e-16, max_terms=1_000_000)
+ENTRY_POLICY = EvalPolicy(abs_tol=1e-16)
 
 
 @dataclass(frozen=True)
@@ -304,7 +303,7 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     det = _det_full_pivot(entries)
 
     max_entry = max(abs(e) for row in entries for e in row)
-    eps_mach = 2.220446049250313e-16
+    eps_mach = sys.float_info.epsilon
     per_entry = entry_tol + 4.0 * eps_mach * max_entry
     err = per_entry * _cofactor_norm(entries) + m**3 * eps_mach * max_entry**m
 

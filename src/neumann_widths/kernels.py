@@ -29,8 +29,9 @@ Conventions
   summable coefficient sequence ``psi``.
 * ``Psi_{beta,1}`` is ``Psi_beta`` convolved with the Bernoulli kernel ``B_1``,
   i.e. coefficients ``psi(k)/k`` and phase ``(beta+1)*pi/2``.
-* The phase is 4-periodic in ``beta``; ``beta`` is reduced mod 4 before any
-  trigonometry to avoid large-argument error.
+* The phase is 4-periodic in ``beta``; ``_reduce_phase``, the package's one
+  formula for it, reduces ``beta`` mod 4 before any trigonometry to avoid
+  large-argument error.  ``_check_q`` is the package's one test of 0 < q < 1.
 
 Certified error bounds are only claimed for the geometric Neumann
 coefficients ``psi(k) = q^k/k``.  General ``KernelSpec`` sequences are
@@ -78,8 +79,7 @@ class NeumannParams:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0) or not math.isfinite(self.q):
-            raise DomainError(f"q must lie in (0, 1), got {self.q}")
+        _check_q(self.q)
         if not math.isfinite(self.beta):
             raise DomainError(f"beta must be finite, got {self.beta}")
 
@@ -111,6 +111,12 @@ class KernelSpec:
     psi: Callable[[int], float]
     beta: float
     tail_bound: Callable[[int], float]
+
+
+def _check_q(q: float) -> None:
+    """Reject q outside (0, 1), NaN and the infinities included."""
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
 def _reduce_phase(beta: float, shift: float = 0.0) -> float:
@@ -283,8 +289,7 @@ def eval_pq(q: float, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
 
     Tail after J terms is below 2 q^(J+1)/(1-q).
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     s, c = _certified_sum(_pq_terms(q, math.fmod(t, TWO_PI)), policy.abs_tol, policy,
                           "eval_pq", start=0.5)
     return s + c
@@ -315,8 +320,7 @@ def eval_pq_theta(q: float, t: float) -> float:
     series (absolute error ~ machine epsilon per term) cannot resolve the
     exponentially small positive values once q is close to 1.
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     z = math.fmod(t, TWO_PI) / 2.0
     return 0.5 * _theta(0.0, q, 1.0) * _theta4(0.0, q) * _theta(z, q, 1.0) / _theta4(z, q)
 
@@ -325,8 +329,7 @@ def pq_floor(q: float) -> float:
     """Strict lower bound for P_q on the whole real line:
     (1/2 + 2q/((1+q^2)(1-q))) * ((1-q)/(1+q))^(4/(1-q^2)).
     """
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     lead = 0.5 + 2.0 * q / ((1.0 + q * q) * (1.0 - q))
     return lead * ((1.0 - q) / (1.0 + q)) ** (4.0 / (1.0 - q * q))
 
@@ -351,8 +354,7 @@ def eval_hq(q: float, n: int, x: float) -> float:
 
 
 def _geometric_amplitude(q: float, n: int) -> float:
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     return q**n

@@ -42,6 +42,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +50,8 @@ import numpy as np
 
 from .errors import DomainError, SignDegenerate, SingularSystem, UnderflowLimit
 from .kernels import (DEFAULT_POLICY, TWO_PI, EvalPolicy, KernelSpec, NeumannParams,
-                      _certified_lane_sum, _pq_terms, eval_bernoulli, eval_pq, eval_psi_beta1)
+                      _certified_lane_sum, _pq_terms, _reduce_phase, eval_bernoulli, eval_pq,
+                      eval_psi_beta1)
 from .thresholds import gamma_budget
 from .widths import solve_theta
 
@@ -186,6 +188,15 @@ def _r1_terms(q: float, n: int, y: float, phase1: float, j: np.ndarray):
                float((t_hi + t_lo).max()) * ratio / max(1.0 - ratio, 1e-300))
 
 
+def _check_scale(nonzero: bool, n: int, psi_n: float) -> None:
+    """Raise UnderflowLimit unless ``nonzero``: |lambda_n|^2 (~ (2 q^n/n^2)^2),
+    the smallest divisor of gamma_1, is zero in double precision at this n."""
+    if not nonzero:
+        raise UnderflowLimit(
+            f"|lambda_n|^2 underflows to zero at n={n} (q^n/n = {psi_n:.3e}): "
+            "the midpoint derivatives need rescaled units from this n on")
+
+
 class _EigenAssembly:
     """Fourier-side eigenvalue decomposition for a Neumann kernel at shift y,
     built in one array pass over j = 0..n-1 (eigenvalue index l = n-j).
@@ -205,18 +216,20 @@ class _EigenAssembly:
                  policy: EvalPolicy = DEFAULT_POLICY):
         if n < 1:
             raise DomainError(f"n must be a positive integer, got {n}")
-        arg = n * y - params.beta_mod4 * math.pi / 2.0
+        arg = n * y - _reduce_phase(params.beta)
         sin_arg = math.sin(arg)
         if abs(sin_arg) < SIGN_DEGENERATE_TOL:
             raise SignDegenerate(
                 f"sin(n y - beta pi/2) = {sin_arg:.2e} at y={y}: the Fourier "
                 "decomposition is invalid here (use the finite node sum)")
+        self.psi_n = params.psi(n)
+        _check_scale(self.psi_n != 0.0, n, self.psi_n)  # before any O(n) array
+        self._psi_over_n = self.psi_n / n
         self.n, self.y, self.q, self.policy = n, y, params.q, policy
         self.s = math.copysign(1.0, sin_arg)
-        self.psi_n = params.q**n / n
         j = np.arange(n)
         a, b = _coef(self.q, n - j), _coef(self.q, n + j)
-        phase1 = (params.beta_mod4 + 1.0) * math.pi / 2.0
+        phase1 = _reduce_phase(params.beta, 1.0)
         tail, comp = _certified_lane_sum(_r1_terms(self.q, n, y, phase1, j),
                                          policy.abs_tol, policy, "eigenvalue tail")
         re, im = tail + comp
@@ -254,20 +267,11 @@ class _EigenAssembly:
         c = np.cos(jd)
         return c, self._r_abs * np.cos(jd + self._r_phase) - self.R * c * self.s
 
-    def _check_scale(self) -> None:
-        """Raise UnderflowLimit once |lambda_n|^2 (~ (2 q^n/n^2)^2), the
-        smallest divisor of gamma_1, is zero in double precision."""
-        if not self._lam2_cos.all():
-            raise UnderflowLimit(
-                f"|lambda_n|^2 underflows to zero at n={self.n} (q^n/n = {self.psi_n:.3e}): "
-                "the midpoint derivatives need rescaled units from this n on")
-
     def _g1(self, z: np.ndarray) -> list[float]:
         """gamma_1 for each row of z: (psi(n)/n) sum_j w_j z_j / (|lambda_{n-j}|^2
         cos(j pi/2n)), w_0 = 1, w_j = 2.  Divides, never multiplies by the
         reciprocal: 1/|lambda_n|^2 overflows near the underflow edge."""
-        inv_scale = self.psi_n / self.n
-        return (inv_scale * (self._z_weight * z / self._lam2_cos).sum(axis=1)).tolist()
+        return (self._psi_over_n * (self._z_weight * z / self._lam2_cos).sum(axis=1)).tolist()
 
     def _g2(self) -> float:
         x = float(self.R[0]) * self.n / self.psi_n
@@ -283,18 +287,18 @@ class _EigenAssembly:
         n, s = self.n, self.s
         if n < 2:
             raise DomainError("the P_q decomposition needs n >= 2")
-        self._check_scale()
+        _check_scale(self._lam2_cos.all(), n, self.psi_n)
         root = math.isqrt(n)
-        inv_scale = self.psi_n / n  # 1/(n/psi(n))
         head, tail = slice(1, root + 1), slice(root + 1, n)
         delta = np.array([self.delta(j) for j in range(1, root + 1)])
         g1, g3, g4 = [], [], []
         for lo in range(0, len(d), _BLOCK):
             c, z = self._cos_z(d[lo:lo + _BLOCK])
             g1 += self._g1(z)
-            g3 += (2.0 * s * (c[:, tail] * inv_scale / self._lam_cos[tail]).sum(axis=1)).tolist()
-            g4 += [-2.0 * s * math.fsum(row)
-                   for row in (delta * c[:, head] * inv_scale / self._lam_cos[head]).tolist()]
+            g3 += (2.0 * s * (c[:, tail] * self._psi_over_n
+                              / self._lam_cos[tail]).sum(axis=1)).tolist()
+            g4 += [-2.0 * s * math.fsum(row) for row in
+                   (delta * c[:, head] * self._psi_over_n / self._lam_cos[head]).tolist()]
         strip, strip_c = _certified_lane_sum(_pq_terms(self.q, d, root + 1, np.cos),
                                              self.policy.abs_tol, self.policy,
                                              "strip-kernel tail")
@@ -322,11 +326,11 @@ class _EigenAssembly:
 
     def derivative_eigen(self, k: int) -> float:
         """Midpoint derivative through eigenvalue magnitudes (gamma_1, gamma_2)."""
-        self._check_scale()
+        _check_scale(self._lam2_cos.all(), self.n, self.psi_n)
         c, z = self._cos_z(self._offsets([k]))
         g1 = self._g1(z)[0]
         acc = math.fsum((c[0, 1:] / self._lam_cos[1:]).tolist())
-        main = (0.5 + 2.0 * self.psi_n / self.n * acc) * self.s
+        main = (0.5 + 2.0 * self._psi_over_n * acc) * self.s
         return self._scaled(k, main + g1 + self._g2())
 
     def gammas(self, k: int) -> tuple[float, float, float, float, float]:
@@ -467,7 +471,7 @@ def solve_fundamental_spline(spec: KernelSpec, n: int, y: float,
                 break
             alpha = alpha + dx
             prev_dx = step
-            if step <= 4.0 * 2.220446049250313e-16 * float(np.max(np.abs(alpha))):
+            if step <= 4.0 * sys.float_info.epsilon * float(np.max(np.abs(alpha))):
                 break
         residual = float(np.max(np.abs(residual_vec(alpha))))
     except np.linalg.LinAlgError as exc:
@@ -504,15 +508,14 @@ def classify_sign_pattern(values: Sequence[float], zero_tol: float) -> tuple[boo
 
 
 def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
-                policy: EvalPolicy = DEFAULT_POLICY,
-                zero_tol: float | None = None) -> Cy2nVerdict:
+                policy: EvalPolicy = DEFAULT_POLICY) -> Cy2nVerdict:
     """Check the alternating midpoint sign condition at shift y (default: the
     peak shift y0 = theta*pi/n).
 
     Derivative values come from the P_q representation (eigenvalue route for
     n = 1), which stays numerically faithful at indices where the direct
     solve is condition-limited.  The zero classification threshold is
-    scale-aware: 1e-9 * (pi/(4 n psi(n))) * P_q(0) unless overridden.
+    scale-aware: 1e-9 * (pi/(4 n psi(n))) * P_q(0).
 
     All 2n derivatives come from one blocked array pass (module docstring).
     It sums gamma_1 and gamma_3 pairwise where per-midpoint scalar loops
@@ -536,9 +539,7 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
         derivs = tuple(assembly._derivatives_pq(range(1, 2 * n + 1))[0])
     else:
         derivs = tuple(assembly.derivative_eigen(k) for k in range(1, 2 * n + 1))
-    if zero_tol is None:
-        zero_tol = (1e-9 * math.pi / (4.0 * n * assembly.psi_n)
-                    * eval_pq(params.q, 0.0, policy))
+    zero_tol = 1e-9 * math.pi / (4.0 * n * assembly.psi_n) * eval_pq(params.q, 0.0, policy)
     holds, epsilon, pattern, signs = classify_sign_pattern(derivs, zero_tol)
     return Cy2nVerdict(holds=holds, epsilon=epsilon, pattern=pattern, signs=signs,
                        zero_tol=zero_tol, derivatives=derivs)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotFound
-from .kernels import pq_floor
+from .kernels import _check_q, pq_floor
 
 # Below these cutoffs the width equalities hold from n = 1 already
 # (integer phase / non-integer phase respectively).
@@ -67,8 +67,7 @@ class ScanResult:
 
 
 def _validate(q: float, n: int, n_min: int = 2) -> None:
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     if n < n_min:
         raise DomainError(f"n must be >= {n_min}, got {n}")
 

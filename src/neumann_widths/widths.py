@@ -11,6 +11,10 @@ positive factor q^n/n), monotonicity of G_q on (0, pi) and positivity of
 H_q there pin the root to [1/2, 1) when beta mod 4 is in [0,1) u [2,3) and
 to [0, 1/2) otherwise, with theta = 1/2 exactly at beta even and theta = 0
 exactly at beta odd.  Bisection then converges unconditionally.
+
+The three odd-harmonic series (this left side, the square-wave convolution
+and the width peak) share one term generator, ``_odd_terms``; each caller
+sets its start coefficient, tail, tolerance and label.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BracketFailure, DomainError
-from .kernels import (DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, eval_gq,
-                      eval_hq)
+from .kernels import (DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, _reduce_phase,
+                      eval_gq, eval_hq)
 
 _BISECT_ITERS = 64  # interval width 0.5 / 2**64 ~ 2.7e-20
 
@@ -75,10 +79,23 @@ class WidthReport:
     branch: Branch
 
 
+def _odd_terms(params: NeumannParams, coef: float, ratio: float, power: int, trig,
+               arg, tail):
+    """Terms coef * ratio^nu / m^power * trig(arg(m) - beta pi/2), m = 2 nu + 1,
+    nu >= 0, each with tail(c, m) after it, where c = coef * ratio^(nu+1) is
+    the next term's coefficient.  ``arg`` takes m, so that each caller's
+    argument rounds as m times its own factors."""
+    phase = _reduce_phase(params.beta)
+    for m in itertools.count(1, 2):
+        term = coef / m**power * trig(arg(m) - phase)
+        coef *= ratio
+        yield term, tail(coef, m)
+
+
 def _theta_equation_closed(params: NeumannParams, n: int, theta: float) -> float:
     """(q^n/n)-scaled left side of the theta equation via G_q/H_q closed forms."""
     x = theta * math.pi
-    half = params.beta_mod4 * (math.pi / 2.0)
+    half = _reduce_phase(params.beta)
     return eval_gq(params.q, n, x) * math.cos(half) + eval_hq(params.q, n, x) * math.sin(half)
 
 
@@ -86,16 +103,9 @@ def theta_equation_lhs(params: NeumannParams, n: int, theta: float,
                        policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Definitional series form of the theta-equation left side."""
     ratio = params.q ** (2 * n)
-    phase = params.beta_mod4 * (math.pi / 2.0)
-
-    def terms():
-        coef = 1.0
-        for nu in itertools.count():
-            term = coef / (2 * nu + 1) * math.cos((2 * nu + 1) * theta * math.pi - phase)
-            coef *= ratio
-            yield term, coef / (2 * nu + 3)
-
-    s, c = _certified_sum(terms(), min(policy.abs_tol, 1e-15) * (1.0 - ratio), policy,
+    terms = _odd_terms(params, 1.0, ratio, 1, math.cos, lambda m: m * theta * math.pi,
+                       lambda c, m: c / (m + 2))
+    s, c = _certified_sum(terms, min(policy.abs_tol, 1e-15) * (1.0 - ratio), policy,
                           "theta equation")
     return s + c
 
@@ -110,10 +120,8 @@ def _limit_theta(beta_r: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _solve_theta_cached(q: float, beta: float, n: int, abs_tol: float,
-                        max_terms: int) -> ThetaRoot:
-    params = NeumannParams(q, beta)
-    policy = EvalPolicy(abs_tol, max_terms)
+def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> ThetaRoot:
+    q, beta = params.q, params.beta
     beta_r = params.beta_mod4
     branch = Branch.HALF if beta_r < 1.0 or 2.0 <= beta_r < 3.0 else Branch.ZERO
 
@@ -157,12 +165,12 @@ def solve_theta(params: NeumannParams, n: int,
                 policy: EvalPolicy = DEFAULT_POLICY) -> ThetaRoot:
     """Unique root of the theta equation in [0, 1), with residual and branch.
 
-    Results are memoized per (q, beta, n, policy); the returned object is
+    Results are memoized per (params, n, policy); the returned object is
     immutable, so concurrent readers may share it.
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    return _solve_theta_cached(params.q, params.beta, n, policy.abs_tol, policy.max_terms)
+    return _solve_theta_cached(params, n, policy)
 
 
 def conv_square_wave(params: NeumannParams, n: int, t: float,
@@ -176,17 +184,10 @@ def conv_square_wave(params: NeumannParams, n: int, t: float,
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     ratio = params.q ** (2 * n)
-    phase = params.beta_mod4 * (math.pi / 2.0)
-
-    def terms():
-        coef = params.q**n / n
-        for nu in itertools.count():
-            term = coef / (2 * nu + 1) ** 2 * math.sin((2 * nu + 1) * n * t - phase)
-            coef *= ratio
-            tail = coef / ((2 * nu + 3) ** 2 * max(1.0 - ratio, 1e-300))
-            yield term, (4.0 / math.pi) * tail
-
-    s, c = _certified_sum(terms(), policy.abs_tol, policy, "square-wave convolution")
+    gap = max(1.0 - ratio, 1e-300)
+    terms = _odd_terms(params, params.psi(n), ratio, 2, math.sin, lambda m: m * n * t,
+                       lambda c, m: (4.0 / math.pi) * (c / ((m + 2) ** 2 * gap)))
+    s, c = _certified_sum(terms, policy.abs_tol, policy, "square-wave convolution")
     return (4.0 / math.pi) * (s + c)
 
 
@@ -201,20 +202,12 @@ def exact_width(params: NeumannParams, n: int,
     root = solve_theta(params, n, policy)
     q = params.q
     ratio = q ** (2 * n)
-    phase = params.beta_mod4 * (math.pi / 2.0)
-
-    def terms():
-        coef = 1.0
-        for nu in itertools.count():
-            term = (coef / (2 * nu + 1) ** 2
-                    * math.sin((2 * nu + 1) * root.theta * math.pi - phase))
-            coef *= ratio
-            yield term, coef
-
-    s, c = _certified_sum(terms(), policy.abs_tol * (1.0 - ratio), policy, "width peak")
+    terms = _odd_terms(params, 1.0, ratio, 2, math.sin, lambda m: m * root.theta * math.pi,
+                       lambda c, m: c)
+    s, c = _certified_sum(terms, policy.abs_tol * (1.0 - ratio), policy, "width peak")
     peak = abs(s + c)
 
-    scale = q**n / n
+    scale = params.psi(n)
     width = (4.0 / math.pi) * scale * peak
     ratio_factor = ratio / (1.0 - ratio)  # q^(2n)/(1-q^(2n))
     gamma_n = (4.0 / math.pi) * (peak - 1.0) / ratio_factor if ratio_factor > 0.0 else 0.0
@@ -232,8 +225,7 @@ def theta_cos_bound(params: NeumannParams, n: int,
                     policy: EvalPolicy = DEFAULT_POLICY) -> tuple[float, float]:
     """(|cos(theta pi - beta pi/2)|, q^(2n)/(3(1-q^(2n)))); lhs <= rhs + 1e-13."""
     root = solve_theta(params, n, policy)
-    phase = params.beta_mod4 * (math.pi / 2.0)
-    lhs = abs(math.cos(root.theta * math.pi - phase))
+    lhs = abs(math.cos(root.theta * math.pi - _reduce_phase(params.beta)))
     ratio = params.q ** (2 * n)
     rhs = ratio / (3.0 * (1.0 - ratio))
     return lhs, rhs

@@ -371,6 +371,21 @@ class TestSweepInputErrors:
         {"nq_cap": 1e400},
         {"workers": 1e400},
         {"policy": {"max_terms": 1e400}},
+        # refused, not converted: strings, booleans, infinities, and
+        # fractions where an integer is expected
+        {"n_list": [2.7]},
+        {"n_list": [2.5]},
+        {"n_list": ["3"]},
+        {"n_list": [True]},
+        {"beta_list": ["0.5"]},
+        {"beta_list": [True]},
+        {"oracle_grid": 4096.9},
+        {"nq_cap": "5000"},
+        {"workers": 1.5},
+        {"policy": {"max_terms": 10.5}},
+        {"policy": {"abs_tol": "1e-13"}},
+        {"policy": {"abs_tol": 1e400}},
+        {"oracle_refine_tol": True},
     ])
     def test_non_numeric_config_value(self, capsys, tmp_path, overrides):
         cfg_path, _ = sweep_config(tmp_path, **overrides)
@@ -393,6 +408,21 @@ class TestSweepInputErrors:
         assert json.loads(err)["error"]["code"] == "validation"
         assert not (tmp_path / "out.csv").exists()
 
+    def test_integral_numbers_keep_their_cache_keys(self, tmp_path):
+        # keys pinned from the float-converting loader: an integral float
+        # such as 1e5 is still the integer, and no valid key changed
+        pinned = ["1d1e10b7cb6b14e4", "9ae2e52dd38ab68f", "d8953d09b76313b0",
+                  "6a4d5f1b54d1b84e", "afa405cc38d24ddb", "a8e068cbe30bb751",
+                  "5de866d702fd02a0", "3eb4708995938440"]
+        for max_terms, nq_cap in ((1e5, 5e3), (100_000, 5000)):
+            path = tmp_path / "keys.json"
+            path.write_text(json.dumps(
+                {"q_list": [0.3, 0.5], "beta_list": [0, 1.5], "n_list": [1, 20],
+                 "policy": {"abs_tol": 1e-13, "max_terms": max_terms},
+                 "oracle_grid": 256, "nq_cap": nq_cap}), encoding="utf-8")
+            jobs = cli._load_sweep_config(str(path))["_jobs"]
+            assert [cli._job_key(job)[:16] for job in jobs] == pinned
+
     def test_non_numeric_workers_env(self, capsys, tmp_path, monkeypatch):
         cfg_path, _ = sweep_config(tmp_path)
         monkeypatch.setenv("NEUMANN_WIDTHS_WORKERS", "abc")
@@ -412,6 +442,7 @@ class TestSweepInputErrors:
         {"format": 5},
         {"output": 5},
         {"cache_dir": 5},
+        {"n_list": None, "n_range": [1, 3.5]},
     ])
     def test_config_of_wrong_shape(self, capsys, tmp_path, overrides):
         cfg_path, cfg = sweep_config(tmp_path, **overrides)
@@ -421,3 +452,21 @@ class TestSweepInputErrors:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["code"] == "validation"
+
+
+# Stdout, stderr and exit code of cli.main on a width grid, threshold traces,
+# sign checks and determinants (a built-in pair, a node file that takes the
+# exact fallback, a witness search), recorded in-process.  A change meant to
+# keep every output leaves these bytes as they are; an intended output change
+# rewrites the file and says why.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("case", GOLDEN["cases"],
+                             ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN["cases"])])
+    def test_replay(self, capsys, tmp_path, case):
+        vectors = tmp_path / "nodes.json"
+        vectors.write_text(json.dumps(GOLDEN["vectors"]), encoding="utf-8")
+        argv = [str(vectors) if a == "{vectors}" else a for a in case["argv"]]
+        assert run(capsys, *argv) == (case["exit"], case["stdout"], case["stderr"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neumann_widths import sk_spline
 from neumann_widths import (DEFAULT_POLICY, NeumannParams, Partition2n,
                             SignDegenerate, SingularSystem, UnderflowLimit,
                             classify_sign_pattern, derivative_eigen, derivative_pq,
@@ -463,6 +464,22 @@ class TestUnderflowEdge:
             derivative_pq(self.PARAMS, 300, y0, 1)
         with pytest.raises(UnderflowLimit):
             derivative_eigen(self.PARAMS, 300, y0, 1)
+
+    def test_zero_psi_raises_before_the_arrays(self, monkeypatch):
+        # q^n/n is 0.0 at q = 0.5, n = 5000: the assembly names the limit
+        # before it builds a coefficient array (its O(n) memory)
+        def no_arrays(q, k):
+            raise AssertionError("built an O(n) coefficient array")
+
+        monkeypatch.setattr(sk_spline, "_coef", no_arrays)
+        params = NeumannParams(0.5, 0.0)
+        with pytest.raises(UnderflowLimit, match=r"n=5000 \(q\^n/n = 0\.000e\+00\)"):
+            verify_cy2n(params, 5000)
+        y = 0.1 * math.pi / 5000
+        with pytest.raises(UnderflowLimit):
+            eigen_assembly(params, 5000, y)
+        with pytest.raises(UnderflowLimit):
+            lambda_fourier(params, 5000, 0, y)
 
     def test_last_n_before_the_edge_still_verifies(self):
         q = 0.01
