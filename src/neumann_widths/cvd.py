@@ -225,7 +225,7 @@ def _det_full_pivot(a: list[list[float]]) -> float:
     return det_sign * det
 
 
-def _det_exact(pairs: list[list[tuple[float, float]]]) -> float:
+def _det_exact(pairs: list[list[Sequence[float]]]) -> float:
     """The determinant of the exact entry sums hi + lo, correctly rounded.
 
     Every word is an integer over one common power of two ``den``, so the
@@ -274,13 +274,14 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     the forward estimate is entry error (plus representation rounding) times
     the cofactor-norm bound.  When |det| falls below 100x this estimate the
     determinant of the entries is recomputed exactly and rounded once
-    (``used_extended``), so entry error is then its only error.  The exact
-    entries are eps * (hi + lo), the sum of each entry's (hi, lo) words.
+    (``used_extended``), so entry error is then its only error.
 
-    A ``NeumannKernel`` (what ``neumann_evaluator`` returns) gives all m^2
-    entries and their words in one block pass over the differences
-    x_i - y_j.  Any other callable is called once per entry; its words come
-    from ``kernel_pair`` when provided, else they are (entry, 0).
+    Every kernel yields each entry as (hi, lo) words: the entry is
+    eps * (hi + lo), and the exact fallback takes the exact sum of the same
+    words.  A ``NeumannKernel`` (what ``neumann_evaluator`` returns) gives
+    the words of all m^2 entries in one block pass over the differences
+    x_i - y_j.  For any other callable, a given ``kernel_pair`` is the only
+    thing called, once per entry; without one the words are (kernel(t), 0).
     """
     if epsilon not in (1, -1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
@@ -288,18 +289,11 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
     eps = float(epsilon)
     if isinstance(kernel, NeumannKernel):
         hi, lo = kernel.pairs(np.subtract.outer(nodes.x, nodes.y))
-        entries = (eps * (hi + lo)).tolist()
-
-        def pair_words():
-            return [list(zip(*rows)) for rows in zip((eps * hi).tolist(), (eps * lo).tolist())]
     else:
-        entries = [[eps * kernel(xi - yj) for yj in nodes.y] for xi in nodes.x]
-
-        def pair_words():
-            if kernel_pair is None:
-                return [[(e, 0.0) for e in row] for row in entries]
-            return [[tuple(eps * w for w in kernel_pair(xi - yj)) for yj in nodes.y]
-                    for xi in nodes.x]
+        word = kernel_pair or (lambda t: (kernel(t), 0.0))
+        hi, lo = np.array([[word(xi - yj) for yj in nodes.y] for xi in nodes.x],
+                          dtype=float).transpose(2, 0, 1)
+    entries = (eps * (hi + lo)).tolist()
     det = _det_full_pivot(entries)
 
     max_entry = max(abs(e) for row in entries for e in row)
@@ -309,7 +303,7 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
 
     used_exact = abs(det) < 100.0 * err
     if used_exact:
-        det = _det_exact(pair_words())
+        det = _det_exact(np.stack((eps * hi, eps * lo), axis=-1).tolist())
     return DetResult(value=det, error_estimate=err, epsilon=epsilon,
                      used_extended=used_exact)
 

@@ -4,23 +4,24 @@ Everything here is a pure function of its arguments.  Each truncated series
 carries an explicit tail bound, and summation is compensated so downstream
 determinant tests can rely on ~1e-16 entry accuracy.
 
-Every tail-checked series in the package (here, in ``widths`` and in
-``sk_spline``) runs through ``_certified_sum``: it adds the terms in order
-with a Kahan-Babuska update, stops after the first term whose tail is
+The compensated update is one expression, ``_two_sum_error``: Knuth's
+branch-free TwoSum, which gives the exact rounding error of one addition
+for floats and numpy arrays alike.  Every tail-checked series in the
+package (here, in ``widths`` and in ``sk_spline``) runs through
+``_certified_sum``: it adds the terms in order, collects each addition's
+error in a compensation word, stops after the first term whose tail is
 ``<= tol``, and adds at most ``policy.max_terms`` terms; if the tail is still
 above ``tol`` after the last of them it raises ``TolUnreachable`` with
-``terms_used = max_terms`` and that tail as ``tail_bound``.
-``_certified_lane_sum`` is the same loop over arrays of lanes that share
-one tail sequence (the P_q terms at many points t): each lane gets the
-scalar update bit for bit, and all lanes stop, or hit the cap, together.
-``_cosine_block_sum`` is the same sum for the Neumann kernel at many points
-in one array pass: its tail does not depend on t, so ``_neumann_coefficients``
-finds the common stopping index K (or raises the same ``TolUnreachable``)
-before any array exists, and running sums down a (terms x points) block give
-every point the scalar (sum, compensation) bit for bit.  These three are the
-only places that write the Kahan-Babuska update (scalar, lanes, blocks), and
-both Neumann paths take the coefficient q^k/k and its tail from
-``NeumannParams.psi`` and ``NeumannParams.tail_bound``.
+``terms_used = max_terms`` and that tail as ``tail_bound``.  Its terms may
+be arrays of lanes that share one tail sequence (the P_q terms at many
+points t): each lane then gets the scalar sum bit for bit, and all lanes
+stop, or hit the cap, together.  ``_cosine_block_sum`` is the same sum for
+the Neumann kernel at many points in one array pass: its tail does not
+depend on t, so ``_neumann_coefficients`` finds the common stopping index K
+(or raises the same ``TolUnreachable``) before any array exists, and running
+sums down a (terms x points) block give every point the scalar (sum,
+compensation) bit for bit.  Both Neumann paths take the coefficient q^k/k
+and its tail from ``NeumannParams.psi`` and ``NeumannParams.tail_bound``.
 
 Conventions
 -----------
@@ -31,7 +32,8 @@ Conventions
   i.e. coefficients ``psi(k)/k`` and phase ``(beta+1)*pi/2``.
 * The phase is 4-periodic in ``beta``; ``_reduce_phase``, the package's one
   formula for it, reduces ``beta`` mod 4 before any trigonometry to avoid
-  large-argument error.  ``_check_q`` is the package's one test of 0 < q < 1.
+  large-argument error.  ``_check_q``, ``_check_beta`` and ``_check_n`` are
+  the package's one test each of 0 < q < 1, a finite beta and n >= 1.
 
 Certified error bounds are only claimed for the geometric Neumann
 coefficients ``psi(k) = q^k/k``.  General ``KernelSpec`` sequences are
@@ -80,8 +82,7 @@ class NeumannParams:
 
     def __post_init__(self):
         _check_q(self.q)
-        if not math.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta}")
+        _check_beta(self.beta)
 
     @property
     def beta_mod4(self) -> float:
@@ -119,42 +120,44 @@ def _check_q(q: float) -> None:
         raise DomainError(f"q must lie in (0, 1), got {q}")
 
 
+def _check_beta(beta: float) -> None:
+    """Reject a beta that is NaN or infinite."""
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
+
+
+def _check_n(n: int) -> None:
+    """Reject an n below 1."""
+    if n < 1:
+        raise DomainError(f"n must be a positive integer, got {n}")
+
+
 def _reduce_phase(beta: float, shift: float = 0.0) -> float:
     return (beta % 4.0 + shift) * (math.pi / 2.0)
 
 
-def _certified_sum(terms: Iterable[tuple[float, float]], tol: float,
-                   policy: EvalPolicy, label: str,
-                   start: float = 0.0) -> tuple[float, float]:
+def _two_sum_error(a, b, s):
+    """The rounding error of s = fl(a + b), exactly: a + b == s + error.
+
+    Knuth's TwoSum, branch-free, for floats or elementwise over arrays."""
+    bp = s - a
+    return (a - (s - bp)) + (b - bp)
+
+
+def _certified_sum(terms: Iterable[tuple], tol: float, policy: EvalPolicy, label: str,
+                   start: float = 0.0) -> tuple:
     """(sum, compensation) of a series given as (term, tail_after_term) pairs.
 
     Stops after the first term whose tail is <= tol; ``tail`` is whatever
     quantity the caller compares with ``tol``.  Raises TolUnreachable once
-    policy.max_terms terms are added without that happening.
+    policy.max_terms terms are added without that happening.  A term may be
+    an array with one entry per lane, its tail holding for every lane: each
+    lane's (sum, compensation) is then the one its own terms give.
     """
     s, c = start, 0.0
     for term, tail in itertools.islice(terms, policy.max_terms):
         t = s + term
-        if abs(s) >= abs(term):
-            c += (s - t) + term
-        else:
-            c += (term - t) + s
-        s = t
-        if tail <= tol:
-            return s, c
-    raise _unreachable(label, tail, tol, policy)
-
-
-def _certified_lane_sum(terms: Iterable[tuple[np.ndarray, float]], tol: float,
-                        policy: EvalPolicy, label: str,
-                        start: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``_certified_sum`` over lanes: each term is an array with one entry per
-    lane, and its tail holds for every lane.  Each lane's (sum, compensation)
-    is the one ``_certified_sum`` gives for that lane's terms."""
-    s, c = start, 0.0
-    for term, tail in itertools.islice(terms, policy.max_terms):
-        t = s + term
-        c = c + np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
+        c += _two_sum_error(s, term, t)
         s = t
         if tail <= tol:
             return s, c
@@ -196,10 +199,10 @@ def _cosine_block_sum(coef: np.ndarray, phase: float,
     The block has one row per k and one column per entry.
     ``np.add.accumulate`` down the rows gives each entry's running sums in
     the scalar loop's order (``np.sum`` may add pairwise, in another order);
-    each Kahan-Babuska correction comes elementwise from two consecutive
-    running sums, and a second accumulate adds the corrections.  So each
-    entry's (sum, compensation) is bit for bit the scalar loop's.  Rows go
-    in chunks of ``_BLOCK_ROWS``, each continuing from the (sum,
+    each addition's error (``_two_sum_error``) comes elementwise from two
+    consecutive running sums, and a second accumulate adds the errors.  So
+    each entry's (sum, compensation) is bit for bit the scalar loop's.  Rows
+    go in chunks of ``_BLOCK_ROWS``, each continuing from the (sum,
     compensation) the previous chunk left.
     """
     u = np.fmod(t, TWO_PI)
@@ -210,8 +213,7 @@ def _cosine_block_sum(coef: np.ndarray, phase: float,
         terms = a.reshape(k.shape) * np.cos(k * u - phase)
         sums = np.add.accumulate(np.concatenate((s[None], terms)), axis=0)
         before, after = sums[:-1], sums[1:]
-        corr = np.where(np.abs(before) >= np.abs(terms),
-                        (before - after) + terms, (terms - after) + before)
+        corr = _two_sum_error(before, terms, after)
         c = np.add.accumulate(np.concatenate((c[None], corr)), axis=0)[-1]
         s = sums[-1]
     return s, c
@@ -355,6 +357,5 @@ def eval_hq(q: float, n: int, x: float) -> float:
 
 def _geometric_amplitude(q: float, n: int) -> float:
     _check_q(q)
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     return q**n

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .kernels import NeumannParams
+from .kernels import NeumannParams, _check_n
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,8 +48,7 @@ def supnorm_square_conv(params: NeumannParams, n: int, grid_points: int = 4096,
     """
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     period = math.pi / n
     grid = np.linspace(0.0, period, grid_points, endpoint=False)
     vals = np.abs(_square_conv_series(params, n, grid))

@@ -24,17 +24,17 @@ to working precision, which the test suite enforces.
 The Fourier-side decomposition is built once per shift, in one array pass
 over j = 0..n-1 (``_EigenAssembly``): the main coefficients, the tail pieces
 r1, r2, r3, the eigenvalue magnitudes and the row constants of the midpoint
-sums are numpy arrays over j, and the r1 tails of all j are one certified
-lane sum whose tail bounds every lane.  ``lambda_fourier`` reads one row of
-it.
+sums are numpy arrays over j, and the r1 tails of all j are one
+``_certified_sum`` over lanes, whose tail bounds every lane.
+``lambda_fourier`` reads one row of it.
 
 The midpoint quantities come from one array pass over a batch of midpoints:
 the sums over j = 0..n-1 (gamma_1, gamma_3, gamma_4, the eigenvalue route)
 are numpy row operations on (midpoints x n) blocks of at most 64 midpoints,
-and P_q and gamma_5's strip tail run the certified Kahan-Babuska update
-across midpoint lanes, all of which stop at the same term.  The verifier
-makes one such pass over all 2n midpoints; ``gammas``, ``derivative_pq``
-and ``derivative_eigen`` make it for one midpoint.
+and P_q and gamma_5's strip tail are each one ``_certified_sum`` over
+midpoint lanes, all of which stop at the same term.  The verifier makes one
+such pass over all 2n midpoints; ``gammas``, ``derivative_pq`` and
+``derivative_eigen`` make it for one midpoint.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import DomainError, SignDegenerate, SingularSystem, UnderflowLimit
 from .kernels import (DEFAULT_POLICY, TWO_PI, EvalPolicy, KernelSpec, NeumannParams,
-                      _certified_lane_sum, _pq_terms, _reduce_phase, eval_bernoulli, eval_pq,
-                      eval_psi_beta1)
+                      _certified_sum, _check_n, _pq_terms, _reduce_phase, eval_bernoulli,
+                      eval_pq, eval_psi_beta1)
 from .thresholds import gamma_budget
 from .widths import solve_theta
 
@@ -67,8 +67,7 @@ class Partition2n:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n}")
+        _check_n(self.n)
 
     @property
     def nodes(self) -> tuple[float, ...]:
@@ -205,17 +204,16 @@ class _EigenAssembly:
     r; ``rotated`` = (A_j + B_j) s + r_j = e^(ijy) lambda_{n-j}, with the
     main coefficients A_j = psi(n-j)/(n-j) and B_j = psi(n+j)/(n+j); the
     magnitudes lam_abs = |lambda_{n-j}|; and the offsets R_j = |lambda_{n-j}|
-    - A_j - B_j.  The r1 tails are one certified lane sum over the real and
-    imaginary parts of all j.  The per-midpoint quantities (z_j, the gammas,
-    P_q, derivative values) come from array passes: numpy rows over the j
-    axis for the eigenvalue sums, and lanes over the midpoints for the P_q
-    series (``_gammas``, ``_pq``).
+    - A_j - B_j.  The r1 tails are one ``_certified_sum`` whose lanes are the
+    real and imaginary parts of all j.  The per-midpoint quantities (z_j,
+    the gammas, P_q, derivative values) come from array passes: numpy rows
+    over the j axis for the eigenvalue sums, and lanes over the midpoints for
+    the P_q series (``_gammas``, ``_pq``).
     """
 
     def __init__(self, params: NeumannParams, n: int, y: float,
                  policy: EvalPolicy = DEFAULT_POLICY):
-        if n < 1:
-            raise DomainError(f"n must be a positive integer, got {n}")
+        _check_n(n)
         arg = n * y - _reduce_phase(params.beta)
         sin_arg = math.sin(arg)
         if abs(sin_arg) < SIGN_DEGENERATE_TOL:
@@ -230,8 +228,8 @@ class _EigenAssembly:
         j = np.arange(n)
         a, b = _coef(self.q, n - j), _coef(self.q, n + j)
         phase1 = _reduce_phase(params.beta, 1.0)
-        tail, comp = _certified_lane_sum(_r1_terms(self.q, n, y, phase1, j),
-                                         policy.abs_tol, policy, "eigenvalue tail")
+        tail, comp = _certified_sum(_r1_terms(self.q, n, y, phase1, j),
+                                    policy.abs_tol, policy, "eigenvalue tail")
         re, im = tail + comp
         self.r1 = re + 1j * im
         self.r2 = 1j * (b - a) * math.cos(arg)
@@ -299,16 +297,15 @@ class _EigenAssembly:
                               / self._lam_cos[tail]).sum(axis=1)).tolist()
             g4 += [-2.0 * s * math.fsum(row) for row in
                    (delta * c[:, head] * self._psi_over_n / self._lam_cos[head]).tolist()]
-        strip, strip_c = _certified_lane_sum(_pq_terms(self.q, d, root + 1, np.cos),
-                                             self.policy.abs_tol, self.policy,
-                                             "strip-kernel tail")
+        strip, strip_c = _certified_sum(_pq_terms(self.q, d, root + 1, np.cos),
+                                        self.policy.abs_tol, self.policy, "strip-kernel tail")
         g5 = (-s * (strip + strip_c)).tolist()  # P_q's terms already carry the factor 2
         return list(zip(g1, itertools.repeat(self._g2()), g3, g4, g5))
 
     def _pq(self, d: np.ndarray) -> list[float]:
         """P_q at each offset d, summed over lanes exactly as eval_pq sums one."""
-        s, c = _certified_lane_sum(_pq_terms(self.q, np.fmod(d, TWO_PI), 1, np.cos),
-                                   self.policy.abs_tol, self.policy, "eval_pq", start=0.5)
+        s, c = _certified_sum(_pq_terms(self.q, np.fmod(d, TWO_PI), 1, np.cos),
+                              self.policy.abs_tol, self.policy, "eval_pq", start=0.5)
         return (s + c).tolist()
 
     def _scaled(self, k: int, bracket: float) -> float:
@@ -421,8 +418,7 @@ def solve_fundamental_spline(spec: KernelSpec, n: int, y: float,
     step of iterative refinement; the derivative is piecewise constant and is
     evaluated at the midpoints from Bernoulli-kernel translates.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     if not 0.0 <= y < math.pi / n:
         raise DomainError(f"shift y must lie in [0, pi/n), got {y}")
     size = 2 * n

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotFound
-from .kernels import _check_q, pq_floor
+from .kernels import _check_beta, _check_q, pq_floor
 
 # Below these cutoffs the width equalities hold from n = 1 already
 # (integer phase / non-integer phase respectively).
@@ -206,6 +206,7 @@ def min_guaranteed_n_beta(q: float, beta: float, n_cap: int = 1_000_000) -> Scan
     """Piecewise threshold: 1 in the small-q regimes where the equalities are
     known for every n, otherwise the scanned minimum."""
     _validate(q, 2)
+    _check_beta(beta)
     cutoff = INTEGER_BETA_Q_CUTOFF if is_integer_beta(beta) else NONINTEGER_BETA_Q_CUTOFF
     if q <= cutoff:
         return ScanResult(n=1, later_failures=())

@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BracketFailure, DomainError
-from .kernels import (DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, _reduce_phase,
-                      eval_gq, eval_hq)
+from .errors import BracketFailure
+from .kernels import (DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, _check_n,
+                      _reduce_phase, eval_gq, eval_hq)
 
 _BISECT_ITERS = 64  # interval width 0.5 / 2**64 ~ 2.7e-20
 
@@ -168,8 +168,7 @@ def solve_theta(params: NeumannParams, n: int,
     Results are memoized per (params, n, policy); the returned object is
     immutable, so concurrent readers may share it.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     return _solve_theta_cached(params, n, policy)
 
 
@@ -181,8 +180,7 @@ def conv_square_wave(params: NeumannParams, n: int, t: float,
 
     Antiperiodic with step pi/n; its sup over a period is the exact width.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     ratio = params.q ** (2 * n)
     gap = max(1.0 - ratio, 1e-300)
     terms = _odd_terms(params, params.psi(n), ratio, 2, math.sin, lambda m: m * n * t,

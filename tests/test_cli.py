@@ -68,6 +68,15 @@ class TestThresholdCommand:
         assert code == 3
         assert json.loads(err)["error"]["code"] == "not-found"
 
+    @pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
+    def test_non_finite_beta_is_validation_error(self, capsys, beta):
+        code, out, err = run(capsys, "threshold", "--q", "0.1", f"--beta={beta}")
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"]["code"] == "validation"
+        assert doc["error"]["message"] == f"beta must be finite, got {float(beta)}"
+
 
 class TestVerifyCy2nCommand:
     def test_holds(self, capsys):

@@ -4,11 +4,12 @@ tail-control contracts, and the basic symmetry properties."""
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neumann_widths import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
@@ -16,9 +17,9 @@ from neumann_widths import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParam
                             eval_neumann_pair, eval_pq, eval_pq_theta,
                             eval_psi_beta, eval_psi_beta1, pq_floor)
 from neumann_widths import kernels
-from neumann_widths.kernels import (TWO_PI, _certified_lane_sum, _certified_sum,
-                                    _cosine_block_sum, _neumann_coefficients, _pq_terms,
-                                    _reduce_phase)
+from neumann_widths.kernels import (TWO_PI, _certified_sum, _cosine_block_sum,
+                                    _neumann_coefficients, _pq_terms, _reduce_phase,
+                                    _two_sum_error)
 from neumann_widths.sk_spline import derivative_pq, lambda_fourier, verify_cy2n
 from neumann_widths.widths import conv_square_wave, exact_width, theta_equation_lhs
 
@@ -166,15 +167,54 @@ def test_lane_sum_is_the_scalar_sum_per_lane(q):
     u = np.random.default_rng(11).uniform(-1.0, 7.0, 33)
     need = next(j for j in range(1, 10_000) if 2.0 * q ** (j + 1) / (1.0 - q) <= 1e-14)
     policy = EvalPolicy(abs_tol=1e-14, max_terms=need)
-    s, c = _certified_lane_sum(_pq_terms(q, u, 1, np.cos), 1e-14, policy, "lanes")
+    s, c = _certified_sum(_pq_terms(q, u, 1, np.cos), 1e-14, policy, "lanes")
     assert list(zip(s.tolist(), c.tolist())) == [
         _certified_sum(_pq_terms(q, v), 1e-14, policy, "scalar") for v in u.tolist()]
     short = EvalPolicy(abs_tol=1e-14, max_terms=need - 1)
     with pytest.raises(TolUnreachable) as lanes:
-        _certified_lane_sum(_pq_terms(q, u, 1, np.cos), 1e-14, short, "lanes")
+        _certified_sum(_pq_terms(q, u, 1, np.cos), 1e-14, short, "lanes")
     with pytest.raises(TolUnreachable) as scalar:
         _certified_sum(_pq_terms(q, u[0]), 1e-14, short, "scalar")
     assert lanes.value.tail_bound == scalar.value.tail_bound
+
+
+def two_branch_error(a, b, s):
+    """The compensated update ``_two_sum_error`` replaced: Fast2Sum with the
+    larger magnitude first."""
+    return (a - s) + b if abs(a) >= abs(b) else (b - s) + a
+
+
+# magnitudes up to 2^1000: no sum, and no intermediate of TwoSum, overflows
+SUMMANDS = st.floats(min_value=-2.0**1000, max_value=2.0**1000)
+TINY = 5e-324
+
+
+@settings(max_examples=400, deadline=None)
+@given(SUMMANDS, SUMMANDS)
+@example(0.0, -0.0)
+@example(-0.0, -0.0)
+@example(TINY, -TINY)
+@example(3 * TINY, 2.0**-1022)
+@example(1.0, 1e-17)
+@example(1e-17, -1.0)
+@example(2.0**1000, -(2.0**947))
+def test_two_sum_error_is_exact(a, b):
+    s = a + b
+    error = _two_sum_error(a, b, s)
+    assert error == Fraction(a) + Fraction(b) - Fraction(s)
+    assert error.hex() == two_branch_error(a, b, s).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(SUMMANDS, SUMMANDS), min_size=1, max_size=16))
+def test_two_sum_error_is_exact_over_arrays(pairs):
+    a, b = (np.array(v) for v in zip(*pairs))
+    s = a + b
+    error = _two_sum_error(a, b, s)
+    assert error.tolist() == [Fraction(x) + Fraction(y) - Fraction(x + y) for x, y in pairs]
+    # the retired lane update: both branches computed, one kept per lane
+    retired = np.where(np.abs(a) >= np.abs(b), (a - s) + b, (b - s) + a)
+    assert [e.hex() for e in error.tolist()] == [e.hex() for e in retired.tolist()]
 
 
 def scalar_pairs(params, t, policy=ENTRY_POLICY):

@@ -1,6 +1,7 @@
 """Oracle self-checks: the brute-force paths must mirror the certified
 evaluators without sharing code with them."""
 
+import itertools
 import math
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from neumann_widths import (DomainError, NeumannParams, conv_square_wave,
                             eval_neumann, eval_pq, eval_psi_beta1, exact_width,
                             slow_series, solve_theta, supnorm_square_conv,
-                            theta_sign_scan)
+                            theta_equation_series, theta_sign_scan)
+from neumann_widths.widths import theta_equation_lhs
 
 
 class TestSupnorm:
@@ -61,6 +63,28 @@ class TestThetaSignScan:
     def test_points_validation(self):
         with pytest.raises(DomainError):
             theta_sign_scan(NeumannParams(0.5, 0.0), 1, points=100)
+
+
+THETA_GRID_Q = (0.05, 0.3, 0.6, 0.8, 0.9, 0.95)
+THETA_GRID_BETA = (0.0, 0.5, 1.0, 1.7, 2.0, 3.2, -0.4)
+THETA_GRID_N = (1, 2, 3, 7, 20, 60)
+
+
+class TestThetaEquationSeries:
+    @pytest.mark.parametrize("q", THETA_GRID_Q)
+    def test_matches_certified_left_side(self, q):
+        for beta, n in itertools.product(THETA_GRID_BETA, THETA_GRID_N):
+            params = NeumannParams(q, beta)
+            for theta in (0.0, 0.1, 0.25, 0.37, 0.5, 0.63, 0.8, 0.99):
+                assert abs(theta_equation_series(params, n, theta)
+                           - theta_equation_lhs(params, n, theta)) <= 1e-14
+
+    @pytest.mark.parametrize("q", THETA_GRID_Q)
+    def test_vanishes_at_solved_root(self, q):
+        for beta, n in itertools.product(THETA_GRID_BETA, THETA_GRID_N):
+            params = NeumannParams(q, beta)
+            root = solve_theta(params, n).theta
+            assert abs(theta_equation_series(params, n, root)) <= 1e-13
 
 
 class TestSlowSeries:
