@@ -334,12 +334,20 @@ def cmd_sweep(args) -> int:
 
 # ---- entry point --------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors, so a bad
+    flag value ends in the JSON error on stderr; subcommand parsers inherit
+    the class.  ``--help`` still prints and exits 0."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
     ``main`` call in the process."""
-    top = argparse.ArgumentParser(prog="neumann-widths",
-                                  description=__doc__.splitlines()[0])
+    top = _Parser(prog="neumann-widths", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("width", help="exact width and asymptotic decomposition")
@@ -388,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DomainError as exc:
         _emit_error("validation", str(exc))

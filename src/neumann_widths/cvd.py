@@ -8,12 +8,13 @@ out for both eps at once (odd dimension flips the determinant under
 eps -> -eps).
 
 Determinants run through full-pivoting elimination with compensated entries;
-each result carries a forward-error estimate (entry error times a cofactor
-norm).  Whenever a value is within two orders of its estimate, the
-determinant of the same entries is recomputed exactly, in integers, and
-rounded once.  For the Neumann kernel (``neumann_evaluator``) all entries of
-a determinant, with the compensation words the exact fallback needs, come
-from one array pass over the series, bit for bit the per-entry
+each result carries a forward-error estimate (entry error times the sum of
+the absolute cofactors).  One elimination gives both the value and that sum,
+in O(m^3), from its L and U factors.  Whenever a value is within two orders
+of its estimate, the determinant of the same entries is recomputed exactly,
+in integers, and rounded once.  For the Neumann kernel (``neumann_evaluator``)
+all entries of a determinant, with the compensation words the exact fallback
+needs, come from one array pass over the series, bit for bit the per-entry
 ``eval_neumann_pair``; no separate pair evaluator is needed.
 
 The module ships the q = 0.21 witness node vectors, all rational multiples
@@ -79,8 +80,7 @@ class NodeVectors:
             for t in v:
                 num, den = (t / math.pi).as_integer_ratio()
                 pair = [num, den]  # exact dyadic fallback
-                for cap in (1, 10, 100, 1000, 10**6, 10**9, 10**12, 10**15):
-                    p, q = _limit_denominator(num, den, cap)
+                for p, q in _best_approximations(num, den, ENCODING_CAPS):
                     if float(p * math.pi / q) == t:
                         pair = [p, q]
                         break
@@ -108,27 +108,40 @@ class NodeVectors:
             raise DomainError("node vector entries must lie in [0, 2pi)") from None
 
 
-def _limit_denominator(num: int, den: int, cap: int) -> tuple[int, int]:
+# denominators tried, smallest first, when a node is written as p/q * pi
+ENCODING_CAPS = (1, 10, 100, 1000, 10**6, 10**9, 10**12, 10**15)
+
+
+def _best_approximations(num: int, den: int, caps: Sequence[int]):
     """``Fraction(num, den).limit_denominator(cap)`` as (numerator,
-    denominator), in integers: the closest fraction to num/den (den > 0, in
-    lowest terms) with denominator <= cap, from its continued fraction."""
-    if den <= cap:
-        return num, den
+    denominator) for each of the ascending ``caps``, in integers: the closest
+    fraction to num/den (den > 0, in lowest terms) with denominator <= cap.
+
+    One continued-fraction expansion serves every cap: each cap's answer is
+    the last convergent with denominator <= cap, or the semiconvergent with
+    the largest such denominator when that is strictly closer, and the
+    expansion resumes where the previous cap stopped.
+    """
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > cap:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (cap - q0) // q1
-    p, q = p0 + k * p1, q0 + k * q1
-    # the last convergent p1/q1, unless the semiconvergent p/q is strictly closer
-    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
-        return p1, q1
-    return p, q
+    for cap in caps:
+        if den <= cap:
+            yield num, den
+            continue
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > cap:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (cap - q0) // q1
+        p, q = p0 + k * p1, q0 + k * q1
+        # the last convergent p1/q1, unless the semiconvergent p/q is strictly closer
+        if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+            yield p1, q1
+        else:
+            yield p, q
 
 
 # q = 0.21 witness configurations: D_3 is negative on (WITNESS_X, WITNESS_Y_NEG)
@@ -194,8 +207,19 @@ def neumann_pair_evaluator(params: NeumannParams,
     return lambda t: eval_neumann_pair(params, t, policy)
 
 
-def _det_full_pivot(a: list[list[float]]) -> float:
-    """Determinant by Gaussian elimination with full pivoting, in floats."""
+def _det_full_pivot(a: list[list[float]]) -> tuple[float, float]:
+    """(det(a), sum_{i,j} |cofactor_ij| of a) from one Gaussian elimination
+    with full pivoting, in floats.
+
+    The elimination keeps its multipliers below the diagonal, so it leaves
+    P·a·Q = L·U.  Permutations do not change a sum of absolute values, so the
+    cofactor sum is that of adj(U)·L^-1.  Column j of adj(U) = det(U)·U^-1 has
+    the product of the other pivots on its diagonal; back-substitution fills
+    the rest, dividing only by u_00 .. u_{m-2,m-2} and never by the last
+    pivot, the small one near singularity.  Each row w of adj(U) then solves
+    x·L = w.  A zero pivot before the last step means rank <= m - 2, where
+    every cofactor is 0.
+    """
     m = len(a)
     a = [row[:] for row in a]
     det_sign = 1.0
@@ -207,8 +231,8 @@ def _det_full_pivot(a: list[list[float]]) -> float:
                 mag = abs(a[i][j])
                 if mag > best:
                     best, p_r, p_c = mag, i, j
-        if best == 0.0:
-            return 0.0
+        if best == 0.0 and step < m - 1:
+            return 0.0, 0.0
         if p_r != step:
             a[step], a[p_r] = a[p_r], a[step]
             det_sign = -det_sign
@@ -219,10 +243,31 @@ def _det_full_pivot(a: list[list[float]]) -> float:
         pivot = a[step][step]
         det *= pivot
         for i in range(step + 1, m):
-            factor = a[i][step] / pivot
+            factor = a[i][step] = a[i][step] / pivot
             for j in range(step + 1, m):
                 a[i][j] -= factor * a[step][j]
-    return det_sign * det
+    det = 0.0 if best == 0.0 else det_sign * det
+
+    pivots = [a[k][k] for k in range(m)]
+    adj_u = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        adj_u[j][j] = math.prod(pivots[:j]) * math.prod(pivots[j + 1:])
+    for i in range(m - 2, -1, -1):  # back-substitution, a row of adj(U) at a time
+        u_i, adj_i = a[i], adj_u[i]
+        for j in range(i + 1, m):
+            s = 0.0
+            for k in range(i + 1, j + 1):
+                s += u_i[k] * adj_u[k][j]
+            adj_i[j] = -s / pivots[i]
+    total = 0.0
+    for x in adj_u:  # x·L = w, from the last column of L back
+        for k in range(m - 1, -1, -1):
+            s = x[k]
+            for i in range(k + 1, m):
+                s -= x[i] * a[i][k]
+            x[k] = s
+            total += abs(s)
+    return det, total
 
 
 def _det_exact(pairs: list[list[Sequence[float]]]) -> float:
@@ -252,19 +297,6 @@ def _det_exact(pairs: list[list[Sequence[float]]]) -> float:
     return sign * a[-1][-1] / den**m
 
 
-def _cofactor_norm(a: list[list[float]]) -> float:
-    """sum_{i,j} |cofactor_{ij}|, the first-order amplification of entry error."""
-    m = len(a)
-    if m == 1:
-        return 1.0
-    total = 0.0
-    for i in range(m):
-        for j in range(m):
-            minor = [[a[r][c] for c in range(m) if c != j] for r in range(m) if r != i]
-            total += abs(_det_full_pivot(minor))
-    return total
-
-
 def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1,
           entry_tol: float = 1e-15,
           kernel_pair: Callable[[float], tuple[float, float]] | None = None) -> DetResult:
@@ -272,7 +304,8 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
 
     ``entry_tol`` is the caller's certified absolute error per kernel value;
     the forward estimate is entry error (plus representation rounding) times
-    the cofactor-norm bound.  When |det| falls below 100x this estimate the
+    sum |cofactor_ij|.  One full-pivot elimination of the entries gives the
+    value and that cofactor sum (``_det_full_pivot``).  When |det| falls below 100x this estimate the
     determinant of the entries is recomputed exactly and rounded once
     (``used_extended``), so entry error is then its only error.
 
@@ -294,12 +327,12 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
         hi, lo = np.array([[word(xi - yj) for yj in nodes.y] for xi in nodes.x],
                           dtype=float).transpose(2, 0, 1)
     entries = (eps * (hi + lo)).tolist()
-    det = _det_full_pivot(entries)
+    det, cofactors = _det_full_pivot(entries)
 
     max_entry = max(abs(e) for row in entries for e in row)
     eps_mach = sys.float_info.epsilon
     per_entry = entry_tol + 4.0 * eps_mach * max_entry
-    err = per_entry * _cofactor_norm(entries) + m**3 * eps_mach * max_entry**m
+    err = per_entry * cofactors + m**3 * eps_mach * max_entry**m
 
     used_exact = abs(det) < 100.0 * err
     if used_exact:

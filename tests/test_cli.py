@@ -136,6 +136,31 @@ class TestParserReuse:
         assert [code for code, _, _ in in_process] == [0, 0, 2]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (("width", "--q", "abc", "--beta", "0", "--n", "1"), "invalid float value: 'abc'"),
+        (("threshold", "--q", "0.1", "--beta", "-inf"), "--beta: expected one argument"),
+        (("width", "--q", "0.5"), "required: --beta, --n"),
+        (("cvd", "--q", "0.5", "--beta", "0", "--epsilon", "2"), "invalid choice: 2"),
+        (("bogus",), "invalid choice: 'bogus'"),
+        ((), "required: command"),
+    ])
+    def test_bad_flags_are_validation_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"]["code"] == "validation"
+        assert message in doc["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("cvd", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: neumann-widths")
+
+
 class TestCvdCommand:
     def test_builtin_vectors_signs(self, capsys):
         code, out, _ = run(capsys, "cvd", "--q", "0.21", "--beta", "0")

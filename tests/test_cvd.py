@@ -1,10 +1,14 @@
 """Determinant criterion: witness values, antisymmetry, error estimates, and
 the sign-change search."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +16,8 @@ from hypothesis import strategies as st
 from neumann_widths import (DomainError, NeumannParams, NodeVectors, NotFound,
                             builtin_witnesses, cvd_witness, det_D, eval_neumann,
                             neumann_evaluator, neumann_pair_evaluator)
-from neumann_widths.cvd import (ENTRY_POLICY, _det_exact, _det_full_pivot,
-                                _limit_denominator, _random_nodes)
+from neumann_widths.cvd import (ENCODING_CAPS, ENTRY_POLICY, _best_approximations,
+                                _det_exact, _det_full_pivot, _random_nodes)
 
 # determinants at the built-in q = 0.21 witnesses, frozen from a 40-digit
 # direct-summation evaluation
@@ -65,9 +69,9 @@ class TestNodeVectors:
         ratios = [(v / math.pi).as_integer_ratio() for v in values]
         ratios += [(k, 2) for k in range(-5, 6, 2)] + [(-355, 113 * 2**40)]
         for num, den in ratios:
-            for cap in (1, 10, 100, 1000, 10**6, 10**9, 10**12, 10**15):
-                g = Fraction(num, den).limit_denominator(cap)
-                assert _limit_denominator(num, den, cap) == (g.numerator, g.denominator)
+            expected = [Fraction(num, den).limit_denominator(cap) for cap in ENCODING_CAPS]
+            assert list(_best_approximations(num, den, ENCODING_CAPS)) == [
+                (g.numerator, g.denominator) for g in expected]
 
 
 class TestDeterminants:
@@ -110,7 +114,7 @@ class TestDeterminants:
         neg, _ = builtin_witnesses()
         m = [[kernel(xi - yj) for yj in neg.y] for xi in neg.x]
         swapped = [m[1], m[0], m[2]]
-        assert _det_full_pivot(swapped) == -_det_full_pivot(m)
+        assert _det_full_pivot(swapped)[0] == -_det_full_pivot(m)[0]
 
     def test_exact_elimination_on_integers(self):
         m = [[(v, 0.0) for v in row]
@@ -198,6 +202,109 @@ class TestKernelObjectMatchesScalar:
         scalar, _ = scalar_kernels(params)
         assert (cvd_witness(neumann_evaluator(params), 1, search_budget=400, rng_seed=5)
                 == cvd_witness(scalar, 1, search_budget=400, rng_seed=5))
+
+
+# The node file of the golden cvd cases: at q = 0.7, beta = 1 its determinant
+# takes the exact fallback.
+NEAR_SINGULAR = NodeVectors.from_json_dict(json.loads(
+    (Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))["vectors"])
+
+
+def kernel_matrix(q, beta, nodes, epsilon=1):
+    """The entries det_D forms: eps * (hi + lo) of the block pass."""
+    kernel = neumann_evaluator(NeumannParams(q, beta))
+    hi, lo = kernel.pairs(np.subtract.outer(nodes.x, nodes.y))
+    return (epsilon * (hi + lo)).tolist()
+
+
+def minors_cofactor_norm(a):
+    """sum_{i,j} |cofactor_ij| from m^2 separate eliminations, one per minor."""
+    m = len(a)
+    if m == 1:
+        return 1.0
+    return sum(abs(_det_full_pivot([[a[r][c] for c in range(m) if c != j]
+                                     for r in range(m) if r != i])[0])
+               for i in range(m) for j in range(m))
+
+
+class TestCofactorNorm:
+    """The cofactor sum from the one elimination's L and U agrees with the
+    O(m^5) minors route, including at and near rank m - 1."""
+
+    @staticmethod
+    def assert_matches_minors(a):
+        assert _det_full_pivot(a)[1] == pytest.approx(minors_cofactor_norm(a),
+                                                      rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_witnesses(self, beta):
+        for nodes in builtin_witnesses():
+            self.assert_matches_minors(kernel_matrix(0.21, beta, nodes))
+
+    def test_random_matrices(self):
+        # 200 matrices of order 3/5/7: uniform entries, and Neumann kernel
+        # matrices over random nodes (the benchmark's determinants)
+        rng = random.Random(4242)
+        for k in range(200):
+            size = (3, 5, 7)[k % 3]
+            if k % 2:
+                nodes = _random_nodes(rng, size)
+                a = kernel_matrix(rng.uniform(0.05, 0.95), rng.choice((0.0, 0.5, 1.0)), nodes)
+            else:
+                a = [[rng.uniform(-1.0, 1.0) for _ in range(size)] for _ in range(size)]
+            self.assert_matches_minors(a)
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_near_singular_golden_nodes(self, epsilon):
+        self.assert_matches_minors(kernel_matrix(0.7, 1.0, NEAR_SINGULAR, epsilon))
+
+    def test_rank_two_integers(self):
+        # the last pivot is exactly 0; the cofactors are -3, 6, -3 / 6, -12, 6 /
+        # -3, 6, -3.  The computed factors themselves carry the rounding: the
+        # exact cofactor sum of the computed L and U is 47.999999999999986
+        det, norm = _det_full_pivot([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+        assert det == 0.0
+        assert abs(norm - 48.0) <= 3 * math.ulp(48.0)
+
+    def test_rank_one_is_zero(self):
+        assert _det_full_pivot([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]]) == (0.0, 0.0)
+
+
+def true_det(q, beta, nodes, epsilon=1):
+    """det(eps * N(x_i - y_j)) at 40 digits, with
+    N(t) = Re(-e^(-i beta pi/2) log(1 - q e^(it))) at the differences x_i - y_j
+    as the program rounds them."""
+    with mp.workdps(40):
+        rot = mp.expj(-mp.mpf(beta) * mp.pi / 2)
+        return mp.det(mp.matrix([[epsilon * mp.re(-rot * mp.log(1 - mp.mpf(q) * mp.expj(xi - yj)))
+                                  for yj in nodes.y] for xi in nodes.x]))
+
+
+class TestDeterminantOracle:
+    """Every det_D value lies within its error estimate of the 40-digit
+    determinant, and a value marked significant has the true sign."""
+
+    @staticmethod
+    def assert_within_estimate(q, beta, nodes, epsilon=1):
+        res = det_D(neumann_evaluator(NeumannParams(q, beta)), nodes, epsilon=epsilon)
+        truth = true_det(q, beta, nodes, epsilon)
+        assert abs(res.value - truth) <= res.error_estimate, (q, beta, nodes)
+        if res.significant:
+            assert (res.value > 0) == (truth > 0), (q, beta, nodes)
+        return res
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_random_nodes(self, size, q):
+        rng = random.Random(int(1000 * q) + size)
+        for beta in (0.0, 0.5, 1.0):
+            for _ in range(2):
+                self.assert_within_estimate(q, beta, _random_nodes(rng, size))
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_near_singular_golden_nodes(self, epsilon):
+        res = self.assert_within_estimate(0.7, 1.0, NEAR_SINGULAR, epsilon)
+        assert res.used_extended
 
 
 class TestWitnessSearch:
