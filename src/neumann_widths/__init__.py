@@ -10,8 +10,8 @@ from .errors import (BracketFailure, DomainError, NeumannWidthsError, NotFound,
                      SignDegenerate, SingularSystem, TolUnreachable, UnderflowLimit)
 from .kernels import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
                       eval_bernoulli, eval_gq, eval_hq, eval_neumann,
-                      eval_neumann_pair, eval_pq, eval_pq_theta, eval_psi_beta,
-                      eval_psi_beta1, pq_floor)
+                      eval_neumann_pair, eval_pq, eval_pq_theta, eval_psi_beta1,
+                      pq_floor)
 from .widths import (Branch, ThetaRoot, WidthReport, conv_square_wave,
                      exact_width, solve_theta, theta_cos_bound,
                      theta_equation_lhs)
@@ -35,7 +35,7 @@ __all__ = [
     "SignDegenerate", "SingularSystem", "TolUnreachable", "UnderflowLimit",
     "DEFAULT_POLICY", "EvalPolicy", "KernelSpec", "NeumannParams",
     "eval_bernoulli", "eval_gq", "eval_hq", "eval_neumann", "eval_neumann_pair",
-    "eval_pq", "eval_pq_theta", "eval_psi_beta", "eval_psi_beta1", "pq_floor",
+    "eval_pq", "eval_pq_theta", "eval_psi_beta1", "pq_floor",
     "Branch", "ThetaRoot", "WidthReport", "conv_square_wave", "exact_width",
     "solve_theta", "theta_cos_bound", "theta_equation_lhs",
     "INTEGER_BETA_Q_CUTOFF", "NONINTEGER_BETA_Q_CUTOFF", "ConditionCheck",

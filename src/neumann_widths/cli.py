@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from multiprocessing import Pool
@@ -269,16 +270,14 @@ def cmd_sweep(args) -> int:
     stamp = not (_shaped(cfg, "no_timestamp", bool, False) or args.no_timestamp)
 
     keys = [_job_key(j) for j in jobs]
-    cached: dict[int, dict] = {}
+    rows: dict[int, dict] = {}
     pending: list[int] = []
     for i, key in enumerate(keys):
         path = _cache_path(cache_dir, key)
         if path.exists():
-            cached[i] = json.loads(path.read_text(encoding="utf-8"))
+            rows[i] = json.loads(path.read_text(encoding="utf-8"))
         else:
             pending.append(i)
-
-    rows: dict[int, dict] = dict(cached)
 
     def run_pending():
         # A threshold depends on q, the beta class and the cap only: scan
@@ -337,7 +336,13 @@ def cmd_sweep(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are validation errors, so a bad
     flag value ends in the JSON error on stderr; subcommand parsers inherit
-    the class.  ``--help`` still prints and exits 0."""
+    the class.  ``--help`` still prints and exits 0.  Any token that starts
+    like a negative float (-1e-3, -1., -.5, -inf, -nan) is a value, where
+    argparse alone takes only digits with an optional point for one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise DomainError(f"{self.prog}: {message}")

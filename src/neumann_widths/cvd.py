@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,10 +41,15 @@ ENTRY_POLICY = EvalPolicy(abs_tol=1e-16)
 
 @dataclass(frozen=True)
 class NodeVectors:
-    """Strictly increasing evaluation nodes 0 <= x_1 < ... < x_{2l+1} < 2pi."""
+    """Strictly increasing evaluation nodes 0 <= x_1 < ... < x_{2l+1} < 2pi.
+
+    ``pi_rationals`` holds the (numerator, denominator) pairs of x and y
+    when the nodes were built from them (``from_pi_rationals``).
+    """
 
     x: tuple[float, ...]
     y: tuple[float, ...]
+    pi_rationals: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.x) != len(self.y):
@@ -65,16 +70,22 @@ class NodeVectors:
     def from_pi_rationals(cls, x: Sequence[tuple[int, int]],
                           y: Sequence[tuple[int, int]]) -> "NodeVectors":
         """Build nodes from (numerator, denominator) multiples of pi."""
+        x, y = tuple(map(tuple, x)), tuple(map(tuple, y))
         return cls(x=tuple(num * math.pi / den for num, den in x),
-                   y=tuple(num * math.pi / den for num, den in y))
+                   y=tuple(num * math.pi / den for num, den in y), pi_rationals=(x, y))
 
     def to_json_dict(self) -> dict:
         """Serialize as exact rational multiples of pi.
 
-        Entries created by from_pi_rationals round-trip bit-exactly; arbitrary
-        floats are stored as the exact dyadic fraction of t/pi (round trip is
-        then within one ulp of the product with pi).
+        Nodes built by from_pi_rationals are written as the pairs they were
+        built from.  Other floats are written as the fraction with the
+        smallest denominator cap that rebuilds them bit-exactly, else as the
+        exact dyadic fraction of t/pi (round trip is then within one ulp of
+        the product with pi).
         """
+        if self.pi_rationals is not None:
+            return {key: [list(p) for p in pairs] for key, pairs in zip("xy", self.pi_rationals)}
+
         def enc(v):
             out = []
             for t in v:
@@ -363,8 +374,8 @@ def _perturb(rng: random.Random, nodes: NodeVectors, step: float) -> NodeVectors
 
 
 def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 100_000,
-                rng_seed: int = 0, seeds: Sequence[NodeVectors] = (),
-                entry_tol: float = 1e-15) -> tuple[NodeVectors, NodeVectors]:
+                rng_seed: int = 0,
+                seeds: Sequence[NodeVectors] = ()) -> tuple[NodeVectors, NodeVectors]:
     """Search for node vectors giving significantly opposite signs of D_{2l+1}.
 
     Tries any ``seeds`` first, then random sampling, then a stochastic local
@@ -388,7 +399,7 @@ def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 1
     def consider(nodes: NodeVectors):
         nonlocal neg, pos, best_low, best_high, spent
         spent += 1
-        res = det_D(kernel, nodes, epsilon=1, entry_tol=entry_tol)
+        res = det_D(kernel, nodes, epsilon=1)
         if res.significant:
             if res.value < 0.0 and neg is None:
                 neg = nodes

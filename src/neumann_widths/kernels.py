@@ -246,13 +246,6 @@ def eval_neumann_pair(params: NeumannParams, t: float,
     return _certified_sum(terms, policy.abs_tol, policy, "eval_neumann")
 
 
-def eval_psi_beta(spec: KernelSpec, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Evaluate Psi_beta(t) = sum psi(k) cos(k t - beta*pi/2)."""
-    terms = _cosine_terms(spec.psi, spec.tail_bound, _reduce_phase(spec.beta), t)
-    s, c = _certified_sum(terms, policy.abs_tol, policy, "eval_psi_beta")
-    return s + c
-
-
 def eval_psi_beta1(spec: KernelSpec, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Evaluate the integrated kernel Psi_{beta,1}(t) = (Psi_beta * B_1)(t).
 

@@ -4,8 +4,8 @@ Three independent routes to the (psi, beta)-derivative of the fundamental
 spline at interval midpoints:
 
 1. ``solve_fundamental_spline`` -- direct linear solve of the interpolation
-   system, refined against residuals formed from error-free products,
-   derivative assembled from Bernoulli-kernel translates.  Exact in
+   system, refined against exact integer residuals, derivative assembled
+   from Bernoulli-kernel translates.  Exact in
    principle, but its conditioning degrades like max|lambda|/min|lambda|,
    so it is the cross-check path at small n only.
 2. ``derivative_eigen`` -- closed-form representation through eigenvalue
@@ -184,7 +184,7 @@ def _r1_terms(q: float, n: int, y: float, phase1: float, j: np.ndarray):
         x_hi, x_lo = (2 * m + 1) * n * y - phase1, (2 * m - 1) * n * y - phase1
         yield (np.outer((math.cos(x_hi), math.sin(x_hi)), t_hi)
                + np.outer((math.cos(x_lo), -math.sin(x_lo)), t_lo),
-               float((t_hi + t_lo).max()) * ratio / max(1.0 - ratio, 1e-300))
+               float((t_hi + t_lo).max()) * ratio / (1.0 - ratio))
 
 
 def _check_scale(nonzero: bool, n: int, psi_n: float) -> None:
@@ -392,21 +392,21 @@ def derivative_pq(params: NeumannParams, n: int, y: float, k: int,
     return _EigenAssembly(params, n, y, policy).derivative_pq(k)
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1
+def _check_shift(n: int, y: float) -> None:
+    _check_n(n)
+    if not 0.0 <= y < math.pi / n:
+        raise DomainError(f"shift y must lie in [0, pi/n), got {y}")
 
 
-def _split(a: float) -> tuple[float, float]:
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """Error-free product: (p, e) with p = fl(a*b) and p + e == a*b exactly."""
-    p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+def _exact_residual(row: Sequence[float], x: Sequence[float], b: float) -> float:
+    """b - sum_l row[l] * x[l], correctly rounded: every term is an integer
+    over a power of two, so over the largest of those powers the sum is one
+    exact integer, and one int/int true division rounds it."""
+    terms = [b.as_integer_ratio()] + [
+        (-rn * xn, rd * xd) for (rn, rd), (xn, xd)
+        in zip(map(float.as_integer_ratio, row), map(float.as_integer_ratio, x))]
+    den = max(d for _, d in terms)
+    return sum(num * (den // d) for num, d in terms) / den
 
 
 def solve_fundamental_spline(spec: KernelSpec, n: int, y: float,
@@ -418,9 +418,7 @@ def solve_fundamental_spline(spec: KernelSpec, n: int, y: float,
     step of iterative refinement; the derivative is piecewise constant and is
     evaluated at the midpoints from Bernoulli-kernel translates.
     """
-    _check_n(n)
-    if not 0.0 <= y < math.pi / n:
-        raise DomainError(f"shift y must lie in [0, pi/n), got {y}")
+    _check_shift(n, y)
     size = 2 * n
     # entries truncated far below their representation rounding: the smallest
     # eigenvalue mode amplifies coherent entry bias by ~1/(n lambda_n)
@@ -445,17 +443,11 @@ def solve_fundamental_spline(spec: KernelSpec, n: int, y: float,
             "(an eigenvalue magnitude is numerically zero)", condition=condition)
 
     def residual_vec(a):
-        # exact products + fsum: resolves residuals far below the noise of a
-        # plain float64 matrix-vector product against these large coefficients
-        out = np.empty(size + 1)
-        for k in range(size + 1):
-            parts = [-rhs[k]]
-            for l in range(size + 1):
-                p, e = _two_prod(mat[k, l], a[l])
-                parts.append(p)
-                parts.append(e)
-            out[k] = -math.fsum(parts)
-        return out
+        # exact residuals: resolve them far below the noise of a plain float64
+        # matrix-vector product against these large coefficients
+        x = a.tolist()
+        return np.array([_exact_residual(row, x, b)
+                         for row, b in zip(mat.tolist(), rhs.tolist())])
 
     try:
         alpha = np.linalg.solve(mat, rhs)
@@ -513,14 +505,9 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     solve is condition-limited.  The zero classification threshold is
     scale-aware: 1e-9 * (pi/(4 n psi(n))) * P_q(0).
 
-    All 2n derivatives come from one blocked array pass (module docstring).
-    It sums gamma_1 and gamma_3 pairwise where per-midpoint scalar loops
-    used a Kahan sum and math.fsum; everything else is the scalar float
-    arithmetic, term for term.  Against those loops, on 1071 (q, beta, n)
-    inputs with q in [0.05, 0.27] and n from 10 up to the underflow edge,
-    145351 of 145372 derivatives were bit-equal and the worst difference was
-    1.7e-16 * max_k |d_k|, with identical verdicts; the tests hold it to
-    1e-15 * max_k |d_k|.
+    All 2n derivatives come from one blocked array pass (module docstring),
+    which sums gamma_1 and gamma_3 pairwise; the tests hold it to within
+    1e-15 * max_k |d_k| of per-midpoint scalar sums.
 
     Raises UnderflowLimit at every n from the one at which |lambda_n|^2 ~
     (2 q^n/n^2)^2 underflows to zero (n = 80 at q = 0.01, 226 at q = 0.2),
@@ -528,8 +515,8 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     """
     if y is None:
         y = solve_theta(params, n, policy).y0
-    elif not 0.0 <= y < math.pi / n:
-        raise DomainError(f"shift y must lie in [0, pi/n), got {y}")
+    else:
+        _check_shift(n, y)
     assembly = _EigenAssembly(params, n, y, policy)
     if n >= 2:
         derivs = tuple(assembly._derivatives_pq(range(1, 2 * n + 1))[0])

@@ -66,10 +66,10 @@ class ScanResult:
     later_failures: tuple[int, ...]
 
 
-def _validate(q: float, n: int, n_min: int = 2) -> None:
+def _validate(q: float, n: int) -> None:
     _check_q(q)
-    if n < n_min:
-        raise DomainError(f"n must be >= {n_min}, got {n}")
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
 
 
 def _tail_lhs(q, n):
@@ -178,7 +178,7 @@ def min_guaranteed_n(q: float, n_cap: int = 1_000_000) -> ScanResult:
     (expected behaviour for q near 1, where the budget right side collapses
     much faster than the left).
     """
-    _validate(q, 2)
+    _check_q(q)
     floor = pq_floor(q)
     first = None
     for lo, hi in _blocks(2, n_cap):
@@ -205,7 +205,7 @@ def is_integer_beta(beta: float) -> bool:
 def min_guaranteed_n_beta(q: float, beta: float, n_cap: int = 1_000_000) -> ScanResult:
     """Piecewise threshold: 1 in the small-q regimes where the equalities are
     known for every n, otherwise the scanned minimum."""
-    _validate(q, 2)
+    _check_q(q)
     _check_beta(beta)
     cutoff = INTEGER_BETA_Q_CUTOFF if is_integer_beta(beta) else NONINTEGER_BETA_Q_CUTOFF
     if q <= cutoff:

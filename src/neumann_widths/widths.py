@@ -182,9 +182,8 @@ def conv_square_wave(params: NeumannParams, n: int, t: float,
     """
     _check_n(n)
     ratio = params.q ** (2 * n)
-    gap = max(1.0 - ratio, 1e-300)
     terms = _odd_terms(params, params.psi(n), ratio, 2, math.sin, lambda m: m * n * t,
-                       lambda c, m: (4.0 / math.pi) * (c / ((m + 2) ** 2 * gap)))
+                       lambda c, m: (4.0 / math.pi) * (c / ((m + 2) ** 2 * (1.0 - ratio))))
     s, c = _certified_sum(terms, policy.abs_tol, policy, "square-wave convolution")
     return (4.0 / math.pi) * (s + c)
 

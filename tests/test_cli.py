@@ -87,6 +87,14 @@ class TestVerifyCy2nCommand:
         assert doc["holds"] is True
         assert len(doc["pattern"]) == 26
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_explicit_shift_with_bad_n_is_validation_error(self, capsys, n):
+        code, out, err = run(capsys, "verify-cy2n", "--q", "0.3", "--beta", "0",
+                             "--n", n, "--y", "0.1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == f"n must be a positive integer, got {n}"
+
     def test_past_underflow_edge_is_numerical_error(self, capsys):
         code, out, err = run(capsys, "verify-cy2n", "--q", "0.01", "--beta", "0",
                              "--n", "90")
@@ -139,7 +147,7 @@ class TestParserReuse:
 class TestUsageErrors:
     @pytest.mark.parametrize("argv,message", [
         (("width", "--q", "abc", "--beta", "0", "--n", "1"), "invalid float value: 'abc'"),
-        (("threshold", "--q", "0.1", "--beta", "-inf"), "--beta: expected one argument"),
+        (("threshold", "--q", "0.1", "--beta", "-inf"), "beta must be finite"),
         (("width", "--q", "0.5"), "required: --beta, --n"),
         (("cvd", "--q", "0.5", "--beta", "0", "--epsilon", "2"), "invalid choice: 2"),
         (("bogus",), "invalid choice: 'bogus'"),
@@ -152,6 +160,13 @@ class TestUsageErrors:
         doc = json.loads(err)
         assert doc["error"]["code"] == "validation"
         assert message in doc["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1.", "-2E0", "-.5"])
+    def test_negative_float_is_a_value(self, capsys, value):
+        spaced = run(capsys, "width", "--q", "0.3", "--beta", value, "--n", "2")
+        joined = run(capsys, "width", "--q", "0.3", f"--beta={value}", "--n", "2")
+        assert spaced[0] == 0
+        assert spaced == joined
 
     @pytest.mark.parametrize("argv", [("--help",), ("cvd", "--help")])
     def test_help_exits_zero(self, capsys, argv):
@@ -181,6 +196,17 @@ class TestCvdCommand:
         doc = json.loads(out)
         assert doc["determinants"]["custom"]["value"] == pytest.approx(
             -2.7490707450445169e-10, rel=1e-5)
+
+    def test_vectors_file_echoed_as_given(self, capsys, tmp_path):
+        # not in lowest terms: the file's own fractions come back
+        payload = {"x": [[100, 3600], [1000, 3600], [4000, 3600]],
+                   "y": [[0, 1], [1, 4], [7, 4]]}
+        path = tmp_path / "nodes.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, _ = run(capsys, "cvd", "--q", "0.5", "--beta", "0",
+                           "--vectors", str(path))
+        assert code == 0
+        assert json.loads(out)["determinants"]["custom"]["nodes"] == payload
 
     @pytest.mark.parametrize("payload", [
         {"x": 1, "y": 2},
@@ -317,6 +343,36 @@ class TestSweepCommand:
         assert code == 0
         lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
         assert [ln.split(",")[2] for ln in lines[1:]] == ["2", "3", "4", "5"]
+
+    def test_n_range_with_step(self, capsys, tmp_path):
+        cfg_path, cfg = sweep_config(tmp_path, q_list=[0.4], beta_list=[0.0], verify=False)
+        del cfg["n_list"]
+        cfg["n_range"] = [1, 7, 3]
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        assert code == 0
+        lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["1", "4", "7"]
+
+    def test_interrupt_flushes_finished_rows(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
+        sweep_job, done = cli._sweep_job, []
+
+        def interrupted_on_third(task):
+            if len(done) == 2:
+                raise KeyboardInterrupt
+            done.append(task)
+            return sweep_job(task)
+        monkeypatch.setattr(cli, "_sweep_job", interrupted_on_third)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        assert code == 130
+        assert out == ""
+        assert err == "interrupted: flushed 2 of 8 rows\n"
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text())))
+        assert [(float(r["q"]), float(r["beta"]), int(r["n"])) for r in rows] == [
+            (job["q"], job["beta"], job["n"]) for job, _ in done]
+        assert len(list((tmp_path / "cache").rglob("*.json"))) == 2
 
     def test_past_underflow_edge_leaves_cy2n_cell_empty(self, capsys, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, q_list=[0.01], beta_list=[0.0],

@@ -121,6 +121,20 @@ class TestDeterminants:
              for row in ((2.0, 1.0, 1.0), (1.0, 3.0, 2.0), (1.0, 0.0, 0.0))]
         assert _det_exact(m) == -1.0  # cofactor expansion by hand
 
+    @pytest.mark.parametrize("rows", [
+        ((0, 1, 2), (3, 4, 5), (6, 7, 9)),  # zero pivot at step 0: row swap
+        ((1, 2, 3), (2, 4, 5), (3, 7, 7)),  # zero pivot at step 1: row swap
+        ((0, 1, 2), (0, 4, 5), (0, 7, 9)),  # zero column at step 0
+        ((1, 2, 3), (2, 4, 5), (3, 6, 7)),  # zero column at step 1
+    ])
+    def test_exact_elimination_swaps_and_zero_columns(self, rows):
+        # entries v * (3/8 + 2^-60) as exact (hi, lo) words keep every zero
+        # pivot of the integer pattern, over a common power-of-two denominator
+        m = [[(v * 0.375, v * 2.0**-60) for v in row] for row in rows]
+        exact = fraction_det3([[Fraction(hi) + Fraction(lo) for hi, lo in row]
+                               for row in m])
+        assert _det_exact(m) == float(exact)
+
     def test_exact_elimination_rounds_near_rank_one_once(self):
         # hi = u_i v_j is rank one up to rounding, so the determinant lives in
         # the rounding errors and the lo words; it must come out as the

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from neumann_widths import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
                             TolUnreachable, eval_bernoulli, eval_gq, eval_hq, eval_neumann,
                             eval_neumann_pair, eval_pq, eval_pq_theta,
-                            eval_psi_beta, eval_psi_beta1, pq_floor)
+                            eval_psi_beta1, pq_floor)
 from neumann_widths import kernels
 from neumann_widths.kernels import (TWO_PI, _certified_sum, _cosine_block_sum,
                                     _neumann_coefficients, _pq_terms, _reduce_phase,
@@ -137,7 +137,6 @@ TAIL_CHECKED = {
     "eval_neumann": (lambda pol: eval_neumann(NEAR_ONE, 1.0, pol), 1e-14, 3),
     "eval_neumann_block": (lambda pol: block_pairs(NEAR_ONE, np.array([1.0, 7.0]), pol),
                            1e-14, 3),
-    "eval_psi_beta": (lambda pol: eval_psi_beta(NEAR_ONE.spec(), 1.0, pol), 1e-14, 3),
     "eval_psi_beta1": (lambda pol: eval_psi_beta1(NEAR_ONE.spec(), 1.0, pol), 1e-14, 3),
     "eval_pq": (lambda pol: eval_pq(0.99, 1.0, pol), 1e-14, 3),
     "theta_equation_lhs": (lambda pol: theta_equation_lhs(NEAR_ONE, 1, 0.6, pol), 1e-14, 3),
@@ -287,8 +286,8 @@ class TestIntegratedKernel:
         # psi(k) = 2^-k with its exact geometric tail
         spec = KernelSpec(psi=lambda k: 0.5**k, beta=0.3,
                           tail_bound=lambda k: 0.5**k)
-        tight = eval_psi_beta(spec, 0.7, EvalPolicy(abs_tol=1e-15))
-        loose = eval_psi_beta(spec, 0.7, EvalPolicy(abs_tol=1e-6))
+        tight = eval_psi_beta1(spec, 0.7, EvalPolicy(abs_tol=1e-15))
+        loose = eval_psi_beta1(spec, 0.7, EvalPolicy(abs_tol=1e-6))
         assert abs(tight - loose) <= 1e-6 + 1e-15
 
 

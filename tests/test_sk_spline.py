@@ -4,6 +4,8 @@ and the sign-condition verifier, cross-validated against one another."""
 import cmath
 import itertools
 import math
+import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -126,6 +128,18 @@ class TestFourierTailBounds:
 
 
 class TestFundamentalSpline:
+    def test_exact_residual_rounds_the_exact_sum_once(self):
+        # entries and unknowns over ten and thirteen decades; every other rhs
+        # is the float dot product, so the residual lives in its rounding
+        rng = random.Random(7)
+        for trial in range(400):
+            size = rng.randint(1, 41)
+            row = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-5, 5) for _ in range(size)]
+            x = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 10) for _ in range(size)]
+            b = sum(r * v for r, v in zip(row, x)) if trial % 2 else rng.uniform(-1.0, 1.0)
+            exact = Fraction(b) - sum(Fraction(r) * Fraction(v) for r, v in zip(row, x))
+            assert sk_spline._exact_residual(row, x, b) == float(exact)
+
     def test_interpolation_residual(self):
         q, beta, n = 0.3, 0.0, 4
         y0 = y0_of(q, beta, n)

@@ -59,6 +59,12 @@ class TestThetaRoots:
         assert root.theta == pytest.approx(0.75, abs=1e-15)
         assert abs(root.residual) <= 1e-13
 
+    def test_underflow_limit_root_last_phase_quarter(self):
+        # beta mod 4 in [3, 4): the nu=0 cosine vanishes at theta = beta/2 - 3/2
+        root = solve_theta(NeumannParams(0.5, 3.5), 1100)
+        assert root.theta == 0.25
+        assert abs(root.residual) <= 1e-15
+
     def test_underflow_width_is_zero(self):
         r = exact_width(NeumannParams(0.1, 0.5), 400)
         assert r.width == 0.0
