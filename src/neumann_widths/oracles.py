@@ -1,6 +1,10 @@
 """Brute-force oracles, deliberately independent of the formula paths they
 validate: dense-grid sup-norm search with golden-section refinement, dense
 sign scans of the theta equation, and plain uncompensated series summation.
+
+The sup-norm search builds its term table once per call.  An FFT only
+locates the best grid cell; every value it compares or reports is a plain
+direct sum over that table.
 """
 
 from __future__ import annotations
@@ -13,28 +17,75 @@ from .errors import DomainError
 from .kernels import NeumannParams, _check_n
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_RECHECK_BLOCK = 1 << 18  # elements in one (terms, grid points) block of the grid recheck
 
 
-def _square_conv_series(params: NeumannParams, n: int, t: np.ndarray) -> np.ndarray:
-    """Vectorized series for |the kernel * square-wave profile| inputs.
+class _SquareConvTable:
+    """The terms of Phi(t) = (4/pi) sum_nu c_nu sin((2nu+1)n t - beta*pi/2),
+    c_nu = q^((2nu+1)n)/(n(2nu+1)^2), built once per oracle call.
 
-    Summation is plain numpy reduction over a term count fixed from the
-    geometric tail; no shared code with the certified scalar evaluator.
+    The term count is fixed from the geometric tail, and every value is a
+    plain numpy reduction over it; no shared code with the certified scalar
+    evaluator.  When q^n underflows the table is empty and Phi is 0.
     """
-    q = params.q
-    phase = params.beta_mod4 * (math.pi / 2.0)
-    a = q**n
-    if a == 0.0:
-        return np.zeros_like(t)
-    terms = max(2, int(math.ceil((-52.0 * math.log(2.0)) / (2 * n * math.log(q)))) + 1)
-    nu = np.arange(terms)[:, None]
-    coef = q ** ((2 * nu + 1) * n) / (n * (2 * nu + 1) ** 2)
-    vals = coef * np.sin((2 * nu + 1) * n * t[None, :] - phase)
-    return (4.0 / math.pi) * vals.sum(axis=0)
 
+    def __init__(self, params: NeumannParams, n: int):
+        q = params.q
+        self.phase = params.beta_mod4 * (math.pi / 2.0)
+        if q**n == 0.0:
+            self.odd = self.mult = np.zeros(0, dtype=np.int64)
+            self.coef = np.zeros(0)
+            return
+        terms = max(2, int(math.ceil((-52.0 * math.log(2.0)) / (2 * n * math.log(q)))) + 1)
+        self.odd = 2 * np.arange(terms) + 1
+        self.mult = self.odd * n
+        self.coef = q ** self.mult / (n * self.odd ** 2)
 
-def _abs_phi(params: NeumannParams, n: int, t: float) -> float:
-    return float(abs(_square_conv_series(params, n, np.array([t]))[0]))
+    def abs_phi(self, points) -> np.ndarray:
+        """|Phi| at each point, each a pairwise sum along one contiguous row of
+        terms, as numpy sums a single (terms, 1) column."""
+        t = np.asarray(points, dtype=float)[:, None]
+        return np.abs((4.0 / math.pi) * (self.coef * np.sin(self.mult * t - self.phase)).sum(axis=1))
+
+    def _abs_phi_columns(self, t: np.ndarray) -> np.ndarray:
+        """|Phi| at grid points t, the terms added in row order as the
+        (terms, grid) reduction ``.sum(axis=0)`` adds them; the same call on a
+        column subset rounds differently, a running sum down the rows does not."""
+        if not len(self.coef):
+            return np.zeros(len(t))
+        rows = self.coef[:, None] * np.sin(self.mult[:, None] * t - self.phase)
+        return np.abs((4.0 / math.pi) * np.cumsum(rows, axis=0)[-1])
+
+    def fft_grid(self, grid_points: int) -> np.ndarray:
+        """|Phi| at t_k = k*pi/(nG), k < G = grid_points, from one FFT.
+
+        On that grid (2nu+1)n t_k = 2pi k(2nu+1)/2G, so with the coefficients
+        folded onto the bins (2nu+1) mod 2G and F their length-2G real FFT,
+        F_k = sum_j a_j e^(-2pi i jk/2G), |Phi_k| is
+        (4/pi)|cos(phase) Im F_k + sin(phase) Re F_k|, to within about
+        1e-15 * (4/pi) sum c_nu.
+        """
+        size = 2 * grid_points
+        folded = np.bincount(self.odd % size, weights=self.coef, minlength=size)
+        spectrum = np.fft.rfft(folded)[:grid_points]
+        return np.abs((4.0 / math.pi) * (math.cos(self.phase) * spectrum.imag
+                                         + math.sin(self.phase) * spectrum.real))
+
+    def grid_argmax(self, grid: np.ndarray) -> int:
+        """``np.argmax`` of the direct |Phi| over grid = k*pi/(nG), k < G, in
+        O(T + G) memory.
+
+        The FFT only locates the peak: each point within 1e-9 * (4/pi) sum c_nu
+        of the FFT maximum, a thousand times the FFT's error, is summed again
+        directly, and the first one reaching the largest direct value wins.
+        """
+        approx = self.fft_grid(len(grid))
+        margin = 1e-9 * (4.0 / math.pi) * self.coef.sum()
+        near = np.flatnonzero(approx >= approx.max() - margin)
+        step = max(1, _RECHECK_BLOCK // max(1, len(self.coef)))
+        exact = np.concatenate([self._abs_phi_columns(grid[near[i:i + step]])
+                                for i in range(0, len(near), step)])
+        return int(near[np.argmax(exact)])
 
 
 def supnorm_square_conv(params: NeumannParams, n: int, grid_points: int = 4096,
@@ -45,24 +96,27 @@ def supnorm_square_conv(params: NeumannParams, n: int, grid_points: int = 4096,
     (|Phi| is pi/n-periodic, so the bracket may wrap), then one parabolic
     polish of the argmax with a wider stencil -- near the flat peak the
     golden comparisons run inside rounding noise, the parabola does not.
+
+    An FFT only locates the best grid cell; every value the search compares
+    or reports is a plain direct sum over the term table, so the oracle
+    stays independent of the certified paths.  Each golden pair, and the
+    parabola's stencil, is one evaluation of the table.
     """
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
     _check_n(n)
+    table = _SquareConvTable(params, n)
     period = math.pi / n
     grid = np.linspace(0.0, period, grid_points, endpoint=False)
-    vals = np.abs(_square_conv_series(params, n, grid))
-    best = int(np.argmax(vals))
+    best = table.grid_argmax(grid)
     h = period / grid_points
     a = grid[best] - h
     b = grid[best] + h
 
-    fa_c = fa_d = None
     while b - a > refine_tol:
         c = b - _INV_PHI * (b - a)
         d = a + _INV_PHI * (b - a)
-        fa_c = _abs_phi(params, n, c)
-        fa_d = _abs_phi(params, n, d)
+        fa_c, fa_d = table.abs_phi((c, d)).tolist()
         if fa_c >= fa_d:
             b = d
         else:
@@ -71,15 +125,14 @@ def supnorm_square_conv(params: NeumannParams, n: int, grid_points: int = 4096,
 
     # parabolic vertex from a stencil wide enough to clear rounding noise
     hh = max(1e-6 * period, refine_tol)
-    f_m = _abs_phi(params, n, t_star - hh)
-    f_0 = _abs_phi(params, n, t_star)
-    f_p = _abs_phi(params, n, t_star + hh)
+    f_m, f_0, f_p = table.abs_phi((t_star - hh, t_star, t_star + hh)).tolist()
     denom = f_m - 2.0 * f_0 + f_p
     if denom < 0.0:
         shift = 0.5 * hh * (f_m - f_p) / denom
         if abs(shift) <= hh:
             t_star = t_star + shift
-    max_abs = max(f_0, _abs_phi(params, n, t_star))
+    (f_star,) = table.abs_phi((t_star,)).tolist()
+    max_abs = max(f_0, f_star)
     return float(max_abs), float(t_star % period)
 
 

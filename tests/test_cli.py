@@ -43,6 +43,31 @@ class TestWidthCommand:
         assert doc["error"]["code"] == "validation"
         assert "q" in doc["error"]["message"]
 
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's rusage")
+    def test_verify_near_one_q_stays_small(self, tmp_path):
+        """The oracle holds O(terms + grid) memory: at q = 0.9999 a
+        (terms, grid) array would be 180211 x 4096 doubles, 5.5 GiB."""
+        out = tmp_path / "out.json"
+        with out.open("w") as sink:
+            proc = subprocess.Popen([sys.executable, "-m", "neumann_widths", "width",
+                                     "--q", "0.9999", "--beta", "0.5", "--n", "1", "--verify"],
+                                    stdout=sink, env=_package_env())
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert usage.ru_maxrss < 150 * 1024  # KiB
+        assert json.loads(out.read_text())["verify"]["delta"] <= 1e-10
+
+    def test_cli_import_leaves_numpy_fft_unloaded(self):
+        proc = subprocess.run([sys.executable, "-c", "import sys, neumann_widths.cli; "
+                               "print('numpy.fft' in sys.modules)"],
+                              capture_output=True, text=True, env=_package_env(), check=True)
+        assert proc.stdout.strip() == "False"
+
+
+def _package_env():
+    return {**os.environ, "PYTHONPATH": str(Path(neumann_widths.__file__).parents[1])}
+
 
 class TestThresholdCommand:
     def test_case_split_returns_one(self, capsys):
@@ -135,11 +160,10 @@ class TestParserReuse:
         cli.build_parser.cache_clear()
         in_process = [main_in_process(capsys, argv) for argv in PARSER_CALLS]
         assert cli.build_parser.cache_info().misses == 1
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(neumann_widths.__file__).parents[1])}
         for argv, got in zip(PARSER_CALLS, in_process):
             proc = subprocess.run([sys.executable, "-m", "neumann_widths", *argv],
-                                  capture_output=True, text=True, env=env, check=False)
+                                  capture_output=True, text=True, env=_package_env(),
+                                  check=False)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv
         assert [code for code, _, _ in in_process] == [0, 0, 2]
 
