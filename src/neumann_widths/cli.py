@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 validation error, 3 not-found, 4 numerical failure.
 Errors are emitted as one JSON object on stderr.
+
+The numerical modules, and numpy with them, load on first use: ``--help``
+and a sweep whose rows all come from the cache never import them.
 """
 
 from __future__ import annotations
@@ -12,23 +15,18 @@ import csv
 import datetime
 import functools
 import hashlib
+import importlib
 import json
 import math
 import os
 import re
 import sys
 import tempfile
-from multiprocessing import Pool
 from pathlib import Path
 
-from . import cvd as cvd_mod
+from . import __version__
 from .errors import DomainError, NeumannWidthsError, NotFound
-from .kernels import DEFAULT_POLICY, EvalPolicy, NeumannParams
-from .oracles import supnorm_square_conv
-from .sk_spline import verify_cy2n
-from .thresholds import (is_integer_beta, min_guaranteed_n, min_guaranteed_n_beta,
-                         verdict)
-from .widths import exact_width
+from .policy import DEFAULT_POLICY, EvalPolicy
 
 SWEEP_COLUMNS = ["q", "beta", "n", "theta_n", "y0", "width", "gamma_n",
                  "sandwich_lo", "sandwich_hi", "nq_flag", "cy2n_holds",
@@ -37,6 +35,31 @@ _SCHEMA_VERSION = 1
 
 ENV_WORKERS = "NEUMANN_WIDTHS_WORKERS"
 ENV_CACHE_DIR = "NEUMANN_WIDTHS_CACHE_DIR"
+
+# The numerical names this module calls, by defining module (``cvd_mod`` is
+# the cvd module itself).  ``_load_numerics`` binds them on first use.
+_NUMERICS = {"cvd_mod": "cvd", "NeumannParams": "kernels",
+             "supnorm_square_conv": "oracles", "verify_cy2n": "sk_spline",
+             "is_integer_beta": "thresholds", "min_guaranteed_n": "thresholds",
+             "min_guaranteed_n_beta": "thresholds", "verdict": "thresholds",
+             "exact_width": "widths"}
+
+
+def _load_numerics() -> None:
+    """Bind each name of ``_NUMERICS`` that is still unbound; a name already
+    bound, such as a wrapper set with ``setattr``, is what this module calls."""
+    scope = globals()
+    for name, module in _NUMERICS.items():
+        if name not in scope:
+            mod = importlib.import_module(f".{module}", __package__)
+            scope[name] = getattr(mod, name, mod)
+
+
+def __getattr__(name: str):
+    if name not in _NUMERICS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_numerics()
+    return globals()[name]
 
 
 def _emit_error(code: str, message: str) -> None:
@@ -61,6 +84,7 @@ def _width_fields(report) -> dict:
 
 
 def cmd_width(args) -> int:
+    _load_numerics()
     params = NeumannParams(args.q, args.beta)
     report = exact_width(params, args.n, _policy_from_args(args))
     out = {**_width_fields(report), "residual": report.residual,
@@ -74,6 +98,7 @@ def cmd_width(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    _load_numerics()
     if args.beta is not None:
         res = min_guaranteed_n_beta(args.q, args.beta, n_cap=args.cap)
     else:
@@ -89,6 +114,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_verify_cy2n(args) -> int:
+    _load_numerics()
     params = NeumannParams(args.q, args.beta)
     res = verify_cy2n(params, args.n, y=args.y, policy=_policy_from_args(args))
     print(json.dumps({
@@ -101,6 +127,7 @@ def cmd_verify_cy2n(args) -> int:
 
 
 def cmd_cvd(args) -> int:
+    _load_numerics()
     params = NeumannParams(args.q, args.beta)
     kernel = cvd_mod.neumann_evaluator(params)
     out = {"q": args.q, "beta": args.beta, "epsilon": args.epsilon}
@@ -143,8 +170,30 @@ def _job_key(job: dict) -> str:
         json.dumps(job, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _code_fingerprint() -> str:
+    """``<version>-<digest>``: the package version and a sha256 of the
+    numerical modules' source bytes, read as files, not imported.  Sweep
+    cache entries live under a directory of this name, so rows computed by
+    other code are never served."""
+    digest = hashlib.sha256()
+    for module in sorted(set(_NUMERICS.values())):
+        digest.update(Path(__file__).with_name(f"{module}.py").read_bytes())
+    return f"{__version__}-{digest.hexdigest()[:16]}"
+
+
 def _cache_path(cache_dir: Path, key: str) -> Path:
-    return cache_dir / key[:2] / (key[2:] + ".json")
+    return cache_dir / _code_fingerprint() / key[:2] / (key[2:] + ".json")
+
+
+def _cache_load(path: Path) -> dict | None:
+    """The row cached at ``path``, or None when there is none, or it cannot be
+    read or lacks a column: such a row is computed again and rewritten."""
+    try:
+        row = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return row if isinstance(row, dict) and row.keys() == set(SWEEP_COLUMNS) else None
 
 
 def _cache_store(cache_dir: Path, key: str, row: dict) -> None:
@@ -164,6 +213,7 @@ def _cache_store(cache_dir: Path, key: str, row: dict) -> None:
 def _sweep_job(task: tuple[dict, int | None]) -> dict:
     """One sweep row from (job, its threshold n or None when not found); must
     stay importable at module level for worker pools."""
+    _load_numerics()  # a spawned worker starts from a fresh import
     job, threshold = task
     params = NeumannParams(job["q"], job["beta"])
     n = job["n"]
@@ -266,6 +316,9 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise DomainError(f"{ENV_WORKERS} must be an integer, "
                           f"got {os.environ[ENV_WORKERS]!r}") from None
+    if workers < 1:
+        source = ENV_WORKERS if ENV_WORKERS in os.environ else "sweep config workers"
+        raise DomainError(f"{source} must be at least 1, got {workers}")
     cache_dir = Path(os.environ.get(ENV_CACHE_DIR, _shaped(cfg, "cache_dir", str, ".nw-cache")))
     stamp = not (_shaped(cfg, "no_timestamp", bool, False) or args.no_timestamp)
 
@@ -273,13 +326,16 @@ def cmd_sweep(args) -> int:
     rows: dict[int, dict] = {}
     pending: list[int] = []
     for i, key in enumerate(keys):
-        path = _cache_path(cache_dir, key)
-        if path.exists():
-            rows[i] = json.loads(path.read_text(encoding="utf-8"))
-        else:
+        row = _cache_load(_cache_path(cache_dir, key))
+        if row is None:
             pending.append(i)
+        else:
+            rows[i] = row
 
     def run_pending():
+        if not pending:
+            return
+        _load_numerics()
         # A threshold depends on q, the beta class and the cap only: scan
         # it once per distinct key among the rows still to compute.
         thresholds: dict[tuple, int | None] = {}
@@ -294,8 +350,8 @@ def cmd_sweep(args) -> int:
                 except NotFound:
                     thresholds[key] = None
             tasks.append((job, thresholds[key]))
-        if not tasks:
-            return
+        if workers > 1:
+            from multiprocessing import Pool
         with Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
             results = map(_sweep_job, tasks) if pool is None else pool.imap(_sweep_job, tasks)
             for i, row in zip(pending, results):

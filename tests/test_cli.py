@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,93 @@ class TestWidthCommand:
 
 def _package_env():
     return {**os.environ, "PYTHONPATH": str(Path(neumann_widths.__file__).parents[1])}
+
+
+# Runs ``python -m neumann_widths <args>`` and writes, at exit, whether numpy
+# was imported as the last line of stderr.
+_NUMPY_PROBE = ("import atexit, runpy, sys\n"
+                "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+                "runpy.run_module('neumann_widths', run_name='__main__')\n")
+
+
+def _loads_numpy(*argv) -> bool:
+    env = _package_env()
+    env.pop(cli.ENV_WORKERS, None)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1] == "True"
+
+
+@pytest.fixture
+def exact_width_calls(monkeypatch):
+    """The n of every ``cli.exact_width`` call, through a patched wrapper."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return neumann_widths.exact_width(*args, **kwargs)
+    monkeypatch.setattr(cli, "exact_width", counting)
+    return calls
+
+
+class TestLazyNumerics:
+    """Startup and the cache path run without numpy; the numerical names of
+    ``cli`` load on first use and never replace a name bound before."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["width", "--help"], ["sweep", "--help"]])
+    def test_help_imports_no_numpy(self, argv):
+        assert not _loads_numpy(*argv)
+
+    def test_sweep_from_cache_imports_no_numpy(self, tmp_path):
+        cfg_path, _ = sweep_config(tmp_path, verify=False, n_list=[1, 3])
+        argv = ("sweep", "--config", str(cfg_path), "--no-timestamp")
+        assert _loads_numpy(*argv)  # cold: every row is computed
+        cold = (tmp_path / "out.csv").read_bytes()
+        assert not _loads_numpy(*argv)
+        assert (tmp_path / "out.csv").read_bytes() == cold
+
+    # the names bench/tracing.py wraps in cli's namespace
+    @pytest.mark.parametrize("name", ["exact_width", "min_guaranteed_n_beta", "verify_cy2n",
+                                      "supnorm_square_conv", "verdict"])
+    def test_traced_names_are_the_package_functions(self, name):
+        assert getattr(cli, name) is getattr(neumann_widths, name)
+
+    @pytest.mark.parametrize("name", ["main", "_sweep_job"])
+    def test_traced_entry_points_resolve(self, name):
+        assert getattr(cli, name).__module__ == cli.__name__
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
+
+    def test_patched_exact_width_is_what_a_serial_sweep_calls(self, capsys, tmp_path,
+                                                              monkeypatch, exact_width_calls):
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
+        assert run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")[0] == 0
+        assert exact_width_calls == [1, 2] * 4
+
+    def test_name_bound_before_first_use_is_kept(self):
+        script = ("import json, sys\n"
+                  "from neumann_widths import cli\n"
+                  "cli.exact_width = lambda *args: sys.exit(7)\n"
+                  "cli.main(['width', '--q', '0.3', '--beta', '0', '--n', '2'])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=_package_env(), check=False)
+        assert proc.returncode == 7
+
+    def test_sweep_job_in_a_fresh_interpreter(self, tmp_path):
+        """A spawned pool worker imports cli and runs ``_sweep_job`` only."""
+        cfg_path, _ = sweep_config(tmp_path)
+        task = (cli._load_sweep_config(str(cfg_path))["_jobs"][3], 4)
+        script = ("import json, sys\n"
+                  "from neumann_widths import cli\n"
+                  "job, threshold = json.loads(sys.argv[1])\n"
+                  "print(json.dumps(cli._sweep_job((job, threshold))))\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(task)],
+                              capture_output=True, text=True, env=_package_env(), check=True)
+        assert json.loads(proc.stdout) == cli._sweep_job(task)
 
 
 class TestThresholdCommand:
@@ -427,6 +515,63 @@ class TestSweepCommand:
         assert (tmp_path / "out.csv").read_bytes() == serial
 
 
+class TestSweepCache:
+    def sweep(self, capsys, cfg_path) -> bytes:
+        code, _, err = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        assert (code, err) == (0, "")
+        return (cfg_path.parent / "out.csv").read_bytes()
+
+    def test_entries_live_under_the_code_fingerprint(self, capsys, tmp_path):
+        cfg_path, _ = sweep_config(tmp_path, verify=False)
+        self.sweep(capsys, cfg_path)
+        fingerprint = cli._code_fingerprint()
+        assert fingerprint.startswith(f"{neumann_widths.__version__}-")
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [fingerprint]
+        assert len(list((tmp_path / "cache" / fingerprint).rglob("*.json"))) == 8
+
+    @pytest.mark.parametrize("payload", [b'{"q": 0.3', b'{"q": 1}', b"[]", b"", b"\xff{"],
+                             ids=["truncated", "missing-columns", "not-an-object", "empty",
+                                  "not-utf8"])
+    def test_unreadable_entry_is_computed_again(self, capsys, tmp_path, payload):
+        cfg_path, _ = sweep_config(tmp_path, verify=False)
+        cold = self.sweep(capsys, cfg_path)
+        entry = sorted((tmp_path / "cache").rglob("*.json"))[0]
+        row = json.loads(entry.read_text(encoding="utf-8"))
+        entry.write_bytes(payload)
+        assert self.sweep(capsys, cfg_path) == cold
+        assert json.loads(entry.read_text(encoding="utf-8")) == row
+
+    @pytest.mark.parametrize("module", ["kernels", "widths"])
+    def test_fingerprint_follows_numerical_sources(self, tmp_path, module):
+        copy = tmp_path / "neumann_widths"
+        shutil.copytree(Path(cli.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def fingerprint():
+            return subprocess.run(
+                [sys.executable, "-c", "from neumann_widths import cli; "
+                                       "print(cli._code_fingerprint())"],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": str(tmp_path)}).stdout.strip()
+        assert fingerprint() == cli._code_fingerprint()
+        with (copy / f"{module}.py").open("a", encoding="utf-8") as f:
+            f.write("\n")
+        assert fingerprint() != cli._code_fingerprint()
+
+    def test_fingerprint_miss_computes_every_row(self, capsys, tmp_path, monkeypatch,
+                                                 exact_width_calls):
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
+        cold = self.sweep(capsys, cfg_path)
+        assert len(exact_width_calls) == 8
+        assert self.sweep(capsys, cfg_path) == cold
+        assert len(exact_width_calls) == 8
+        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "0.0.0-other")
+        assert self.sweep(capsys, cfg_path) == cold
+        assert len(exact_width_calls) == 16
+        assert len(list((tmp_path / "cache").rglob("*.json"))) == 16
+
+
 def per_row_csv(cfg_path):
     """The sweep CSV built row by row, each row scanning its own threshold."""
     buf = io.StringIO()
@@ -500,6 +645,8 @@ class TestSweepInputErrors:
         {"policy": {"abs_tol": "1e-13"}},
         {"policy": {"abs_tol": 1e400}},
         {"oracle_refine_tol": True},
+        {"workers": 0},
+        {"workers": -3},
     ])
     def test_non_numeric_config_value(self, capsys, tmp_path, overrides):
         cfg_path, _ = sweep_config(tmp_path, **overrides)
@@ -546,6 +693,18 @@ class TestSweepInputErrors:
         doc = json.loads(err)
         assert doc["error"]["code"] == "validation"
         assert "NEUMANN_WIDTHS_WORKERS" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_env_below_one(self, capsys, tmp_path, monkeypatch, value):
+        cfg_path, _ = sweep_config(tmp_path, workers=2)
+        monkeypatch.setenv("NEUMANN_WIDTHS_WORKERS", value)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"]["code"] == "validation"
+        assert "NEUMANN_WIDTHS_WORKERS must be at least 1" in doc["error"]["message"]
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"q_list": 0.3},
