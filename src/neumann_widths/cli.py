@@ -353,7 +353,10 @@ def cmd_sweep(args) -> int:
         if workers > 1:
             from multiprocessing import Pool
         with Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
-            results = map(_sweep_job, tasks) if pool is None else pool.imap(_sweep_job, tasks)
+            # a few chunks per worker: rows differ in cost, and each chunk
+            # is one round trip to a worker
+            results = (map(_sweep_job, tasks) if pool is None else
+                       pool.imap(_sweep_job, tasks, math.ceil(len(tasks) / (4 * workers))))
             for i, row in zip(pending, results):
                 rows[i] = row
                 _cache_store(cache_dir, keys[i], row)

@@ -504,7 +504,9 @@ class TestSweepCommand:
         assert {r["oracle_delta"] for r in rows} == {""}
 
     def test_worker_pool_matches_serial(self, capsys, tmp_path, monkeypatch):
-        cfg_path, _ = sweep_config(tmp_path, verify=False)
+        # 18 rows: 2 workers take them in chunks of 3
+        cfg_path, _ = sweep_config(tmp_path, verify=False, q_list=[0.3, 0.5, 0.7],
+                                   n_list=[1, 2, 3])
         run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         serial = (tmp_path / "out.csv").read_bytes()
         (tmp_path / "out.csv").unlink()

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from neumann_widths import (DEFAULT_POLICY, NeumannParams, Partition2n,
                             eigen_assembly, eval_bernoulli, eval_pq, lambda_finite_sum,
                             lambda_fourier, solve_fundamental_spline, solve_theta,
                             verify_cy2n)
-from neumann_widths.kernels import _certified_sum
+from neumann_widths.kernels import TWO_PI, _certified_sum, _pq_terms
 from neumann_widths.thresholds import check_tail_condition
 
 
@@ -370,6 +372,53 @@ def verdict_of(derivatives, q, n):
     return (*classify_sign_pattern(derivatives, zero_tol), zero_tol)
 
 
+def ladder(q):
+    """The benchmark's cy2n-ladder rungs at q: 9 rungs spaced geometrically
+    from n = 10 to E - 1."""
+    top = underflow_edge(q) - 1
+    step = (top / 10) ** (1.0 / 8)
+    return [int(round(10 * step**k)) for k in range(8)] + [top]
+
+
+def blocked_derivatives(a, block=64):
+    """Midpoint derivatives via P_q with gamma_1, gamma_3 and gamma_4 as row
+    sums over (midpoints x n) cosine blocks of at most ``block`` midpoints at
+    the float offsets t_k - y: the pass the FFT replaced, kept as its
+    reference.  ``a`` is an eigen_assembly."""
+    n, q, s = a.n, a.q, a.s
+    root = math.isqrt(n)
+    psi_over_n = a.psi_n / n
+    j = np.arange(n)
+    cos_half = np.cos(j * math.pi / (2 * n))
+    lam_cos, lam2_cos = a.lam_abs * cos_half, a.lam_abs**2 * cos_half
+    weight = np.where(j == 0, 1.0, 2.0)
+    kept = np.abs(a.r) > 1e-300
+    r_abs, r_phase = np.where(kept, np.abs(a.r), 0.0), np.where(kept, np.angle(a.r), 0.0)
+    delta = np.array([a.delta(i) for i in range(1, root + 1)])
+    ks = range(1, 2 * n + 1)
+    d = np.array([a.midpoint(k) for k in ks]) - a.y
+    g1, g3, g4 = [], [], []
+    for lo in range(0, 2 * n, block):
+        jd = np.multiply.outer(d[lo:lo + block], j)
+        c = np.cos(jd)
+        z = r_abs * np.cos(jd + r_phase) - a.R * c * s
+        g1 += (psi_over_n * (weight * z / lam2_cos).sum(axis=1)).tolist()
+        g3 += (2.0 * s * (c[:, root + 1:] * psi_over_n
+                          / lam_cos[root + 1:]).sum(axis=1)).tolist()
+        g4 += [-2.0 * s * math.fsum(row) for row in
+               (delta * c[:, 1:root + 1] * psi_over_n / lam_cos[1:root + 1]).tolist()]
+    tol = DEFAULT_POLICY.abs_tol
+    strip = sum(_certified_sum(_pq_terms(q, d, root + 1, np.cos), tol, DEFAULT_POLICY, "strip"))
+    pq = sum(_certified_sum(_pq_terms(q, np.fmod(d, TWO_PI), 1, np.cos), tol, DEFAULT_POLICY,
+                            "pq", start=0.5))
+    x = a.R[0] * n / a.psi_n
+    g2 = -x / (2.0 * (2.0 + x)) * s
+    return [(1.0 if k % 2 == 1 else -1.0) * math.pi / (4.0 * n * a.psi_n)
+            * (p * s + math.fsum(gs))
+            for k, p, gs in zip(ks, pq.tolist(), zip(g1, itertools.repeat(g2), g3, g4,
+                                                     (-s * strip).tolist()))]
+
+
 class TestArrayPass:
     @pytest.mark.parametrize("q", LADDER_QS)
     def test_verdicts_match_scalar_loops(self, q):
@@ -391,16 +440,74 @@ class TestArrayPass:
                 assert all(abs(u - v) <= ARRAY_PASS_REL_BOUND * scale
                            for u, v in zip(res.derivatives, ref)), (q, beta, n)
 
-    def test_blocks_cover_every_midpoint(self):
-        # 2n = 150 midpoints span three blocks; the one-midpoint calls agree
+    def test_single_midpoint_routes_read_the_same_pass(self):
+        # derivative_pq(k) reads bin k mod 2n of the same FFT as the verifier
         params = NeumannParams(0.2, 0.37)
         n = 75
         y0 = y0_of(0.2, 0.37, n)
         res = verify_cy2n(params, n)
         assembly = eigen_assembly(params, n, y0)
         assert len(res.derivatives) == 2 * n
-        for k in (1, 64, 65, 128, 129, 150):
-            assert res.derivatives[k - 1] == assembly.derivative_pq(k)[0]
+        for k in range(1, 2 * n + 1):
+            assert res.derivatives[k - 1] == assembly.derivative_pq(k)[0], k
+
+    @pytest.mark.parametrize("q", LADDER_QS)
+    def test_ladder_verdicts_match_blocked_pass(self, q):
+        for beta in BETA_CLASSES:
+            params = NeumannParams(q, beta)
+            for n in ladder(q):
+                res = verify_cy2n(params, n)
+                ref = blocked_derivatives(eigen_assembly(params, n, y0_of(q, beta, n)))
+                assert (res.holds, res.epsilon, res.pattern, res.signs, res.zero_tol) == \
+                    verdict_of(ref, q, n), (q, beta, n)
+
+
+# gamma_1 and gamma_3 of the FFT pass against 40-digit direct sums over the
+# same float inputs (r_j, R_j, s, psi(n)/n and the divisors |lambda_{n-j}|^2
+# cos(j pi/2n) and |lambda_{n-j}| cos(j pi/2n), the first subnormal at the
+# top rung), at the exact offsets (k - 1/2)pi/n - y: the largest error
+# measured at these points is 5.0e-16 sum_j |c_j| (the _gammas docstring)
+FFT_REL_BOUND = 1e-15
+FFT_POINTS = ((LADDER_QS[-1], BETA_CLASSES[-1], underflow_edge(LADDER_QS[-1]) - 1),
+              (0.9, 0.0, 119), (0.95, 0.5, 239))
+
+
+def direct_gamma_sums(a):
+    """(gamma_1, gamma_3) at t_k, k = 1..2n, and sum_j |c_j| of each, as
+    40-digit sums Re sum_j c_j e^(i j (t_k - y)), with e^(i j t_k) taken from
+    the exact 4n-th roots of unity."""
+    n, s, root = a.n, a.s, math.isqrt(a.n)
+    psi = a.psi_n / n
+    with mp.workdps(40):
+        r = [mp.mpc(complex(v)) if abs(v) > 1e-300 else 0 for v in a.r]
+        c1 = [psi * (1 if j == 0 else 2) * (r[j] - mp.mpf(float(a.R[j])) * s)
+              / float(a._lam2_cos[j]) for j in range(n)]
+        c3 = [2 * s * mp.mpf(psi) / float(a._lam_cos[j]) if j > root else mp.mpf(0)
+              for j in range(n)]
+        cos = [mp.cospi(mp.mpf(m) / (2 * n)) for m in range(4 * n)]
+        sin = [mp.sinpi(mp.mpf(m) / (2 * n)) for m in range(4 * n)]
+        out = []
+        for c in (c1, c3):
+            twisted = [mp.mpc(cj) * mp.expj(-j * mp.mpf(a.y)) for j, cj in enumerate(c)]
+            re, im = [t.real for t in twisted], [t.imag for t in twisted]
+            sums = []
+            for k in range(1, 2 * n + 1):
+                m = [j * (2 * k - 1) % (4 * n) for j in range(n)]
+                sums.append(mp.fdot(re, [cos[i] for i in m]) - mp.fdot(im, [sin[i] for i in m]))
+            out.append((sums, sum(abs(cj) for cj in c)))
+        return out
+
+
+class TestFftPass:
+    @pytest.mark.parametrize("q,beta,n", FFT_POINTS)
+    def test_gammas_match_40_digit_direct_sums(self, q, beta, n):
+        a = eigen_assembly(NeumannParams(q, beta), n, y0_of(q, beta, n))
+        ks = range(1, 2 * n + 1)
+        gs = a._gammas(ks, a._offsets(ks))
+        with mp.workdps(40):
+            for m, (ref, scale) in zip((0, 2), direct_gamma_sums(a)):
+                err = max(abs(g[m] - v) for g, v in zip(gs, ref))
+                assert err <= FFT_REL_BOUND * scale, (m + 1, float(err / scale))
 
 
 # criterion 5's grid (tests/test_acceptance.py SMALL_GRID)
