@@ -9,11 +9,12 @@ spline at interval midpoints:
    principle, but its conditioning degrades like max|lambda|/min|lambda|,
    so it is the cross-check path at small n only.
 2. ``derivative_eigen`` -- closed-form representation through eigenvalue
-   magnitudes |lambda_{n-j}(y)| with correction terms gamma_1, gamma_2.
+   magnitudes |lambda_{n-j}(y)| with correction terms gamma_1, gamma_2;
+   the sign-condition verifier reads all 2n midpoints of it from one FFT.
 3. ``derivative_pq`` -- the same value rearranged around the strictly
-   positive kernel P_q, with the full correction ledger gamma_1..gamma_5;
-   this is the numerically robust route at large n and the basis of the
-   sign-condition verifier.
+   positive kernel P_q, with the full correction ledger gamma_1..gamma_5
+   that the threshold theorems bound; it is the independent check of
+   route 2.
 
 Eigenvalues come either from the definitional 2n-point node sum
 (``lambda_finite_sum``, any kernel spec, correctly rounded by
@@ -28,19 +29,29 @@ sums are numpy arrays over j, and the r1 tails of all j are one
 ``_certified_sum`` over lanes, whose tail bounds every lane.
 ``lambda_fourier`` reads one row of it.
 
-The midpoint quantities come from one pass over the midpoints.  gamma_1 and
-gamma_3, the sums over j = 0..n-1, are one length-2n FFT of twisted
-coefficients, which gives them at all 2n midpoints in O(n log n); gamma_4's
-sqrt(n) terms are one ``math.fsum`` per midpoint; P_q and gamma_5's strip
-tail are each one ``_certified_sum`` over midpoint lanes, all of which stop
-at the same term.  The verifier reads all 2n midpoints of that pass;
-``gammas`` and ``derivative_pq`` read one of them.  ``derivative_eigen`` and
-the ledger's z_j, which report per-j values, sum (1 x n) cosine rows.
+Routes 2 and 3 are one identity.  With P_q's terms p_j cos(j d), p_j =
+2/(q^j + q^-j), gamma_5 = -s sum_{j > isqrt(n)} p_j cos(j d) cancels P_q's
+tail term by term, and gamma_4's offsets delta_j turn each head term p_j,
+1 <= j <= isqrt(n), into e_j = 2 s (psi(n)/n)/(|lambda_{n-j}| cos(j pi/2n)),
+gamma_3's coefficient.  So at the offset d_k = t_k - y of midpoint k
+
+    s P_q(d_k) + gamma_1 + ... + gamma_5
+        = s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k),
+
+where c_j are gamma_1's coefficients and e_0 = 0.  The verifier evaluates the
+right side at all 2n midpoints from one length-2n FFT of twisted
+coefficients (``_EigenAssembly._fft``), O(n log n), and sums no series over
+the midpoints; ``derivative_eigen(k)`` reads midpoint k of the same pass.
+``derivative_pq`` evaluates the left side: gamma_1 and gamma_3 from another
+FFT, gamma_4's sqrt(n) terms by ``math.fsum``, and P_q and gamma_5's strip
+tail each by one ``_certified_sum`` at its midpoint; the ledger's z_j are
+one cosine row over j.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -205,11 +216,12 @@ class _EigenAssembly:
     main coefficients A_j = psi(n-j)/(n-j) and B_j = psi(n+j)/(n+j); the
     magnitudes lam_abs = |lambda_{n-j}|; and the offsets R_j = |lambda_{n-j}|
     - A_j - B_j.  The r1 tails are one ``_certified_sum`` whose lanes are the
-    real and imaginary parts of all j.  The per-midpoint quantities (the
-    gammas, P_q, derivative values) come from one FFT over j for gamma_1 and
-    gamma_3 (``_fft_sums``) and lanes over the midpoints for the P_q series
-    (``_gammas``, ``_pq``); z_j and the eigenvalue route are numpy rows over
-    the j axis (``_cos_z``).
+    real and imaginary parts of all j.  The midpoint sums over j are
+    length-2n FFTs of twisted coefficients (``_fft``): one gives the
+    verifier's derivatives at all 2n midpoints (``_derivatives``), another
+    gamma_1 and gamma_3 of the P_q ledger (``_gammas``), whose P_q series
+    are lanes over the midpoints asked for (``_gammas``, ``_pq``); z_j are
+    numpy rows over the j axis (``_z``).
     """
 
     def __init__(self, params: NeumannParams, n: int, y: float,
@@ -248,70 +260,81 @@ class _EigenAssembly:
         self._lam2_cos = self.lam_abs**2 * cos_half
         self._z_weight = np.where(j == 0, 1.0, 2.0)
 
-    def midpoint(self, k: int) -> float:
+    def _check_k(self, k: int) -> None:
         if not 1 <= k <= 2 * self.n:
             raise DomainError(f"k must lie in 1..2n, got k={k}, n={self.n}")
+
+    def midpoint(self, k: int) -> float:
+        self._check_k(k)
         return k * math.pi / self.n - math.pi / (2 * self.n)
 
     def _offsets(self, ks: Sequence[int]) -> np.ndarray:
         """t_k - y for each k in ks."""
         return np.array([self.midpoint(k) for k in ks]) - self.y
 
-    def _cos_z(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cos(j d) and z_j(d) = |r_j| cos(j d + arg r_j) - R_j cos(j d) s for
-        j = 0..n-1 (columns) at each offset d = t_k - y (rows)."""
+    def _z(self, d: np.ndarray) -> np.ndarray:
+        """z_j(d) = |r_j| cos(j d + arg r_j) - R_j cos(j d) s for j = 0..n-1
+        (columns) at each offset d = t_k - y (rows)."""
         jd = np.multiply.outer(d, self._j)
-        c = np.cos(jd)
-        return c, (np.abs(self._r_kept) * np.cos(jd + np.angle(self._r_kept))
-                   - self.R * c * self.s)
-
-    def _g1(self, z: np.ndarray) -> list[float]:
-        """gamma_1 for each row of z: (psi(n)/n) sum_j w_j z_j / (|lambda_{n-j}|^2
-        cos(j pi/2n)), w_0 = 1, w_j = 2.  Divides, never multiplies by the
-        reciprocal: 1/|lambda_n|^2 overflows near the underflow edge."""
-        return (self._psi_over_n * (self._z_weight * z / self._lam2_cos).sum(axis=1)).tolist()
+        return (np.abs(self._r_kept) * np.cos(jd + np.angle(self._r_kept))
+                - self.R * np.cos(jd) * self.s)
 
     def _g2(self) -> float:
         x = float(self.R[0]) * self.n / self.psi_n
         return -x / (2.0 * (2.0 + x)) * self.s
 
-    def _fft_sums(self) -> np.ndarray:
-        """gamma_1 (row 0) and gamma_3 (row 1) at every midpoint, column
-        k mod 2n for t_k, from one length-2n FFT.
-
-        Each is Re sum_{j<n} c_j e^(i j d_k) at d_k = (k - 1/2)pi/n - y, with
-        c_j = (psi(n)/n) w_j (r_j - R_j s)/(|lambda_{n-j}|^2 cos(j pi/2n)) for
-        gamma_1 and c_j = 2 s (psi(n)/n)/(|lambda_{n-j}| cos(j pi/2n)), j >
-        isqrt(n), for gamma_3.  Since j d_k = 2 pi jk/2n - j(y + pi/2n), the
-        forward FFT of the twisted conjugates conj(c_j) e^(i j(y + pi/2n))
-        gives the conjugate sum at bin k mod 2n, with the same real part.
-        """
-        n, j, s, scale = self.n, self._j, self.s, self._psi_over_n
-        c = np.zeros((2, 2 * n), dtype=complex)
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """gamma_1's c_j = (psi(n)/n) w_j (r_j - R_j s)/(|lambda_{n-j}|^2
+        cos(j pi/2n)), w_0 = 1, w_j = 2, and the main coefficients e_j =
+        2 s (psi(n)/n)/(|lambda_{n-j}| cos(j pi/2n)), j >= 1, e_0 = 0."""
+        scale = self._psi_over_n
         # real divisions: numpy's complex division overflows on a subnormal
-        # |lambda_n|^2, which the last n before the underflow edge reach
-        z = self._z_weight * (self._r_kept - self.R * s)
-        c[0, :n] = (z.real / self._lam2_cos + 1j * (z.imag / self._lam2_cos)) * scale
-        c[1, :n] = np.where(j > math.isqrt(n), 2.0 * s * scale / self._lam_cos, 0.0)
-        c[:, :n] = np.conj(c[:, :n]) * np.exp(1j * j * (self.y + math.pi / (2 * n)))
-        return np.fft.fft(c, axis=1).real
+        # |lambda_n|^2, which the last n before the underflow edge reach; and
+        # never a reciprocal, since 1/|lambda_n|^2 overflows there
+        z = self._z_weight * (self._r_kept - self.R * self.s)
+        c = (z.real / self._lam2_cos + 1j * (z.imag / self._lam2_cos)) * scale
+        e = np.where(self._j > 0, 2.0 * self.s * scale / self._lam_cos, 0.0)
+        return c, e
+
+    def _fft(self, c: np.ndarray) -> np.ndarray:
+        """Re sum_{j<n} c_j e^(i j d_k) at d_k = (k - 1/2)pi/n - y for each row
+        c of coefficients over j, at column k mod 2n, from one length-2n FFT.
+
+        Since j d_k = 2 pi jk/2n - j(y + pi/2n), the forward FFT of the
+        twisted conjugates conj(c_j) e^(i j(y + pi/2n)) gives the conjugate
+        sum at bin k mod 2n, with the same real part; the twist is exact in
+        the midpoint index, so no cos(j d) is taken at a rounded offset d.
+        """
+        n = self.n
+        rows = np.zeros((len(c), 2 * n), dtype=complex)
+        rows[:, :n] = np.conj(c) * np.exp(1j * self._j * (self.y + math.pi / (2 * n)))
+        return np.fft.fft(rows, axis=1).real
+
+    @functools.cached_property
+    def _derivatives(self) -> np.ndarray:
+        """The midpoint derivatives at t_1..t_2n from their brackets
+        s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k): one FFT."""
+        n = self.n
+        _check_scale(self._lam2_cos.all(), n, self.psi_n)
+        c, e = self._coefficients()
+        bracket = 0.5 * self.s + self._g2() + self._fft(np.array([c + e]))[0]
+        sign = np.resize([1.0, -1.0], 2 * n)  # (-1)^(k+1), k = 1..2n
+        return sign * (math.pi / (4.0 * n * self.psi_n)) * np.roll(bracket, -1)
 
     def _gammas(self, ks: Sequence[int],
                 d: np.ndarray) -> list[tuple[float, float, float, float, float]]:
         """gamma_1..gamma_5 at the midpoints k in ks, at offsets d = t_k - y
-        (needs n >= 2 for the sqrt split).  gamma_1 and gamma_3 are read from
-        the one FFT pass over all 2n midpoints (``_fft_sums``); gamma_4 is a
-        math.fsum over its sqrt(n) terms per midpoint, and gamma_5, the P_q
-        tail from j = isqrt(n) + 1, is summed over offset lanes.
+        (needs n >= 2 for the sqrt split).  gamma_1 and gamma_3 (the main
+        coefficients e_j with j > isqrt(n)) are one ``_fft`` over all 2n
+        midpoints; gamma_4 is a math.fsum over its sqrt(n) terms per midpoint,
+        and gamma_5, the P_q tail from j = isqrt(n) + 1, is summed over offset
+        lanes.
 
         Error of gamma_1 and gamma_3: against 40-digit direct sums over the
         same float inputs (r_j, R_j, s, psi(n)/n and the divisors) at the
         exact offsets (k - 1/2)pi/n - y, the largest error measured is
         5.0e-16 sum_j |c_j|, at q up to 0.99 and n up to 300; the tests hold
-        it to 1e-15 sum_j |c_j|.  The FFT's twist is exact in the midpoint
-        index, so the error does not grow with j |d_k| as cos(j d) at a
-        rounded offset d does: at q = 0.95, n = 239 that costs 3.2e-13 in
-        gamma_3 (sum_j |c_j| = 12.7), where the FFT's error is 2.4e-15."""
+        it to 1e-15 sum_j |c_j|."""
         n, s = self.n, self.s
         if n < 2:
             raise DomainError("the P_q decomposition needs n >= 2")
@@ -319,10 +342,12 @@ class _EigenAssembly:
         root = math.isqrt(n)
         head = slice(1, root + 1)
         delta = np.array([self.delta(j) for j in range(1, root + 1)])
-        g1, g3 = self._fft_sums()[:, np.asarray(ks) % (2 * n)].tolist()
-        c = np.cos(np.multiply.outer(d, self._j[head]))
+        c, e = self._coefficients()
+        e[head] = 0.0
+        g1, g3 = self._fft(np.array([c, e]))[:, np.asarray(ks) % (2 * n)].tolist()
+        cos = np.cos(np.multiply.outer(d, self._j[head]))
         g4 = [-2.0 * s * math.fsum(row.tolist()) for row in
-              delta * c * self._psi_over_n / self._lam_cos[head]]
+              delta * cos * self._psi_over_n / self._lam_cos[head]]
         strip, strip_c = _certified_sum(_pq_terms(self.q, d, root + 1, np.cos),
                                         self.policy.abs_tol, self.policy, "strip-kernel tail")
         g5 = (-s * (strip + strip_c)).tolist()  # P_q's terms already carry the factor 2
@@ -334,27 +359,11 @@ class _EigenAssembly:
                               self.policy.abs_tol, self.policy, "eval_pq", start=0.5)
         return (s + c).tolist()
 
-    def _scaled(self, k: int, bracket: float) -> float:
-        """The midpoint derivative on interval k from its bracket."""
-        sign_k = 1.0 if k % 2 == 1 else -1.0
-        return sign_k * math.pi / (4.0 * self.n * self.psi_n) * bracket
-
-    def _derivatives_pq(self, ks: Sequence[int]) -> tuple[list[float], list[tuple]]:
-        """Midpoint derivatives via P_q, and their gammas, at the midpoints k in ks."""
-        d = self._offsets(ks)
-        gs = self._gammas(ks, d)
-        values = [self._scaled(k, pq * self.s + math.fsum(g))
-                  for k, pq, g in zip(ks, self._pq(d), gs)]
-        return values, gs
-
     def derivative_eigen(self, k: int) -> float:
-        """Midpoint derivative through eigenvalue magnitudes (gamma_1, gamma_2)."""
-        _check_scale(self._lam2_cos.all(), self.n, self.psi_n)
-        c, z = self._cos_z(self._offsets([k]))
-        g1 = self._g1(z)[0]
-        acc = math.fsum((c[0, 1:] / self._lam_cos[1:]).tolist())
-        main = (0.5 + 2.0 * self._psi_over_n * acc) * self.s
-        return self._scaled(k, main + g1 + self._g2())
+        """Midpoint derivative on interval k through the eigenvalue magnitudes,
+        read from the verifier's one-FFT pass."""
+        self._check_k(k)
+        return float(self._derivatives[k - 1])
 
     def gammas(self, k: int) -> tuple[float, float, float, float, float]:
         """gamma_1..gamma_5 at midpoint t_k (needs n >= 2 for the sqrt split)."""
@@ -369,13 +378,17 @@ class _EigenAssembly:
     def derivative_pq(self, k: int) -> tuple[float, GammaLedger]:
         """Midpoint derivative via P_q plus the five correction terms."""
         n = self.n
-        (value,), (gs,) = self._derivatives_pq([k])
+        d = self._offsets([k])
+        (gs,) = self._gammas([k], d)
+        bracket = self._pq(d)[0] * self.s + math.fsum(gs)
+        sign_k = 1.0 if k % 2 == 1 else -1.0
+        value = sign_k * math.pi / (4.0 * n * self.psi_n) * bracket
         root = math.isqrt(n)
         ledger = GammaLedger(
             k=k, y=self.y, s=self.s, gamma=gs,
             r1=tuple(self.r1.tolist()), r2=tuple(self.r2.tolist()),
             r3=tuple(self.r3.tolist()), r=tuple(self.r.tolist()), R=tuple(self.R.tolist()),
-            z=tuple(self._cos_z(self._offsets([k]))[1][0].tolist()),
+            z=tuple(self._z(d)[0].tolist()),
             delta=tuple(self.delta(j) for j in range(1, root + 1)),
             gamma_total=sum(abs(g) for g in gs),
             gamma_budget=gamma_budget(self.q, n),
@@ -526,17 +539,21 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     """Check the alternating midpoint sign condition at shift y (default: the
     peak shift y0 = theta*pi/n).
 
-    Derivative values come from the P_q representation (eigenvalue route for
-    n = 1), which stays numerically faithful at indices where the direct
-    solve is condition-limited.  The zero classification threshold is
-    scale-aware: 1e-9 * (pi/(4 n psi(n))) * P_q(0).
+    All 2n derivative values come from one length-2n FFT of the eigen form
+    (module docstring), at every n >= 1, in O(n log n): no series is summed
+    over the midpoints.  The eigen form is the P_q representation with
+    gamma_4 and gamma_5 cancelled exactly, so it stays numerically faithful
+    at indices where the direct solve is condition-limited.  Against
+    40-digit sums over the same float inputs at the exact offsets
+    (k - 1/2)pi/n - y, the largest error measured is 4.1e-16 max_k |d_k|
+    (q from 0.01 to 0.99, every beta class, n up to 300).  The tests hold it
+    to 1e-15 max_k |d_k|, the P_q route (``derivative_pq``) to within
+    1e-14 max_k |d_k| of it, and the verdicts to those of per-midpoint
+    scalar loops and of (midpoints x n) cosine-row sums on every rung of
+    the benchmark's ladders.
 
-    All 2n derivatives come from one pass (module docstring): gamma_1 and
-    gamma_3 are one length-2n FFT, O(n log n), within 1e-15 sum_j |c_j| of
-    40-digit sums over its coefficients c_j (measured: at most 5.0e-16).
-    The tests hold the derivatives to within 1e-15 * max_k |d_k| of
-    per-midpoint scalar sums, and the verdicts to those of (midpoints x n)
-    cosine-row sums on every rung of the benchmark's ladders.
+    The zero classification threshold is scale-aware:
+    1e-9 * (pi/(4 n psi(n))) * P_q(0), with P_q(0) from ``eval_pq``.
 
     Raises UnderflowLimit at every n from the one at which |lambda_n|^2 ~
     (2 q^n/n^2)^2 underflows to zero (n = 80 at q = 0.01, 226 at q = 0.2),
@@ -547,10 +564,7 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     else:
         _check_shift(n, y)
     assembly = _EigenAssembly(params, n, y, policy)
-    if n >= 2:
-        derivs = tuple(assembly._derivatives_pq(range(1, 2 * n + 1))[0])
-    else:
-        derivs = tuple(assembly.derivative_eigen(k) for k in range(1, 2 * n + 1))
+    derivs = tuple(assembly._derivatives.tolist())
     zero_tol = 1e-9 * math.pi / (4.0 * n * assembly.psi_n) * eval_pq(params.q, 0.0, policy)
     holds, epsilon, pattern, signs = classify_sign_pattern(derivs, zero_tol)
     return Cy2nVerdict(holds=holds, epsilon=epsilon, pattern=pattern, signs=signs,

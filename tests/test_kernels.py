@@ -131,8 +131,9 @@ def block_pairs(params, t, policy=ENTRY_POLICY):
 # series.  exact_width: at q = 0.5, n = 1, abs_tol = 1e-15 its theta residual
 # converges after 23 terms, so the 24-term cap is hit in the peak series.
 # derivative_pq: at q = 0.5, n = 16 the eigenvalue tails converge after two
-# terms, so the 3-term cap is hit in gamma_5's strip-kernel tail; verify_cy2n
-# at the same point hits it in the lane sum over all 32 midpoints.
+# terms, so the 3-term cap is hit in gamma_5's strip-kernel tail.  verify_cy2n
+# at the same point sums no series over its midpoints (one FFT), so it hits
+# the cap in eval_pq(q, 0), the P_q(0) of its zero_tol.
 TAIL_CHECKED = {
     "eval_neumann": (lambda pol: eval_neumann(NEAR_ONE, 1.0, pol), 1e-14, 3),
     "eval_neumann_block": (lambda pol: block_pairs(NEAR_ONE, np.array([1.0, 7.0]), pol),

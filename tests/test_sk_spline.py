@@ -274,9 +274,15 @@ class TestSignCondition:
 # and n from 2 up to E - 1, the last n before |lambda_n|^2 underflows.
 LADDER_QS = (0.05, 0.12, 0.19, 0.26)
 BETA_CLASSES = (0.0, 0.37, 1.0, 1.63)
-# the array pass against the scalar loops: bound on |d_array - d_scalar|
-# relative to max_k |d_k| (the verify_cy2n docstring)
+# the array pass against 40-digit sums over the scalar loops' decomposition:
+# bound on |d_array - d_exact| relative to max_k |d_k| (the verify_cy2n
+# docstring)
 ARRAY_PASS_REL_BOUND = 1e-15
+# the P_q route (derivative_pq) against the verifier's pass: bound on their
+# difference relative to max_k |d_k|.  Measured: at most 3.5e-15, at q up to
+# 0.99 and n up to 300; cos(j d) at a rounded offset d errs by about j |d - d_k|
+PQ_ROUTE_REL_BOUND = 1e-14
+PQ_ROUTE_POINTS = ((0.2, 0.37, 75), (0.26, 1.63, 268), (0.9, 0.0, 119))
 
 
 def underflow_edge(q):
@@ -423,25 +429,30 @@ class TestArrayPass:
     @pytest.mark.parametrize("q", LADDER_QS)
     def test_verdicts_match_scalar_loops(self, q):
         # the reference is scalar throughout: per-j decomposition, then
-        # per-midpoint sums.  Below n = 10 the r1 lanes may add a term their
-        # own tails did not need, so there the derivatives are held to the
-        # scalar midpoint loops over the same decomposition.
+        # per-midpoint sums.  The derivatives are held to 40-digit sums over
+        # that decomposition's floats at the exact offsets: the scalar loops
+        # take cos(j d) at rounded offsets d, which alone errs by up to
+        # 1.02e-15 max_k |d_k| at (0.26, 0, 268).  Below n = 10 the r1 lanes
+        # may add a term their own tails did not need, so there the sums run
+        # over the assembly's own decomposition.
         for n in (2, 10, underflow_edge(q) - 1):
             for beta in BETA_CLASSES:
                 params = NeumannParams(q, beta)
                 y0 = y0_of(q, beta, n)
                 res = verify_cy2n(params, n)
-                ref = scalar_derivatives(scalar_decomposition(params, n, y0))
+                decomposition = scalar_decomposition(params, n, y0)
                 assert (res.holds, res.epsilon, res.pattern, res.signs, res.zero_tol) == \
-                    verdict_of(ref, q, n), (q, beta, n)
+                    verdict_of(scalar_derivatives(decomposition), q, n), (q, beta, n)
                 if n < 10:
-                    ref = scalar_derivatives(eigen_assembly(params, n, y0))
-                scale = max(abs(v) for v in ref)
-                assert all(abs(u - v) <= ARRAY_PASS_REL_BOUND * scale
-                           for u, v in zip(res.derivatives, ref)), (q, beta, n)
+                    decomposition = eigen_assembly(params, n, y0)
+                with mp.workdps(40):
+                    ref = direct_derivatives(decomposition)
+                    scale = max(abs(v) for v in ref)
+                    assert all(abs(u - v) <= ARRAY_PASS_REL_BOUND * scale
+                               for u, v in zip(res.derivatives, ref)), (q, beta, n)
 
     def test_single_midpoint_routes_read_the_same_pass(self):
-        # derivative_pq(k) reads bin k mod 2n of the same FFT as the verifier
+        # derivative_eigen(k) reads midpoint k of the verifier's FFT pass
         params = NeumannParams(0.2, 0.37)
         n = 75
         y0 = y0_of(0.2, 0.37, n)
@@ -449,7 +460,20 @@ class TestArrayPass:
         assembly = eigen_assembly(params, n, y0)
         assert len(res.derivatives) == 2 * n
         for k in range(1, 2 * n + 1):
-            assert res.derivatives[k - 1] == assembly.derivative_pq(k)[0], k
+            assert res.derivatives[k - 1] == assembly.derivative_eigen(k), k
+
+    @pytest.mark.parametrize("q,beta,n", PQ_ROUTE_POINTS)
+    def test_pq_route_matches_the_pass(self, q, beta, n):
+        # derivative_pq sums P_q and its corrections at the float offset d,
+        # the verifier the eigen form from one FFT; the two stay within
+        # PQ_ROUTE_REL_BOUND * max_k |d_k| at every midpoint
+        params = NeumannParams(q, beta)
+        res = verify_cy2n(params, n)
+        assembly = eigen_assembly(params, n, y0_of(q, beta, n))
+        scale = max(abs(v) for v in res.derivatives)
+        for k in range(1, 2 * n + 1):
+            assert abs(assembly.derivative_pq(k)[0] - res.derivatives[k - 1]) \
+                <= PQ_ROUTE_REL_BOUND * scale, k
 
     @pytest.mark.parametrize("q", LADDER_QS)
     def test_ladder_verdicts_match_blocked_pass(self, q):
@@ -462,32 +486,28 @@ class TestArrayPass:
                     verdict_of(ref, q, n), (q, beta, n)
 
 
-# gamma_1 and gamma_3 of the FFT pass against 40-digit direct sums over the
-# same float inputs (r_j, R_j, s, psi(n)/n and the divisors |lambda_{n-j}|^2
-# cos(j pi/2n) and |lambda_{n-j}| cos(j pi/2n), the first subnormal at the
-# top rung), at the exact offsets (k - 1/2)pi/n - y: the largest error
-# measured at these points is 5.0e-16 sum_j |c_j| (the _gammas docstring)
+# gamma_1 and gamma_3 of the FFT pass, and the verifier's derivatives,
+# against 40-digit direct sums over the same float inputs (r_j, R_j, s,
+# psi(n)/n and the divisors |lambda_{n-j}|^2 cos(j pi/2n) and
+# |lambda_{n-j}| cos(j pi/2n), the first subnormal at the top rung), at the
+# exact offsets (k - 1/2)pi/n - y.  The largest errors measured at these
+# points are 5.0e-16 sum_j |c_j| for the gammas (the _gammas docstring) and
+# 4.1e-16 max_k |d_k| for the derivatives (the verify_cy2n docstring)
 FFT_REL_BOUND = 1e-15
 FFT_POINTS = ((LADDER_QS[-1], BETA_CLASSES[-1], underflow_edge(LADDER_QS[-1]) - 1),
               (0.9, 0.0, 119), (0.95, 0.5, 239))
 
 
-def direct_gamma_sums(a):
-    """(gamma_1, gamma_3) at t_k, k = 1..2n, and sum_j |c_j| of each, as
-    40-digit sums Re sum_j c_j e^(i j (t_k - y)), with e^(i j t_k) taken from
-    the exact 4n-th roots of unity."""
-    n, s, root = a.n, a.s, math.isqrt(a.n)
-    psi = a.psi_n / n
+def direct_sums(a, rows):
+    """For each row of coefficients c_j, j = 0..n-1 (mpmath numbers), the
+    40-digit sums Re sum_j c_j e^(i j (t_k - y)) at k = 1..2n and sum_j |c_j|,
+    with e^(i j t_k) taken from the exact 4n-th roots of unity."""
+    n = a.n
     with mp.workdps(40):
-        r = [mp.mpc(complex(v)) if abs(v) > 1e-300 else 0 for v in a.r]
-        c1 = [psi * (1 if j == 0 else 2) * (r[j] - mp.mpf(float(a.R[j])) * s)
-              / float(a._lam2_cos[j]) for j in range(n)]
-        c3 = [2 * s * mp.mpf(psi) / float(a._lam_cos[j]) if j > root else mp.mpf(0)
-              for j in range(n)]
         cos = [mp.cospi(mp.mpf(m) / (2 * n)) for m in range(4 * n)]
         sin = [mp.sinpi(mp.mpf(m) / (2 * n)) for m in range(4 * n)]
         out = []
-        for c in (c1, c3):
+        for c in rows:
             twisted = [mp.mpc(cj) * mp.expj(-j * mp.mpf(a.y)) for j, cj in enumerate(c)]
             re, im = [t.real for t in twisted], [t.imag for t in twisted]
             sums = []
@@ -496,6 +516,44 @@ def direct_gamma_sums(a):
                 sums.append(mp.fdot(re, [cos[i] for i in m]) - mp.fdot(im, [sin[i] for i in m]))
             out.append((sums, sum(abs(cj) for cj in c)))
         return out
+
+
+def direct_coefficients(a):
+    """gamma_1's c_j and the main coefficients e_j = 2 s (psi(n)/n)/(|lambda_{n-j}|
+    cos(j pi/2n)), j >= 1, in 40 digits over the float inputs of ``a`` (an
+    eigen_assembly or a scalar_decomposition), with the divisors formed in
+    floats as the assembly forms them."""
+    n, s = a.n, a.s
+    psi = a.psi_n / n
+    lam_abs = np.asarray(a.lam_abs)
+    cos_half = np.cos(np.arange(n) * math.pi / (2 * n))
+    lam_cos, lam2_cos = (lam_abs * cos_half).tolist(), (lam_abs**2 * cos_half).tolist()
+    with mp.workdps(40):
+        r = [mp.mpc(complex(v)) if abs(v) > 1e-300 else 0 for v in a.r]
+        c = [psi * (1 if j == 0 else 2) * (r[j] - mp.mpf(float(a.R[j])) * s) / lam2_cos[j]
+             for j in range(n)]
+        e = [2 * s * mp.mpf(psi) / lam_cos[j] if j else mp.mpf(0) for j in range(n)]
+        return c, e
+
+
+def direct_gamma_sums(a):
+    """(gamma_1, gamma_3) at t_k, k = 1..2n, and sum_j |c_j| of each."""
+    c, e = direct_coefficients(a)
+    root = math.isqrt(a.n)
+    return direct_sums(a, (c, [v if j > root else mp.mpf(0) for j, v in enumerate(e)]))
+
+
+def direct_derivatives(a):
+    """The midpoint derivatives (-1)^(k+1) pi/(4 n psi(n)) (s/2 + gamma_2 +
+    Re sum_j (c_j + e_j) e^(i j (t_k - y))), k = 1..2n, in 40 digits."""
+    n = a.n
+    c, e = direct_coefficients(a)
+    with mp.workdps(40):
+        ((sums, _),) = direct_sums(a, ([u + v for u, v in zip(c, e)],))
+        x = mp.mpf(float(a.R[0])) * n / a.psi_n
+        base = (mp.mpf(1) / 2 - x / (2 * (2 + x))) * a.s
+        scale = mp.pi / (4 * n * mp.mpf(a.psi_n))
+        return [(1 if k % 2 else -1) * scale * (base + v) for k, v in enumerate(sums, start=1)]
 
 
 class TestFftPass:
@@ -508,6 +566,28 @@ class TestFftPass:
             for m, (ref, scale) in zip((0, 2), direct_gamma_sums(a)):
                 err = max(abs(g[m] - v) for g, v in zip(gs, ref))
                 assert err <= FFT_REL_BOUND * scale, (m + 1, float(err / scale))
+
+    @pytest.mark.parametrize("q,beta,n", FFT_POINTS)
+    def test_derivatives_match_40_digit_direct_sums(self, q, beta, n):
+        params = NeumannParams(q, beta)
+        a = eigen_assembly(params, n, y0_of(q, beta, n))
+        res = verify_cy2n(params, n)
+        with mp.workdps(40):
+            ref = direct_derivatives(a)
+            scale = max(abs(v) for v in ref)
+            err = max(abs(u - v) for u, v in zip(res.derivatives, ref))
+            assert err <= FFT_REL_BOUND * scale, float(err / scale)
+
+    def test_verifier_sums_no_series_over_midpoints(self, monkeypatch):
+        # P_q and gamma_5's strip tail are the only series over midpoint
+        # lanes in this module; the verifier's one FFT needs neither
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("summed P_q terms over midpoint lanes")
+
+        monkeypatch.setattr(sk_spline, "_pq_terms", no_lanes)
+        assert verify_cy2n(NeumannParams(0.99, 0.0), 2000).holds
+        with pytest.raises(AssertionError):
+            derivative_pq(NeumannParams(0.99, 0.0), 20, 0.01, 1)
 
 
 # criterion 5's grid (tests/test_acceptance.py SMALL_GRID)
