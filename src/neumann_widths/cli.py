@@ -290,6 +290,8 @@ def _load_sweep_config(path: str) -> dict:
         "oracle_refine_tol": _number(cfg.get("oracle_refine_tol", 1e-13), "oracle_refine_tol"),
         "nq_cap": _number(cfg.get("nq_cap", 200_000), "nq_cap", True),
         "schema": _SCHEMA_VERSION}
+    if shared["nq_cap"] < 1:
+        raise DomainError(f"sweep config nq_cap must be at least 1, got {shared['nq_cap']}")
     cfg["_jobs"] = [{"q": float(q), "beta": b, "n": n, **shared}
                     for q in cfg["q_list"] for b in betas for n in n_values]
     return cfg

@@ -2,33 +2,65 @@
 
 Two strict inequalities on (q, n) are evaluated at machine precision:
 
-* tail condition  --  q^n/(1-q^(2n)) <= min(2 q^sqrt(n) / (15 n^2),
-  (8/(3n^2)) ((2n-1)/(7(n-1)^2) - pi^2/(8n^2))); it guarantees the
+* tail condition  --  q^n/(1-q^(2n)) <= min(T1, T2) with
+  T1 = 2 q^sqrt(n) / (15 n^2) and
+  T2 = (8/(3n^2)) ((2n-1)/(7(n-1)^2) - pi^2/(8n^2)); it guarantees the
   eigenvalue-magnitude margins used by the spline analysis.
 
-* budget condition  --  (24/(5(1-q))) q^sqrt(n)
+* budget condition  --  B = (24/(5(1-q))) q^sqrt(n)
   + (160/63) ((2 sqrt(n)-1)/(n (sqrt(n)-1))) q/(1-q)^2
-  <= (1/2 + 2q/((1+q^2)(1-q))) ((1-q)/(1+q))^(4/(1-q^2)); it keeps the
+  <= F = (1/2 + 2q/((1+q^2)(1-q))) ((1-q)/(1+q))^(4/(1-q^2)); it keeps the
   total correction-term budget under the strict positive floor of P_q.
 
 Here sqrt(n) is the real square root.  The smallest n >= 2 satisfying both
-is found by an upward scan over blocks of n: numpy evaluates both
-conditions for a whole block, and every n where a side lies within a few
-ulps of its bound is re-decided by the scalar ``verdict``, so the result is
-the one a scalar scan gives, bit for bit.  Once n log2(1/q) > 1080, q^n is
-exactly 0 in scalar arithmetic too, and the block sets the tail condition's
-left side to 0.0 without its pow calls.  Blocks grow geometrically up to
-65536 indices, so memory stays bounded at any cap.  Monotonicity is not
-assumed, so the scan also reports any later failures below 4x the first
-success as a diagnostic.
+is found by deciding n = 2 with the scalar ``verdict`` and bisecting with it
+over [3, min(cap, N1)], N1 = 2^40.  Bisection returns what an upward scan
+returns because the float verdict is monotone on [3, N1]: false below some
+n, true from it on.  With L = ln(1/q) and N0 = max(3, ceil(3.64/L)) (6 at
+q = 0.5, 12 at 0.72, 363 at 0.99), the proof is:
+
+1. On [3, N0) the tail condition fails.  There nL < 3.64, so its left side
+   exceeds q^n > e^-3.64 > 0.026.  T2 decreases for n >= 2 (its bracket
+   does, as 8n^4 > 7 pi^2 (n-1)^3), and T2(3) < 0.0123.
+
+2. From N0 on each exact comparison, once true, stays true, with margin:
+   * d/dn log(lhs/T1) <= -L (1 - 1/(2 sqrt(n))) + 2/n, as 1 - q^(2n) only
+     grows.  With L >= 3.64/n and n >= 3 this is at most -0.58/n, and also
+     at most -0.16 L.
+   * d/dn log(lhs/T2) <= -L - d/dn log T2, and -n d/dn log T2 = 3 + D/h
+     with h the bracket of T2 and D = (3n-1)/(7(n-1)^3) - pi^2/(8n^2).
+     D <= 0 for n >= 4, and the sum is 3.1393 at n = 3; so the derivative
+     is at most -0.5/n.
+   * B falls for every n >= 2 against the constant F, term by term: its
+     q^sqrt(n) term at rate L/(2 sqrt(n)), its algebraic term at a rate
+     above 1/n (d/dx log((2x-1)/(x^2 (x-1))) < -2/x).
+
+3. Rounding.  For n <= N1 the floats n, n - 1 and 2n - 1 are exact, and
+   each computed side lies within e = 64 u of its formula, u = 2^-53, plus
+   sqrt(n) L u in T1 and B, the cost of rounding sqrt(n) inside
+   q^sqrt(n); the pows, products and the cancellation inside T2 (4.3-fold
+   at n = 3) stay under 64 u.  A comparison true in floats at n is then
+   within a factor (1+e)/(1-e) of true exactly, and the step to n + 1
+   moves its log ratio by more than 4e: by 0.08 L + 0.29/(n+1) against
+   lhs/T1 and by 0.5/(n+1) against lhs/T2.  Each term of the computed B
+   does not grow from n to n + 1 (steps L/(2 sqrt(n+1)) and 1/(n+1)
+   against 2e, where L > 0.0135 as F > 0), and neither does their rounded
+   sum.  These hold up to n = 10^13; N1 = 2^40 keeps a factor 9 to spare.
+
+4. Underflow.  Where F is 0.0 (from q = 0.98651 on) the budget condition
+   never holds.  Where q^n is subnormal, nL > 708, so lhs/T1 < e^-240 and
+   lhs/T2 < 2^-900: both comparisons hold with a margin no rounding
+   reaches, and a side that has become 0.0 stays 0.0 at every larger n.
+   T1 below 2^-1022 forces q^n = 0.0, and 0 <= T1 holds.  Where q^sqrt(n)
+   is subnormal, sqrt(n) L > 708, so both terms of B fall by over 1/n per
+   step, and that term's absolute error is below 2^-120 B when
+   q >= 2^-900; a smaller q puts B under F/2^800 at every n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NotFound
 from .kernels import _check_beta, _check_q, pq_floor
@@ -37,6 +69,9 @@ from .kernels import _check_beta, _check_q, pq_floor
 # (integer phase / non-integer phase respectively).
 INTEGER_BETA_Q_CUTOFF = 0.2
 NONINTEGER_BETA_Q_CUTOFF = 0.193864
+
+# N1 of the module docstring: the verdict is proven monotone on [3, N1]
+SEARCH_LIMIT = 2**40
 
 
 @dataclass(frozen=True)
@@ -59,8 +94,9 @@ class ThresholdVerdict:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """First index where both conditions hold, plus any later failures seen
-    below min(cap, 4 * n) (diagnostic for non-monotone behaviour)."""
+    """First index where both conditions hold, plus the failures in
+    (n, min(cap, 4 * n)]: scanned when n = 2, and empty when n >= 3, where
+    the module docstring proves the verdict monotone."""
 
     n: int
     later_failures: tuple[int, ...]
@@ -72,31 +108,18 @@ def _validate(q: float, n: int) -> None:
         raise DomainError(f"n must be >= 2, got {n}")
 
 
-def _tail_lhs(q, n):
-    """The tail condition's left side; ``n`` is an int or a float array."""
-    return q**n / (1.0 - q ** (2 * n))
-
-
-def _tail_rhs_terms(q, n, sqrt):
-    """The two terms whose minimum is the tail condition's right side; ``n``
-    as in ``_tail_lhs``, with ``sqrt`` to match."""
-    return (2.0 * q ** sqrt(n) / (15.0 * n**2),
-            8.0 / (3.0 * n**2) * ((2.0 * n - 1.0) / (7.0 * (n - 1.0) ** 2)
-                                  - math.pi**2 / (8.0 * n**2)))
-
-
-def _budget_lhs(q, n, sqrt):
-    """The budget condition's left side; ``n`` as in ``_tail_rhs_terms``."""
-    rn = sqrt(n)
-    return (24.0 / (5.0 * (1.0 - q)) * q**rn
-            + 160.0 / 63.0 * (2.0 * rn - 1.0) / (n * (rn - 1.0)) * q / (1.0 - q) ** 2)
+def _check_cap(n_cap: int) -> None:
+    if n_cap < 1:
+        raise DomainError(f"n_cap must be >= 1, got {n_cap}")
 
 
 def check_tail_condition(q: float, n: int) -> ConditionCheck:
     """Strict inequality bounding q^n/(1-q^(2n)); exact float comparison."""
     _validate(q, n)
-    lhs = _tail_lhs(q, n)
-    rhs = min(_tail_rhs_terms(q, n, math.sqrt))
+    lhs = q**n / (1.0 - q ** (2 * n))
+    rhs = min(2.0 * q ** math.sqrt(n) / (15.0 * n**2),
+              8.0 / (3.0 * n**2) * ((2.0 * n - 1.0) / (7.0 * (n - 1.0) ** 2)
+                                    - math.pi**2 / (8.0 * n**2)))
     return ConditionCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
@@ -117,81 +140,39 @@ def gamma_budget(q: float, n: int) -> float:
     correction sum at the peak shift (valid for n >= 2 under the tail
     condition)."""
     _validate(q, n)
-    return _budget_lhs(q, n, math.sqrt)
-
-
-# numpy's pow and libm's differ by at most one ulp on the scan's exponents
-# n, 2n and sqrt(n) (measured); each side evaluated over an array then lies
-# within a few ulps, or a few subnormal steps, of its scalar value.
-_NEAR_RELATIVE = 8.0 * np.finfo(float).eps
-_NEAR_ABSOLUTE = 8.0 * 2.0**-1074
-_FIRST_BLOCK = 64
-_MAX_BLOCK = 1 << 16
-# q^n is exactly 0 once n log2(1/q) > 1075, in scalar arithmetic too; past
-# 1080 (a margin for the rounding of n log2(1/q)) the scan skips its pow calls
-_UNDERFLOW_LOG2 = 1080.0
-
-
-def _near(lhs: np.ndarray, rhs: np.ndarray, lhs_gain: float) -> np.ndarray:
-    """Where ``lhs <= rhs`` may be decided otherwise in scalar arithmetic.
-
-    ``lhs_gain`` bounds how much the left side's evaluation amplifies the
-    error of its pow.  Both sides exactly zero only arises from q^sqrt(n)
-    and q^n underflowing, which they do in scalar arithmetic too."""
-    slack = _NEAR_RELATIVE * (lhs_gain * lhs + rhs) + _NEAR_ABSOLUTE
-    return (np.abs(lhs - rhs) <= slack) & ((lhs != 0.0) | (rhs != 0.0))
-
-
-def _both_hold(q: float, floor: float, lo: int, hi: int) -> np.ndarray:
-    """``verdict(q, n).both_hold`` for n in [lo, hi), bit for bit: the array
-    verdicts, with every n near a condition's boundary re-decided by
-    ``verdict``."""
-    n = np.arange(lo, hi, dtype=float)
-    # the tail's left side is 0.0 from the first n with n log2(1/q) > 1080 on
-    live = min(max(int(_UNDERFLOW_LOG2 // -math.log2(q)) + 1 - lo, 0), hi - lo)
-    lhs = np.zeros(hi - lo)
-    lhs[:live] = _tail_lhs(q, n[:live])
-    rhs = np.minimum(*_tail_rhs_terms(q, n, np.sqrt))
-    budget = _budget_lhs(q, n, np.sqrt)
-    holds = (lhs <= rhs) & (budget <= floor)
-    # 1 - q^(2n) >= 1 - q^4 scales the error of q^(2n) in the tail's left side
-    near = _near(lhs, rhs, 1.0 / (1.0 - q**4)) | _near(budget, floor, 1.0)
-    for i in np.flatnonzero(near):
-        holds[i] = verdict(q, lo + int(i)).both_hold
-    return holds
-
-
-def _blocks(lo: int, hi: int):
-    """[start, stop) blocks covering lo..hi, growing geometrically up to
-    _MAX_BLOCK so that memory stays bounded at any cap."""
-    size = _FIRST_BLOCK
-    while lo <= hi:
-        stop = min(hi + 1, lo + size)
-        yield lo, stop
-        lo, size = stop, min(2 * size, _MAX_BLOCK)
+    rn = math.sqrt(n)
+    return (24.0 / (5.0 * (1.0 - q)) * q**rn
+            + 160.0 / 63.0 * (2.0 * rn - 1.0) / (n * (rn - 1.0)) * q / (1.0 - q) ** 2)
 
 
 def min_guaranteed_n(q: float, n_cap: int = 1_000_000) -> ScanResult:
-    """Smallest n in [2, n_cap] where both conditions hold.
+    """Smallest n in [2, min(n_cap, SEARCH_LIMIT)] where both conditions hold.
 
-    Block scan with early exit; raises NotFound when the cap is exhausted
-    (expected behaviour for q near 1, where the budget right side collapses
-    much faster than the left).
+    Decides n = 2, then bisects over the rest of the range, where the module
+    docstring proves the verdict monotone: the result is the one an upward
+    scan of scalar verdicts gives, from O(log n_cap) of them.  Raises
+    NotFound when no n in the range holds (for q near 1, where the budget
+    right side collapses much faster than the left) and DomainError for
+    n_cap < 1.
     """
     _check_q(q)
-    floor = pq_floor(q)
-    first = None
-    for lo, hi in _blocks(2, n_cap):
-        hits = np.flatnonzero(_both_hold(q, floor, lo, hi))
-        if hits.size:
-            first = lo + int(hits[0])
-            break
-    if first is None:
-        raise NotFound(f"no n <= {n_cap} satisfies both conditions for q={q}")
-    later = tuple(lo + int(i)
-                  for lo, hi in _blocks(first + 1, min(n_cap, 4 * first))
-                  for i in np.flatnonzero(~_both_hold(q, floor, lo, hi)))
-    return ScanResult(n=first, later_failures=later)
+    _check_cap(n_cap)
+    top = min(n_cap, SEARCH_LIMIT)
+
+    def holds(n: int) -> bool:
+        return verdict(q, n).both_hold
+
+    if top >= 2 and holds(2):
+        return ScanResult(n=2, later_failures=tuple(
+            n for n in range(3, min(n_cap, 8) + 1) if not holds(n)))
+    if top < 3 or not holds(top):
+        limit = " (the end of the proven monotone range)" if top < n_cap else ""
+        raise NotFound(f"no n <= {top}{limit} satisfies both conditions for q={q}")
+    lo, hi = 2, top  # the verdict fails at lo and holds at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return ScanResult(n=hi, later_failures=())
 
 
 def is_integer_beta(beta: float) -> bool:
@@ -204,9 +185,10 @@ def is_integer_beta(beta: float) -> bool:
 
 def min_guaranteed_n_beta(q: float, beta: float, n_cap: int = 1_000_000) -> ScanResult:
     """Piecewise threshold: 1 in the small-q regimes where the equalities are
-    known for every n, otherwise the scanned minimum."""
+    known for every n, otherwise the searched minimum."""
     _check_q(q)
     _check_beta(beta)
+    _check_cap(n_cap)
     cutoff = INTEGER_BETA_Q_CUTOFF if is_integer_beta(beta) else NONINTEGER_BETA_Q_CUTOFF
     if q <= cutoff:
         return ScanResult(n=1, later_failures=())

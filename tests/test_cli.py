@@ -264,6 +264,9 @@ class TestUsageErrors:
         (("cvd", "--q", "0.5", "--beta", "0", "--epsilon", "2"), "invalid choice: 2"),
         (("bogus",), "invalid choice: 'bogus'"),
         ((), "required: command"),
+        (("threshold", "--q", "0.5", "--cap", "0"), "n_cap must be >= 1, got 0"),
+        (("threshold", "--q", "0.5", "--cap", "-3"), "n_cap must be >= 1, got -3"),
+        (("threshold", "--q", "0.1", "--beta", "0", "--cap", "0"), "n_cap must be >= 1"),
     ])
     def test_bad_flags_are_validation_errors(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -649,6 +652,8 @@ class TestSweepInputErrors:
         {"oracle_refine_tol": True},
         {"workers": 0},
         {"workers": -3},
+        {"nq_cap": 0},
+        {"nq_cap": -3},
     ])
     def test_non_numeric_config_value(self, capsys, tmp_path, overrides):
         cfg_path, _ = sweep_config(tmp_path, **overrides)

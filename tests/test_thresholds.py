@@ -5,12 +5,11 @@ frozen."""
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
-from neumann_widths import (NotFound, ScanResult, check_budget_condition,
+from neumann_widths import (DomainError, NotFound, ScanResult, check_budget_condition,
                             check_tail_condition, is_integer_beta, min_guaranteed_n,
-                            min_guaranteed_n_beta, thresholds, verdict)
+                            min_guaranteed_n_beta, pq_floor, thresholds, verdict)
 
 # frozen after confirmation by the mpmath oracle below
 NQ_FROZEN = {0.05: 4, 0.1: 5, 0.2: 13, 0.3: 42, 0.5: 1717}
@@ -109,7 +108,7 @@ class TestMinGuaranteedN:
 
 def scalar_scan(q, n_cap):
     """The reference scan: one scalar verdict per n, upward from 2; None
-    where the block scan raises NotFound."""
+    where min_guaranteed_n raises NotFound."""
     first = next((n for n in range(2, n_cap + 1) if verdict(q, n).both_hold), None)
     if first is None:
         return None
@@ -131,7 +130,7 @@ def block_scan(q, n_cap=1_000_000):
 
 
 def recorded_verdicts(monkeypatch):
-    """The n of every scalar verdict the block scan asks for."""
+    """The n of every scalar verdict the search asks for."""
     seen = []
 
     def recording(q, n):
@@ -180,31 +179,126 @@ class TestBlockScanMatchesScalar:
             assert min_guaranteed_n(q, 4 * n + 8) == expected
             assert n in seen
 
-    # the first skipped n falls on a block edge (1986 starts a block of the
-    # scan) and inside a block (3000)
+    # q^n underflows to 0.0 from n = cut on, inside the searched range
     @pytest.mark.parametrize("cut", [1986, 3000])
-    def test_underflow_cut(self, monkeypatch, cut):
+    def test_underflow_cut(self, cut):
         q = 2.0 ** (-1080.0 / (cut - 0.5))  # floor(1080 / log2(1/q)) + 1 == cut
-        powed = []
-        tail_lhs = thresholds._tail_lhs
-
-        def recording(q, n):
-            if isinstance(n, np.ndarray):
-                powed.extend(n.tolist())
-            return tail_lhs(q, n)
-        monkeypatch.setattr(thresholds, "_tail_lhs", recording)
         assert block_scan(q, 2 * cut) == scalar_scan(q, 2 * cut)
-        # the array pows stop just before the cut; from there on the scalar
-        # left side, which verdict compares, is 0.0 as well
-        assert powed == list(range(2, cut))
-        assert all(tail_lhs(q, n) == 0.0 for n in range(cut, 2 * cut + 1))
+        assert all(check_tail_condition(q, n).lhs == 0.0 for n in range(cut, 2 * cut + 1))
 
-    def test_zero_pairs_are_not_rechecked(self, monkeypatch):
+    def test_zero_pairs_are_not_rechecked(self):
         # q^n and q^sqrt(n) underflow to 0: the tail sides are both 0
-        seen = recorded_verdicts(monkeypatch)
         assert min_guaranteed_n(1e-300) == ScanResult(n=2, later_failures=())
-        assert seen == []
         assert scalar_scan(1e-300, 1_000_000) == ScanResult(n=2, later_failures=())
+
+
+def n0(q):
+    """N0 of the thresholds module docstring: the verdict is monotone from
+    here on, and the tail condition fails on [3, N0)."""
+    return max(3, math.ceil(3.64 / -math.log(q)))
+
+
+def mp_slopes(q, n):
+    """d/dn, at real n, of log(lhs/T1), log(lhs/T2) and the log of the
+    budget's algebraic term, in 40 digits."""
+    with mp.workdps(40):
+        q = mp.mpf(repr(q))
+
+        def lhs(t):
+            return t * mp.log(q) - mp.log(1 - q ** (2 * t))
+
+        def t1(t):
+            return mp.log(2 * q ** mp.sqrt(t) / (15 * t**2))
+
+        def t2(t):
+            return mp.log(8 / (3 * t**2) * ((2 * t - 1) / (7 * (t - 1) ** 2)
+                                            - mp.pi**2 / (8 * t**2)))
+
+        def algebraic(t):
+            return mp.log((2 * mp.sqrt(t) - 1) / (t * (mp.sqrt(t) - 1)))
+        return (mp.diff(lambda t: lhs(t) - t1(t), n), mp.diff(lambda t: lhs(t) - t2(t), n),
+                mp.diff(algebraic, n))
+
+
+def t2_log_slope(n):
+    """-n d/dn log T2 in the closed form 3 + D/h of the module docstring."""
+    with mp.workdps(40):
+        n = mp.mpf(n)
+        h = (2 * n - 1) / (7 * (n - 1) ** 2) - mp.pi**2 / (8 * n**2)
+        d = (3 * n - 1) / (7 * (n - 1) ** 3) - mp.pi**2 / (8 * n**2)
+        return 3 + d / h, d
+
+
+class TestMonotoneSearch:
+    """The proof in the thresholds module docstring, step by step, and the
+    search it licenses."""
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_domain_error(self, cap):
+        with pytest.raises(DomainError):
+            min_guaranteed_n(0.5, n_cap=cap)
+        with pytest.raises(DomainError):
+            min_guaranteed_n_beta(0.1, 0.0, n_cap=cap)
+
+    @pytest.mark.parametrize("q,expected", [(0.6, 40878), (0.65, 400285)])
+    def test_paper_thresholds_match_40_digit_oracle(self, q, expected):
+        assert min_guaranteed_n(q).n == expected
+        with mp.workdps(40):
+            assert mp_tail_holds(q, expected) and mp_budget_holds(q, expected)
+            assert not (mp_tail_holds(q, expected - 1) and mp_budget_holds(q, expected - 1))
+
+    def test_n0_values(self):
+        assert [n0(q) for q in (0.5, 0.72, 0.99)] == [6, 12, 363]
+
+    @pytest.mark.parametrize("q", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                   0.9, 0.95, 0.99, 0.995, 0.999])
+    def test_derivative_inequalities_from_n0(self, q):
+        big_l = -math.log(q)
+        for n in (n0(q), n0(q) + 1, 2 * n0(q), 10 * n0(q), 1000 * n0(q)):
+            s1, s2, s3 = mp_slopes(q, n)
+            assert s1 <= -0.58 / n and s1 <= -0.16 * big_l
+            assert s2 <= -0.5 / n
+            assert s3 < -1.0 / n
+
+    def test_t2_log_slope(self):
+        # the closed form agrees with a numerical derivative ...
+        for n in (3, 7, 1000):
+            with mp.workdps(40):
+                slope = -n * mp.diff(lambda t: mp.log(
+                    8 / (3 * t**2) * ((2 * t - 1) / (7 * (t - 1) ** 2)
+                                      - mp.pi**2 / (8 * t**2))), n)
+                assert abs(slope - t2_log_slope(n)[0]) < mp.mpf(10) ** -25
+        # ... is 3.1393 at n = 3, and at most 3 from n = 4 on (D <= 0)
+        assert 3.139 < t2_log_slope(3)[0] < 3.14
+        assert all(t2_log_slope(n)[1] <= 0 for n in [*range(4, 2000), 10**6, 10**12])
+
+    @pytest.mark.parametrize("q", [0.5, 0.7, 0.9, 0.95, 0.99])
+    def test_tail_fails_below_n0(self, q):
+        assert math.exp(-3.64) > 0.026 and check_tail_condition(q, 3).rhs < 0.0123
+        assert not any(check_tail_condition(q, n).holds for n in range(3, n0(q)))
+
+    def test_verdict_is_monotone_from_three(self):
+        for q in [k / 1000 for k in range(1, 1000, 3)]:
+            holds = [verdict(q, n).both_hold for n in range(3, 400)]
+            assert holds == sorted(holds), q
+
+    def test_floor_vanishes_from_098651(self):
+        assert pq_floor(0.9865) > 0.0 and -math.log(0.98651) > 0.0135
+        assert all(pq_floor(0.98651 + k * 1e-6) == 0.0 for k in range(0, 13490, 7))
+        with pytest.raises(NotFound):
+            min_guaranteed_n(0.99, n_cap=10**30)
+
+    def test_found_past_a_million(self):
+        # q = 0.8: n_q near 7.6e11, inside the proven range
+        res = min_guaranteed_n(0.8, n_cap=10**15)
+        assert 7e11 < res.n <= thresholds.SEARCH_LIMIT and res.later_failures == ()
+        assert verdict(0.8, res.n).both_hold and not verdict(0.8, res.n - 1).both_hold
+
+    def test_cap_past_proven_range_names_its_end(self):
+        with pytest.raises(NotFound, match=f"no n <= {2**40} \\(the end of the proven"):
+            min_guaranteed_n(0.85, n_cap=10**18)
+        with pytest.raises(NotFound, match="no n <= 1000000000000 satisfies"):
+            min_guaranteed_n(0.999, n_cap=10**12)
 
 
 class TestCaseSplit:
