@@ -107,8 +107,10 @@ def cmd_threshold(args) -> int:
     if args.beta is not None:
         out["beta"] = args.beta
     if args.trace and res.n >= 2:
+        # the verdict is monotone in n, so the ones at n_q - 1 and n_q fix n_q
+        first = max(2, res.n - 1)
         out["trace"] = [{"n": v.n, "tail": vars(v.tail), "budget": vars(v.budget)}
-                        for v in (verdict(args.q, n) for n in range(2, res.n + 1))]
+                        for v in (verdict(args.q, n) for n in range(first, res.n + 1))]
     print(json.dumps(out))
     return 0
 

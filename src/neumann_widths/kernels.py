@@ -13,14 +13,14 @@ error in a compensation word, stops after the first term whose tail is
 ``<= tol``, and adds at most ``policy.max_terms`` terms; if the tail is still
 above ``tol`` after the last of them it raises ``TolUnreachable`` with
 ``terms_used = max_terms`` and that tail as ``tail_bound``.  Its terms may
-be arrays of lanes that share one tail sequence (the P_q terms at many
-points t): each lane then gets the scalar sum bit for bit, and all lanes
-stop, or hit the cap, together.  ``_cosine_block_sum`` is the same sum for
-the Neumann kernel at many points in one array pass: its tail does not
-depend on t, so ``_neumann_coefficients`` finds the common stopping index K
-(or raises the same ``TolUnreachable``) before any array exists, and running
-sums down a (terms x points) block give every point the scalar (sum,
-compensation) bit for bit.  Both Neumann paths take the coefficient q^k/k
+be arrays of lanes that share one tail sequence (the r1 eigenvalue tails of
+``sk_spline``, one lane per index j): each lane then gets the scalar sum bit
+for bit, and all lanes stop, or hit the cap, together.  ``_cosine_block_sum``
+is the same sum for the Neumann kernel at many points in one array pass: its
+tail does not depend on t, so ``_neumann_coefficients`` finds the common
+stopping index K (or raises the same ``TolUnreachable``) before any array
+exists, and running sums down a (terms x points) block give every point the
+scalar (sum, compensation) bit for bit.  Both Neumann paths take the coefficient q^k/k
 and its tail from ``NeumannParams.psi`` and ``NeumannParams.tail_bound``.
 
 Conventions

@@ -42,10 +42,10 @@ where c_j are gamma_1's coefficients and e_0 = 0.  The verifier evaluates the
 right side at all 2n midpoints from one length-2n FFT of twisted
 coefficients (``_EigenAssembly._fft``), O(n log n), and sums no series over
 the midpoints; ``derivative_eigen(k)`` reads midpoint k of the same pass.
-``derivative_pq`` evaluates the left side: gamma_1 and gamma_3 from another
-FFT, gamma_4's sqrt(n) terms by ``math.fsum``, and P_q and gamma_5's strip
-tail each by one ``_certified_sum`` at its midpoint; the ledger's z_j are
-one cosine row over j.
+``derivative_pq(k)`` evaluates the left side at one midpoint: gamma_1 and
+gamma_3 from column k of a second FFT, run once per assembly; gamma_4's
+sqrt(n) terms by ``math.fsum``; gamma_5's strip tail by one
+``_certified_sum`` and P_q by ``eval_pq``, both at the offset d = t_k - y.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, SignDegenerate, SingularSystem, UnderflowLimit
-from .kernels import (DEFAULT_POLICY, TWO_PI, EvalPolicy, KernelSpec, NeumannParams,
+from .kernels import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
                       _certified_sum, _check_n, _pq_terms, _reduce_phase, eval_bernoulli,
                       eval_pq, eval_psi_beta1)
 from .thresholds import gamma_budget
@@ -217,11 +217,11 @@ class _EigenAssembly:
     magnitudes lam_abs = |lambda_{n-j}|; and the offsets R_j = |lambda_{n-j}|
     - A_j - B_j.  The r1 tails are one ``_certified_sum`` whose lanes are the
     real and imaginary parts of all j.  The midpoint sums over j are
-    length-2n FFTs of twisted coefficients (``_fft``): one gives the
-    verifier's derivatives at all 2n midpoints (``_derivatives``), another
-    gamma_1 and gamma_3 of the P_q ledger (``_gammas``), whose P_q series
-    are lanes over the midpoints asked for (``_gammas``, ``_pq``); z_j are
-    numpy rows over the j axis (``_z``).
+    length-2n FFTs of twisted coefficients (``_fft``), each run once per
+    assembly: one gives the verifier's derivatives at all 2n midpoints
+    (``_derivatives``), the other gamma_1 and gamma_3 of the P_q ledger
+    (``_g13``), which ``gammas(k)`` reads one midpoint at a time; z_j are a
+    numpy row over the j axis (``_z``).
     """
 
     def __init__(self, params: NeumannParams, n: int, y: float,
@@ -268,14 +268,10 @@ class _EigenAssembly:
         self._check_k(k)
         return k * math.pi / self.n - math.pi / (2 * self.n)
 
-    def _offsets(self, ks: Sequence[int]) -> np.ndarray:
-        """t_k - y for each k in ks."""
-        return np.array([self.midpoint(k) for k in ks]) - self.y
-
-    def _z(self, d: np.ndarray) -> np.ndarray:
+    def _z(self, d: float) -> np.ndarray:
         """z_j(d) = |r_j| cos(j d + arg r_j) - R_j cos(j d) s for j = 0..n-1
-        (columns) at each offset d = t_k - y (rows)."""
-        jd = np.multiply.outer(d, self._j)
+        at the offset d = t_k - y."""
+        jd = d * self._j
         return (np.abs(self._r_kept) * np.cos(jd + np.angle(self._r_kept))
                 - self.R * np.cos(jd) * self.s)
 
@@ -287,6 +283,7 @@ class _EigenAssembly:
         """gamma_1's c_j = (psi(n)/n) w_j (r_j - R_j s)/(|lambda_{n-j}|^2
         cos(j pi/2n)), w_0 = 1, w_j = 2, and the main coefficients e_j =
         2 s (psi(n)/n)/(|lambda_{n-j}| cos(j pi/2n)), j >= 1, e_0 = 0."""
+        _check_scale(self._lam2_cos.all(), self.n, self.psi_n)
         scale = self._psi_over_n
         # real divisions: numpy's complex division overflows on a subnormal
         # |lambda_n|^2, which the last n before the underflow edge reach; and
@@ -315,49 +312,24 @@ class _EigenAssembly:
         """The midpoint derivatives at t_1..t_2n from their brackets
         s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k): one FFT."""
         n = self.n
-        _check_scale(self._lam2_cos.all(), n, self.psi_n)
         c, e = self._coefficients()
         bracket = 0.5 * self.s + self._g2() + self._fft(np.array([c + e]))[0]
         sign = np.resize([1.0, -1.0], 2 * n)  # (-1)^(k+1), k = 1..2n
         return sign * (math.pi / (4.0 * n * self.psi_n)) * np.roll(bracket, -1)
 
-    def _gammas(self, ks: Sequence[int],
-                d: np.ndarray) -> list[tuple[float, float, float, float, float]]:
-        """gamma_1..gamma_5 at the midpoints k in ks, at offsets d = t_k - y
-        (needs n >= 2 for the sqrt split).  gamma_1 and gamma_3 (the main
-        coefficients e_j with j > isqrt(n)) are one ``_fft`` over all 2n
-        midpoints; gamma_4 is a math.fsum over its sqrt(n) terms per midpoint,
-        and gamma_5, the P_q tail from j = isqrt(n) + 1, is summed over offset
-        lanes.
+    @functools.cached_property
+    def _g13(self) -> np.ndarray:
+        """gamma_1 and gamma_3 (the main coefficients e_j with j > isqrt(n))
+        at t_k in column k mod 2n, k = 1..2n: one ``_fft``.
 
-        Error of gamma_1 and gamma_3: against 40-digit direct sums over the
-        same float inputs (r_j, R_j, s, psi(n)/n and the divisors) at the
-        exact offsets (k - 1/2)pi/n - y, the largest error measured is
-        5.0e-16 sum_j |c_j|, at q up to 0.99 and n up to 300; the tests hold
-        it to 1e-15 sum_j |c_j|."""
-        n, s = self.n, self.s
-        if n < 2:
-            raise DomainError("the P_q decomposition needs n >= 2")
-        _check_scale(self._lam2_cos.all(), n, self.psi_n)
-        root = math.isqrt(n)
-        head = slice(1, root + 1)
-        delta = np.array([self.delta(j) for j in range(1, root + 1)])
+        Error: against 40-digit direct sums over the same float inputs (r_j,
+        R_j, s, psi(n)/n and the divisors) at the exact offsets
+        (k - 1/2)pi/n - y, the largest error measured is 5.0e-16 sum_j |c_j|,
+        at q up to 0.99 and n up to 300; the tests hold it to 1e-15
+        sum_j |c_j|."""
         c, e = self._coefficients()
-        e[head] = 0.0
-        g1, g3 = self._fft(np.array([c, e]))[:, np.asarray(ks) % (2 * n)].tolist()
-        cos = np.cos(np.multiply.outer(d, self._j[head]))
-        g4 = [-2.0 * s * math.fsum(row.tolist()) for row in
-              delta * cos * self._psi_over_n / self._lam_cos[head]]
-        strip, strip_c = _certified_sum(_pq_terms(self.q, d, root + 1, np.cos),
-                                        self.policy.abs_tol, self.policy, "strip-kernel tail")
-        g5 = (-s * (strip + strip_c)).tolist()  # P_q's terms already carry the factor 2
-        return list(zip(g1, itertools.repeat(self._g2()), g3, g4, g5))
-
-    def _pq(self, d: np.ndarray) -> list[float]:
-        """P_q at each offset d, summed over lanes exactly as eval_pq sums one."""
-        s, c = _certified_sum(_pq_terms(self.q, np.fmod(d, TWO_PI), 1, np.cos),
-                              self.policy.abs_tol, self.policy, "eval_pq", start=0.5)
-        return (s + c).tolist()
+        e[1:math.isqrt(self.n) + 1] = 0.0
+        return self._fft(np.array([c, e]))
 
     def derivative_eigen(self, k: int) -> float:
         """Midpoint derivative on interval k through the eigenvalue magnitudes,
@@ -366,8 +338,25 @@ class _EigenAssembly:
         return float(self._derivatives[k - 1])
 
     def gammas(self, k: int) -> tuple[float, float, float, float, float]:
-        """gamma_1..gamma_5 at midpoint t_k (needs n >= 2 for the sqrt split)."""
-        return self._gammas([k], self._offsets([k]))[0]
+        """gamma_1..gamma_5 at midpoint t_k (needs n >= 2 for the sqrt split).
+
+        gamma_1 and gamma_3 are column k of ``_g13``; gamma_4 is one
+        math.fsum over its sqrt(n) terms, and gamma_5, the P_q tail from
+        j = isqrt(n) + 1, one ``_certified_sum``, both at d = t_k - y."""
+        d = self.midpoint(k) - self.y
+        n, s = self.n, self.s
+        if n < 2:
+            raise DomainError("the P_q decomposition needs n >= 2")
+        g1, g3 = self._g13[:, k % (2 * n)].tolist()
+        root = math.isqrt(n)
+        head = slice(1, root + 1)
+        delta = np.array([self.delta(j) for j in range(1, root + 1)])
+        g4 = -2.0 * s * math.fsum((delta * np.cos(d * self._j[head]) * self._psi_over_n
+                                   / self._lam_cos[head]).tolist())
+        strip, strip_c = _certified_sum(_pq_terms(self.q, d, root + 1), self.policy.abs_tol,
+                                        self.policy, "strip-kernel tail")
+        g5 = -s * (strip + strip_c)  # P_q's terms already carry the factor 2
+        return g1, self._g2(), g3, g4, g5
 
     def delta(self, j: int) -> float:
         """Relative offset of n |lambda_{n-j}| cos(j pi/2n) from (q^-j+q^j) psi(n)."""
@@ -378,9 +367,9 @@ class _EigenAssembly:
     def derivative_pq(self, k: int) -> tuple[float, GammaLedger]:
         """Midpoint derivative via P_q plus the five correction terms."""
         n = self.n
-        d = self._offsets([k])
-        (gs,) = self._gammas([k], d)
-        bracket = self._pq(d)[0] * self.s + math.fsum(gs)
+        gs = self.gammas(k)
+        d = self.midpoint(k) - self.y
+        bracket = eval_pq(self.q, d, self.policy) * self.s + math.fsum(gs)
         sign_k = 1.0 if k % 2 == 1 else -1.0
         value = sign_k * math.pi / (4.0 * n * self.psi_n) * bracket
         root = math.isqrt(n)
@@ -388,7 +377,7 @@ class _EigenAssembly:
             k=k, y=self.y, s=self.s, gamma=gs,
             r1=tuple(self.r1.tolist()), r2=tuple(self.r2.tolist()),
             r3=tuple(self.r3.tolist()), r=tuple(self.r.tolist()), R=tuple(self.R.tolist()),
-            z=tuple(self._z(d)[0].tolist()),
+            z=tuple(self._z(d).tolist()),
             delta=tuple(self.delta(j) for j in range(1, root + 1)),
             gamma_total=sum(abs(g) for g in gs),
             gamma_budget=gamma_budget(self.q, n),

@@ -13,11 +13,19 @@ Two strict inequalities on (q, n) are evaluated at machine precision:
   total correction-term budget under the strict positive floor of P_q.
 
 Here sqrt(n) is the real square root.  The smallest n >= 2 satisfying both
-is found by deciding n = 2 with the scalar ``verdict`` and bisecting with it
-over [3, min(cap, N1)], N1 = 2^40.  Bisection returns what an upward scan
-returns because the float verdict is monotone on [3, N1]: false below some
-n, true from it on.  With L = ln(1/q) and N0 = max(3, ceil(3.64/L)) (6 at
-q = 0.5, 12 at 0.72, 363 at 0.99), the proof is:
+is found by bisecting with the scalar ``verdict`` over [2, min(cap, N1)],
+N1 = 2^40.  Bisection returns what an upward scan returns because the float
+verdict is monotone on [2, N1]: false below some n, true from it on.  With
+L = ln(1/q) and N0 = max(3, ceil(3.64/L)) (6 at q = 0.5, 12 at 0.72, 363 at
+0.99), the proof is:
+
+0. n = 2 joins the range.  Steps 1-4 make the verdict monotone on [3, N1];
+   a false verdict at n = 2 keeps it so, and a true one is followed by a
+   true one at n = 3.  For the tail condition at n = 2 needs q^2 <=
+   q^sqrt(2)/30 within rounding, so q^(2 - sqrt(2)) < 1/30 and q < 0.00301:
+   L > 5.8 and N0 = 3.  At n = 3 then lhs/T1 < 0.05 and q^3 < 3e-8, far
+   below T2(3) > 0.0122, and B(3) < B(2) <= F (step 2's last bullet, with
+   step 3's margins for rounding).
 
 1. On [3, N0) the tail condition fails.  There nL < 3.64, so its left side
    exceeds q^n > e^-3.64 > 0.026.  T2 decreases for n >= 2 (its bracket
@@ -70,7 +78,7 @@ from .kernels import _check_beta, _check_q, pq_floor
 INTEGER_BETA_Q_CUTOFF = 0.2
 NONINTEGER_BETA_Q_CUTOFF = 0.193864
 
-# N1 of the module docstring: the verdict is proven monotone on [3, N1]
+# N1 of the module docstring: the verdict is proven monotone on [2, N1]
 SEARCH_LIMIT = 2**40
 
 
@@ -95,8 +103,8 @@ class ThresholdVerdict:
 @dataclass(frozen=True)
 class ScanResult:
     """First index where both conditions hold, plus the failures in
-    (n, min(cap, 4 * n)]: scanned when n = 2, and empty when n >= 3, where
-    the module docstring proves the verdict monotone."""
+    (n, min(cap, 4 * n)]: always empty, since the module docstring proves
+    the verdict monotone on the searched range."""
 
     n: int
     later_failures: tuple[int, ...]
@@ -148,12 +156,11 @@ def gamma_budget(q: float, n: int) -> float:
 def min_guaranteed_n(q: float, n_cap: int = 1_000_000) -> ScanResult:
     """Smallest n in [2, min(n_cap, SEARCH_LIMIT)] where both conditions hold.
 
-    Decides n = 2, then bisects over the rest of the range, where the module
-    docstring proves the verdict monotone: the result is the one an upward
-    scan of scalar verdicts gives, from O(log n_cap) of them.  Raises
-    NotFound when no n in the range holds (for q near 1, where the budget
-    right side collapses much faster than the left) and DomainError for
-    n_cap < 1.
+    Bisects over the range, where the module docstring proves the verdict
+    monotone: the result is the one an upward scan of scalar verdicts gives,
+    from O(log n_cap) of them.  Raises NotFound when no n in the range holds
+    (for q near 1, where the budget right side collapses much faster than
+    the left) and DomainError for n_cap < 1.
     """
     _check_q(q)
     _check_cap(n_cap)
@@ -162,13 +169,10 @@ def min_guaranteed_n(q: float, n_cap: int = 1_000_000) -> ScanResult:
     def holds(n: int) -> bool:
         return verdict(q, n).both_hold
 
-    if top >= 2 and holds(2):
-        return ScanResult(n=2, later_failures=tuple(
-            n for n in range(3, min(n_cap, 8) + 1) if not holds(n)))
-    if top < 3 or not holds(top):
+    if top < 2 or not holds(top):
         limit = " (the end of the proven monotone range)" if top < n_cap else ""
         raise NotFound(f"no n <= {top}{limit} satisfies both conditions for q={q}")
-    lo, hi = 2, top  # the verdict fails at lo and holds at hi
+    lo, hi = 1, top  # the verdict holds at hi; lo lies below the range
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if holds(mid) else (mid, hi)

@@ -172,9 +172,11 @@ class TestThresholdCommand:
         code, out, _ = run(capsys, "threshold", "--q", "0.2", "--trace")
         doc = json.loads(out)
         assert code == 0
-        assert len(doc["trace"]) == 12
+        # the verdicts at n_q - 1 and n_q, which fix n_q = 13
+        assert len(doc["trace"]) == 2
         assert doc["trace"][-1]["budget"]["holds"] is True
-        assert doc["trace"][0]["n"] == 2
+        assert doc["trace"][0]["n"] == 12
+        assert doc["trace"][0]["budget"]["holds"] is False
 
     def test_not_found_exit_code(self, capsys):
         code, _, err = run(capsys, "threshold", "--q", "0.9", "--cap", "3000")

@@ -491,7 +491,7 @@ class TestArrayPass:
 # psi(n)/n and the divisors |lambda_{n-j}|^2 cos(j pi/2n) and
 # |lambda_{n-j}| cos(j pi/2n), the first subnormal at the top rung), at the
 # exact offsets (k - 1/2)pi/n - y.  The largest errors measured at these
-# points are 5.0e-16 sum_j |c_j| for the gammas (the _gammas docstring) and
+# points are 5.0e-16 sum_j |c_j| for the gammas (the _g13 docstring) and
 # 4.1e-16 max_k |d_k| for the derivatives (the verify_cy2n docstring)
 FFT_REL_BOUND = 1e-15
 FFT_POINTS = ((LADDER_QS[-1], BETA_CLASSES[-1], underflow_edge(LADDER_QS[-1]) - 1),
@@ -560,8 +560,7 @@ class TestFftPass:
     @pytest.mark.parametrize("q,beta,n", FFT_POINTS)
     def test_gammas_match_40_digit_direct_sums(self, q, beta, n):
         a = eigen_assembly(NeumannParams(q, beta), n, y0_of(q, beta, n))
-        ks = range(1, 2 * n + 1)
-        gs = a._gammas(ks, a._offsets(ks))
+        gs = [a.gammas(k) for k in range(1, 2 * n + 1)]
         with mp.workdps(40):
             for m, (ref, scale) in zip((0, 2), direct_gamma_sums(a)):
                 err = max(abs(g[m] - v) for g, v in zip(gs, ref))
@@ -579,8 +578,8 @@ class TestFftPass:
             assert err <= FFT_REL_BOUND * scale, float(err / scale)
 
     def test_verifier_sums_no_series_over_midpoints(self, monkeypatch):
-        # P_q and gamma_5's strip tail are the only series over midpoint
-        # lanes in this module; the verifier's one FFT needs neither
+        # gamma_5's strip tail, summed at one midpoint by derivative_pq, is
+        # the only P_q series in this module; the verifier's one FFT needs none
         def no_lanes(*args, **kwargs):
             raise AssertionError("summed P_q terms over midpoint lanes")
 
@@ -588,6 +587,23 @@ class TestFftPass:
         assert verify_cy2n(NeumannParams(0.99, 0.0), 2000).holds
         with pytest.raises(AssertionError):
             derivative_pq(NeumannParams(0.99, 0.0), 20, 0.01, 1)
+
+    def test_ledger_pass_runs_once_per_assembly(self, monkeypatch):
+        # gamma_1 and gamma_3 of every midpoint come from one cached FFT
+        q, beta, n = 0.2, 0.37, 75
+        a = eigen_assembly(NeumannParams(q, beta), n, y0_of(q, beta, n))
+        calls = []
+        fft = a._fft
+
+        def counted(c):
+            calls.append(len(c))
+            return fft(c)
+
+        monkeypatch.setattr(a, "_fft", counted)
+        gs = [a.gammas(k) for k in range(1, 2 * n + 1)]
+        assert calls == [2]
+        assert [a.derivative_pq(k)[1].gamma for k in range(1, 2 * n + 1)] == gs
+        assert calls == [2]
 
 
 # criterion 5's grid (tests/test_acceptance.py SMALL_GRID)

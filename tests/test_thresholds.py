@@ -8,8 +8,9 @@ import mpmath as mp
 import pytest
 
 from neumann_widths import (DomainError, NotFound, ScanResult, check_budget_condition,
-                            check_tail_condition, is_integer_beta, min_guaranteed_n,
-                            min_guaranteed_n_beta, pq_floor, thresholds, verdict)
+                            check_tail_condition, gamma_budget, is_integer_beta,
+                            min_guaranteed_n, min_guaranteed_n_beta, pq_floor, thresholds,
+                            verdict)
 
 # frozen after confirmation by the mpmath oracle below
 NQ_FROZEN = {0.05: 4, 0.1: 5, 0.2: 13, 0.3: 42, 0.5: 1717}
@@ -281,6 +282,22 @@ class TestMonotoneSearch:
         for q in [k / 1000 for k in range(1, 1000, 3)]:
             holds = [verdict(q, n).both_hold for n in range(3, 400)]
             assert holds == sorted(holds), q
+
+    def test_two_joins_the_monotone_range(self):
+        # step 0 of the module docstring: the verdict at n = 2 needs
+        # q < 0.00301, and where it holds it holds at n = 3 with wide margins
+        assert not verdict(0.0031, 2).both_hold
+        grid = [0.0031 * k / 4000 for k in range(1, 4000)]
+        held = [q for q in grid if verdict(q, 2).both_hold]
+        assert held and max(held) < 0.00301 and -math.log(0.00301) > 5.8
+        assert n0(0.00301) == 3
+        assert 8 / 27 * (5 / 28 - math.pi**2 / 72) > 0.0122  # T2(3)
+        for q in held:
+            assert all(verdict(q, m).both_hold for m in range(3, 9)), q
+            lhs = check_tail_condition(q, 3).lhs
+            assert lhs < 0.05 * 2 * q ** math.sqrt(3) / 135 and lhs < 3e-8
+            assert gamma_budget(q, 3) < gamma_budget(q, 2)
+        assert min_guaranteed_n(max(held)) == ScanResult(n=2, later_failures=())
 
     def test_floor_vanishes_from_098651(self):
         assert pq_floor(0.9865) > 0.0 and -math.log(0.98651) > 0.0135
