@@ -174,10 +174,14 @@ def lambda_finite_sum(spec: KernelSpec, n: int, l: int, y: float,
 
 
 def _coef(q: float, k: np.ndarray) -> np.ndarray:
-    """psi(k)/k = q^k/k^2 for each integer k.  The powers are Python's
-    float powers: numpy's vectorised power can differ in the last bit, and
-    with these the decomposition is bit for bit the scalar one."""
-    return np.array([q**i / i / i for i in k.tolist()])
+    """psi(k)/k = q^k/k^2 for each integer k, bit for bit the scalar
+    ``q**k / k / k``: the powers are libm's ``pow`` through ``math.pow``,
+    the call Python's float power makes, and the two divisions are IEEE
+    divisions by the exactly converted k.  numpy's vectorised power can
+    differ from libm in the last bit, so it is not used."""
+    k_float = k.astype(float)
+    powers = np.fromiter(map(math.pow, itertools.repeat(q), k_float.tolist()), float, len(k))
+    return powers / k_float / k_float
 
 
 def _r1_terms(q: float, n: int, y: float, phase1: float, j: np.ndarray):
@@ -303,9 +307,8 @@ class _EigenAssembly:
         the midpoint index, so no cos(j d) is taken at a rounded offset d.
         """
         n = self.n
-        rows = np.zeros((len(c), 2 * n), dtype=complex)
-        rows[:, :n] = np.conj(c) * np.exp(1j * self._j * (self.y + math.pi / (2 * n)))
-        return np.fft.fft(rows, axis=1).real
+        twisted = np.conj(c) * np.exp(1j * self._j * (self.y + math.pi / (2 * n)))
+        return np.fft.fft(twisted, 2 * n, axis=1).real  # zero-padded from n to 2n
 
     @functools.cached_property
     def _derivatives(self) -> np.ndarray:
@@ -313,9 +316,13 @@ class _EigenAssembly:
         s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k): one FFT."""
         n = self.n
         c, e = self._coefficients()
-        bracket = 0.5 * self.s + self._g2() + self._fft(np.array([c + e]))[0]
-        sign = np.resize([1.0, -1.0], 2 * n)  # (-1)^(k+1), k = 1..2n
-        return sign * (math.pi / (4.0 * n * self.psi_n)) * np.roll(bracket, -1)
+        sums = self._fft((c + e)[np.newaxis])[0]
+        out = np.empty(2 * n)
+        out[:-1], out[-1] = sums[1:], sums[0]  # t_k reads bin k mod 2n
+        out += 0.5 * self.s + self._g2()
+        out *= math.pi / (4.0 * n * self.psi_n)
+        out[1::2] *= -1.0  # (-1)^(k+1)
+        return out
 
     @functools.cached_property
     def _g13(self) -> np.ndarray:
@@ -350,9 +357,8 @@ class _EigenAssembly:
         g1, g3 = self._g13[:, k % (2 * n)].tolist()
         root = math.isqrt(n)
         head = slice(1, root + 1)
-        delta = np.array([self.delta(j) for j in range(1, root + 1)])
-        g4 = -2.0 * s * math.fsum((delta * np.cos(d * self._j[head]) * self._psi_over_n
-                                   / self._lam_cos[head]).tolist())
+        g4 = -2.0 * s * math.fsum((np.array(self._deltas) * np.cos(d * self._j[head])
+                                   * self._psi_over_n / self._lam_cos[head]).tolist())
         strip, strip_c = _certified_sum(_pq_terms(self.q, d, root + 1), self.policy.abs_tol,
                                         self.policy, "strip-kernel tail")
         g5 = -s * (strip + strip_c)  # P_q's terms already carry the factor 2
@@ -364,25 +370,29 @@ class _EigenAssembly:
         return (n * float(self.lam_abs[j]) * math.cos(j * math.pi / (2 * n))
                 / ((q**-j + q**j) * self.psi_n) - 1.0)
 
+    @functools.cached_property
+    def _deltas(self) -> tuple[float, ...]:
+        """delta_j for j = 1..isqrt(n): they do not depend on the midpoint."""
+        return tuple(self.delta(j) for j in range(1, math.isqrt(self.n) + 1))
+
+    @functools.cached_property
+    def _ledger_fields(self) -> dict:
+        """The ``GammaLedger`` fields that are the same at every midpoint."""
+        return dict(y=self.y, s=self.s, r1=tuple(self.r1.tolist()), r2=tuple(self.r2.tolist()),
+                    r3=tuple(self.r3.tolist()), r=tuple(self.r.tolist()),
+                    R=tuple(self.R.tolist()), delta=self._deltas,
+                    gamma_budget=gamma_budget(self.q, self.n),
+                    min_abs_lambda=float(self.lam_abs.min()))
+
     def derivative_pq(self, k: int) -> tuple[float, GammaLedger]:
         """Midpoint derivative via P_q plus the five correction terms."""
-        n = self.n
         gs = self.gammas(k)
         d = self.midpoint(k) - self.y
         bracket = eval_pq(self.q, d, self.policy) * self.s + math.fsum(gs)
         sign_k = 1.0 if k % 2 == 1 else -1.0
-        value = sign_k * math.pi / (4.0 * n * self.psi_n) * bracket
-        root = math.isqrt(n)
-        ledger = GammaLedger(
-            k=k, y=self.y, s=self.s, gamma=gs,
-            r1=tuple(self.r1.tolist()), r2=tuple(self.r2.tolist()),
-            r3=tuple(self.r3.tolist()), r=tuple(self.r.tolist()), R=tuple(self.R.tolist()),
-            z=tuple(self._z(d).tolist()),
-            delta=tuple(self.delta(j) for j in range(1, root + 1)),
-            gamma_total=sum(abs(g) for g in gs),
-            gamma_budget=gamma_budget(self.q, n),
-            min_abs_lambda=float(self.lam_abs.min()),
-        )
+        value = sign_k * math.pi / (4.0 * self.n * self.psi_n) * bracket
+        ledger = GammaLedger(k=k, gamma=gs, z=tuple(self._z(d).tolist()),
+                             gamma_total=sum(abs(g) for g in gs), **self._ledger_fields)
         return value, ledger
 
 
@@ -506,21 +516,25 @@ def solve_fundamental_spline(spec: KernelSpec, n: int, y: float,
 def classify_sign_pattern(values: Sequence[float], zero_tol: float) -> tuple[bool, int, tuple[int, ...], tuple[int, ...]]:
     """Match values[k], k = 0..2n-1, against (-1)^k * eps * e_k.
 
-    Entries with |value| <= zero_tol get e_k = 0 and never veto; eps is fixed
-    by the first nonzero entry.  Returns (holds, epsilon, e, signs).
+    Entries with |value| <= zero_tol get e_k = 0 and never veto; any other
+    entry, NaN included, is +1 if it is > 0 and -1 if not.  eps is fixed by
+    the first nonzero entry, and every nonzero entry must then be
+    (-1)^k * eps.  ``values`` may be any sequence of floats or a float
+    array; the classification is array-wide, with no Python loop over the
+    entries.  Returns (holds, epsilon, e, signs): a bool, an int and two
+    tuples of ints.
     """
-    signs = tuple(0 if abs(v) <= zero_tol else (1 if v > 0 else -1) for v in values)
-    epsilon = 0
-    for k, s in enumerate(signs):
-        if s != 0:
-            epsilon = s if k % 2 == 0 else -s
-            break
-    if epsilon == 0:
-        return True, 1, tuple(0 for _ in signs), signs
-    holds = all(s == 0 or s == (epsilon if k % 2 == 0 else -epsilon)
-                for k, s in enumerate(signs))
-    pattern = tuple(abs(s) for s in signs)
-    return holds, epsilon, pattern, signs
+    v = np.asarray(values, dtype=float)
+    signs = np.where(v > 0, 1, -1)
+    signs[np.abs(v) <= zero_tol] = 0
+    aligned = signs.copy()  # (-1)^k signs[k]: eps at each nonzero entry iff it holds
+    aligned[1::2] *= -1
+    nonzero = np.flatnonzero(aligned)
+    if not len(nonzero):
+        return True, 1, (0,) * len(signs), tuple(signs.tolist())
+    epsilon = int(aligned[nonzero[0]])
+    holds = not (aligned == -epsilon).any()
+    return holds, epsilon, tuple(np.abs(signs).tolist()), tuple(signs.tolist())
 
 
 def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
@@ -541,7 +555,10 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     scalar loops and of (midpoints x n) cosine-row sums on every rung of
     the benchmark's ladders.
 
-    The zero classification threshold is scale-aware:
+    The derivative array goes to ``classify_sign_pattern`` as it is, and
+    the call runs no Python loop over j or over the midpoints: the power
+    rows of ``_coef`` are one ``math.pow`` map each, and the signs are array
+    operations.  The zero classification threshold is scale-aware:
     1e-9 * (pi/(4 n psi(n))) * P_q(0), with P_q(0) from ``eval_pq``.
 
     Raises UnderflowLimit at every n from the one at which |lambda_n|^2 ~
@@ -553,8 +570,8 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     else:
         _check_shift(n, y)
     assembly = _EigenAssembly(params, n, y, policy)
-    derivs = tuple(assembly._derivatives.tolist())
+    derivs = assembly._derivatives
     zero_tol = 1e-9 * math.pi / (4.0 * n * assembly.psi_n) * eval_pq(params.q, 0.0, policy)
     holds, epsilon, pattern, signs = classify_sign_pattern(derivs, zero_tol)
     return Cy2nVerdict(holds=holds, epsilon=epsilon, pattern=pattern, signs=signs,
-                       zero_tol=zero_tol, derivatives=derivs)
+                       zero_tol=zero_tol, derivatives=tuple(derivs.tolist()))

@@ -22,7 +22,7 @@ from neumann_widths import (DEFAULT_POLICY, NeumannParams, Partition2n,
                             lambda_fourier, solve_fundamental_spline, solve_theta,
                             verify_cy2n)
 from neumann_widths.kernels import TWO_PI, _certified_sum, _pq_terms
-from neumann_widths.thresholds import check_tail_condition
+from neumann_widths.thresholds import check_tail_condition, gamma_budget
 
 
 def y0_of(q, beta, n):
@@ -267,6 +267,78 @@ class TestSignCondition:
         params = NeumannParams(0.2, 0.5)
         res = verify_cy2n(params, 13, y=0.8 * y0_of(0.2, 0.5, 13))
         assert isinstance(res.holds, bool)
+
+    @pytest.mark.parametrize("q,beta,n", [(0.2, 0.0, 13), (0.26, 1.63, 268)])
+    def test_verdict_holds_python_numbers(self, q, beta, n):
+        # a numpy bool_ or int64 here would print as "True" in sweep CSV cells
+        res = verify_cy2n(NeumannParams(q, beta), n)
+        assert type(res.holds) is bool and type(res.epsilon) is int
+        for field in (res.pattern, res.signs, res.derivatives):
+            assert type(field) is tuple
+        assert all(type(e) is int for e in res.pattern + res.signs)
+        assert all(type(d) is float for d in res.derivatives)
+
+
+def reference_classify(values, zero_tol):
+    """classify_sign_pattern as generator loops over the entries: the form
+    the array classification replaced, kept as its reference."""
+    signs = tuple(0 if abs(v) <= zero_tol else (1 if v > 0 else -1) for v in values)
+    epsilon = 0
+    for k, s in enumerate(signs):
+        if s != 0:
+            epsilon = s if k % 2 == 0 else -s
+            break
+    if epsilon == 0:
+        return True, 1, tuple(0 for _ in signs), signs
+    holds = all(s == 0 or s == (epsilon if k % 2 == 0 else -epsilon)
+                for k, s in enumerate(signs))
+    return holds, epsilon, tuple(abs(s) for s in signs), signs
+
+
+CLASSIFY_TOL = 1e-9
+# entries at and around the classification edges, besides arbitrary floats
+CLASSIFY_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, CLASSIFY_TOL, -CLASSIFY_TOL,
+                  math.nextafter(CLASSIFY_TOL, math.inf), math.nextafter(-CLASSIFY_TOL, -math.inf),
+                  5e-324, 1.0, -1.0)
+
+
+class TestSignClassifier:
+    @given(st.lists(st.one_of(st.sampled_from(CLASSIFY_EDGES), st.floats()),
+                    min_size=1, max_size=64),
+           st.sampled_from([list, tuple, np.array]),
+           st.sampled_from([CLASSIFY_TOL, 0.0, math.inf]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_generator_reference(self, values, container, zero_tol):
+        got = classify_sign_pattern(container(values), zero_tol)
+        assert got == reference_classify(values, zero_tol)
+        holds, epsilon, pattern, signs = got
+        assert type(holds) is bool and type(epsilon) is int
+        assert type(pattern) is tuple and type(signs) is tuple
+        assert all(type(e) is int for e in pattern + signs)
+
+    def test_all_zero_and_empty(self):
+        for values in ([], [0.0, -0.0, CLASSIFY_TOL]):
+            got = classify_sign_pattern(np.array(values), CLASSIFY_TOL)
+            assert got == reference_classify(values, CLASSIFY_TOL)
+            assert got[:2] == (True, 1)
+
+
+# q from a subnormal-producing 1e-300 up to 1 - 1e-6, and exponents up to
+# 2e5, so that many powers underflow to subnormals or to zero
+COEF_QS = (1e-300, 1e-20, 0.01, 0.05, 0.123457, 0.195, 0.26, 0.5, 0.7, 0.9, 0.99, 0.999,
+           0.999999)
+COEF_KS = np.array(list(range(1, 3001)) + list(range(3001, 200_001, 97)) + [200_000])
+
+
+class TestCoefficientRow:
+    @pytest.mark.parametrize("q", COEF_QS)
+    def test_bit_for_bit_the_scalar_power(self, q):
+        # the decomposition is bit for bit the scalar one only if every
+        # q^k/k^2 is Python's q**k / k / k, including in the subnormal range
+        got = sk_spline._coef(q, COEF_KS)
+        ref = np.array([q**i / i / i for i in COEF_KS.tolist()])
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 # The q at the low end of each cy2n-ladder stratum of the benchmark, one beta
@@ -655,6 +727,22 @@ class TestArrayConstruction:
             assert isinstance(values, tuple)
             assert all(type(v) in (float, complex) for v in values), field
         assert type(ledger.min_abs_lambda) is float
+
+    def test_every_ledger_reads_its_assembly(self):
+        # the midpoint-independent fields are built once per assembly; each
+        # ledger must still hold the assembly's own values
+        q, beta, n = 0.2, 0.3, 40
+        a = eigen_assembly(NeumannParams(q, beta), n, y0_of(q, beta, n))
+        for k in (1, 2, 17, 2 * n):
+            ledger = a.derivative_pq(k)[1]
+            assert (ledger.k, ledger.y, ledger.s) == (k, a.y, a.s)
+            for field in ("r1", "r2", "r3", "r", "R"):
+                assert getattr(ledger, field) == tuple(getattr(a, field).tolist()), field
+            assert ledger.z == tuple(a._z(a.midpoint(k) - a.y).tolist())
+            assert ledger.delta == tuple(a.delta(j) for j in range(1, math.isqrt(n) + 1))
+            assert ledger.gamma == a.gammas(k)
+            assert ledger.gamma_budget == gamma_budget(q, n)
+            assert ledger.min_abs_lambda == float(a.lam_abs.min())
 
 
 class TestUnderflowEdge:
