@@ -136,11 +136,12 @@ def cmd_cvd(args) -> int:
 
     if args.witness_search:
         seeds = list(cvd_mod.builtin_witnesses()) if args.q == cvd_mod.WITNESS_Q else []
-        neg, pos = cvd_mod.cvd_witness(kernel, args.l, args.search_budget,
-                                       rng_seed=args.seed, seeds=seeds)
-        out["witnesses"] = {"negative": neg.to_json_dict(), "positive": pos.to_json_dict()}
-        for label, nodes in (("negative", neg), ("positive", pos)):
-            res = cvd_mod.det_D(kernel, nodes, epsilon=args.epsilon)
+        found = dict(zip(("negative", "positive"), cvd_mod._witness_search(
+            kernel, args.l, args.search_budget, args.seed, seeds)))
+        out["witnesses"] = {label: nodes.to_json_dict() for label, (nodes, _) in found.items()}
+        for label, (nodes, res) in found.items():
+            if res.epsilon != args.epsilon:  # the search took it at eps = +1
+                res = cvd_mod.det_D(kernel, nodes, epsilon=args.epsilon)
             out[f"det_{label}"] = {"value": res.value,
                                    "error_estimate": res.error_estimate,
                                    "significant": res.significant}

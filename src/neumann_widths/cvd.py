@@ -17,6 +17,11 @@ all entries of a determinant, with the compensation words the exact fallback
 needs, come from one array pass over the series, bit for bit the per-entry
 ``eval_neumann_pair``; no separate pair evaluator is needed.
 
+The witness search takes each determinant once, at eps = +1;
+``_witness_search`` returns the two witnesses' results with their nodes, so
+``cvd --witness-search`` reports them without taking them again, and takes
+them anew only for eps = -1.
+
 The module ships the q = 0.21 witness node vectors, all rational multiples
 of pi, on which the sign change is established for both beta = 0 and
 beta = 1.
@@ -102,15 +107,19 @@ class NodeVectors:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NodeVectors":
-        """Inverse of to_json_dict; data of any other shape is a DomainError."""
+        """Inverse of to_json_dict; data of any other shape, or a pair with
+        a NaN or infinite member, is a DomainError."""
+        def finite(c):
+            return type(c) is int or type(c) is float and math.isfinite(c)
+
         def pairs(key):
             v = data.get(key) if isinstance(data, dict) else None
             if not isinstance(v, list) or not all(
                     isinstance(p, list) and len(p) == 2
-                    and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                            for c in p) and p[1] != 0 for p in v):
+                    and all(map(finite, p)) and p[1] != 0 for p in v):
                 raise DomainError(f"node vectors need {key!r} as a list of [numerator, "
-                                  "denominator] number pairs with nonzero denominators")
+                                  "denominator] finite number pairs with nonzero "
+                                  "denominators")
             return [tuple(p) for p in v]
 
         try:
@@ -384,7 +393,20 @@ def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 1
     ``search_budget`` determinant evaluations -- which is inconclusive, not a
     proof of the property.  The budget must be at least 1; the sampling takes
     at least one evaluation of it, so the descent has a start.
+
+    The search takes each determinant once, at eps = +1;
+    ``_witness_search`` returns those of the two witnesses with them, so a
+    caller that reports them need not take them again.
     """
+    (neg, _), (pos, _) = _witness_search(kernel, l, search_budget, rng_seed, seeds)
+    return neg, pos
+
+
+def _witness_search(kernel: Callable[[float], float], l: int, search_budget: int,
+                    rng_seed: int, seeds: Sequence[NodeVectors]
+                    ) -> tuple[tuple[NodeVectors, DetResult], tuple[NodeVectors, DetResult]]:
+    """``cvd_witness``, each witness with its eps = +1 ``DetResult``:
+    ((negative nodes, result), (positive nodes, result))."""
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l}")
     if search_budget < 1:
@@ -402,9 +424,9 @@ def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 1
         res = det_D(kernel, nodes, epsilon=1)
         if res.significant:
             if res.value < 0.0 and neg is None:
-                neg = nodes
+                neg = nodes, res
             elif res.value > 0.0 and pos is None:
-                pos = nodes
+                pos = nodes, res
         if best_low is None or res.value < best_low[0]:
             best_low = (res.value, nodes)
         if best_high is None or res.value > best_high[0]:

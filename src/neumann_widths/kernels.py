@@ -18,10 +18,15 @@ be arrays of lanes that share one tail sequence (the r1 eigenvalue tails of
 for bit, and all lanes stop, or hit the cap, together.  ``_cosine_block_sum``
 is the same sum for the Neumann kernel at many points in one array pass: its
 tail does not depend on t, so ``_neumann_coefficients`` finds the common
-stopping index K (or raises the same ``TolUnreachable``) before any array
-exists, and running sums down a (terms x points) block give every point the
-scalar (sum, compensation) bit for bit.  Both Neumann paths take the coefficient q^k/k
-and its tail from ``NeumannParams.psi`` and ``NeumannParams.tail_bound``.
+stopping index K (or raises the same ``TolUnreachable``) from one row of
+libm powers q^k, sized by a log-space bound on K, before any point is
+touched; running sums down a (terms x points) block then give every point
+the scalar (sum, compensation) bit for bit.  The coefficient q^k/k and its
+tail are written once, in ``NeumannParams.coefficient`` and
+``NeumannParams.tail_from``, as functions of the power that take floats or
+arrays: the scalar path reaches them through ``psi`` and ``tail_bound``,
+and the row applies them to its powers.  ``_libm_powers`` is the package's
+one power row, here and in ``sk_spline``.
 
 Conventions
 -----------
@@ -74,11 +79,21 @@ class NeumannParams:
         return self.beta % 4.0
 
     def psi(self, k: int) -> float:
-        return self.q**k / k
+        return self.coefficient(self.q**k, k)
 
     def tail_bound(self, k: int) -> float:
         """Upper bound on sum_{m>k} q^m/m (geometric tail)."""
-        return self.q ** (k + 1) / ((k + 1) * (1.0 - self.q))
+        return self.tail_from(self.q ** (k + 1), k + 1)
+
+    @staticmethod
+    def coefficient(power, k):
+        """psi(k) = q^k/k from power = q^k; floats or arrays alike."""
+        return power / k
+
+    def tail_from(self, power, j):
+        """q^j/(j(1-q)) >= sum_{m>=j} q^m/m from power = q^j, so
+        tail_bound(k) is tail_from(q^(k+1), k+1); floats or arrays alike."""
+        return power / (j * (1.0 - self.q))
 
     def spec(self) -> "KernelSpec":
         return KernelSpec(psi=self.psi, beta=self.beta, tail_bound=self.tail_bound)
@@ -158,21 +173,41 @@ def _unreachable(label: str, tail: float, tol: float, policy: EvalPolicy) -> Tol
 _BLOCK_ROWS = 1024
 
 
+def _libm_powers(q: float, exponents) -> np.ndarray:
+    """q**k for each k of the sequence ``exponents``, bit for bit Python's
+    float power: libm's ``pow`` through ``math.pow``.  numpy's vectorised
+    power can differ from libm in the last bit, so it is not used."""
+    return np.fromiter(map(math.pow, itertools.repeat(q), exponents), float, len(exponents))
+
+
 def _neumann_coefficients(params: NeumannParams, policy: EvalPolicy) -> np.ndarray:
     """The coefficients psi(k) = q^k/k, k = 1..K, that ``eval_neumann_pair`` adds.
 
     The tail after term k, ``params.tail_bound(k)``, does not depend on t, so
     every point stops at the same K: the first k whose tail is
-    <= policy.abs_tol.  Raises the TolUnreachable of ``eval_neumann_pair``
-    when no k up to policy.max_terms qualifies.
+    <= policy.abs_tol.  One row of libm powers q^k, k = 1..size + 1, gives
+    both the coefficients (``params.coefficient``) and the tails
+    (``params.tail_from``), each bit for bit the scalar one.  Since
+    tail_bound(k) <= q^(k+1)/(1-q), K is at most the k where that bound
+    reaches abs_tol; ``size`` starts there (estimated in logs, which cannot
+    underflow) and doubles, up to policy.max_terms, in the rare case
+    rounding puts K beyond it.  Raises the TolUnreachable of
+    ``eval_neumann_pair`` when no k up to policy.max_terms qualifies.
     """
-    tol = policy.abs_tol
-    for k in range(1, policy.max_terms + 1):
-        tail = params.tail_bound(k)
-        if tail <= tol:
-            # Python's float power, not numpy's: they can differ in the last bit
-            return np.fromiter(map(params.psi, range(1, k + 1)), float, count=k)
-    raise _unreachable("eval_neumann", tail, tol, policy)
+    q, tol, cap = params.q, policy.abs_tol, policy.max_terms
+    estimate = (math.log(tol) + math.log1p(-q)) / math.log(q)
+    size = int(min(max(estimate, 1.0), cap))
+    while True:
+        k = np.arange(1.0, size + 2.0)
+        powers = _libm_powers(q, range(1, size + 2))
+        tails = params.tail_from(powers[1:], k[1:])
+        hit = tails <= tol
+        stop = int(hit.argmax())
+        if hit[stop]:
+            return params.coefficient(powers[:stop + 1], k[:stop + 1])
+        if size == cap:
+            raise _unreachable("eval_neumann", float(tails[-1]), tol, policy)
+        size = min(2 * size, cap)
 
 
 def _cosine_block_sum(coef: np.ndarray, phase: float,
@@ -180,25 +215,38 @@ def _cosine_block_sum(coef: np.ndarray, phase: float,
     """``_certified_sum`` of coef[k-1] * cos(k u - phase), k = 1..len(coef),
     u = fmod(t, 2pi), at every entry of the array t in one block pass.
 
-    The block has one row per k and one column per entry.
-    ``np.add.accumulate`` down the rows gives each entry's running sums in
-    the scalar loop's order (``np.sum`` may add pairwise, in another order);
-    each addition's error (``_two_sum_error``) comes elementwise from two
-    consecutive running sums, and a second accumulate adds the errors.  So
-    each entry's (sum, compensation) is bit for bit the scalar loop's.  Rows
-    go in chunks of ``_BLOCK_ROWS``, each continuing from the (sum,
-    compensation) the previous chunk left.
+    The block has one row per k and one column per entry; the phase, cosine
+    and coefficient steps overwrite it in place.  ``np.add.accumulate`` down
+    the rows gives each entry's running sums in the scalar loop's order
+    (``np.sum`` may add pairwise, in another order); each addition's error
+    (``_two_sum_error``) comes elementwise from two consecutive running sums,
+    and a second accumulate adds the errors.  So each entry's (sum,
+    compensation) is bit for bit the scalar loop's.  Rows go in chunks of
+    ``_BLOCK_ROWS``.  A chunk's first row is added to the running sum before
+    the accumulate, its error to the compensation: in the first chunk that
+    is 0.0 + term, as in the scalar loop (it turns -0.0 into 0.0), with an
+    error that is always 0 and not formed.  The first error of the
+    accumulated rows takes the compensation so far, so no chunk copies its
+    block behind a row of carried values.
     """
     u = np.fmod(t, TWO_PI)
-    s, c = np.zeros(u.shape), np.zeros(u.shape)
+    shape = (-1,) + (1,) * u.ndim
+    s, c = 0.0, np.zeros(u.shape)
     for k0 in range(0, len(coef), _BLOCK_ROWS):
         a = coef[k0:k0 + _BLOCK_ROWS]
-        k = np.arange(k0 + 1.0, k0 + 1.0 + len(a)).reshape((-1,) + (1,) * u.ndim)
-        terms = a.reshape(k.shape) * np.cos(k * u - phase)
-        sums = np.add.accumulate(np.concatenate((s[None], terms)), axis=0)
-        before, after = sums[:-1], sums[1:]
-        corr = _two_sum_error(before, terms, after)
-        c = np.add.accumulate(np.concatenate((c[None], corr)), axis=0)[-1]
+        terms = np.arange(k0 + 1.0, k0 + 1.0 + len(a)).reshape(shape) * u
+        terms -= phase
+        np.cos(terms, out=terms)
+        terms *= a.reshape(shape)
+        head = s + terms[0]
+        if k0:
+            c = c + _two_sum_error(s, terms[0], head)
+        terms[0] = head
+        sums = np.add.accumulate(terms, axis=0)
+        corr = _two_sum_error(sums[:-1], terms[1:], sums[1:])
+        if len(corr):
+            corr[0] += c
+            c = np.add.accumulate(corr, axis=0)[-1]
         s = sums[-1]
     return s, c
 

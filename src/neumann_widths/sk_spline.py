@@ -62,8 +62,8 @@ import numpy as np
 
 from .errors import DomainError, SignDegenerate, SingularSystem, UnderflowLimit
 from .kernels import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
-                      _certified_sum, _check_n, _pq_terms, _reduce_phase, eval_bernoulli,
-                      eval_pq, eval_psi_beta1)
+                      _certified_sum, _check_n, _libm_powers, _pq_terms, _reduce_phase,
+                      eval_bernoulli, eval_pq, eval_psi_beta1)
 from .thresholds import gamma_budget
 from .widths import solve_theta
 
@@ -175,13 +175,11 @@ def lambda_finite_sum(spec: KernelSpec, n: int, l: int, y: float,
 
 def _coef(q: float, k: np.ndarray) -> np.ndarray:
     """psi(k)/k = q^k/k^2 for each integer k, bit for bit the scalar
-    ``q**k / k / k``: the powers are libm's ``pow`` through ``math.pow``,
-    the call Python's float power makes, and the two divisions are IEEE
-    divisions by the exactly converted k.  numpy's vectorised power can
-    differ from libm in the last bit, so it is not used."""
+    ``q**k / k / k``: the powers are ``kernels._libm_powers``, the libm
+    ``pow`` Python's float power calls, and the two divisions are IEEE
+    divisions by the exactly converted k."""
     k_float = k.astype(float)
-    powers = np.fromiter(map(math.pow, itertools.repeat(q), k_float.tolist()), float, len(k))
-    return powers / k_float / k_float
+    return _libm_powers(q, k_float.tolist()) / k_float / k_float
 
 
 def _r1_terms(q: float, n: int, y: float, phase1: float, j: np.ndarray):

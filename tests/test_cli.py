@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import neumann_widths
-from neumann_widths import NotFound, cli, min_guaranteed_n_beta
+from neumann_widths import NotFound, cli, cvd, min_guaranteed_n_beta
 from neumann_widths.cli import SWEEP_COLUMNS, main
 
 
@@ -347,6 +348,54 @@ class TestCvdCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["det_negative"]["value"] < 0.0 < doc["det_positive"]["value"]
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.95])
+    def test_witness_determinants_are_the_searchs(self, capsys, monkeypatch, q, epsilon):
+        # the printed determinants are det_D's at the witnesses; at eps = +1
+        # they are the search's own, and det_D runs only inside the search
+        calls = {"search": 0, "outside": 0}
+        inside = []
+        det_d, search = cvd.det_D, cvd._witness_search
+
+        def counting_det_d(*args, **kwargs):
+            calls["search" if inside else "outside"] += 1
+            return det_d(*args, **kwargs)
+
+        def flagged_search(*args, **kwargs):
+            inside.append(True)
+            try:
+                return search(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cvd, "det_D", counting_det_d)
+        monkeypatch.setattr(cvd, "_witness_search", flagged_search)
+        code, out, _ = run(capsys, "cvd", "--q", str(q), "--beta", "0.5", "--epsilon",
+                           str(epsilon), "--witness-search", "--search-budget", "2000")
+        assert code == 0
+        doc = json.loads(out)
+        kernel = cvd.neumann_evaluator(cvd.NeumannParams(q, 0.5))
+        for label in ("negative", "positive"):
+            nodes = cvd.NodeVectors.from_json_dict(doc["witnesses"][label])
+            res = det_d(kernel, nodes, epsilon=epsilon)
+            assert doc[f"det_{label}"] == {"value": res.value,
+                                           "error_estimate": res.error_estimate,
+                                           "significant": res.significant}
+        assert calls["search"] >= 2
+        assert calls["outside"] == (0 if epsilon == 1 else 2)
+
+    @pytest.mark.parametrize("pair", [[1, math.inf], [1, -math.inf], [math.inf, 1],
+                                      [1, math.nan], [-math.inf, 18]])
+    def test_non_finite_node_pair_is_validation_error(self, capsys, tmp_path, pair):
+        # [1, Infinity] once became the node 0.0 and was echoed as Infinity
+        path = tmp_path / "nodes.json"
+        path.write_text(json.dumps({"x": [pair, [1, 9], [1, 6]],
+                                    "y": [[13, 36], [11, 30], [67, 180]]}), encoding="utf-8")
+        code, out, err = run(capsys, "cvd", "--q", "0.21", "--beta", "0",
+                             "--vectors", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "validation"
 
     @pytest.mark.parametrize("budget,code,error,message", [
         ("0", 2, "validation", "search_budget must be >= 1, got 0"),

@@ -267,6 +267,72 @@ def test_block_pass_stops_where_the_scalar_sum_stops(q):
         str(scalar.value), scalar.value.terms_used, scalar.value.tail_bound)
 
 
+# q from 1e-300, whose powers underflow at once, to 1 - 1e-12, whose K is
+# far beyond any cap; abs_tol down to the smallest subnormal
+ROW_QS = (1e-300, 1e-20, 0.06, 0.21, 0.5, 0.9, 0.95, 0.999, 1.0 - 1e-12)
+ROW_TOLS = (1e-14, 1e-16, 1e-300, 5e-324)
+ROW_CAP = 10**6
+
+
+def scalar_row(q, tol, cap):
+    """The coefficient row by its scalar definition: q**k / k for k = 1..K,
+    K the first k with tail q**(k+1) / ((k+1)(1-q)) <= tol (None when no
+    k up to cap qualifies), and the tails after k = 1..min(K, cap)."""
+    tails = []
+    for k in range(1, cap + 1):
+        tails.append(q ** (k + 1) / ((k + 1) * (1.0 - q)))
+        if tails[-1] <= tol:
+            return [q**i / i for i in range(1, k + 1)], k, tails
+    return None, None, tails
+
+
+@pytest.mark.parametrize("tol", ROW_TOLS)
+@pytest.mark.parametrize("q", ROW_QS)
+def test_coefficient_row_is_the_scalar_definition(q, tol):
+    # bit for bit q**k / k up to K; with fewer terms allowed than K, the
+    # scalar sum's error in every field
+    row, need, tails = scalar_row(q, tol, ROW_CAP)
+    params = NeumannParams(q, 0.0)
+    caps = {1, ROW_CAP} | ({need - 1, need} if need else set())
+    for cap in sorted(caps - {0}):
+        policy = EvalPolicy(abs_tol=tol, max_terms=cap)
+        if need is not None and cap >= need:
+            got = _neumann_coefficients(params, policy)
+            assert got.dtype == np.float64 and len(got) == need
+            assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64))
+            continue
+        with pytest.raises(TolUnreachable) as info:
+            _neumann_coefficients(params, policy)
+        tail = tails[cap - 1]
+        assert (str(info.value), info.value.terms_used, info.value.tail_bound) == (
+            f"eval_neumann: tail {tail:.3e} still above {tol:.3e} after {cap} terms",
+            cap, tail)
+        assert type(info.value.tail_bound) is float
+
+
+def test_coefficient_row_grows_past_a_short_estimate(monkeypatch):
+    # the log estimate of K bounds it from above; were it to fall short, the
+    # row doubles up to max_terms, and K and the error stay the scalar ones
+    params = NeumannParams(0.95, 0.0)
+    row, need, tails = scalar_row(0.95, 1e-16, ROW_CAP)
+    monkeypatch.setattr(kernels.math, "log1p", lambda x: 1000.0)  # estimate < 1
+    got = _neumann_coefficients(params, ENTRY_POLICY)
+    assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64))
+    with pytest.raises(TolUnreachable) as info:
+        _neumann_coefficients(params, EvalPolicy(abs_tol=1e-16, max_terms=need - 1))
+    assert (info.value.terms_used, info.value.tail_bound) == (need - 1, tails[need - 2])
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.2])
+def test_block_pass_starts_from_positive_zero(beta):
+    # at q = 5e-324 the first term q cos(u - phase) rounds to -0.0 where
+    # |cos| < 1/2; the scalar loop adds it to 0.0, and so must the block
+    params = NeumannParams(5e-324, beta)
+    s, c = block_pairs(params, BLOCK_T)
+    assert [(a.hex(), b.hex()) for a, b in entry_pairs(s, c)] == [
+        (a.hex(), b.hex()) for a, b in scalar_pairs(params, BLOCK_T)]
+
+
 class TestIntegratedKernel:
     def test_dilogarithm_value(self):
         spec = NeumannParams(0.5, -1.0).spec()
