@@ -69,6 +69,10 @@ from .widths import solve_theta
 
 SIGN_DEGENERATE_TOL = 1e-14
 _SINGULAR_COND = 1e15
+# the sign verdict's error bound (``verify_cy2n``): the FFT pass's tested
+# error relative to its largest output, and the unit roundoff
+_PASS_REL_ERROR = 1e-15
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -140,16 +144,18 @@ class Cy2nVerdict:
     """Sign-pattern verdict: derivative signs at midpoints are (-1)^k eps e_k.
 
     ``pattern`` lists e_k in the k = 0..2n-1 indexing of midpoints
-    (x_k + x_{k+1})/2; ``signs`` the raw classified signs.  holds is true iff
-    some single eps in {+1,-1} matches every nonzero entry; zero entries
-    (|value| <= zero_tol) are allowed anywhere.
+    (x_k + x_{k+1})/2; ``signs`` the classified signs: +1 or -1 where
+    |derivative| exceeds ``bound``, the error bound of every midpoint, and 0
+    (unresolved) where it does not.  holds is true iff some single eps in
+    {+1,-1} matches every resolved sign; ``unresolved`` counts the zeros.
     """
 
     holds: bool
     epsilon: int
     pattern: tuple[int, ...]
     signs: tuple[int, ...]
-    zero_tol: float
+    unresolved: int
+    bound: float
     derivatives: tuple[float, ...]
 
 
@@ -237,6 +243,7 @@ class _EigenAssembly:
                 "decomposition is invalid here (use the finite node sum)")
         self.psi_n = params.psi(n)
         _check_scale(self.psi_n != 0.0, n, self.psi_n)  # before any O(n) array
+        self._phase, self._sin_arg = _reduce_phase(params.beta), sin_arg
         self._psi_over_n = self.psi_n / n
         self.n, self.y, self.q, self.policy = n, y, params.q, policy
         self.s = math.copysign(1.0, sin_arg)
@@ -309,18 +316,31 @@ class _EigenAssembly:
         return np.fft.fft(twisted, 2 * n, axis=1).real  # zero-padded from n to 2n
 
     @functools.cached_property
-    def _derivatives(self) -> np.ndarray:
+    def _derivatives(self) -> tuple[np.ndarray, float]:
         """The midpoint derivatives at t_1..t_2n from their brackets
-        s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k): one FFT."""
+        s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k): one FFT; and
+        their error bound (``verify_cy2n``)."""
         n = self.n
         c, e = self._coefficients()
+        head = 0.5 * self.s + self._g2()
         sums = self._fft((c + e)[np.newaxis])[0]
         out = np.empty(2 * n)
         out[:-1], out[-1] = sums[1:], sums[0]  # t_k reads bin k mod 2n
-        out += 0.5 * self.s + self._g2()
-        out *= math.pi / (4.0 * n * self.psi_n)
+        out += head
+        scale = math.pi / (4.0 * n * self.psi_n)
+        size = abs(head) + float(np.abs(c + e).sum())
+        bound = scale * (_PASS_REL_ERROR * float(np.abs(out).max())
+                         + _UNIT_ROUNDOFF * self._rounding_factor() * size)
+        out *= scale
         out[1::2] *= -1.0  # (-1)^(k+1)
-        return out
+        return out, bound
+
+    def _rounding_factor(self) -> float:
+        """Relative rounding of each bracket coefficient, in units of the
+        unit roundoff: 16 for the arithmetic that forms it, plus the shift
+        argument's rounding over |sin(n y - beta pi/2)|."""
+        arg_error = 2.0 * (abs(self.n * self.y) + 2.0 * self._phase)
+        return 16.0 + arg_error / abs(self._sin_arg)
 
     @functools.cached_property
     def _g13(self) -> np.ndarray:
@@ -340,7 +360,7 @@ class _EigenAssembly:
         """Midpoint derivative on interval k through the eigenvalue magnitudes,
         read from the verifier's one-FFT pass."""
         self._check_k(k)
-        return float(self._derivatives[k - 1])
+        return float(self._derivatives[0][k - 1])
 
     def gammas(self, k: int) -> tuple[float, float, float, float, float]:
         """gamma_1..gamma_5 at midpoint t_k (needs n >= 2 for the sqrt split).
@@ -553,11 +573,20 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     scalar loops and of (midpoints x n) cosine-row sums on every rung of
     the benchmark's ladders.
 
-    The derivative array goes to ``classify_sign_pattern`` as it is, and
-    the call runs no Python loop over j or over the midpoints: the power
-    rows of ``_coef`` are one ``math.pow`` map each, and the signs are array
-    operations.  The zero classification threshold is scale-aware:
-    1e-9 * (pi/(4 n psi(n))) * P_q(0), with P_q(0) from ``eval_pq``.
+    Each midpoint's sign is classified against one stated error bound
+    (``Cy2nVerdict.bound``), the same at every midpoint k:
+
+        eps_k = (pi/(4 n psi(n))) (1e-15 max_k |bracket_k|
+                                   + u rho (|s/2 + gamma_2| + sum_j |c_j + e_j|)),
+
+    the pass's tested error plus the rounding of its inputs: u = 2^-53, and
+    every coefficient c_j + e_j (and s/2 + gamma_2) is within rho u of its
+    exact value, rho = 16 + 2(n y + 2 |beta pi/2 mod 2 pi|)/|sin(n y - beta
+    pi/2)|, the second term the rounding of the shift argument.  A midpoint
+    with |d_k| <= eps_k is unresolved (sign 0); holds is true only if every
+    resolved sign alternates.  The call runs no Python loop over j or over
+    the midpoints: the power rows of ``_coef`` are one ``math.pow`` map
+    each, and the signs are array operations.
 
     Raises UnderflowLimit at every n from the one at which |lambda_n|^2 ~
     (2 q^n/n^2)^2 underflows to zero (n = 80 at q = 0.01, 226 at q = 0.2),
@@ -567,9 +596,8 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
         y = solve_theta(params, n, policy).y0
     else:
         _check_shift(n, y)
-    assembly = _EigenAssembly(params, n, y, policy)
-    derivs = assembly._derivatives
-    zero_tol = 1e-9 * math.pi / (4.0 * n * assembly.psi_n) * eval_pq(params.q, 0.0, policy)
-    holds, epsilon, pattern, signs = classify_sign_pattern(derivs, zero_tol)
+    derivs, bound = _EigenAssembly(params, n, y, policy)._derivatives
+    holds, epsilon, pattern, signs = classify_sign_pattern(derivs, bound)
     return Cy2nVerdict(holds=holds, epsilon=epsilon, pattern=pattern, signs=signs,
-                       zero_tol=zero_tol, derivatives=tuple(derivs.tolist()))
+                       unresolved=signs.count(0), bound=bound,
+                       derivatives=tuple(derivs.tolist()))

@@ -132,8 +132,8 @@ def block_pairs(params, t, policy=ENTRY_POLICY):
 # converges after 23 terms, so the 24-term cap is hit in the peak series.
 # derivative_pq: at q = 0.5, n = 16 the eigenvalue tails converge after two
 # terms, so the 3-term cap is hit in gamma_5's strip-kernel tail.  verify_cy2n
-# at the same point sums no series over its midpoints (one FFT), so it hits
-# the cap in eval_pq(q, 0), the P_q(0) of its zero_tol.
+# sums no series over its midpoints (one FFT); at q = 0.99, n = 4 its
+# eigenvalue tails need more than three terms, so it hits the cap there.
 TAIL_CHECKED = {
     "eval_neumann": (lambda pol: eval_neumann(NEAR_ONE, 1.0, pol), 1e-14, 3),
     "eval_neumann_block": (lambda pol: block_pairs(NEAR_ONE, np.array([1.0, 7.0]), pol),
@@ -146,7 +146,7 @@ TAIL_CHECKED = {
     "lambda_fourier": (lambda pol: lambda_fourier(NEAR_ONE, 4, 1, 0.1, pol), 1e-14, 3),
     "derivative_pq": (lambda pol: derivative_pq(NeumannParams(0.5, 0.3), 16, 0.05, 1, pol),
                       1e-14, 3),
-    "verify_cy2n": (lambda pol: verify_cy2n(NeumannParams(0.5, 0.3), 16, 0.05, pol), 1e-14, 3),
+    "verify_cy2n": (lambda pol: verify_cy2n(NeumannParams(0.99, 0.3), 4, 0.05, pol), 1e-14, 3),
 }
 
 
