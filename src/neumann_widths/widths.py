@@ -27,7 +27,8 @@ from functools import lru_cache
 
 from .errors import BracketFailure
 from .kernels import (DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, _check_n,
-                      _reduce_phase, eval_gq, eval_hq)
+                      _reduce_phase)
+from .kernels import eval_gq  # noqa: F401  (bench/tracing.py counts calls through it)
 
 _BISECT_ITERS = 64  # interval width 0.5 / 2**64 ~ 2.7e-20
 
@@ -92,13 +93,6 @@ def _odd_terms(params: NeumannParams, coef: float, ratio: float, power: int, tri
         yield term, tail(coef, m)
 
 
-def _theta_equation_closed(params: NeumannParams, n: int, theta: float) -> float:
-    """(q^n/n)-scaled left side of the theta equation via G_q/H_q closed forms."""
-    x = theta * math.pi
-    half = _reduce_phase(params.beta)
-    return eval_gq(params.q, n, x) * math.cos(half) + eval_hq(params.q, n, x) * math.sin(half)
-
-
 def theta_equation_lhs(params: NeumannParams, n: int, theta: float,
                        policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Definitional series form of the theta-equation left side."""
@@ -119,6 +113,57 @@ def _limit_theta(beta_r: float) -> float:
     return beta_r / 2.0 - 1.5
 
 
+def _bisect_theta(params: NeumannParams, n: int, lo: float, hi: float) -> float:
+    """The theta-equation root in [lo, hi] by bisection, for q^n > 0.
+
+    Each step evaluates the closed form G_q(x) cos(beta pi/2) + H_q(x)
+    sin(beta pi/2), x = theta pi, with the operations of ``eval_gq`` and
+    ``eval_hq`` in their order, so every value is bit for bit
+    eval_gq(q, n, x) cos(beta pi/2) + eval_hq(q, n, x) sin(beta pi/2); the
+    factors that do not depend on theta (q^n, 2 q^n, q^(2n), 1 - q^(2n),
+    cos and sin of beta pi/2, 4n and 2n) are formed once per solve.  The
+    bisection stops once the midpoint of the bracket equals one of its
+    ends: the ends are then adjacent floats, and further steps would only
+    re-evaluate an end without moving it.  _BISECT_ITERS caps the steps
+    (about 53 are taken).  Raises BracketFailure when the closed form has
+    no sign change on [lo, hi].
+    """
+    a = params.q**n
+    two_a, a2 = 2.0 * a, a * a
+    one_minus_a2 = 1.0 - a * a
+    half = _reduce_phase(params.beta)
+    cos_half, sin_half = math.cos(half), math.sin(half)
+    four_n, two_n = 4.0 * n, 2.0 * n
+    log1p, atan, cos, sin, pi = math.log1p, math.atan, math.cos, math.sin, math.pi
+
+    def closed(theta: float) -> float:
+        x = theta * pi
+        u = two_a * cos(x)
+        return ((log1p(u + a2) - log1p(-u + a2)) / four_n * cos_half
+                + atan(two_a * sin(x) / one_minus_a2) / two_n * sin_half)
+
+    f_lo, f_hi = closed(lo), closed(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0 or f_lo * f_hi > 0.0:
+        raise BracketFailure(
+            f"no sign change on [{lo}, {hi}] for q={params.q}, beta={params.beta}, n={n}: "
+            f"f({lo})={f_lo:.3e}, f({hi})={f_hi:.3e}")
+    neg_lo = f_lo < 0.0
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = closed(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 @lru_cache(maxsize=4096)
 def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> ThetaRoot:
     q, beta = params.q, params.beta
@@ -132,30 +177,8 @@ def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> Th
     elif q**n == 0.0:
         theta = _limit_theta(beta_r)
     else:
-        lo, hi = (0.5, 1.0) if branch is Branch.HALF else (0.0, 0.5)
-        f_lo = _theta_equation_closed(params, n, lo)
-        f_hi = _theta_equation_closed(params, n, hi)
-        if f_lo == 0.0:
-            theta = lo
-        elif f_hi == 0.0 or f_lo * f_hi > 0.0:
-            raise BracketFailure(
-                f"no sign change on [{lo}, {hi}] for q={q}, beta={beta}, n={n}: "
-                f"f({lo})={f_lo:.3e}, f({hi})={f_hi:.3e}")
-        else:
-            neg_lo = f_lo < 0.0
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                f_mid = _theta_equation_closed(params, n, mid)
-                if f_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (f_mid < 0.0) == neg_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            theta = 0.5 * (lo + hi)
-            if theta >= 1.0:
-                theta = math.nextafter(1.0, 0.0)
+        bracket = (0.5, 1.0) if branch is Branch.HALF else (0.0, 0.5)
+        theta = min(_bisect_theta(params, n, *bracket), math.nextafter(1.0, 0.0))
 
     residual = theta_equation_lhs(params, n, theta, policy)
     return ThetaRoot(q=q, beta=beta, n=n, theta=theta, residual=residual, branch=branch)

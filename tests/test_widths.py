@@ -1,14 +1,17 @@
 """Theta roots, exact width values, and the asymptotic decomposition."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_widths import (Branch, NeumannParams, conv_square_wave, exact_width,
-                            solve_theta, theta_cos_bound, theta_equation_lhs)
+from neumann_widths import (BracketFailure, Branch, NeumannParams, conv_square_wave,
+                            exact_width, solve_theta, theta_cos_bound, theta_equation_lhs)
+from neumann_widths.kernels import eval_gq, eval_hq
 from neumann_widths.oracles import theta_sign_scan
+from neumann_widths.widths import _bisect_theta
 
 WIDTH_CHI2 = 0.6561351817594581   # (4/pi) * Legendre-chi_2(1/2)
 WIDTH_03_0_2 = 0.0572443630601780  # theta = 1/2 alternating sum, q=0.3, n=2
@@ -179,3 +182,73 @@ def test_root_uniqueness_dense_scan(q, beta, n):
         # the change straddles the computed root
         idx = int(np.argmax(np.sign(lhs[1:] * lhs[:-1]) < 0))
         assert thetas[idx] <= root.theta <= thetas[idx + 1] + 1e-12
+
+
+def retired_bisection(params, n, lo, hi):
+    """The theta bisection that ``widths._bisect_theta`` replaced, kept as
+    its reference: a fixed 64 steps, each evaluating eval_gq and eval_hq
+    afresh.  Returns theta and the number of steps before the bracket
+    stopped moving (its midpoint equal to an end), or None and 0 where the
+    closed form has no sign change on [lo, hi] (q^n near the underflow)."""
+    def closed(theta):
+        x = theta * math.pi
+        half = params.beta_mod4 * (math.pi / 2.0)
+        return eval_gq(params.q, n, x) * math.cos(half) + eval_hq(params.q, n, x) * math.sin(half)
+
+    f_lo, f_hi = closed(lo), closed(hi)
+    if f_lo == 0.0:
+        return lo, 0
+    if f_hi == 0.0 or f_lo * f_hi > 0.0:
+        return None, 0
+    neg_lo, moving = f_lo < 0.0, 0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid != lo and mid != hi:
+            moving += 1
+        f_mid = closed(mid)
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if (f_mid < 0.0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), moving
+
+
+def theta_grid(count, seed=2023):
+    """Seeded (q, beta, n) with q up to 1 - 1e-5, beta in [-8, 8] off the
+    integers, n up to 3000 and q^n > 0."""
+    rng = random.Random(seed)
+    grid = []
+    while len(grid) < count:
+        q = rng.random() if rng.random() < 0.5 else 1.0 - 10.0 ** rng.uniform(-5.0, -1.0)
+        beta, n = rng.uniform(-8.0, 8.0), rng.randint(1, 3000)
+        if 0.0 < q and q**n > 0.0 and beta % 1.0:
+            grid.append((q, beta, n))
+    return grid
+
+
+def test_bisection_is_the_retired_loop_bit_for_bit(monkeypatch):
+    # same theta bits, and one closed-form evaluation (one atan) per end and
+    # per step that moves the bracket, none after it stops moving
+    calls = []
+    atan = math.atan
+    monkeypatch.setattr(math, "atan", lambda x: calls.append(1) or atan(x))
+    for q, beta, n in theta_grid(3000):
+        params = NeumannParams(q, beta)
+        bracket = (0.5, 1.0) if solve_branch(params) is Branch.HALF else (0.0, 0.5)
+        ref, moving = retired_bisection(params, n, *bracket)
+        calls.clear()
+        if ref is None:
+            with pytest.raises(BracketFailure):
+                _bisect_theta(params, n, *bracket)
+            continue
+        theta = _bisect_theta(params, n, *bracket)
+        assert theta.hex() == ref.hex(), (q, beta, n)
+        assert len(calls) == 2 + moving, (q, beta, n)
+
+
+def solve_branch(params):
+    beta_r = params.beta_mod4
+    return Branch.HALF if beta_r < 1.0 or 2.0 <= beta_r < 3.0 else Branch.ZERO
