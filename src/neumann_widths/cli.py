@@ -123,7 +123,7 @@ def cmd_verify_cy2n(args) -> int:
         "q": args.q, "beta": args.beta, "n": args.n,
         "holds": res.holds, "epsilon": res.epsilon,
         "pattern": list(res.pattern), "signs": list(res.signs),
-        "unresolved": res.unresolved, "bound": res.bound,
+        "unresolved": res.unresolved, "bound": res.bound, "log10_scale": res.log10_scale,
     }))
     return 0
 

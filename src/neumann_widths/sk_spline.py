@@ -10,7 +10,8 @@ spline at interval midpoints:
    so it is the cross-check path at small n only.
 2. ``derivative_eigen`` -- closed-form representation through eigenvalue
    magnitudes |lambda_{n-j}(y)| with correction terms gamma_1, gamma_2;
-   the sign-condition verifier reads all 2n midpoints of it from one FFT.
+   the sign-condition verifier reads all 2n midpoints of the same form, in
+   scaled units, from one FFT.
 3. ``derivative_pq`` -- the same value rearranged around the strictly
    positive kernel P_q, with the full correction ledger gamma_1..gamma_5
    that the threshold theorems bound; it is the independent check of
@@ -22,12 +23,15 @@ Eigenvalues come either from the definitional 2n-point node sum
 coefficient tails (``lambda_fourier``, Neumann kernels); the two must agree
 to working precision, which the test suite enforces.
 
-The Fourier-side decomposition is built once per shift, in one array pass
-over j = 0..n-1 (``_EigenAssembly``): the main coefficients, the tail pieces
-r1, r2, r3, the eigenvalue magnitudes and the row constants of the midpoint
-sums are numpy arrays over j, and the r1 tails of all j are one
-``_certified_sum`` over lanes, whose tail bounds every lane.
-``lambda_fourier`` reads one row of it.
+The Fourier-side decomposition is built once per shift (``_EigenAssembly``),
+in one array pass over j = 0..n-1 for each of its two units.  In the
+kernel's units the main coefficients, the tail pieces r1, r2, r3, the
+eigenvalue magnitudes and the row constants of the midpoint sums are numpy
+arrays over j, and the r1 tails of all j are one ``_certified_sum`` over
+lanes, whose tail bounds every lane; ``lambda_fourier`` reads one row of it.
+All of these scale like psi(n)/n = q^n/n^2: |lambda_n|^2 underflows from
+n = 80 at q = 0.01 (226 at q = 0.2, 521 at q = 0.5), and the single-midpoint
+routes raise UnderflowLimit from there on.
 
 Routes 2 and 3 are one identity.  With P_q's terms p_j cos(j d), p_j =
 2/(q^j + q^-j), gamma_5 = -s sum_{j > isqrt(n)} p_j cos(j d) cancels P_q's
@@ -38,10 +42,21 @@ gamma_3's coefficient.  So at the offset d_k = t_k - y of midpoint k
     s P_q(d_k) + gamma_1 + ... + gamma_5
         = s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k),
 
-where c_j are gamma_1's coefficients and e_0 = 0.  The verifier evaluates the
-right side at all 2n midpoints from one length-2n FFT of twisted
-coefficients (``_EigenAssembly._fft``), O(n log n), and sums no series over
-the midpoints; ``derivative_eigen(k)`` reads midpoint k of the same pass.
+where c_j are gamma_1's coefficients and e_0 = 0; the derivative at t_k is
+(-1)^(k+1) pi/(4 n psi(n)) times this bracket.  The bracket needs no psi(n).
+With A_j = psi(n-j)/(n-j) and Lambda_j = e^(ijy) lambda_{n-j}/A_j, c_j +
+e_j = f_j for j >= 1 and s/2 + gamma_2 + c_0 = f_0 in real part, where
+
+    f_j = w_j (psi(n)/n) / (A_j cos(j pi/2n) conj(Lambda_j)),  w_0 = 1, w_j = 2,
+
+so the bracket is Re sum_{j<n} f_j e^(i j d_k).  The verifier forms f_j in
+these scaled units, where (psi(n)/n)/A_j = q^j (n-j)^2/n^2 <= 1 and
+|Lambda_j| >= |sin(n y - beta pi/2)|, so nothing overflows and no n lies past
+an underflow edge (``_EigenAssembly._scaled``).  It evaluates the brackets at
+all 2n midpoints from one length-2n FFT of twisted coefficients
+(``_EigenAssembly._fft``), O(n log n), sums no series over the midpoints,
+and reports brackets, with their scale pi/(4 n psi(n)) = (pi/4) q^-n as a
+log10.  ``derivative_eigen(k)`` reads midpoint k of the kernel-unit pass.
 ``derivative_pq(k)`` evaluates the left side at one midpoint: gamma_1 and
 gamma_3 from column k of a second FFT, run once per assembly; gamma_4's
 sqrt(n) terms by ``math.fsum``; gamma_5's strip tail by one
@@ -56,6 +71,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -145,9 +161,13 @@ class Cy2nVerdict:
 
     ``pattern`` lists e_k in the k = 0..2n-1 indexing of midpoints
     (x_k + x_{k+1})/2; ``signs`` the classified signs: +1 or -1 where
-    |derivative| exceeds ``bound``, the error bound of every midpoint, and 0
+    |bracket| exceeds ``bound``, the error bound of every midpoint, and 0
     (unresolved) where it does not.  holds is true iff some single eps in
     {+1,-1} matches every resolved sign; ``unresolved`` counts the zeros.
+    ``brackets`` are the midpoint derivatives in units of 10**log10_scale,
+    log10_scale = log10(pi/4) - n log10(q): the derivative at t_k is
+    brackets[k-1] (pi/4) q^-n, which overflows where q^n underflows, while
+    the brackets do not.
     """
 
     holds: bool
@@ -156,7 +176,8 @@ class Cy2nVerdict:
     signs: tuple[int, ...]
     unresolved: int
     bound: float
-    derivatives: tuple[float, ...]
+    brackets: tuple[float, ...]
+    log10_scale: float
 
 
 def lambda_finite_sum(spec: KernelSpec, n: int, l: int, y: float,
@@ -206,6 +227,37 @@ def _r1_terms(q: float, n: int, y: float, phase1: float, j: np.ndarray):
                float((t_hi + t_lo).max()) * ratio / (1.0 - ratio))
 
 
+def _rho1_rows(q: float, n: int, y: float, phase1: float, j: np.ndarray,
+               squares: np.ndarray):
+    """The r1 tails in scaled units, rho1_j = r1_j/A_j for every j at once,
+    row by row with the bound on every lane's remainder after each row;
+    row 0 is empty, so a remainder already below the tolerance cuts them all.
+
+    Row m >= 1 adds frequency (2m+1)n - j, of size q^(2mn) (n - j)^2/((2m+1)n
+    - j)^2, and from m = 2 on frequency (2m-1)n + j, of size q^(2(m-1)n)
+    q^(2j) (n - j)^2/((2m-1)n + j)^2, with ``squares`` = q^(2j): one scalar
+    power per row and none per element.  Row 0 of each 2 x n term is the
+    real (cos) part and row 1 the imaginary (sin) part.  Both sizes are at
+    most q^(2kn)/(2k+1)^2 (k = m, and k = m - 1), so after row m >= 1 every
+    lane's remainder is at most 2 q^(2mn)/((2m+1)^2 (1 - q^(2n))), and
+    before row 1 it is at most (2/9) q^(2n)/(1 - q^(2n)), the same bound."""
+    ratio = q ** (2 * n)
+
+    def remainder(m: int) -> float:
+        return 2.0 * q ** (2 * m * n) / ((2 * m + 1) ** 2 * (1.0 - ratio))
+
+    yield 0.0, remainder(1)
+    for m in itertools.count(1):
+        x_hi = (2 * m + 1) * n * y - phase1
+        row = np.outer((math.cos(x_hi), math.sin(x_hi)),
+                       q ** (2 * m * n) * ((n - j) / ((2 * m + 1) * n - j)) ** 2)
+        if m >= 2:
+            x_lo = (2 * m - 1) * n * y - phase1
+            row += np.outer((math.cos(x_lo), -math.sin(x_lo)), q ** (2 * (m - 1) * n)
+                            * squares * ((n - j) / ((2 * m - 1) * n + j)) ** 2)
+        yield row, remainder(m)
+
+
 def _check_scale(nonzero: bool, n: int, psi_n: float) -> None:
     """Raise UnderflowLimit unless ``nonzero``: |lambda_n|^2 (~ (2 q^n/n^2)^2),
     the smallest divisor of gamma_1, is zero in double precision at this n."""
@@ -215,59 +267,150 @@ def _check_scale(nonzero: bool, n: int, psi_n: float) -> None:
             "the midpoint derivatives need rescaled units from this n on")
 
 
-class _EigenAssembly:
-    """Fourier-side eigenvalue decomposition for a Neumann kernel at shift y,
-    built in one array pass over j = 0..n-1 (eigenvalue index l = n-j).
+def _unscaled_field(name: str, doc: str) -> property:
+    return property(lambda self: getattr(self._unscaled, name), doc=doc)
 
-    Holds, as arrays over j: the tail pieces r1, r2, r3 of r_j and their sum
-    r; ``rotated`` = (A_j + B_j) s + r_j = e^(ijy) lambda_{n-j}, with the
-    main coefficients A_j = psi(n-j)/(n-j) and B_j = psi(n+j)/(n+j); the
-    magnitudes lam_abs = |lambda_{n-j}|; and the offsets R_j = |lambda_{n-j}|
-    - A_j - B_j.  The r1 tails are one ``_certified_sum`` whose lanes are the
-    real and imaginary parts of all j.  The midpoint sums over j are
-    length-2n FFTs of twisted coefficients (``_fft``), each run once per
-    assembly: one gives the verifier's derivatives at all 2n midpoints
-    (``_derivatives``), the other gamma_1 and gamma_3 of the P_q ledger
-    (``_g13``), which ``gammas(k)`` reads one midpoint at a time; z_j are a
-    numpy row over the j axis (``_z``).
+
+class _EigenAssembly:
+    """Fourier-side decomposition of the eigenvalues lambda_{n-j}(y), j =
+    0..n-1 (eigenvalue index l = n - j), of a Neumann kernel at shift y, in
+    two units, each built on first use in one array pass over j.
+
+    With the main coefficients A_j = psi(n-j)/(n-j) and B_j = psi(n+j)/(n+j)
+    and the tail pieces r1, r2, r3 of r_j, the rotated eigenvalue is
+    e^(ijy) lambda_{n-j} = (A_j + B_j) s + r_j.
+
+    Scaled units (``_scaled``, the verifier's pass): every piece divided by
+    A_j, so nothing overflows or vanishes with psi(n).  One libm power row
+    q^j, j < n, gives 1/A~_j = q^j (n-j)^2/n^2 and B~_j = q^j n^2/(n+j)^2
+    (A~, B~ = A, B over psi(n)/n), their product B_j/A_j, and q^(2j) for the
+    r1 rows.  Lambda_j = e^(ijy) lambda_{n-j}/A_j = (1 + B_j/A_j) sin(arg) +
+    i (B_j/A_j - 1) cos(arg) + r1_j/A_j, arg = n y - beta pi/2, and the
+    bracket coefficients are f_j = w_j (1/A~_j)/(cos(j pi/2n) conj(Lambda_j))
+    (module docstring); a j whose q^j underflows has f_j = 0 exactly.  The
+    r1 rows are cut, with a certified bound, once they cannot matter
+    (``_scaled``).  ``_brackets`` reads all 2n midpoints from one FFT.
+
+    Unscaled units (``_unscaled``, the single-midpoint routes, the P_q
+    ledger and ``lambda_fourier``): r1, r2, r3, their sum r, ``rotated``,
+    the magnitudes lam_abs = |lambda_{n-j}| and the offsets R_j =
+    |lambda_{n-j}| - A_j - B_j, as arrays over j.  The r1 tails are one
+    ``_certified_sum`` to policy.abs_tol whose lanes are the real and
+    imaginary parts of all j.  Building them raises UnderflowLimit where
+    psi(n) is zero.  Their midpoint sums are length-2n FFTs of twisted
+    coefficients (``_fft``), each run once per assembly: one gives the
+    derivatives (``_derivatives``, read by ``derivative_eigen``), the
+    other gamma_1 and gamma_3 of the P_q ledger (``_g13``), which
+    ``gammas(k)`` reads one midpoint at a time; z_j are a numpy row over
+    the j axis (``_z``).
     """
+
+    r1 = _unscaled_field("r1", "r1_j, the Fourier tail over frequencies past n + j")
+    r2 = _unscaled_field("r2", "r2_j = i (B_j - A_j) cos(n y - beta pi/2)")
+    r3 = _unscaled_field("r3", "r3_j = (A_j + B_j)(|sin(n y - beta pi/2)| - 1) s")
+    r = _unscaled_field("r", "r_j = r1_j + r2_j + r3_j")
+    rotated = _unscaled_field("rotated", "e^(ijy) lambda_{n-j} = (A_j + B_j) s + r_j")
+    lam_abs = _unscaled_field("lam_abs", "|lambda_{n-j}|")
+    R = _unscaled_field("R", "R_j = |lambda_{n-j}| - A_j - B_j")
 
     def __init__(self, params: NeumannParams, n: int, y: float,
                  policy: EvalPolicy = DEFAULT_POLICY):
         _check_n(n)
-        arg = n * y - _reduce_phase(params.beta)
+        self._phase = _reduce_phase(params.beta)
+        arg = n * y - self._phase
         sin_arg = math.sin(arg)
         if abs(sin_arg) < SIGN_DEGENERATE_TOL:
             raise SignDegenerate(
                 f"sin(n y - beta pi/2) = {sin_arg:.2e} at y={y}: the Fourier "
                 "decomposition is invalid here (use the finite node sum)")
+        self._sin_arg, self._cos_arg = sin_arg, math.cos(arg)
+        self._phase1 = _reduce_phase(params.beta, 1.0)
         self.psi_n = params.psi(n)
-        _check_scale(self.psi_n != 0.0, n, self.psi_n)  # before any O(n) array
-        self._phase, self._sin_arg = _reduce_phase(params.beta), sin_arg
         self._psi_over_n = self.psi_n / n
         self.n, self.y, self.q, self.policy = n, y, params.q, policy
         self.s = math.copysign(1.0, sin_arg)
-        j = np.arange(n)
-        a, b = _coef(self.q, n - j), _coef(self.q, n + j)
-        phase1 = _reduce_phase(params.beta, 1.0)
-        tail, comp = _certified_sum(_r1_terms(self.q, n, y, phase1, j),
-                                    policy.abs_tol, policy, "eigenvalue tail")
+
+    @functools.cached_property
+    def _j(self) -> np.ndarray:
+        return np.arange(self.n)
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[np.ndarray, float]:
+        """The bracket coefficients f_j, j < n, and the bound on the bracket
+        error from the r1 rows left out.
+
+        Changing Lambda_j by delta changes f_j by |f_j| |delta|/|Lambda_j +
+        delta|, so if every lane's r1 remainder is at most T, the brackets
+        err by at most sum_j |f_j| T/(min_j |Lambda_j| - T).  The rows are
+        summed (``_rho1_rows``) until their remainder bound T reaches a
+        tolerance that makes this a tenth of the pass's tested error at its
+        smallest scale, 1e-15 |Re f_0| (Re f_0 is the mean bracket, so
+        max_k |bracket_k| >= |Re f_0|), taken from the coefficients without
+        r1.  Their remainder is at most (2/9) q^(2n)/(1 - q^(2n)), so past
+        small n, or q near 1, no row is summed.  The bound returned is the
+        one above at that tolerance, from the final coefficients."""
+        n, j = self.n, self._j
+        powers = _libm_powers(self.q, j.tolist())
+        a_inv = powers * ((n - j) / n) ** 2
+        b_over_a = a_inv * (powers * (n / (n + j)) ** 2)
+        weight = np.where(j == 0, 1.0, 2.0) * a_inv / np.sin((n - j) * (math.pi / (2 * n)))
+
+        def coefficients(lam):
+            mag2 = lam.real**2 + lam.imag**2
+            return weight * lam / mag2, math.sqrt(float(mag2.min()))
+
+        lam = (1.0 + b_over_a) * self._sin_arg + 1j * ((b_over_a - 1.0) * self._cos_arg)
+        f, smallest = coefficients(lam)
+        total = float(np.abs(f).sum())
+        tol = 0.1 * _PASS_REL_ERROR * abs(float(f[0].real)) * smallest / (2.0 * total)
+        rows, comp = _certified_sum(_rho1_rows(self.q, n, self.y, self._phase1, j,
+                                               powers * powers),
+                                    tol, self.policy, "eigenvalue tail")
+        if np.ndim(rows):  # some rows were summed
+            re, im = rows + comp
+            f, smallest = coefficients(lam + (re + 1j * im))
+            total = float(np.abs(f).sum())
+        cut = total * tol / (smallest - tol) if smallest > tol else math.inf
+        return f, cut
+
+    @functools.cached_property
+    def _brackets(self) -> tuple[np.ndarray, float]:
+        """The signed brackets (-1)^(k+1) Re sum_{j<n} f_j e^(i j d_k), whose
+        signs are the derivatives' at t_1..t_2n, from one FFT; and their
+        error bound (``verify_cy2n``)."""
+        n = self.n
+        f, cut = self._scaled
+        sums = self._fft(f[np.newaxis])[0]
+        out = np.empty(2 * n)
+        out[:-1], out[-1] = sums[1:], sums[0]  # t_k reads bin k mod 2n
+        out[1::2] *= -1.0
+        rounding = (32.0 + 2.0 * abs(n * self.y) + 4.0 * self._phase) / abs(self._sin_arg)
+        bound = (_PASS_REL_ERROR * float(np.abs(out).max())
+                 + _UNIT_ROUNDOFF * rounding * float(np.abs(f).sum()) + cut)
+        return out, bound
+
+    @functools.cached_property
+    def _unscaled(self) -> SimpleNamespace:
+        """The decomposition in the kernel's units (class docstring), with the
+        per-j constants of the midpoint sums; r_j is dropped from them when
+        |r_j| underflows (its term is bounded by |r_j| itself)."""
+        n, q, s = self.n, self.q, self.s
+        _check_scale(self.psi_n != 0.0, n, self.psi_n)  # before any O(n) array
+        j = self._j
+        a, b = _coef(q, n - j), _coef(q, n + j)
+        tail, comp = _certified_sum(_r1_terms(q, n, self.y, self._phase1, j),
+                                    self.policy.abs_tol, self.policy, "eigenvalue tail")
         re, im = tail + comp
-        self.r1 = re + 1j * im
-        self.r2 = 1j * (b - a) * math.cos(arg)
-        self.r3 = (a + b) * (abs(sin_arg) - 1.0) * self.s
-        self.r = self.r1 + self.r2 + self.r3
-        self.rotated = (a + b) * self.s + self.r
-        self.lam_abs = np.abs(self.rotated)
-        self.R = self.lam_abs - a - b
-        # per-j constants of the midpoint sums; r_j is dropped when |r_j|
-        # underflows (its term is bounded by |r_j| itself)
+        r1 = re + 1j * im
+        r2 = 1j * (b - a) * self._cos_arg
+        r3 = (a + b) * (abs(self._sin_arg) - 1.0) * s
+        r = r1 + r2 + r3
+        rotated = (a + b) * s + r
+        lam_abs = np.abs(rotated)
         cos_half = np.cos(j * math.pi / (2 * n))
-        self._j = j
-        self._r_kept = np.where(np.abs(self.r) > 1e-300, self.r, 0.0)
-        self._lam_cos = self.lam_abs * cos_half
-        self._lam2_cos = self.lam_abs**2 * cos_half
-        self._z_weight = np.where(j == 0, 1.0, 2.0)
+        return SimpleNamespace(r1=r1, r2=r2, r3=r3, r=r, rotated=rotated, lam_abs=lam_abs,
+                               R=lam_abs - a - b, r_kept=np.where(np.abs(r) > 1e-300, r, 0.0),
+                               lam_cos=lam_abs * cos_half, lam2_cos=lam_abs**2 * cos_half)
 
     def _check_k(self, k: int) -> None:
         if not 1 <= k <= 2 * self.n:
@@ -281,8 +424,8 @@ class _EigenAssembly:
         """z_j(d) = |r_j| cos(j d + arg r_j) - R_j cos(j d) s for j = 0..n-1
         at the offset d = t_k - y."""
         jd = d * self._j
-        return (np.abs(self._r_kept) * np.cos(jd + np.angle(self._r_kept))
-                - self.R * np.cos(jd) * self.s)
+        r_kept = self._unscaled.r_kept
+        return np.abs(r_kept) * np.cos(jd + np.angle(r_kept)) - self.R * np.cos(jd) * self.s
 
     def _g2(self) -> float:
         x = float(self.R[0]) * self.n / self.psi_n
@@ -292,14 +435,15 @@ class _EigenAssembly:
         """gamma_1's c_j = (psi(n)/n) w_j (r_j - R_j s)/(|lambda_{n-j}|^2
         cos(j pi/2n)), w_0 = 1, w_j = 2, and the main coefficients e_j =
         2 s (psi(n)/n)/(|lambda_{n-j}| cos(j pi/2n)), j >= 1, e_0 = 0."""
-        _check_scale(self._lam2_cos.all(), self.n, self.psi_n)
+        u = self._unscaled
+        _check_scale(u.lam2_cos.all(), self.n, self.psi_n)
         scale = self._psi_over_n
         # real divisions: numpy's complex division overflows on a subnormal
         # |lambda_n|^2, which the last n before the underflow edge reach; and
         # never a reciprocal, since 1/|lambda_n|^2 overflows there
-        z = self._z_weight * (self._r_kept - self.R * self.s)
-        c = (z.real / self._lam2_cos + 1j * (z.imag / self._lam2_cos)) * scale
-        e = np.where(self._j > 0, 2.0 * self.s * scale / self._lam_cos, 0.0)
+        z = np.where(self._j == 0, 1.0, 2.0) * (u.r_kept - self.R * self.s)
+        c = (z.real / u.lam2_cos + 1j * (z.imag / u.lam2_cos)) * scale
+        e = np.where(self._j > 0, 2.0 * self.s * scale / u.lam_cos, 0.0)
         return c, e
 
     def _fft(self, c: np.ndarray) -> np.ndarray:
@@ -316,31 +460,18 @@ class _EigenAssembly:
         return np.fft.fft(twisted, 2 * n, axis=1).real  # zero-padded from n to 2n
 
     @functools.cached_property
-    def _derivatives(self) -> tuple[np.ndarray, float]:
+    def _derivatives(self) -> np.ndarray:
         """The midpoint derivatives at t_1..t_2n from their brackets
-        s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k): one FFT; and
-        their error bound (``verify_cy2n``)."""
+        s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k): one FFT."""
         n = self.n
         c, e = self._coefficients()
-        head = 0.5 * self.s + self._g2()
         sums = self._fft((c + e)[np.newaxis])[0]
         out = np.empty(2 * n)
         out[:-1], out[-1] = sums[1:], sums[0]  # t_k reads bin k mod 2n
-        out += head
-        scale = math.pi / (4.0 * n * self.psi_n)
-        size = abs(head) + float(np.abs(c + e).sum())
-        bound = scale * (_PASS_REL_ERROR * float(np.abs(out).max())
-                         + _UNIT_ROUNDOFF * self._rounding_factor() * size)
-        out *= scale
+        out += 0.5 * self.s + self._g2()
+        out *= math.pi / (4.0 * n * self.psi_n)
         out[1::2] *= -1.0  # (-1)^(k+1)
-        return out, bound
-
-    def _rounding_factor(self) -> float:
-        """Relative rounding of each bracket coefficient, in units of the
-        unit roundoff: 16 for the arithmetic that forms it, plus the shift
-        argument's rounding over |sin(n y - beta pi/2)|."""
-        arg_error = 2.0 * (abs(self.n * self.y) + 2.0 * self._phase)
-        return 16.0 + arg_error / abs(self._sin_arg)
+        return out
 
     @functools.cached_property
     def _g13(self) -> np.ndarray:
@@ -358,9 +489,9 @@ class _EigenAssembly:
 
     def derivative_eigen(self, k: int) -> float:
         """Midpoint derivative on interval k through the eigenvalue magnitudes,
-        read from the verifier's one-FFT pass."""
+        read from the one-FFT pass in the kernel's units."""
         self._check_k(k)
-        return float(self._derivatives[0][k - 1])
+        return float(self._derivatives[k - 1])
 
     def gammas(self, k: int) -> tuple[float, float, float, float, float]:
         """gamma_1..gamma_5 at midpoint t_k (needs n >= 2 for the sqrt split).
@@ -376,7 +507,7 @@ class _EigenAssembly:
         root = math.isqrt(n)
         head = slice(1, root + 1)
         g4 = -2.0 * s * math.fsum((np.array(self._deltas) * np.cos(d * self._j[head])
-                                   * self._psi_over_n / self._lam_cos[head]).tolist())
+                                   * self._psi_over_n / self._unscaled.lam_cos[head]).tolist())
         strip, strip_c = _certified_sum(_pq_terms(self.q, d, root + 1), self.policy.abs_tol,
                                         self.policy, "strip-kernel tail")
         g5 = -s * (strip + strip_c)  # P_q's terms already carry the factor 2
@@ -424,28 +555,31 @@ def lambda_fourier(params: NeumannParams, n: int, j: int, y: float,
     """
     if not 0 <= j <= n - 1:
         raise DomainError(f"j must lie in 0..n-1, got j={j}, n={n}")
-    rotated = _EigenAssembly(params, n, y, policy).rotated[j]
+    rotated = eigen_assembly(params, n, y, policy).rotated[j]
     return cmath.exp(-1j * j * y) * complex(rotated)
 
 
 def eigen_assembly(params: NeumannParams, n: int, y: float,
                    policy: EvalPolicy = DEFAULT_POLICY) -> _EigenAssembly:
-    """Build the reusable Fourier-side decomposition for all j at once."""
-    return _EigenAssembly(params, n, y, policy)
+    """Build the reusable Fourier-side decomposition for all j at once, in
+    the kernel's units; raises UnderflowLimit where psi(n) is zero."""
+    assembly = _EigenAssembly(params, n, y, policy)
+    assembly._unscaled  # built now, as the routes below build it on first use
+    return assembly
 
 
 def derivative_eigen(params: NeumannParams, n: int, y: float, k: int,
                      policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Fundamental-spline derivative on interval ((k-1)pi/n, k pi/n) through
     the eigenvalue-magnitude representation."""
-    return _EigenAssembly(params, n, y, policy).derivative_eigen(k)
+    return eigen_assembly(params, n, y, policy).derivative_eigen(k)
 
 
 def derivative_pq(params: NeumannParams, n: int, y: float, k: int,
                   policy: EvalPolicy = DEFAULT_POLICY) -> tuple[float, GammaLedger]:
     """Fundamental-spline derivative via the P_q representation, with the
     complete correction ledger."""
-    return _EigenAssembly(params, n, y, policy).derivative_pq(k)
+    return eigen_assembly(params, n, y, policy).derivative_pq(k)
 
 
 def _check_shift(n: int, y: float) -> None:
@@ -560,44 +694,50 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     """Check the alternating midpoint sign condition at shift y (default: the
     peak shift y0 = theta*pi/n).
 
-    All 2n derivative values come from one length-2n FFT of the eigen form
-    (module docstring), at every n >= 1, in O(n log n): no series is summed
-    over the midpoints.  The eigen form is the P_q representation with
+    All 2n brackets come from one length-2n FFT of the eigen form in scaled
+    units (module docstring), at every n >= 1, in O(n log n): no series is
+    summed over the midpoints, and nothing underflows or overflows at any n,
+    so the verdict reaches the paper's thresholds (n_q = 1717 at q = 0.5,
+    40878 at q = 0.6).  The eigen form is the P_q representation with
     gamma_4 and gamma_5 cancelled exactly, so it stays numerically faithful
     at indices where the direct solve is condition-limited.  Against
-    40-digit sums over the same float inputs at the exact offsets
-    (k - 1/2)pi/n - y, the largest error measured is 4.1e-16 max_k |d_k|
-    (q from 0.01 to 0.99, every beta class, n up to 300).  The tests hold it
-    to 1e-15 max_k |d_k|, the P_q route (``derivative_pq``) to within
-    1e-14 max_k |d_k| of it, and the verdicts to those of per-midpoint
-    scalar loops and of (midpoints x n) cosine-row sums on every rung of
-    the benchmark's ladders.
+    40-digit sums over the same coefficients f_j at the exact offsets
+    (k - 1/2)pi/n - y, the largest error measured is 5.8e-16 max_k
+    |bracket_k| (q from 0.01 to 0.95, every beta class, n up to 300, past
+    the old underflow edge included).  The tests hold it to 1e-15 max_k
+    |bracket_k|; they hold the brackets to within ``bound`` of the
+    kernel-unit pass (``derivative_eigen``) below its underflow edge, on
+    the benchmark's ladders and at q up to 0.99, and the P_q route
+    (``derivative_pq``) to within 1e-14 max_k |d_k| of them.
 
     Each midpoint's sign is classified against one stated error bound
-    (``Cy2nVerdict.bound``), the same at every midpoint k:
+    (``Cy2nVerdict.bound``), the same at every midpoint k, in bracket units:
 
-        eps_k = (pi/(4 n psi(n))) (1e-15 max_k |bracket_k|
-                                   + u rho (|s/2 + gamma_2| + sum_j |c_j + e_j|)),
+        eps_k = 1e-15 max_k |bracket_k| + u rho sum_j |f_j| + cut,
 
-    the pass's tested error plus the rounding of its inputs: u = 2^-53, and
-    every coefficient c_j + e_j (and s/2 + gamma_2) is within rho u of its
-    exact value, rho = 16 + 2(n y + 2 |beta pi/2 mod 2 pi|)/|sin(n y - beta
-    pi/2)|, the second term the rounding of the shift argument.  A midpoint
-    with |d_k| <= eps_k is unresolved (sign 0); holds is true only if every
-    resolved sign alternates.  The call runs no Python loop over j or over
-    the midpoints: the power rows of ``_coef`` are one ``math.pow`` map
-    each, and the signs are array operations.
-
-    Raises UnderflowLimit at every n from the one at which |lambda_n|^2 ~
-    (2 q^n/n^2)^2 underflows to zero (n = 80 at q = 0.01, 226 at q = 0.2),
-    including the n further out where |lambda_n| itself is zero.
+    the pass's tested error, the rounding of its inputs and the r1 rows
+    left out.  u = 2^-53, and each f_j is within rho u |f_j| of its exact
+    value, rho = (32 + 2 n y + 4 (beta pi/2 mod 2 pi))/|sin(n y - beta
+    pi/2)|: 32 for the arithmetic that forms f_j, the rest for the rounding
+    of the shift argument n y - beta pi/2 (measured: at most 5.3 u at the
+    peak shift against 40-digit coefficients, q from 0.05 to 0.95, n up to
+    90).  ``cut`` is the certified
+    bound on the r1 rows left out, at most a tenth of the first term
+    (``_EigenAssembly._scaled``).  A midpoint with |bracket_k| <= eps_k is
+    unresolved (sign 0).  holds is true only if every resolved sign
+    alternates, so it says nothing of the unresolved midpoints; near q = 1,
+    where P_q is far below 1e-15 of its peak, many are unresolved.  The
+    call runs no Python loop over j or over the midpoints: the coefficients
+    come from one libm power row (``kernels._libm_powers``), and the signs
+    are array operations.
     """
     if y is None:
         y = solve_theta(params, n, policy).y0
     else:
         _check_shift(n, y)
-    derivs, bound = _EigenAssembly(params, n, y, policy)._derivatives
-    holds, epsilon, pattern, signs = classify_sign_pattern(derivs, bound)
+    brackets, bound = _EigenAssembly(params, n, y, policy)._brackets
+    holds, epsilon, pattern, signs = classify_sign_pattern(brackets, bound)
     return Cy2nVerdict(holds=holds, epsilon=epsilon, pattern=pattern, signs=signs,
                        unresolved=signs.count(0), bound=bound,
-                       derivatives=tuple(derivs.tolist()))
+                       brackets=tuple(brackets.tolist()),
+                       log10_scale=math.log10(math.pi / 4.0) - n * math.log10(params.q))

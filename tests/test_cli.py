@@ -211,24 +211,22 @@ class TestVerifyCy2nCommand:
         assert out == ""
         assert json.loads(err)["error"]["message"] == f"n must be a positive integer, got {n}"
 
-    def test_past_underflow_edge_is_numerical_error(self, capsys):
-        code, out, err = run(capsys, "verify-cy2n", "--q", "0.01", "--beta", "0",
-                             "--n", "90")
-        assert code == 4
-        assert out == ""
-        doc = json.loads(err)
-        assert doc["error"]["code"] == "numerical"
-        assert "underflows to zero at n=90" in doc["error"]["message"]
+    @pytest.mark.parametrize("n", ["90", "300"])
+    def test_past_underflow_edge_returns_a_verdict(self, capsys, n):
+        # |lambda_n|^2 underflows from n = 80 at q = 0.01, and |lambda_n|
+        # itself at n = 300; the threshold there is 1, so the condition holds
+        code, out, err = run(capsys, "verify-cy2n", "--q", "0.01", "--beta", "0", "--n", n)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["holds"] is True and doc["unresolved"] == 0
 
-    def test_far_past_underflow_edge_names_the_limit(self, capsys):
-        # |lambda_n| itself is zero here, not only its square
-        code, out, err = run(capsys, "verify-cy2n", "--q", "0.01", "--beta", "0",
-                             "--n", "300")
-        assert code == 4
-        assert out == ""
-        doc = json.loads(err)
-        assert doc["error"]["code"] == "numerical"
-        assert "underflows to zero at n=300" in doc["error"]["message"]
+    def test_paper_threshold_at_half(self, capsys):
+        # n_q = 1717 at q = 0.5, far past the old underflow edge (521)
+        code, out, _ = run(capsys, "verify-cy2n", "--q", "0.5", "--beta", "0", "--n", "1717")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["holds"] is True and doc["unresolved"] == 0
+        assert len(doc["signs"]) == 2 * 1717
 
 
 # one command per subcommand path, and an argument error that exits 2
@@ -540,13 +538,13 @@ class TestSweepCommand:
             (job["q"], job["beta"], job["n"]) for job, _ in done]
         assert len(list((tmp_path / "cache").rglob("*.json"))) == 2
 
-    def test_past_underflow_edge_leaves_cy2n_cell_empty(self, capsys, tmp_path):
+    def test_past_underflow_edge_fills_cy2n_cell(self, capsys, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, q_list=[0.01], beta_list=[0.0],
                                    n_list=[79, 90], verify=False)
         code, _, _ = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text())))
-        assert [r["cy2n_holds"] for r in rows] == ["true", ""]
+        assert [r["cy2n_holds"] for r in rows] == ["true", "true"]
 
     def test_boolean_flags(self, capsys, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, verify=False, no_timestamp=True)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neumann_widths import sk_spline
-from neumann_widths import (DEFAULT_POLICY, NeumannParams, Partition2n,
+from neumann_widths import (DEFAULT_POLICY, EvalPolicy, NeumannParams, Partition2n,
                             SignDegenerate, SingularSystem, UnderflowLimit,
                             classify_sign_pattern, derivative_eigen, derivative_pq,
                             eigen_assembly, eval_bernoulli, eval_pq, lambda_finite_sum,
@@ -235,7 +235,7 @@ class TestSignCondition:
         # informational: n is below the guaranteed index, no claim asserted
         res = verify_cy2n(NeumannParams(0.5, 1.0), 2)
         assert isinstance(res.holds, bool)
-        assert len(res.derivatives) == 4
+        assert len(res.brackets) == 4
 
     def test_classifier_epsilon_flip(self):
         values = [3.0, -2.0, 1.5, -0.5]
@@ -273,10 +273,11 @@ class TestSignCondition:
         # a numpy bool_ or int64 here would print as "True" in sweep CSV cells
         res = verify_cy2n(NeumannParams(q, beta), n)
         assert type(res.holds) is bool and type(res.epsilon) is int
-        for field in (res.pattern, res.signs, res.derivatives):
+        assert type(res.unresolved) is int
+        for field in (res.pattern, res.signs, res.brackets):
             assert type(field) is tuple
         assert all(type(e) is int for e in res.pattern + res.signs)
-        assert all(type(d) is float for d in res.derivatives)
+        assert all(type(d) is float for d in res.brackets + (res.bound, res.log10_scale))
 
 
 def oracle_derivatives(q, beta, n, y, digits):
@@ -390,10 +391,6 @@ class TestCoefficientRow:
 # and n from 2 up to E - 1, the last n before |lambda_n|^2 underflows.
 LADDER_QS = (0.05, 0.12, 0.19, 0.26)
 BETA_CLASSES = (0.0, 0.37, 1.0, 1.63)
-# the array pass against 40-digit sums over the scalar loops' decomposition:
-# bound on |d_array - d_exact| relative to max_k |d_k| (the verify_cy2n
-# docstring)
-ARRAY_PASS_REL_BOUND = 1e-15
 # the P_q route (derivative_pq) against the verifier's pass: bound on their
 # difference relative to max_k |d_k|.  Measured: at most 3.5e-15, at q up to
 # 0.99 and n up to 300; cos(j d) at a rounded offset d errs by about j |d - d_k|
@@ -493,10 +490,16 @@ def verdict_of(res):
     return res.holds, res.epsilon, res.pattern, res.signs
 
 
-def reference_verdict(derivatives, res):
-    """classify_sign_pattern of reference derivatives at the verdict's own
-    error bound."""
-    return classify_sign_pattern(derivatives, res.bound)
+def derivative_scale(q, n):
+    """pi/(4 n psi(n)): a midpoint derivative over its bracket."""
+    return math.pi / (4.0 * n * (q**n / n))
+
+
+def reference_verdict(derivatives, res, q, n):
+    """classify_sign_pattern of reference derivatives, in bracket units, at
+    the verdict's own error bound."""
+    scale = derivative_scale(q, n)
+    return classify_sign_pattern([d / scale for d in derivatives], res.bound)
 
 
 def ladder(q):
@@ -549,39 +552,23 @@ def blocked_derivatives(a, block=64):
 class TestArrayPass:
     @pytest.mark.parametrize("q", LADDER_QS)
     def test_verdicts_match_scalar_loops(self, q):
-        # the reference is scalar throughout: per-j decomposition, then
-        # per-midpoint sums.  The derivatives are held to 40-digit sums over
-        # that decomposition's floats at the exact offsets: the scalar loops
-        # take cos(j d) at rounded offsets d, which alone errs by up to
-        # 1.02e-15 max_k |d_k| at (0.26, 0, 268).  Below n = 10 the r1 lanes
-        # may add a term their own tails did not need, so there the sums run
-        # over the assembly's own decomposition.
+        # the reference is scalar throughout: per-j decomposition, with its
+        # eigenvalue tails summed far below their scale, then per-midpoint
+        # sums.  The brackets are held to their stated bound against 40-digit
+        # sums over that decomposition's floats at the exact offsets: the
+        # scalar loops take cos(j d) at rounded offsets d, which alone errs
+        # by up to 1.02e-15 max_k |d_k| at (0.26, 0, 268).
         for n in (2, 10, underflow_edge(q) - 1):
             for beta in BETA_CLASSES:
                 params = NeumannParams(q, beta)
-                y0 = y0_of(q, beta, n)
                 res = verify_cy2n(params, n)
-                decomposition = scalar_decomposition(params, n, y0)
-                assert verdict_of(res) == \
-                    reference_verdict(scalar_derivatives(decomposition), res), (q, beta, n)
-                if n < 10:
-                    decomposition = eigen_assembly(params, n, y0)
+                decomposition = scalar_decomposition(params, n, y0_of(q, beta, n), 1e-300)
+                assert verdict_of(res) == reference_verdict(
+                    scalar_derivatives(decomposition), res, q, n), (q, beta, n)
                 with mp.workdps(40):
-                    ref = direct_derivatives(decomposition)
-                    scale = max(abs(v) for v in ref)
-                    assert all(abs(u - v) <= ARRAY_PASS_REL_BOUND * scale
-                               for u, v in zip(res.derivatives, ref)), (q, beta, n)
-
-    def test_single_midpoint_routes_read_the_same_pass(self):
-        # derivative_eigen(k) reads midpoint k of the verifier's FFT pass
-        params = NeumannParams(0.2, 0.37)
-        n = 75
-        y0 = y0_of(0.2, 0.37, n)
-        res = verify_cy2n(params, n)
-        assembly = eigen_assembly(params, n, y0)
-        assert len(res.derivatives) == 2 * n
-        for k in range(1, 2 * n + 1):
-            assert res.derivatives[k - 1] == assembly.derivative_eigen(k), k
+                    ref = direct_unscaled_brackets(decomposition)
+                    assert all(abs(u - v) <= res.bound
+                               for u, v in zip(res.brackets, ref)), (q, beta, n)
 
     @pytest.mark.parametrize("q,beta,n", PQ_ROUTE_POINTS)
     def test_pq_route_matches_the_pass(self, q, beta, n):
@@ -591,9 +578,10 @@ class TestArrayPass:
         params = NeumannParams(q, beta)
         res = verify_cy2n(params, n)
         assembly = eigen_assembly(params, n, y0_of(q, beta, n))
-        scale = max(abs(v) for v in res.derivatives)
+        derivatives = [b * derivative_scale(q, n) for b in res.brackets]
+        scale = max(abs(v) for v in derivatives)
         for k in range(1, 2 * n + 1):
-            assert abs(assembly.derivative_pq(k)[0] - res.derivatives[k - 1]) \
+            assert abs(assembly.derivative_pq(k)[0] - derivatives[k - 1]) \
                 <= PQ_ROUTE_REL_BOUND * scale, k
 
     @pytest.mark.parametrize("q", LADDER_QS)
@@ -603,19 +591,22 @@ class TestArrayPass:
             for n in ladder(q):
                 res = verify_cy2n(params, n)
                 ref = blocked_derivatives(eigen_assembly(params, n, y0_of(q, beta, n)))
-                assert verdict_of(res) == reference_verdict(ref, res), (q, beta, n)
+                assert verdict_of(res) == reference_verdict(ref, res, q, n), (q, beta, n)
 
 
-# gamma_1 and gamma_3 of the FFT pass, and the verifier's derivatives,
-# against 40-digit direct sums over the same float inputs (r_j, R_j, s,
-# psi(n)/n and the divisors |lambda_{n-j}|^2 cos(j pi/2n) and
-# |lambda_{n-j}| cos(j pi/2n), the first subnormal at the top rung), at the
-# exact offsets (k - 1/2)pi/n - y.  The largest errors measured at these
-# points are 5.0e-16 sum_j |c_j| for the gammas (the _g13 docstring) and
-# 4.1e-16 max_k |d_k| for the derivatives (the verify_cy2n docstring)
+# gamma_1 and gamma_3 of the unscaled FFT pass against 40-digit direct sums
+# over the same float inputs (r_j, R_j, s, psi(n)/n and the divisors
+# |lambda_{n-j}|^2 cos(j pi/2n) and |lambda_{n-j}| cos(j pi/2n), the first
+# subnormal at the top rung), and the verifier's brackets against 40-digit
+# direct sums over its coefficients f_j, at the exact offsets (k - 1/2)pi/n
+# - y.  The largest errors measured at these points are 5.0e-16 sum_j |c_j|
+# for the gammas (the _g13 docstring) and 5.8e-16 max_k |bracket_k| for the
+# brackets (the verify_cy2n docstring)
 FFT_REL_BOUND = 1e-15
 FFT_POINTS = ((LADDER_QS[-1], BETA_CLASSES[-1], underflow_edge(LADDER_QS[-1]) - 1),
               (0.9, 0.0, 119), (0.95, 0.5, 239))
+# and for the brackets one point past the old underflow edge (121 at q = 0.05)
+BRACKET_POINTS = FFT_POINTS + ((LADDER_QS[0], BETA_CLASSES[1], 150),)
 
 
 def direct_sums(a, rows):
@@ -663,17 +654,26 @@ def direct_gamma_sums(a):
     return direct_sums(a, (c, [v if j > root else mp.mpf(0) for j, v in enumerate(e)]))
 
 
-def direct_derivatives(a):
-    """The midpoint derivatives (-1)^(k+1) pi/(4 n psi(n)) (s/2 + gamma_2 +
-    Re sum_j (c_j + e_j) e^(i j (t_k - y))), k = 1..2n, in 40 digits."""
+def direct_brackets(a):
+    """The signed brackets (-1)^(k+1) Re sum_j f_j e^(i j (t_k - y)), k =
+    1..2n, in 40 digits over the verifier's coefficients f_j."""
+    f, _ = a._scaled
+    with mp.workdps(40):
+        ((sums, _),) = direct_sums(a, ([mp.mpc(v) for v in f.tolist()],))
+        return [v if k % 2 else -v for k, v in enumerate(sums, start=1)]
+
+
+def direct_unscaled_brackets(a):
+    """The signed brackets (-1)^(k+1) (s/2 + gamma_2 + Re sum_j (c_j + e_j)
+    e^(i j (t_k - y))), k = 1..2n, in 40 digits over the unscaled
+    decomposition's floats."""
     n = a.n
     c, e = direct_coefficients(a)
     with mp.workdps(40):
         ((sums, _),) = direct_sums(a, ([u + v for u, v in zip(c, e)],))
         x = mp.mpf(float(a.R[0])) * n / a.psi_n
         base = (mp.mpf(1) / 2 - x / (2 * (2 + x))) * a.s
-        scale = mp.pi / (4 * n * mp.mpf(a.psi_n))
-        return [(1 if k % 2 else -1) * scale * (base + v) for k, v in enumerate(sums, start=1)]
+        return [(1 if k % 2 else -1) * (base + v) for k, v in enumerate(sums, start=1)]
 
 
 class TestFftPass:
@@ -686,15 +686,16 @@ class TestFftPass:
                 err = max(abs(g[m] - v) for g, v in zip(gs, ref))
                 assert err <= FFT_REL_BOUND * scale, (m + 1, float(err / scale))
 
-    @pytest.mark.parametrize("q,beta,n", FFT_POINTS)
+    @pytest.mark.parametrize("q,beta,n", BRACKET_POINTS)
     def test_derivatives_match_40_digit_direct_sums(self, q, beta, n):
+        # the derivatives in bracket units (Cy2nVerdict.brackets)
         params = NeumannParams(q, beta)
-        a = eigen_assembly(params, n, y0_of(q, beta, n))
+        a = sk_spline._EigenAssembly(params, n, y0_of(q, beta, n))
         res = verify_cy2n(params, n)
         with mp.workdps(40):
-            ref = direct_derivatives(a)
+            ref = direct_brackets(a)
             scale = max(abs(v) for v in ref)
-            err = max(abs(u - v) for u, v in zip(res.derivatives, ref))
+            err = max(abs(u - v) for u, v in zip(res.brackets, ref))
             assert err <= FFT_REL_BOUND * scale, float(err / scale)
 
     def test_verifier_sums_no_series_over_midpoints(self, monkeypatch):
@@ -757,7 +758,7 @@ class TestArrayConstruction:
             assert all(rel_close(u, v) for u, v in zip(got.lam_abs, ref.lam_abs))
         if n <= 8:  # the scalar midpoint loops are cheap here
             res = verify_cy2n(params, n)
-            assert verdict_of(res) == reference_verdict(scalar_derivatives(ref), res)
+            assert verdict_of(res) == reference_verdict(scalar_derivatives(ref), res, q, n)
 
     def test_lambda_fourier_reads_the_assembly_row(self):
         params = NeumannParams(0.3, 0.7)
@@ -795,12 +796,15 @@ class TestArrayConstruction:
 
 
 class TestUnderflowEdge:
-    # at q = 0.01, |lambda_n|^2 ~ (2 q^n / n^2)^2 is zero in double from n = 80 on
+    # at q = 0.01, |lambda_n|^2 ~ (2 q^n / n^2)^2 is zero in double from n = 80
+    # on: the unscaled routes name the limit there, the verifier does not
     PARAMS = NeumannParams(0.01, 0.0)
 
-    def test_verify_names_the_limit(self):
-        with pytest.raises(UnderflowLimit, match=r"n=90 \(q\^n/n = "):
-            verify_cy2n(self.PARAMS, 90)
+    def test_verify_returns_a_verdict_past_the_edge(self):
+        # the threshold at q = 0.01 is 1, so the condition holds at every n
+        for n in (90, 300):
+            res = verify_cy2n(self.PARAMS, n)
+            assert res.holds and res.unresolved == 0, n
 
     def test_single_midpoint_routes_name_the_limit(self):
         y0 = y0_of(0.01, 0.0, 90)
@@ -813,24 +817,23 @@ class TestUnderflowEdge:
         # at n = 300 |lambda_n| itself is zero, not only its square
         y0 = y0_of(0.01, 0.0, 300)
         with pytest.raises(UnderflowLimit, match=r"n=300 \(q\^n/n = "):
-            verify_cy2n(self.PARAMS, 300)
-        with pytest.raises(UnderflowLimit):
             derivative_pq(self.PARAMS, 300, y0, 1)
         with pytest.raises(UnderflowLimit):
             derivative_eigen(self.PARAMS, 300, y0, 1)
 
     def test_zero_psi_raises_before_the_arrays(self, monkeypatch):
-        # q^n/n is 0.0 at q = 0.5, n = 5000: the assembly names the limit
-        # before it builds a coefficient array (its O(n) memory)
+        # q^n/n is 0.0 at q = 0.5, n = 5000: the unscaled assembly names the
+        # limit before it builds a coefficient array (its O(n) memory), and
+        # the verifier builds none of those arrays
         def no_arrays(q, k):
             raise AssertionError("built an O(n) coefficient array")
 
         monkeypatch.setattr(sk_spline, "_coef", no_arrays)
         params = NeumannParams(0.5, 0.0)
-        with pytest.raises(UnderflowLimit, match=r"n=5000 \(q\^n/n = 0\.000e\+00\)"):
-            verify_cy2n(params, 5000)
+        res = verify_cy2n(params, 5000)
+        assert res.holds and res.unresolved == 0
         y = 0.1 * math.pi / 5000
-        with pytest.raises(UnderflowLimit):
+        with pytest.raises(UnderflowLimit, match=r"n=5000 \(q\^n/n = 0\.000e\+00\)"):
             eigen_assembly(params, 5000, y)
         with pytest.raises(UnderflowLimit):
             lambda_fourier(params, 5000, 0, y)
@@ -839,3 +842,65 @@ class TestUnderflowEdge:
         q = 0.01
         res = verify_cy2n(NeumannParams(q, 0.0), underflow_edge(q) - 1)
         assert res.holds
+
+
+def past_edge(q):
+    """The benchmark's past-edge probe rungs at q: from the old underflow
+    edge E by factors of 1.35 up to 2.5 E."""
+    edge = underflow_edge(q)
+    rungs, x = [], float(edge)
+    while x <= 2.5 * edge:
+        rungs.append(int(round(x)))
+        x *= 1.35
+    return rungs
+
+
+def unscaled_brackets(params, n):
+    """derivative_eigen at every midpoint, in bracket units, with its
+    eigenvalue tails summed far below their scale: its default abs_tol of
+    1e-14 is absolute, which near q = 1 leaves up to 3e-8 of |lambda_n|
+    (q = 0.999, n = 2000)."""
+    a = eigen_assembly(params, n, y0_of(params.q, params.beta, n), EvalPolicy(abs_tol=1e-300))
+    scale = derivative_scale(params.q, n)
+    return [a.derivative_eigen(k) / scale for k in range(1, 2 * n + 1)]
+
+
+# below the old edge, beyond the ladders: q up to 0.99 at small n, where the
+# r1 rows are summed, and at larger n, where they are cut
+AGREEMENT_POINTS = [(q, beta, n) for q in (0.5, 0.8, 0.9, 0.99) for beta in BETA_CLASSES
+                    for n in (2, 5, 13, 60, 300)]
+
+
+class TestScaledPass:
+    @pytest.mark.parametrize("q", LADDER_QS)
+    def test_agrees_with_the_unscaled_pass_on_the_ladders(self, q):
+        for beta in BETA_CLASSES:
+            params = NeumannParams(q, beta)
+            for n in ladder(q):
+                res = verify_cy2n(params, n)
+                ref = unscaled_brackets(params, n)
+                assert all(abs(u - v) <= res.bound
+                           for u, v in zip(res.brackets, ref)), (q, beta, n)
+
+    @pytest.mark.parametrize("q,beta,n", AGREEMENT_POINTS)
+    def test_agrees_with_the_unscaled_pass(self, q, beta, n):
+        params = NeumannParams(q, beta)
+        res = verify_cy2n(params, n)
+        ref = unscaled_brackets(params, n)
+        assert all(abs(u - v) <= res.bound for u, v in zip(res.brackets, ref))
+
+    @pytest.mark.parametrize("q", LADDER_QS + (0.06, 0.13, 0.2, 0.27))
+    def test_past_edge_rungs_hold(self, q):
+        # every rung lies past the threshold, so the paper guarantees the
+        # condition there
+        for beta in BETA_CLASSES:
+            for n in past_edge(q):
+                res = verify_cy2n(NeumannParams(q, beta), n)
+                assert res.holds and res.unresolved == 0, (q, beta, n)
+
+    @pytest.mark.parametrize("q,n", [(0.5, 1717), (0.6, 40878)])
+    def test_holds_at_the_paper_threshold(self, q, n):
+        # n_q: 1717 at q = 0.5 and 40878 at q = 0.6
+        res = verify_cy2n(NeumannParams(q, 0.0), n)
+        assert res.holds and res.unresolved == 0
+        assert res.log10_scale == pytest.approx(math.log10(math.pi / 4) - n * math.log10(q))
