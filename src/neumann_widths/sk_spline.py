@@ -264,7 +264,8 @@ def _check_scale(nonzero: bool, n: int, psi_n: float) -> None:
     if not nonzero:
         raise UnderflowLimit(
             f"|lambda_n|^2 underflows to zero at n={n} (q^n/n = {psi_n:.3e}): "
-            "the midpoint derivatives need rescaled units from this n on")
+            "the kernel-unit routes cannot form the midpoint derivatives from this n "
+            "on (verify_cy2n works in scaled units)")
 
 
 def _unscaled_field(name: str, doc: str) -> property:

@@ -166,6 +166,9 @@ def _bisect_theta(params: NeumannParams, n: int, lo: float, hi: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> ThetaRoot:
+    """``solve_theta``'s root: exact at integer beta, the nu = 0 limit where
+    q^n underflows, and otherwise ``_bisect_theta`` on the branch's bracket
+    (it stops once the bracket's ends are adjacent floats)."""
     q, beta = params.q, params.beta
     beta_r = params.beta_mod4
     branch = Branch.HALF if beta_r < 1.0 or 2.0 <= beta_r < 3.0 else Branch.ZERO

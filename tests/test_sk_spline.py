@@ -310,8 +310,12 @@ def oracle_derivatives(q, beta, n, y, digits):
 # (q, beta, n) where the sign condition fails.  At (0.82, 1, 27) two of the
 # failing midpoints are 1.15e-9 of the largest derivative, which the
 # retired threshold zero_tol = 1e-9 (pi/(4 n psi(n))) P_q(0) counted as
-# zero; both are far above the verdict's error bound (3.6e-15 of it).
+# zero; both are far above the verdict's error bound (5.5e-15 of it).
 ORACLE_POINTS = ((0.8, 0.0, 20), (0.82, 1.0, 27))
+# the midpoints k = 0..2n-1 at which the signs of ``oracle_derivatives`` at 25
+# digits break the alternation (160 and 238 signs, all equal to the
+# verifier's); the solve takes 13 s and 34 s, so tier-1 keeps its result
+ORACLE_FAILURES = {(0.85, 0.0, 80): range(66, 95, 2), (0.9, 0.0, 119): range(64, 175, 2)}
 
 
 class TestSignOracle:
@@ -322,6 +326,17 @@ class TestSignOracle:
         assert res.signs == tuple(1 if d > 0 else -1 for d in ref)
         assert res.unresolved == 0
         assert not res.holds
+        with mp.workdps(30):  # each bracket within the bound of the solve's
+            scale = mp.pi / 4 / mp.mpf(q) ** n
+            assert all(abs(b - d / scale) <= res.bound for b, d in zip(res.brackets, ref))
+
+    @pytest.mark.parametrize("point", sorted(ORACLE_FAILURES))
+    def test_failing_midpoints_are_the_direct_solves(self, point):
+        q, beta, n = point
+        res = verify_cy2n(NeumannParams(q, beta), n)
+        broken = [k for k, sign in enumerate(res.signs) if sign != res.epsilon * (-1) ** k]
+        assert broken == list(ORACLE_FAILURES[point])
+        assert res.unresolved == 0 and not res.holds
 
 
 def reference_classify(values, zero_tol):
