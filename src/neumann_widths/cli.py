@@ -21,7 +21,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -176,41 +175,33 @@ def _job_key(job: dict) -> str:
 @functools.cache
 def _code_fingerprint() -> str:
     """``<version>-<digest>``: the package version and a sha256 of the
-    numerical modules' source bytes, read as files, not imported.  Sweep
-    cache entries live under a directory of this name, so rows computed by
-    other code are never served."""
+    numerical modules' source bytes, read as files, not imported.  The sweep
+    cache is one log, ``<cache_dir>/<fingerprint>.jsonl``, so rows computed
+    by other code are never served."""
     digest = hashlib.sha256()
     for module in sorted(set(_NUMERICS.values())):
         digest.update(Path(__file__).with_name(f"{module}.py").read_bytes())
     return f"{__version__}-{digest.hexdigest()[:16]}"
 
 
-def _cache_path(cache_dir: Path, key: str) -> Path:
-    return cache_dir / _code_fingerprint() / key[:2] / (key[2:] + ".json")
-
-
-def _cache_load(path: Path) -> dict | None:
-    """The row cached at ``path``, or None when there is none, or it cannot be
-    read or lacks a column: such a row is computed again and rewritten."""
+def _cached_rows(log: Path, keys: set[str]) -> dict[str, dict]:
+    """Per key of ``keys``, the last line of the sweep log that reads as its
+    row: the 64-hex job key, a tab and the row's JSON.  Only the lines of
+    wanted keys are decoded; one that is torn, not UTF-8, not JSON or lacks
+    a column is passed over, so its row is computed again and appended."""
     try:
-        row = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return row if isinstance(row, dict) and row.keys() == set(SWEEP_COLUMNS) else None
-
-
-def _cache_store(cache_dir: Path, key: str, row: dict) -> None:
-    path = _cache_path(cache_dir, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(row, f, sort_keys=True)
-        os.replace(tmp, path)  # atomic insert
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        lines = log.read_bytes().split(b"\n")
+    except FileNotFoundError:
+        return {}
+    found: dict[str, dict] = {}
+    for line in reversed(lines):
+        key = line[:64].decode("latin-1")
+        if key in keys and key not in found and line[64:65] == b"\t":
+            with contextlib.suppress(ValueError):
+                row = json.loads(line[65:].decode("utf-8"))
+                if isinstance(row, dict) and row.keys() == set(SWEEP_COLUMNS):
+                    found[key] = row
+    return found
 
 
 def _sweep_job(task: tuple[dict, int | None]) -> dict:
@@ -327,15 +318,11 @@ def cmd_sweep(args) -> int:
     cache_dir = Path(os.environ.get(ENV_CACHE_DIR, _shaped(cfg, "cache_dir", str, ".nw-cache")))
     stamp = not (_shaped(cfg, "no_timestamp", bool, False) or args.no_timestamp)
 
+    log = cache_dir / f"{_code_fingerprint()}.jsonl"
     keys = [_job_key(j) for j in jobs]
-    rows: dict[int, dict] = {}
-    pending: list[int] = []
-    for i, key in enumerate(keys):
-        row = _cache_load(_cache_path(cache_dir, key))
-        if row is None:
-            pending.append(i)
-        else:
-            rows[i] = row
+    cached = _cached_rows(log, set(keys))
+    rows = {i: cached[key] for i, key in enumerate(keys) if key in cached}
+    pending = [i for i in range(len(jobs)) if i not in rows]
 
     def run_pending():
         if not pending:
@@ -357,14 +344,18 @@ def cmd_sweep(args) -> int:
             tasks.append((job, thresholds[key]))
         if workers > 1:
             from multiprocessing import Pool
-        with Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        with (Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool,
+              log.open("ab", buffering=0) as sink):
             # a few chunks per worker: rows differ in cost, and each chunk
             # is one round trip to a worker
             results = (map(_sweep_job, tasks) if pool is None else
                        pool.imap(_sweep_job, tasks, math.ceil(len(tasks) / (4 * workers))))
             for i, row in zip(pending, results):
                 rows[i] = row
-                _cache_store(cache_dir, keys[i], row)
+                # one unbuffered write per row, appended whole; its leading
+                # newline ends any line a killed sweep left torn
+                sink.write(f"\n{keys[i]}\t{json.dumps(row, sort_keys=True)}".encode("utf-8"))
 
     interrupted = False
     try:

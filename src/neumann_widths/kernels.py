@@ -15,13 +15,12 @@ above ``tol`` after the last of them it raises ``TolUnreachable`` with
 ``terms_used = max_terms`` and that tail as ``tail_bound``.  Its terms may
 be arrays of lanes that share one tail sequence (the r1 eigenvalue tails of
 ``sk_spline``, one lane per index j): each lane then gets the scalar sum bit
-for bit, and all lanes stop, or hit the cap, together.  ``_cosine_block_sum``
-is the same sum for the Neumann kernel at many points in one array pass: its
-tail does not depend on t, so ``_neumann_coefficients`` finds the common
-stopping index K (or raises the same ``TolUnreachable``) from one row of
-libm powers q^k, sized by a log-space bound on K, before any point is
-touched; running sums down a (terms x points) block then give every point
-the scalar (sum, compensation) bit for bit.  The coefficient q^k/k and its
+for bit, and all lanes stop, or hit the cap, together.  A long series runs
+in blocks of terms, added bit for bit the same by ``_accumulate_blocks``.
+``_cosine_block_sum`` is the Neumann kernel at many points: its tail does
+not depend on t, so ``_neumann_coefficients`` finds the common stopping
+index K (or raises the same ``TolUnreachable``) from one row of libm powers
+q^k, sized by a log-space bound on K.  The coefficient q^k/k and its
 tail are written once, in ``NeumannParams.coefficient`` and
 ``NeumannParams.tail_from``, as functions of the power that take floats or
 arrays: the scalar path reaches them through ``psi`` and ``tail_bound``,
@@ -187,15 +186,19 @@ def _neumann_coefficients(params: NeumannParams, policy: EvalPolicy) -> np.ndarr
     every point stops at the same K: the first k whose tail is
     <= policy.abs_tol.  One row of libm powers q^k, k = 1..size + 1, gives
     both the coefficients (``params.coefficient``) and the tails
-    (``params.tail_from``), each bit for bit the scalar one.  Since
-    tail_bound(k) <= q^(k+1)/(1-q), K is at most the k where that bound
-    reaches abs_tol; ``size`` starts there (estimated in logs, which cannot
-    underflow) and doubles, up to policy.max_terms, in the rare case
-    rounding puts K beyond it.  Raises the TolUnreachable of
-    ``eval_neumann_pair`` when no k up to policy.max_terms qualifies.
+    (``params.tail_from``), each bit for bit the scalar one.  The tail after
+    k, q^x/(x(1-q)) with x = k + 1, reaches abs_tol at the fixed point x* of
+    the decreasing map x -> (log tol + log(1-q) + log x)/log q, so K < x*.
+    From x = 1 one step gives (log tol + log(1-q))/log q > x* (it drops the
+    1/x), and an even number more stays above x*: four land just above it
+    (in logs, which cannot underflow).  ``size`` starts there and doubles,
+    up to policy.max_terms, in the rare case rounding puts K beyond it.  Raises the TolUnreachable of ``eval_neumann_pair``
+    when no k up to policy.max_terms qualifies.
     """
     q, tol, cap = params.q, policy.abs_tol, policy.max_terms
-    estimate = (math.log(tol) + math.log1p(-q)) / math.log(q)
+    base, estimate = math.log(tol) + math.log1p(-q), 1.0
+    for _ in range(5):
+        estimate = (base + math.log(max(estimate, 1.0))) / math.log(q)
     size = int(min(max(estimate, 1.0), cap))
     while True:
         k = np.arange(1.0, size + 2.0)
@@ -215,31 +218,41 @@ def _cosine_block_sum(coef: np.ndarray, phase: float,
     """``_certified_sum`` of coef[k-1] * cos(k u - phase), k = 1..len(coef),
     u = fmod(t, 2pi), at every entry of the array t in one block pass.
 
-    The block has one row per k and one column per entry; the phase, cosine
-    and coefficient steps overwrite it in place.  ``np.add.accumulate`` down
-    the rows gives each entry's running sums in the scalar loop's order
-    (``np.sum`` may add pairwise, in another order); each addition's error
-    (``_two_sum_error``) comes elementwise from two consecutive running sums,
-    and a second accumulate adds the errors.  So each entry's (sum,
-    compensation) is bit for bit the scalar loop's.  Rows go in chunks of
-    ``_BLOCK_ROWS``.  A chunk's first row is added to the running sum before
-    the accumulate, its error to the compensation: in the first chunk that
-    is 0.0 + term, as in the scalar loop (it turns -0.0 into 0.0), with an
-    error that is always 0 and not formed.  The first error of the
-    accumulated rows takes the compensation so far, so no chunk copies its
-    block behind a row of carried values.
+    Each block, ``_BLOCK_ROWS`` values of k by the entries, is formed in
+    place and added by ``_accumulate_blocks``.
     """
     u = np.fmod(t, TWO_PI)
     shape = (-1,) + (1,) * u.ndim
-    s, c = 0.0, np.zeros(u.shape)
-    for k0 in range(0, len(coef), _BLOCK_ROWS):
-        a = coef[k0:k0 + _BLOCK_ROWS]
-        terms = np.arange(k0 + 1.0, k0 + 1.0 + len(a)).reshape(shape) * u
-        terms -= phase
-        np.cos(terms, out=terms)
-        terms *= a.reshape(shape)
+
+    def blocks():
+        for k0 in range(0, len(coef), _BLOCK_ROWS):
+            a = coef[k0:k0 + _BLOCK_ROWS]
+            terms = np.arange(k0 + 1.0, k0 + 1.0 + len(a)).reshape(shape) * u
+            terms -= phase
+            np.cos(terms, out=terms)
+            terms *= a.reshape(shape)
+            yield terms
+    return _accumulate_blocks(blocks(), u.shape)
+
+
+def _accumulate_blocks(blocks: Iterable[np.ndarray], shape) -> tuple[np.ndarray, np.ndarray]:
+    """(sum, compensation) of the rows of the blocks, in order: bit for bit
+    ``_certified_sum`` over them one row at a time, less its tail test.  Rows
+    have ``shape``; the blocks are overwritten.
+
+    ``np.add.accumulate`` down the rows gives the running sums in the scalar
+    loop's order (``np.sum`` may add pairwise); each addition's error
+    (``_two_sum_error``) comes from two consecutive running sums, and a
+    second accumulate adds the errors.  A block's first row is added before
+    the accumulate, its error to the compensation: in the first block that
+    is 0.0 + term, as in the scalar loop (it turns -0.0 into 0.0), with an
+    error that is always 0 and not formed.  The first error of the rest
+    takes the compensation so far, so no block is copied.
+    """
+    s, c = 0.0, np.zeros(shape)
+    for i, terms in enumerate(blocks):
         head = s + terms[0]
-        if k0:
+        if i:
             c = c + _two_sum_error(s, terms[0], head)
         terms[0] = head
         sums = np.add.accumulate(terms, axis=0)

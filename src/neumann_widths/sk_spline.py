@@ -65,6 +65,7 @@ sqrt(n) terms by ``math.fsum``; gamma_5's strip tail by one
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import itertools
@@ -78,8 +79,8 @@ import numpy as np
 
 from .errors import DomainError, SignDegenerate, SingularSystem, UnderflowLimit
 from .kernels import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
-                      _certified_sum, _check_n, _libm_powers, _pq_terms, _reduce_phase,
-                      eval_bernoulli, eval_pq, eval_psi_beta1)
+                      _accumulate_blocks, _certified_sum, _check_n, _libm_powers, _pq_terms,
+                      _reduce_phase, _unreachable, eval_bernoulli, eval_pq, eval_psi_beta1)
 from .thresholds import gamma_budget
 from .widths import solve_theta
 
@@ -89,6 +90,7 @@ _SINGULAR_COND = 1e15
 # error relative to its largest output, and the unit roundoff
 _PASS_REL_ERROR = 1e-15
 _UNIT_ROUNDOFF = 2.0**-53
+_R1_BLOCK = 2**15  # entries (rows x n) per block of scaled r1 rows
 
 
 @dataclass(frozen=True)
@@ -227,35 +229,48 @@ def _r1_terms(q: float, n: int, y: float, phase1: float, j: np.ndarray):
                float((t_hi + t_lo).max()) * ratio / (1.0 - ratio))
 
 
-def _rho1_rows(q: float, n: int, y: float, phase1: float, j: np.ndarray,
-               squares: np.ndarray):
-    """The r1 tails in scaled units, rho1_j = r1_j/A_j for every j at once,
-    row by row with the bound on every lane's remainder after each row;
-    row 0 is empty, so a remainder already below the tolerance cuts them all.
+def _rho1(q: float, n: int, y: float, phase1: float, j: np.ndarray, squares: np.ndarray,
+          tol: float, policy: EvalPolicy) -> np.ndarray | None:
+    """The r1 tails in scaled units, rho1_j = r1_j/A_j for every j at once:
+    real parts in row 0, imaginary in row 1; None when no row is needed.
 
     Row m >= 1 adds frequency (2m+1)n - j, of size q^(2mn) (n - j)^2/((2m+1)n
     - j)^2, and from m = 2 on frequency (2m-1)n + j, of size q^(2(m-1)n)
-    q^(2j) (n - j)^2/((2m-1)n + j)^2, with ``squares`` = q^(2j): one scalar
-    power per row and none per element.  Row 0 of each 2 x n term is the
-    real (cos) part and row 1 the imaginary (sin) part.  Both sizes are at
-    most q^(2kn)/(2k+1)^2 (k = m, and k = m - 1), so after row m >= 1 every
-    lane's remainder is at most 2 q^(2mn)/((2m+1)^2 (1 - q^(2n))), and
-    before row 1 it is at most (2/9) q^(2n)/(1 - q^(2n)), the same bound."""
+    q^(2j) (n - j)^2/((2m-1)n + j)^2, with ``squares`` = q^(2j).  Both are at
+    most q^(2kn)/(2k+1)^2 (k = m, m - 1), so every lane's remainder after
+    row m, and before row 1 for m = 1, is at most remainder(m).  The sum is
+    ``_certified_sum`` over an empty row 0 and rows 1, 2, ..., bit for bit:
+    the row count is bisected on remainder(m) <= tol before any row is
+    built, and the rows (cos, sin and powers from libm) are added in blocks.
+    """
     ratio = q ** (2 * n)
 
     def remainder(m: int) -> float:
         return 2.0 * q ** (2 * m * n) / ((2 * m + 1) ** 2 * (1.0 - ratio))
 
-    yield 0.0, remainder(1)
-    for m in itertools.count(1):
-        x_hi = (2 * m + 1) * n * y - phase1
-        row = np.outer((math.cos(x_hi), math.sin(x_hi)),
-                       q ** (2 * m * n) * ((n - j) / ((2 * m + 1) * n - j)) ** 2)
-        if m >= 2:
-            x_lo = (2 * m - 1) * n * y - phase1
-            row += np.outer((math.cos(x_lo), -math.sin(x_lo)), q ** (2 * (m - 1) * n)
-                            * squares * ((n - j) / ((2 * m - 1) * n + j)) ** 2)
-        yield row, remainder(m)
+    if remainder(1) <= tol:
+        return None
+    cap = policy.max_terms  # row 0 is a term, so rows 1..cap-1 fit
+    rows = 2 + bisect.bisect_left(range(2, cap), True, key=lambda m: remainder(m) <= tol)
+    if rows >= cap:
+        raise _unreachable("eigenvalue tail", remainder(max(cap - 1, 1)), tol, policy)
+
+    def blocks(size: int):
+        for m0 in range(1, rows + 1, size):
+            k = np.arange(m0 - 1, min(m0 + size, rows + 1))  # row m reads k = m - 1, m
+            x = ((2 * k + 1) * n * y - phase1).tolist()  # x_lo of row k + 1, x_hi of row k
+            trig = np.stack([np.fromiter(map(f, x), float, len(x))
+                             for f in (math.cos, math.sin)], axis=1)[:, :, np.newaxis]
+            power = _libm_powers(q, (2 * n * k).tolist())[:, np.newaxis]
+            m = k[1:, np.newaxis]
+            hi = power[1:] * ((n - j) / ((2 * m + 1) * n - j)) ** 2
+            lo = power[:-1] * squares * ((n - j) / ((2 * m - 1) * n + j)) ** 2
+            terms = trig[1:] * hi[:, np.newaxis]
+            first = 1 if m0 == 1 else 0  # row 1 has no x_lo term
+            terms[first:] += trig[first:-1] * [[1.0], [-1.0]] * lo[first:, np.newaxis]
+            yield terms
+    s, c = _accumulate_blocks(blocks(max(1, _R1_BLOCK // n)), (2, n))
+    return s + c
 
 
 def _check_scale(nonzero: bool, n: int, psi_n: float) -> None:
@@ -343,7 +358,7 @@ class _EigenAssembly:
         Changing Lambda_j by delta changes f_j by |f_j| |delta|/|Lambda_j +
         delta|, so if every lane's r1 remainder is at most T, the brackets
         err by at most sum_j |f_j| T/(min_j |Lambda_j| - T).  The rows are
-        summed (``_rho1_rows``) until their remainder bound T reaches a
+        summed (``_rho1``) until their remainder bound T reaches a
         tolerance that makes this a tenth of the pass's tested error at its
         smallest scale, 1e-15 |Re f_0| (Re f_0 is the mean bracket, so
         max_k |bracket_k| >= |Re f_0|), taken from the coefficients without
@@ -364,11 +379,9 @@ class _EigenAssembly:
         f, smallest = coefficients(lam)
         total = float(np.abs(f).sum())
         tol = 0.1 * _PASS_REL_ERROR * abs(float(f[0].real)) * smallest / (2.0 * total)
-        rows, comp = _certified_sum(_rho1_rows(self.q, n, self.y, self._phase1, j,
-                                               powers * powers),
-                                    tol, self.policy, "eigenvalue tail")
-        if np.ndim(rows):  # some rows were summed
-            re, im = rows + comp
+        rho1 = _rho1(self.q, n, self.y, self._phase1, j, powers * powers, tol, self.policy)
+        if rho1 is not None:  # some rows were summed
+            re, im = rho1
             f, smallest = coefficients(lam + (re + 1j * im))
             total = float(np.abs(f).sum())
         cut = total * tol / (smallest - tol) if smallest > tol else math.inf

@@ -428,6 +428,18 @@ def sweep_config(tmp_path, **overrides):
     return path, cfg
 
 
+def cache_log(cache_dir: Path) -> Path:
+    """The sweep's cache log, which must be the only entry of ``cache_dir``."""
+    (log,) = cache_dir.iterdir()
+    assert log.name == f"{cli._code_fingerprint()}.jsonl"
+    return log
+
+
+def log_lines(cache_dir: Path) -> list[bytes]:
+    """The nonempty lines of the cache log: every record starts a new line."""
+    return [line for line in cache_log(cache_dir).read_bytes().split(b"\n") if line]
+
+
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, capsys, tmp_path):
         cfg_path, cfg = sweep_config(tmp_path)
@@ -442,7 +454,7 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         assert code == 0
         assert (tmp_path / "out.csv").read_bytes() == first
-        assert any((tmp_path / "cache").rglob("*.json"))
+        assert len(log_lines(tmp_path / "cache")) == 8
 
     def test_timestamp_header_toggle(self, capsys, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, verify=False)
@@ -536,7 +548,7 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text())))
         assert [(float(r["q"]), float(r["beta"]), int(r["n"])) for r in rows] == [
             (job["q"], job["beta"], job["n"]) for job, _ in done]
-        assert len(list((tmp_path / "cache").rglob("*.json"))) == 2
+        assert len(log_lines(tmp_path / "cache")) == 2
 
     def test_past_underflow_edge_fills_cy2n_cell(self, capsys, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, q_list=[0.01], beta_list=[0.0],
@@ -562,8 +574,7 @@ class TestSweepCommand:
         run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         serial = (tmp_path / "out.csv").read_bytes()
         (tmp_path / "out.csv").unlink()
-        for f in (tmp_path / "cache").rglob("*.json"):
-            f.unlink()
+        cache_log(tmp_path / "cache").unlink()  # or the rows come from the cache
         monkeypatch.setenv("NEUMANN_WIDTHS_WORKERS", "2")
         run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         assert (tmp_path / "out.csv").read_bytes() == serial
@@ -580,8 +591,12 @@ class TestSweepCache:
         self.sweep(capsys, cfg_path)
         fingerprint = cli._code_fingerprint()
         assert fingerprint.startswith(f"{neumann_widths.__version__}-")
-        assert [p.name for p in (tmp_path / "cache").iterdir()] == [fingerprint]
-        assert len(list((tmp_path / "cache" / fingerprint).rglob("*.json"))) == 8
+        # one file, no temp files or subdirectories, one line per row
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{fingerprint}.jsonl"]
+        keys = {cli._job_key(job) for job in cli._load_sweep_config(str(cfg_path))["_jobs"]}
+        entries = dict(line.decode().split("\t") for line in log_lines(tmp_path / "cache"))
+        assert entries.keys() == keys
+        assert all(json.loads(row).keys() == set(SWEEP_COLUMNS) for row in entries.values())
 
     @pytest.mark.parametrize("payload", [b'{"q": 0.3', b'{"q": 1}', b"[]", b"", b"\xff{"],
                              ids=["truncated", "missing-columns", "not-an-object", "empty",
@@ -589,11 +604,55 @@ class TestSweepCache:
     def test_unreadable_entry_is_computed_again(self, capsys, tmp_path, payload):
         cfg_path, _ = sweep_config(tmp_path, verify=False)
         cold = self.sweep(capsys, cfg_path)
-        entry = sorted((tmp_path / "cache").rglob("*.json"))[0]
-        row = json.loads(entry.read_text(encoding="utf-8"))
-        entry.write_bytes(payload)
+        log = cache_log(tmp_path / "cache")
+        lines = log.read_bytes().split(b"\n")
+        key, row = lines[1].split(b"\t")
+        lines[1] = key + b"\t" + payload
+        log.write_bytes(b"\n".join(lines))
         assert self.sweep(capsys, cfg_path) == cold
-        assert json.loads(entry.read_text(encoding="utf-8")) == row
+        # the row was appended again, and that line is the one read back
+        assert log_lines(tmp_path / "cache")[-1] == key + b"\t" + row
+
+    def test_torn_last_line_is_computed_again(self, capsys, tmp_path, monkeypatch,
+                                              exact_width_calls):
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
+        cold = self.sweep(capsys, cfg_path)
+        log = cache_log(tmp_path / "cache")
+        whole = log.read_bytes()
+        last = whole.split(b"\n")[-1]
+        log.write_bytes(whole[:len(whole) - len(last) // 2])  # killed mid-write
+        assert self.sweep(capsys, cfg_path) == cold
+        assert len(exact_width_calls) == 8 + 1
+        lines = log_lines(tmp_path / "cache")
+        assert len(lines) == 9 and lines[-1] == last
+        assert self.sweep(capsys, cfg_path) == cold
+        assert len(exact_width_calls) == 9
+
+    def test_concurrent_sweeps_share_one_log(self, tmp_path):
+        # more sweeps than cores, all appending to one log
+        env = _package_env()
+        env.pop(cli.ENV_WORKERS, None)
+        names = ("a", "b", "c")
+        procs = []
+        for name in names:
+            (tmp_path / name).mkdir()
+            cfg_path, _ = sweep_config(tmp_path / name, verify=False, workers=1,
+                                       n_list=[1, 2, 3], cache_dir=str(tmp_path / "cache"))
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "neumann_widths", "sweep", "--config", str(cfg_path),
+                 "--no-timestamp"], env=env, stdout=subprocess.DEVNULL))
+        assert [proc.wait(timeout=120) for proc in procs] == [0] * len(names)
+        outputs = {(tmp_path / name / "out.csv").read_bytes() for name in names}
+        assert len(outputs) == 1
+        lines = log_lines(tmp_path / "cache")
+        assert 12 <= len(lines) <= 12 * len(names)
+        keys = set()
+        for line in lines:
+            key, row = line.split(b"\t")
+            assert json.loads(row).keys() == set(SWEEP_COLUMNS)
+            keys.add(key)
+        assert len(keys) == 12 and all(len(key) == 64 for key in keys)
 
     @pytest.mark.parametrize("module", ["kernels", "widths"])
     def test_fingerprint_follows_numerical_sources(self, tmp_path, module):
@@ -620,10 +679,13 @@ class TestSweepCache:
         assert len(exact_width_calls) == 8
         assert self.sweep(capsys, cfg_path) == cold
         assert len(exact_width_calls) == 8
+        fingerprint = cli._code_fingerprint()
         monkeypatch.setattr(cli, "_code_fingerprint", lambda: "0.0.0-other")
         assert self.sweep(capsys, cfg_path) == cold
         assert len(exact_width_calls) == 16
-        assert len(list((tmp_path / "cache").rglob("*.json"))) == 16
+        logs = sorted((tmp_path / "cache").iterdir())
+        assert [p.name for p in logs] == ["0.0.0-other.jsonl", f"{fingerprint}.jsonl"]
+        assert [p.read_bytes().count(b"\n") for p in logs] == [8, 8]
 
 
 def per_row_csv(cfg_path):

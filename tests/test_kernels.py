@@ -4,6 +4,7 @@ tail-control contracts, and the basic symmetry properties."""
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -321,6 +322,20 @@ def test_coefficient_row_grows_past_a_short_estimate(monkeypatch):
     with pytest.raises(TolUnreachable) as info:
         _neumann_coefficients(params, EvalPolicy(abs_tol=1e-16, max_terms=need - 1))
     assert (info.value.terms_used, info.value.tail_bound) == (need - 1, tails[need - 2])
+
+
+@pytest.mark.parametrize("tol", [t for t in ROW_TOLS if t >= sys.float_info.min])
+@pytest.mark.parametrize("q", [q for q in ROW_QS if q < 0.9999])
+def test_power_row_is_sized_close_to_k(monkeypatch, q, tol):
+    # one row of at most K + 2 libm powers (q^1 .. q^(K+1) is K + 1); at a
+    # subnormal abs_tol the rounded tails reach it before the real ones do,
+    # so K falls short of the log bound there
+    sizes = []
+    powers = kernels._libm_powers
+    monkeypatch.setattr(kernels, "_libm_powers",
+                        lambda q, exponents: sizes.append(len(exponents)) or powers(q, exponents))
+    need = len(_neumann_coefficients(NeumannParams(q, 0.0), EvalPolicy(abs_tol=tol)))
+    assert len(sizes) == 1 and sizes[0] <= need + 2
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.2])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from neumann_widths import sk_spline
 from neumann_widths import (DEFAULT_POLICY, EvalPolicy, NeumannParams, Partition2n,
-                            SignDegenerate, SingularSystem, UnderflowLimit,
+                            SignDegenerate, SingularSystem, TolUnreachable, UnderflowLimit,
                             classify_sign_pattern, derivative_eigen, derivative_pq,
                             eigen_assembly, eval_bernoulli, eval_pq, lambda_finite_sum,
                             lambda_fourier, solve_fundamental_spline, solve_theta,
@@ -919,3 +919,60 @@ class TestScaledPass:
         res = verify_cy2n(NeumannParams(q, 0.0), n)
         assert res.holds and res.unresolved == 0
         assert res.log10_scale == pytest.approx(math.log10(math.pi / 4) - n * math.log10(q))
+
+
+def rho1_row_by_row(q, n, y, phase1, j, squares):
+    """The scaled r1 rows one at a time, each with the remainder bound after
+    it, behind an empty row 0: the series ``sk_spline._rho1`` sums."""
+    ratio = q ** (2 * n)
+
+    def remainder(m):
+        return 2.0 * q ** (2 * m * n) / ((2 * m + 1) ** 2 * (1.0 - ratio))
+
+    yield 0.0, remainder(1)
+    for m in itertools.count(1):
+        x_hi = (2 * m + 1) * n * y - phase1
+        row = np.outer((math.cos(x_hi), math.sin(x_hi)),
+                       q ** (2 * m * n) * ((n - j) / ((2 * m + 1) * n - j)) ** 2)
+        if m >= 2:
+            x_lo = (2 * m - 1) * n * y - phase1
+            row += np.outer((math.cos(x_lo), -math.sin(x_lo)), q ** (2 * (m - 1) * n)
+                            * squares * ((n - j) / ((2 * m - 1) * n + j)) ** 2)
+        yield row, remainder(m)
+
+
+class TestScaledRows:
+    # near q = 1 at small n thousands of rows are summed; at q = 0.5 a few
+    # at n = 3 and none at n = 30
+    POINTS = [(0.999, 0.3, 2), (0.999, 1.0, 3), (0.99, 0.7, 5), (0.5, 0.3, 3), (0.5, 0.0, 30)]
+
+    def rows(self, q, beta, n, tol, policy=DEFAULT_POLICY):
+        j = np.arange(n)
+        squares = sk_spline._libm_powers(q, j.tolist()) ** 2
+        y = 0.4 * math.pi / n
+        phase1 = sk_spline._reduce_phase(beta, 1.0)
+        got = sk_spline._rho1(q, n, y, phase1, j, squares, tol, policy)
+        s, c = _certified_sum(rho1_row_by_row(q, n, y, phase1, j, squares), tol, policy,
+                              "eigenvalue tail")
+        return got, (None if np.ndim(s) == 0 else s + c)
+
+    @pytest.mark.parametrize("q,beta,n", POINTS)
+    @pytest.mark.parametrize("block", [1, 7, 64, sk_spline._R1_BLOCK])
+    def test_blocks_are_the_row_by_row_sum(self, monkeypatch, q, beta, n, block):
+        monkeypatch.setattr(sk_spline, "_R1_BLOCK", block)
+        got, ref = self.rows(q, beta, n, 1e-18)
+        if ref is None:
+            assert got is None
+        else:
+            assert got.shape == (2, n) and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("max_terms", [1, 2, 3, 40])
+    def test_short_cap_raises_the_row_by_row_error(self, max_terms):
+        policy = EvalPolicy(max_terms=max_terms)
+        with pytest.raises(TolUnreachable) as blocks:
+            sk_spline._rho1(0.999, 2, 0.1, 0.5, np.arange(2), np.ones(2), 1e-18, policy)
+        with pytest.raises(TolUnreachable) as rows:
+            _certified_sum(rho1_row_by_row(0.999, 2, 0.1, 0.5, np.arange(2), np.ones(2)),
+                           1e-18, policy, "eigenvalue tail")
+        assert (str(blocks.value), blocks.value.terms_used, blocks.value.tail_bound) == (
+            str(rows.value), rows.value.terms_used, rows.value.tail_bound)
