@@ -355,7 +355,9 @@ def cmd_sweep(args) -> int:
                 rows[i] = row
                 # one unbuffered write per row, appended whole; its leading
                 # newline ends any line a killed sweep left torn
-                sink.write(f"\n{keys[i]}\t{json.dumps(row, sort_keys=True)}".encode("utf-8"))
+                record = f"\n{keys[i]}\t{json.dumps(row, sort_keys=True)}".encode("utf-8")
+                if sink.write(record) != len(record):
+                    raise OSError(f"short write to the sweep cache {log}")
 
     interrupted = False
     try:

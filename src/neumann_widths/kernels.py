@@ -187,13 +187,12 @@ def _neumann_coefficients(params: NeumannParams, policy: EvalPolicy) -> np.ndarr
     <= policy.abs_tol.  One row of libm powers q^k, k = 1..size + 1, gives
     both the coefficients (``params.coefficient``) and the tails
     (``params.tail_from``), each bit for bit the scalar one.  The tail after
-    k, q^x/(x(1-q)) with x = k + 1, reaches abs_tol at the fixed point x* of
-    the decreasing map x -> (log tol + log(1-q) + log x)/log q, so K < x*.
-    From x = 1 one step gives (log tol + log(1-q))/log q > x* (it drops the
-    1/x), and an even number more stays above x*: four land just above it
-    (in logs, which cannot underflow).  ``size`` starts there and doubles,
-    up to policy.max_terms, in the rare case rounding puts K beyond it.  Raises the TolUnreachable of ``eval_neumann_pair``
-    when no k up to policy.max_terms qualifies.
+    k, q^x/(x(1-q)) with x = k + 1, reaches abs_tol at the fixed point x* > K
+    of the decreasing map x -> (log tol + log(1-q) + log x)/log q.  From x = 1
+    one step overshoots x* (it drops the 1/x) and four more land just above it
+    (in logs, which cannot underflow).  ``size`` starts there and doubles, up
+    to policy.max_terms, in the rare case rounding puts K beyond it.  Raises
+    the TolUnreachable of ``eval_neumann_pair`` when no k up to max_terms does.
     """
     q, tol, cap = params.q, policy.abs_tol, policy.max_terms
     base, estimate = math.log(tol) + math.log1p(-q), 1.0

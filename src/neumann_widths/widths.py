@@ -13,8 +13,8 @@ to [0, 1/2) otherwise, with theta = 1/2 exactly at beta even and theta = 0
 exactly at beta odd.  Bisection then converges unconditionally.
 
 The three odd-harmonic series (this left side, the square-wave convolution
-and the width peak) share one sum, ``_odd_sum``; each caller sets its start
-coefficient, tail, tolerance and label.
+and the width peak) share one term generator, ``_odd_terms``; each caller
+sets its start coefficient, tail, tolerance and label.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .errors import BracketFailure
-from .kernels import (_BLOCK_ROWS, DEFAULT_POLICY, EvalPolicy, NeumannParams,
-                      _accumulate_blocks, _certified_sum, _check_n, _reduce_phase, _unreachable)
+from .kernels import (DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, _check_n,
+                      _reduce_phase)
 from .kernels import eval_gq  # noqa: F401  (bench/tracing.py counts calls through it)
 
 _BISECT_ITERS = 64  # interval width 0.5 / 2**64 ~ 2.7e-20
@@ -48,12 +46,19 @@ class ThetaRoot:
     beta: float
     n: int
     theta: float
-    residual: float
     branch: Branch
+    policy: EvalPolicy = field(default=DEFAULT_POLICY, repr=False, compare=False)
 
     @property
     def y0(self) -> float:
         return self.theta * math.pi / self.n
+
+    @cached_property
+    def residual(self) -> float:
+        """``theta_equation_lhs`` at the root, summed on first read (up to
+        policy.max_terms terms), so a caller that needs only the root skips it."""
+        return theta_equation_lhs(NeumannParams(self.q, self.beta), self.n, self.theta,
+                                  self.policy)
 
 
 @dataclass(frozen=True)
@@ -82,50 +87,28 @@ class WidthReport:
     branch: Branch
 
 
-def _odd_sum(params: NeumannParams, coef: float, ratio: float, power: int, trig, arg,
-             tail, tol: float, policy: EvalPolicy, label: str) -> float:
-    """``_certified_sum`` (sum + compensation) of coef * ratio^nu / m^power *
-    trig(arg(m) - beta pi/2), m = 2 nu + 1, nu >= 0, with tail(c, m) after
-    each term, c = coef * ratio^(nu+1) the next one's coefficient.  ``arg``
-    takes m, so each caller's argument rounds as m times its own factors.  A
-    long series (ratio >= 0.9, hundreds of terms or more) goes in blocks of
-    ``_BLOCK_ROWS`` terms by the same operations (one running product, libm
-    trig), cut at the same term or with the same error, bit for bit; a short
-    one is cheaper term by term."""
+def _odd_terms(params: NeumannParams, coef: float, ratio: float, power: int, trig,
+               arg, tail):
+    """Terms coef * ratio^nu / m^power * trig(arg(m) - beta pi/2), m = 2 nu + 1,
+    nu >= 0, each with tail(c, m) after it, where c = coef * ratio^(nu+1) is
+    the next term's coefficient.  ``arg`` takes m, so that each caller's
+    argument rounds as m times its own factors."""
     phase = _reduce_phase(params.beta)
-    if ratio < 0.9:
-        def terms(coef=coef):
-            for m in itertools.count(1, 2):
-                term = coef / m**power * trig(arg(m) - phase)
-                coef *= ratio
-                yield term, tail(coef, m)
-        s, c = _certified_sum(terms(), tol, policy, label)
-        return s + c
-
-    def blocks(coef=coef, left=policy.max_terms):
-        for m0 in itertools.count(1, 2 * _BLOCK_ROWS):
-            m = np.arange(m0, m0 + 2 * min(_BLOCK_ROWS, left), 2)
-            c = np.multiply.accumulate(np.r_[coef, np.full(len(m), ratio)])
-            coef, left, tails = c[-1], left - len(m), tail(c[1:], m)
-            stop = np.flatnonzero(tails <= tol)[:1]  # where _certified_sum stops
-            m = m[:stop[0] + 1] if len(stop) else m
-            trigs = np.fromiter(map(trig, (arg(m) - phase).tolist()), float, len(m))
-            yield c[:len(m)] / m**power * trigs
-            if len(stop):
-                return
-            if not left:
-                raise _unreachable(label, float(tails[-1]), tol, policy)
-    s, c = _accumulate_blocks(blocks(), ())
-    return float(s + c)
+    for m in itertools.count(1, 2):
+        term = coef / m**power * trig(arg(m) - phase)
+        coef *= ratio
+        yield term, tail(coef, m)
 
 
 def theta_equation_lhs(params: NeumannParams, n: int, theta: float,
                        policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Definitional series form of the theta-equation left side."""
     ratio = params.q ** (2 * n)
-    return _odd_sum(params, 1.0, ratio, 1, math.cos, lambda m: m * theta * math.pi,
-                    lambda c, m: c / (m + 2), min(policy.abs_tol, 1e-15) * (1.0 - ratio),
-                    policy, "theta equation")
+    terms = _odd_terms(params, 1.0, ratio, 1, math.cos, lambda m: m * theta * math.pi,
+                       lambda c, m: c / (m + 2))
+    s, c = _certified_sum(terms, min(policy.abs_tol, 1e-15) * (1.0 - ratio), policy,
+                          "theta equation")
+    return s + c
 
 
 def _limit_theta(beta_r: float) -> float:
@@ -207,8 +190,7 @@ def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> Th
         bracket = (0.5, 1.0) if branch is Branch.HALF else (0.0, 0.5)
         theta = min(_bisect_theta(params, n, *bracket), math.nextafter(1.0, 0.0))
 
-    residual = theta_equation_lhs(params, n, theta, policy)
-    return ThetaRoot(q=q, beta=beta, n=n, theta=theta, residual=residual, branch=branch)
+    return ThetaRoot(q=q, beta=beta, n=n, theta=theta, branch=branch, policy=policy)
 
 
 def solve_theta(params: NeumannParams, n: int,
@@ -216,7 +198,7 @@ def solve_theta(params: NeumannParams, n: int,
     """Unique root of the theta equation in [0, 1), with residual and branch.
 
     Results are memoized per (params, n, policy); the returned object is
-    immutable, so concurrent readers may share it.
+    immutable (its residual is summed once), so concurrent readers share it.
     """
     _check_n(n)
     return _solve_theta_cached(params, n, policy)
@@ -232,10 +214,10 @@ def conv_square_wave(params: NeumannParams, n: int, t: float,
     """
     _check_n(n)
     ratio = params.q ** (2 * n)
-    return (4.0 / math.pi) * _odd_sum(
-        params, params.psi(n), ratio, 2, math.sin, lambda m: m * n * t,
-        lambda c, m: (4.0 / math.pi) * (c / ((m + 2) ** 2 * (1.0 - ratio))),
-        policy.abs_tol, policy, "square-wave convolution")
+    terms = _odd_terms(params, params.psi(n), ratio, 2, math.sin, lambda m: m * n * t,
+                       lambda c, m: (4.0 / math.pi) * (c / ((m + 2) ** 2 * (1.0 - ratio))))
+    s, c = _certified_sum(terms, policy.abs_tol, policy, "square-wave convolution")
+    return (4.0 / math.pi) * (s + c)
 
 
 def exact_width(params: NeumannParams, n: int,
@@ -247,10 +229,13 @@ def exact_width(params: NeumannParams, n: int,
     roundtrip scaling even when q^(2n) is at the underflow edge.
     """
     root = solve_theta(params, n, policy)
+    residual = root.residual
     q = params.q
     ratio = q ** (2 * n)
-    peak = abs(_odd_sum(params, 1.0, ratio, 2, math.sin, lambda m: m * root.theta * math.pi,
-                        lambda c, m: c, policy.abs_tol * (1.0 - ratio), policy, "width peak"))
+    terms = _odd_terms(params, 1.0, ratio, 2, math.sin, lambda m: m * root.theta * math.pi,
+                       lambda c, m: c)
+    s, c = _certified_sum(terms, policy.abs_tol * (1.0 - ratio), policy, "width peak")
+    peak = abs(s + c)
 
     scale = params.psi(n)
     width = (4.0 / math.pi) * scale * peak
@@ -262,7 +247,7 @@ def exact_width(params: NeumannParams, n: int,
         width=width, peak=peak, gamma_n=gamma_n,
         sandwich_lo=scale * (1.0 - (4.0 / 9.0) * ratio_factor),
         sandwich_hi=scale * (1.0 + (4.0 / 9.0) * ratio_factor),
-        residual=root.residual, branch=root.branch,
+        residual=residual, branch=root.branch,
     )
 
 

@@ -629,6 +629,26 @@ class TestSweepCache:
         assert self.sweep(capsys, cfg_path) == cold
         assert len(exact_width_calls) == 9
 
+    def test_short_write_stops_the_sweep(self, capsys, tmp_path, monkeypatch):
+        # a record written only in part is reported, not passed over
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
+
+        class ShortFile(io.FileIO):
+            def write(self, data):
+                return super().write(data[:len(data) // 2])
+
+        path_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda path, mode="r", *args, **kwargs: (
+            ShortFile(path, mode) if mode == "ab" else path_open(path, mode, *args, **kwargs)))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        assert code == 2 and "short write" in err
+        monkeypatch.undo()
+        [torn] = log_lines(tmp_path / "cache")
+        self.sweep(capsys, cfg_path)  # the torn record is a miss
+        lines = log_lines(tmp_path / "cache")
+        assert len(lines) == 9 and lines[0] == torn
+
     def test_concurrent_sweeps_share_one_log(self, tmp_path):
         # more sweeps than cores, all appending to one log
         env = _package_env()

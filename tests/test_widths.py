@@ -1,6 +1,5 @@
 """Theta roots, exact width values, and the asymptotic decomposition."""
 
-import itertools
 import math
 import random
 
@@ -8,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_widths import (DEFAULT_POLICY, BracketFailure, Branch, EvalPolicy, NeumannParams,
-                            TolUnreachable, conv_square_wave, exact_width, solve_theta,
-                            theta_cos_bound, theta_equation_lhs)
-from neumann_widths.kernels import _certified_sum, _reduce_phase, eval_gq, eval_hq
+from neumann_widths import (BracketFailure, Branch, EvalPolicy, NeumannParams, TolUnreachable,
+                            conv_square_wave, exact_width, solve_theta, theta_cos_bound,
+                            theta_equation_lhs, verify_cy2n)
+from neumann_widths.kernels import eval_gq, eval_hq
 from neumann_widths.oracles import theta_sign_scan
+from neumann_widths import widths
 from neumann_widths.widths import _bisect_theta
 
 WIDTH_CHI2 = 0.6561351817594581   # (4/pi) * Legendre-chi_2(1/2)
@@ -69,6 +69,23 @@ class TestThetaRoots:
         root = solve_theta(NeumannParams(0.5, 3.5), 1100)
         assert root.theta == 0.25
         assert abs(root.residual) <= 1e-15
+
+    def test_residual_is_summed_on_first_read(self, monkeypatch):
+        # the root comes from the closed form; only reading the residual sums
+        # its series, so a cap that series cannot meet fails there and in
+        # exact_width, but not in solve_theta, and the sign check never sums it
+        params, policy = NeumannParams(0.9, 0.5), EvalPolicy(max_terms=5)
+        root = solve_theta(params, 1, policy)
+        assert root.theta == solve_theta(params, 1).theta
+        for read in (lambda: root.residual, lambda: exact_width(params, 1, policy)):
+            with pytest.raises(TolUnreachable, match="theta equation"):
+                read()
+        assert solve_theta(params, 1).residual == theta_equation_lhs(params, 1, root.theta)
+
+        expected = verify_cy2n(params, 2)
+        widths._solve_theta_cached.cache_clear()
+        monkeypatch.setattr(widths, "theta_equation_lhs", None)
+        assert verify_cy2n(params, 2) == expected
 
     def test_underflow_width_is_zero(self):
         r = exact_width(NeumannParams(0.1, 0.5), 400)
@@ -254,55 +271,3 @@ def test_bisection_is_the_retired_loop_bit_for_bit(monkeypatch):
 def solve_branch(params):
     beta_r = params.beta_mod4
     return Branch.HALF if beta_r < 1.0 or 2.0 <= beta_r < 3.0 else Branch.ZERO
-
-
-def odd_series(params, coef, ratio, power, trig, arg, tail):
-    """The odd-harmonic terms one at a time, each with its tail: the series
-    ``widths._odd_sum`` adds."""
-    phase = _reduce_phase(params.beta)
-    for m in itertools.count(1, 2):
-        term = coef / m**power * trig(arg(m) - phase)
-        coef *= ratio
-        yield term, tail(coef, m)
-
-
-# q^(2n) >= 0.9, where the series run in blocks: from about 400 terms to
-# about 40 000
-LONG_SERIES = [(q, beta, n) for q in (0.98, 0.99, 0.9995) for beta in (0.3, 1.7, 2.5)
-               for n in (1, 2)]
-
-
-@pytest.mark.parametrize("q,beta,n", LONG_SERIES)
-def test_long_series_are_the_scalar_sums_bit_for_bit(q, beta, n):
-    params = NeumannParams(q, beta)
-    ratio = q ** (2 * n)
-    theta, t = solve_theta(params, n).theta, 0.37
-    cases = [
-        (theta_equation_lhs(params, n, theta), lambda v: v,
-         (1.0, 1, math.cos, lambda m: m * theta * math.pi, lambda c, m: c / (m + 2)),
-         1e-15 * (1.0 - ratio)),
-        (exact_width(params, n).peak, abs,
-         (1.0, 2, math.sin, lambda m: m * theta * math.pi, lambda c, m: c),
-         1e-14 * (1.0 - ratio)),
-        (conv_square_wave(params, n, t), lambda v: (4.0 / math.pi) * v,
-         (params.psi(n), 2, math.sin, lambda m: m * n * t,
-          lambda c, m: (4.0 / math.pi) * (c / ((m + 2) ** 2 * (1.0 - ratio)))), 1e-14)]
-    for got, finish, series, tol in cases:
-        s, c = _certified_sum(odd_series(params, series[0], ratio, *series[1:]), tol,
-                              DEFAULT_POLICY, "odd series")
-        assert got.hex() == finish(s + c).hex()
-
-
-@pytest.mark.parametrize("max_terms", [1, 1023, 1024, 1025, 3000])
-def test_long_series_cap_raises_the_scalar_error(max_terms):
-    params = NeumannParams(0.9995, 0.3)
-    policy = EvalPolicy(max_terms=max_terms)
-    with pytest.raises(TolUnreachable) as blocks:
-        theta_equation_lhs(params, 1, 0.6, policy)
-    with pytest.raises(TolUnreachable) as scalar:
-        ratio = 0.9995 ** 2
-        _certified_sum(odd_series(params, 1.0, ratio, 1, math.cos, lambda m: m * 0.6 * math.pi,
-                                  lambda c, m: c / (m + 2)),
-                       1e-15 * (1.0 - ratio), policy, "theta equation")
-    assert (str(blocks.value), blocks.value.terms_used, blocks.value.tail_bound) == (
-        str(scalar.value), scalar.value.terms_used, scalar.value.tail_bound)
