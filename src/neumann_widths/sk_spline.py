@@ -10,8 +10,8 @@ spline at interval midpoints:
    so it is the cross-check path at small n only.
 2. ``derivative_eigen`` -- closed-form representation through eigenvalue
    magnitudes |lambda_{n-j}(y)| with correction terms gamma_1, gamma_2;
-   the sign-condition verifier reads all 2n midpoints of the same form, in
-   scaled units, from one FFT.
+   it and the sign-condition verifier read all 2n midpoints of the same
+   form, in scaled units, from one FFT.
 3. ``derivative_pq`` -- the same value rearranged around the strictly
    positive kernel P_q, with the full correction ledger gamma_1..gamma_5
    that the threshold theorems bound; it is the independent check of
@@ -24,14 +24,15 @@ coefficient tails (``lambda_fourier``, Neumann kernels); the two must agree
 to working precision, which the test suite enforces.
 
 The Fourier-side decomposition is built once per shift (``_EigenAssembly``),
-in one array pass over j = 0..n-1 for each of its two units.  In the
-kernel's units the main coefficients, the tail pieces r1, r2, r3, the
-eigenvalue magnitudes and the row constants of the midpoint sums are numpy
-arrays over j, and the r1 tails of all j are one ``_certified_sum`` over
-lanes, whose tail bounds every lane; ``lambda_fourier`` reads one row of it.
-All of these scale like psi(n)/n = q^n/n^2: |lambda_n|^2 underflows from
-n = 80 at q = 0.01 (226 at q = 0.2, 521 at q = 0.5), and the single-midpoint
-routes raise UnderflowLimit from there on.
+in one array pass over j = 0..n-1, in units of the main coefficient A_j
+(below).  The r1 tails of all j are summed once, in blocks of rows
+(``_rho1``), to a tolerance relative to A_j that also meets the policy's
+absolute one.  The kernel-unit fields (the tail pieces r1, r2, r3, the
+eigenvalue magnitudes and the row constants of the P_q ledger) are numpy
+arrays over j, formed from it and the main coefficients; ``lambda_fourier``
+reads one row.  They scale like psi(n)/n = q^n/n^2: |lambda_n|^2
+underflows from n = 80 at q = 0.01 (226 at q = 0.2, 521 at q = 0.5), and
+the single-midpoint routes raise UnderflowLimit from there on.
 
 Routes 2 and 3 are one identity.  With P_q's terms p_j cos(j d), p_j =
 2/(q^j + q^-j), gamma_5 = -s sum_{j > isqrt(n)} p_j cos(j d) cancels P_q's
@@ -56,11 +57,11 @@ an underflow edge (``_EigenAssembly._scaled``).  It evaluates the brackets at
 all 2n midpoints from one length-2n FFT of twisted coefficients
 (``_EigenAssembly._fft``), O(n log n), sums no series over the midpoints,
 and reports brackets, with their scale pi/(4 n psi(n)) = (pi/4) q^-n as a
-log10.  ``derivative_eigen(k)`` reads midpoint k of the kernel-unit pass.
+log10.  ``derivative_eigen(k)`` is bracket k times that scale.
 ``derivative_pq(k)`` evaluates the left side at one midpoint: gamma_1 and
-gamma_3 from column k of a second FFT, run once per assembly; gamma_4's
-sqrt(n) terms by ``math.fsum``; gamma_5's strip tail by one
-``_certified_sum`` and P_q by ``eval_pq``, both at the offset d = t_k - y.
+gamma_3 from column k of one FFT of kernel-unit coefficients, run once per
+assembly; gamma_4's sqrt(n) terms by ``math.fsum``; gamma_5's strip tail by
+one ``_certified_sum`` and P_q by ``eval_pq``, both at the offset d = t_k - y.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -211,24 +211,6 @@ def _coef(q: float, k: np.ndarray) -> np.ndarray:
     return _libm_powers(q, k_float.tolist()) / k_float / k_float
 
 
-def _r1_terms(q: float, n: int, y: float, phase1: float, j: np.ndarray):
-    """Terms of the Fourier tail r1_j over frequencies (2m+1)n - j and
-    (2m-1)n + j, m >= 1, for every j at once: row 0 of each 2 x n term is the
-    real (cos) part and row 1 the imaginary (sin) part.  The cos/sin factors
-    depend only on m, so a term is a coefficient row times two scalars.  The
-    tail after term m >= 2 is the largest lane's (t_hi + t_lo) q^(2n)/(1 - q^(2n)),
-    which bounds every lane."""
-    ratio = q ** (2 * n)
-    x = 3 * n * y - phase1
-    yield np.outer((math.cos(x), math.sin(x)), _coef(q, 3 * n - j)), math.inf
-    for m in itertools.count(2):
-        t_hi, t_lo = _coef(q, (2 * m + 1) * n - j), _coef(q, (2 * m - 1) * n + j)
-        x_hi, x_lo = (2 * m + 1) * n * y - phase1, (2 * m - 1) * n * y - phase1
-        yield (np.outer((math.cos(x_hi), math.sin(x_hi)), t_hi)
-               + np.outer((math.cos(x_lo), -math.sin(x_lo)), t_lo),
-               float((t_hi + t_lo).max()) * ratio / (1.0 - ratio))
-
-
 def _rho1(q: float, n: int, y: float, phase1: float, j: np.ndarray, squares: np.ndarray,
           tol: float, policy: EvalPolicy) -> np.ndarray | None:
     """The r1 tails in scaled units, rho1_j = r1_j/A_j for every j at once:
@@ -289,36 +271,33 @@ def _unscaled_field(name: str, doc: str) -> property:
 
 class _EigenAssembly:
     """Fourier-side decomposition of the eigenvalues lambda_{n-j}(y), j =
-    0..n-1 (eigenvalue index l = n - j), of a Neumann kernel at shift y, in
-    two units, each built on first use in one array pass over j.
+    0..n-1 (eigenvalue index l = n - j), of a Neumann kernel at shift y,
+    built on first use in one array pass over j.
 
     With the main coefficients A_j = psi(n-j)/(n-j) and B_j = psi(n+j)/(n+j)
     and the tail pieces r1, r2, r3 of r_j, the rotated eigenvalue is
     e^(ijy) lambda_{n-j} = (A_j + B_j) s + r_j.
 
-    Scaled units (``_scaled``, the verifier's pass): every piece divided by
-    A_j, so nothing overflows or vanishes with psi(n).  One libm power row
-    q^j, j < n, gives 1/A~_j = q^j (n-j)^2/n^2 and B~_j = q^j n^2/(n+j)^2
-    (A~, B~ = A, B over psi(n)/n), their product B_j/A_j, and q^(2j) for the
-    r1 rows.  Lambda_j = e^(ijy) lambda_{n-j}/A_j = (1 + B_j/A_j) sin(arg) +
-    i (B_j/A_j - 1) cos(arg) + r1_j/A_j, arg = n y - beta pi/2, and the
-    bracket coefficients are f_j = w_j (1/A~_j)/(cos(j pi/2n) conj(Lambda_j))
-    (module docstring); a j whose q^j underflows has f_j = 0 exactly.  The
-    r1 rows are cut, with a certified bound, once they cannot matter
-    (``_scaled``).  ``_brackets`` reads all 2n midpoints from one FFT.
+    The pass (``_scaled``) divides every piece by A_j, so nothing overflows
+    or vanishes with psi(n).  One libm power row q^j, j < n, gives 1/A~_j =
+    q^j (n-j)^2/n^2 and B~_j = q^j n^2/(n+j)^2 (A~, B~ = A, B over
+    psi(n)/n), their product B_j/A_j, and q^(2j) for the r1 rows.  Lambda_j
+    = e^(ijy) lambda_{n-j}/A_j = (1 + B_j/A_j) sin(arg) + i (B_j/A_j - 1)
+    cos(arg) + r1_j/A_j, arg = n y - beta pi/2, and the bracket coefficients
+    are f_j = w_j (1/A~_j)/(cos(j pi/2n) conj(Lambda_j)) (module docstring);
+    a j whose q^j underflows has f_j = 0 exactly.  The r1 rows are summed
+    once (``_rho1``), and cut with a certified bound once they cannot matter
+    (``_scaled``).  ``_brackets`` reads all 2n midpoints from one FFT, and
+    ``derivative_eigen(k)`` is bracket k times pi/(4 n psi(n)).
 
-    Unscaled units (``_unscaled``, the single-midpoint routes, the P_q
-    ledger and ``lambda_fourier``): r1, r2, r3, their sum r, ``rotated``,
-    the magnitudes lam_abs = |lambda_{n-j}| and the offsets R_j =
-    |lambda_{n-j}| - A_j - B_j, as arrays over j.  The r1 tails are one
-    ``_certified_sum`` to policy.abs_tol whose lanes are the real and
-    imaginary parts of all j.  Building them raises UnderflowLimit where
-    psi(n) is zero.  Their midpoint sums are length-2n FFTs of twisted
-    coefficients (``_fft``), each run once per assembly: one gives the
-    derivatives (``_derivatives``, read by ``derivative_eigen``), the
-    other gamma_1 and gamma_3 of the P_q ledger (``_g13``), which
-    ``gammas(k)`` reads one midpoint at a time; z_j are a numpy row over
-    the j axis (``_z``).
+    The kernel's units (``_unscaled``, the P_q ledger and
+    ``lambda_fourier``): r1_j = A_j rho1_j from the same pass, r2, r3, their
+    sum r, ``rotated``, the magnitudes lam_abs = |lambda_{n-j}| and the
+    offsets R_j = |lambda_{n-j}| - A_j - B_j, as arrays over j.  Building
+    them raises UnderflowLimit where psi(n) is zero.  gamma_1 and gamma_3
+    of the P_q ledger are one length-2n FFT of twisted coefficients
+    (``_g13``), run once per assembly, which ``gammas(k)`` reads one
+    midpoint at a time; z_j are a numpy row over the j axis (``_z``).
     """
 
     r1 = _unscaled_field("r1", "r1_j, the Fourier tail over frequencies past n + j")
@@ -351,20 +330,24 @@ class _EigenAssembly:
         return np.arange(self.n)
 
     @functools.cached_property
-    def _scaled(self) -> tuple[np.ndarray, float]:
-        """The bracket coefficients f_j, j < n, and the bound on the bracket
-        error from the r1 rows left out.
+    def _scaled(self) -> SimpleNamespace:
+        """The bracket coefficients f_j, j < n; the r1 tails rho1_j =
+        r1_j/A_j, summed to the tolerance tol (0 where no row is summed);
+        and ``cut``, the bound on the bracket error from the r1 rows left out.
 
         Changing Lambda_j by delta changes f_j by |f_j| |delta|/|Lambda_j +
         delta|, so if every lane's r1 remainder is at most T, the brackets
         err by at most sum_j |f_j| T/(min_j |Lambda_j| - T).  The rows are
-        summed (``_rho1``) until their remainder bound T reaches a
-        tolerance that makes this a tenth of the pass's tested error at its
-        smallest scale, 1e-15 |Re f_0| (Re f_0 is the mean bracket, so
-        max_k |bracket_k| >= |Re f_0|), taken from the coefficients without
-        r1.  Their remainder is at most (2/9) q^(2n)/(1 - q^(2n)), so past
-        small n, or q near 1, no row is summed.  The bound returned is the
-        one above at that tolerance, from the final coefficients."""
+        summed (``_rho1``) until their remainder bound T reaches tol, the
+        tighter of two tolerances.  One makes this a tenth of the pass's
+        tested error at its smallest scale, 1e-15 |Re f_0| (Re f_0 is the
+        mean bracket, so max_k |bracket_k| >= |Re f_0|), taken from the
+        coefficients without r1; it is below 1e-16, so it is the tighter one
+        at the default policy.  The other is policy.abs_tol/q: max_j A_j =
+        A_{n-1} = q, so every r1_j = A_j rho1_j is within policy.abs_tol too.
+        The remainder is at most (2/9) q^(2n)/(1 - q^(2n)), so past small n,
+        or q near 1, no row is summed.  ``cut`` is the bound above at tol,
+        from the final coefficients."""
         n, j = self.n, self._j
         powers = _libm_powers(self.q, j.tolist())
         a_inv = powers * ((n - j) / n) ** 2
@@ -378,14 +361,16 @@ class _EigenAssembly:
         lam = (1.0 + b_over_a) * self._sin_arg + 1j * ((b_over_a - 1.0) * self._cos_arg)
         f, smallest = coefficients(lam)
         total = float(np.abs(f).sum())
-        tol = 0.1 * _PASS_REL_ERROR * abs(float(f[0].real)) * smallest / (2.0 * total)
-        rho1 = _rho1(self.q, n, self.y, self._phase1, j, powers * powers, tol, self.policy)
-        if rho1 is not None:  # some rows were summed
-            re, im = rho1
-            f, smallest = coefficients(lam + (re + 1j * im))
+        tol = min(0.1 * _PASS_REL_ERROR * abs(float(f[0].real)) * smallest / (2.0 * total),
+                  self.policy.abs_tol / self.q)
+        rows = _rho1(self.q, n, self.y, self._phase1, j, powers * powers, tol, self.policy)
+        rho1 = 0j
+        if rows is not None:  # some rows were summed
+            rho1 = rows[0] + 1j * rows[1]
+            f, smallest = coefficients(lam + rho1)
             total = float(np.abs(f).sum())
         cut = total * tol / (smallest - tol) if smallest > tol else math.inf
-        return f, cut
+        return SimpleNamespace(f=f, rho1=rho1, tol=tol, cut=cut)
 
     @functools.cached_property
     def _brackets(self) -> tuple[np.ndarray, float]:
@@ -393,7 +378,7 @@ class _EigenAssembly:
         signs are the derivatives' at t_1..t_2n, from one FFT; and their
         error bound (``verify_cy2n``)."""
         n = self.n
-        f, cut = self._scaled
+        f, cut = self._scaled.f, self._scaled.cut
         sums = self._fft(f[np.newaxis])[0]
         out = np.empty(2 * n)
         out[:-1], out[-1] = sums[1:], sums[0]  # t_k reads bin k mod 2n
@@ -412,10 +397,7 @@ class _EigenAssembly:
         _check_scale(self.psi_n != 0.0, n, self.psi_n)  # before any O(n) array
         j = self._j
         a, b = _coef(q, n - j), _coef(q, n + j)
-        tail, comp = _certified_sum(_r1_terms(q, n, self.y, self._phase1, j),
-                                    self.policy.abs_tol, self.policy, "eigenvalue tail")
-        re, im = tail + comp
-        r1 = re + 1j * im
+        r1 = a * self._scaled.rho1
         r2 = 1j * (b - a) * self._cos_arg
         r3 = (a + b) * (abs(self._sin_arg) - 1.0) * s
         r = r1 + r2 + r3
@@ -474,20 +456,6 @@ class _EigenAssembly:
         return np.fft.fft(twisted, 2 * n, axis=1).real  # zero-padded from n to 2n
 
     @functools.cached_property
-    def _derivatives(self) -> np.ndarray:
-        """The midpoint derivatives at t_1..t_2n from their brackets
-        s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k): one FFT."""
-        n = self.n
-        c, e = self._coefficients()
-        sums = self._fft((c + e)[np.newaxis])[0]
-        out = np.empty(2 * n)
-        out[:-1], out[-1] = sums[1:], sums[0]  # t_k reads bin k mod 2n
-        out += 0.5 * self.s + self._g2()
-        out *= math.pi / (4.0 * n * self.psi_n)
-        out[1::2] *= -1.0  # (-1)^(k+1)
-        return out
-
-    @functools.cached_property
     def _g13(self) -> np.ndarray:
         """gamma_1 and gamma_3 (the main coefficients e_j with j > isqrt(n))
         at t_k in column k mod 2n, k = 1..2n: one ``_fft``.
@@ -502,10 +470,11 @@ class _EigenAssembly:
         return self._fft(np.array([c, e]))
 
     def derivative_eigen(self, k: int) -> float:
-        """Midpoint derivative on interval k through the eigenvalue magnitudes,
-        read from the one-FFT pass in the kernel's units."""
+        """Midpoint derivative on interval k through the eigenvalue magnitudes:
+        bracket k of the verifier's pass times pi/(4 n psi(n))."""
         self._check_k(k)
-        return float(self._derivatives[k - 1])
+        _check_scale(self._unscaled.lam2_cos.all(), self.n, self.psi_n)
+        return float(self._brackets[0][k - 1]) * (math.pi / (4.0 * self.n * self.psi_n))
 
     def gammas(self, k: int) -> tuple[float, float, float, float, float]:
         """gamma_1..gamma_5 at midpoint t_k (needs n >= 2 for the sqrt split).
@@ -576,7 +545,9 @@ def lambda_fourier(params: NeumannParams, n: int, j: int, y: float,
 def eigen_assembly(params: NeumannParams, n: int, y: float,
                    policy: EvalPolicy = DEFAULT_POLICY) -> _EigenAssembly:
     """Build the reusable Fourier-side decomposition for all j at once, in
-    the kernel's units; raises UnderflowLimit where psi(n) is zero."""
+    the kernel's units, from the verifier's scaled pass (its r1 tails within
+    policy.abs_tol, and within 1e-16 A_j at the default policy); raises
+    UnderflowLimit where psi(n) is zero."""
     assembly = _EigenAssembly(params, n, y, policy)
     assembly._unscaled  # built now, as the routes below build it on first use
     return assembly
@@ -719,10 +690,11 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     (k - 1/2)pi/n - y, the largest error measured is 5.8e-16 max_k
     |bracket_k| (q from 0.01 to 0.95, every beta class, n up to 300, past
     the old underflow edge included).  The tests hold it to 1e-15 max_k
-    |bracket_k|; they hold the brackets to within ``bound`` of the
-    kernel-unit pass (``derivative_eigen``) below its underflow edge, on
-    the benchmark's ladders and at q up to 0.99, and the P_q route
-    (``derivative_pq``) to within 1e-14 max_k |d_k| of them.
+    |bracket_k|; they hold the brackets to within ``bound`` of an
+    independent pass, one FFT of the coefficients c_j + e_j over a per-j
+    decomposition whose r1 tails are summed to 1e-300, below the old
+    underflow edge, on the benchmark's ladders and at q up to 0.99, and the
+    P_q route (``derivative_pq``) to within 1e-14 max_k |d_k| of them.
 
     Each midpoint's sign is classified against one stated error bound
     (``Cy2nVerdict.bound``), the same at every midpoint k, in bracket units:

@@ -672,7 +672,7 @@ def direct_gamma_sums(a):
 def direct_brackets(a):
     """The signed brackets (-1)^(k+1) Re sum_j f_j e^(i j (t_k - y)), k =
     1..2n, in 40 digits over the verifier's coefficients f_j."""
-    f, _ = a._scaled
+    f = a._scaled.f
     with mp.workdps(40):
         ((sums, _),) = direct_sums(a, ([mp.mpc(v) for v in f.tolist()],))
         return [v if k % 2 else -v for k, v in enumerate(sums, start=1)]
@@ -749,9 +749,10 @@ SMALL_GRID = [(q, beta, n) for q in (0.2, 0.5) for beta in (0.0, 1.0, 0.3)
               for n in range(2, 9)]
 CONSTRUCTION_GRID = ([(q, beta, n) for q in LADDER_QS for beta in BETA_CLASSES
                       for n in (2, 10, underflow_edge(q) - 1)] + SMALL_GRID)
-# at n >= 10 every r1 lane needs the same number of terms, so the array
-# construction must give the per-j values to this relative bound
+# the eigenvalue magnitudes against the per-j loop with its tails summed to
+# 1e-300, relative (measured: at most 2.3e-16 on CONSTRUCTION_GRID)
 CONSTRUCTION_REL_BOUND = 1e-15
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def rel_close(u, v):
@@ -764,16 +765,33 @@ class TestArrayConstruction:
         params = NeumannParams(q, beta)
         y0 = y0_of(q, beta, n)
         got = eigen_assembly(params, n, y0)
-        ref = scalar_decomposition(params, n, y0)
-        # every r1 lane stops no earlier than its own tail allows
+        ref = scalar_decomposition(params, n, y0, 1e-300)
+        # every r1 lane meets the policy's absolute tolerance and the
+        # assembly's tolerance relative to A_j (``_EigenAssembly._scaled``),
+        # up to a few roundings of the value (measured: the r1 error is at
+        # most 7.4e-18 A_j here, below that tolerance at every j)
+        tol = got._scaled.tol
         assert all(abs(u - v) <= DEFAULT_POLICY.abs_tol for u, v in zip(got.r1, ref.r1))
-        if n >= 10:
-            assert all(rel_close(u, v) for u, v in zip(got.r1, ref.r1))
-            assert all(rel_close(u, v) for u, v in zip(got.r, ref.r))
-            assert all(rel_close(u, v) for u, v in zip(got.lam_abs, ref.lam_abs))
+        for j in range(n):
+            slack = params.psi(n - j) / (n - j) * tol
+            assert abs(got.r1[j] - ref.r1[j]) <= slack + 4 * UNIT_ROUNDOFF * abs(ref.r1[j]), j
+            assert abs(got.r[j] - ref.r[j]) <= slack + 4 * UNIT_ROUNDOFF * abs(ref.r[j]), j
+        assert all(rel_close(u, v) for u, v in zip(got.lam_abs, ref.lam_abs))
         if n <= 8:  # the scalar midpoint loops are cheap here
             res = verify_cy2n(params, n)
             assert verdict_of(res) == reference_verdict(scalar_derivatives(ref), res, q, n)
+
+    @pytest.mark.parametrize("q,beta,n", [(0.5, 0.3, 5), (0.99, 0.5, 3), (0.2, 1.0, 8)])
+    def test_r1_meets_an_abs_tol_below_the_verifiers(self, q, beta, n):
+        # abs_tol/q is then the tighter tolerance of ``_EigenAssembly._scaled``
+        params = NeumannParams(q, beta)
+        y0 = y0_of(q, beta, n)
+        policy = EvalPolicy(abs_tol=1e-30)
+        got = eigen_assembly(params, n, y0, policy)
+        ref = scalar_decomposition(params, n, y0, 1e-300)
+        assert got._scaled.tol == policy.abs_tol / q
+        assert all(abs(u - v) <= policy.abs_tol + 4 * UNIT_ROUNDOFF * abs(v)
+                   for u, v in zip(got.r1, ref.r1))
 
     def test_lambda_fourier_reads_the_assembly_row(self):
         params = NeumannParams(0.3, 0.7)
@@ -870,14 +888,33 @@ def past_edge(q):
     return rungs
 
 
-def unscaled_brackets(params, n):
-    """derivative_eigen at every midpoint, in bracket units, with its
-    eigenvalue tails summed far below their scale: its default abs_tol of
-    1e-14 is absolute, which near q = 1 leaves up to 3e-8 of |lambda_n|
-    (q = 0.999, n = 2000)."""
-    a = eigen_assembly(params, n, y0_of(params.q, params.beta, n), EvalPolicy(abs_tol=1e-300))
-    scale = derivative_scale(params.q, n)
-    return [a.derivative_eigen(k) / scale for k in range(1, 2 * n + 1)]
+def unscaled_brackets(a):
+    """The signed brackets (-1)^(k+1) (s/2 + gamma_2 + Re sum_{j<n} (c_j +
+    e_j) e^(i j d_k)), k = 1..2n, from one length-2n FFT over the kernel-unit
+    coefficients of a ``scalar_decomposition`` ``a`` (those of
+    ``direct_coefficients``, in floats): the pass the verifier's scaled one
+    replaced, kept as its reference."""
+    n, s, psi_over_n = a.n, a.s, a.psi_n / a.n
+    j = np.arange(n)
+    cos_half = np.cos(j * math.pi / (2 * n))
+    lam_abs, R, r = np.array(a.lam_abs), np.array(a.R), np.array(a.r)
+    lam2_cos = lam_abs**2 * cos_half
+    z = np.where(j == 0, 1.0, 2.0) * (np.where(np.abs(r) > 1e-300, r, 0.0) - R * s)
+    c = (z.real / lam2_cos + 1j * (z.imag / lam2_cos)) * psi_over_n
+    e = np.where(j > 0, 2.0 * s * psi_over_n / (lam_abs * cos_half), 0.0)
+    twisted = np.conj(c + e) * np.exp(1j * j * (a.y + math.pi / (2 * n)))
+    sums = np.fft.fft(twisted, 2 * n).real  # t_k reads bin k mod 2n
+    x = R[0] * n / a.psi_n
+    out = np.roll(sums, -1) + (0.5 - x / (2.0 * (2.0 + x))) * s
+    out[1::2] *= -1.0
+    return out.tolist()
+
+
+def reference_brackets(params, n):
+    """``unscaled_brackets`` at the peak shift, with the eigenvalue tails
+    summed far below their scale."""
+    y0 = y0_of(params.q, params.beta, n)
+    return unscaled_brackets(scalar_decomposition(params, n, y0, 1e-300))
 
 
 # below the old edge, beyond the ladders: q up to 0.99 at small n, where the
@@ -893,7 +930,7 @@ class TestScaledPass:
             params = NeumannParams(q, beta)
             for n in ladder(q):
                 res = verify_cy2n(params, n)
-                ref = unscaled_brackets(params, n)
+                ref = reference_brackets(params, n)
                 assert all(abs(u - v) <= res.bound
                            for u, v in zip(res.brackets, ref)), (q, beta, n)
 
@@ -901,8 +938,28 @@ class TestScaledPass:
     def test_agrees_with_the_unscaled_pass(self, q, beta, n):
         params = NeumannParams(q, beta)
         res = verify_cy2n(params, n)
-        ref = unscaled_brackets(params, n)
+        ref = reference_brackets(params, n)
         assert all(abs(u - v) <= res.bound for u, v in zip(res.brackets, ref))
+
+    def test_kernel_unit_routes_are_relative_near_one(self):
+        # A_0 = 1.1e-7 here: eigenvalue tails summed to an absolute 1e-14
+        # would move derivative_eigen by 8.7e-10 of the largest derivative
+        q, beta, n = 0.99, 0.5, 400
+        params = NeumannParams(q, beta)
+        y0 = y0_of(q, beta, n)
+        a = eigen_assembly(params, n, y0)
+        ref = scalar_decomposition(params, n, y0, 1e-300)
+        assert all(abs(u - v) <= 1e-15 * params.psi(n - j) / (n - j)
+                   for j, (u, v) in enumerate(zip(a.r1, ref.r1)))
+        bound = verify_cy2n(params, n).bound
+        scale = derivative_scale(q, n)
+        brackets = unscaled_brackets(ref)
+        assert all(abs(a.derivative_eigen(k) / scale - b) <= bound
+                   for k, b in enumerate(brackets, start=1))
+        largest = max(abs(b) for b in brackets) * scale
+        for k in range(1, 2 * n + 1, 9):  # gamma_5's strip tail takes 3600 terms each
+            assert abs(a.derivative_pq(k)[0] - brackets[k - 1] * scale) \
+                <= PQ_ROUTE_REL_BOUND * largest, k
 
     @pytest.mark.parametrize("q", LADDER_QS + (0.06, 0.13, 0.2, 0.27))
     def test_past_edge_rungs_hold(self, q):
