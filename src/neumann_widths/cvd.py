@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, NotFound
 from .kernels import (TWO_PI, EvalPolicy, NeumannParams, _cosine_block_sum,
-                      _neumann_coefficients, _reduce_phase, eval_neumann, eval_neumann_pair)
+                      _neumann_row, _reduce_phase, eval_neumann, eval_neumann_pair)
 
 ENTRY_POLICY = EvalPolicy(abs_tol=1e-16)
 
@@ -203,16 +203,16 @@ class NeumannKernel:
     def __init__(self, params: NeumannParams, policy: EvalPolicy = ENTRY_POLICY):
         self.params = params
         self.policy = policy
-        self._coef: np.ndarray | None = None
+        self._row: np.ndarray | None = None
 
     def __call__(self, t: float) -> float:
         return eval_neumann(self.params, t, self.policy)
 
     def pairs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sum, compensation) arrays of the series at every entry of t."""
-        if self._coef is None:
-            self._coef = _neumann_coefficients(self.params, self.policy)
-        return _cosine_block_sum(self._coef, _reduce_phase(self.params.beta), t)
+        if self._row is None:
+            self._row = _neumann_row(self.params, self.policy)
+        return _cosine_block_sum(self._row, _reduce_phase(self.params.beta), t)
 
 
 def neumann_evaluator(params: NeumannParams,

@@ -45,9 +45,10 @@ class SingularSystem(NeumannWidthsError):
 
 
 class UnderflowLimit(NeumannWidthsError):
-    """A quantity the computation divides by underflows to zero in double
-    precision at this n (it scales like a power of q^n/n): the result needs
-    rescaled units, which this routine does not use."""
+    """A value asked for in the kernel's own units is not a finite nonzero
+    double at this n: it scales like a power of q^n, so it overflows (a
+    midpoint derivative, (pi/4) q^-n times its bracket) or underflows (an
+    eigenvalue).  The scaled units of ``verify_cy2n`` hold it."""
 
 
 class NotFound(NeumannWidthsError):

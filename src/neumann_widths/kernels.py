@@ -18,7 +18,7 @@ be arrays of lanes that share one tail sequence (the r1 eigenvalue tails of
 for bit, and all lanes stop, or hit the cap, together.  A long series runs
 in blocks of terms, added bit for bit the same by ``_accumulate_blocks``.
 ``_cosine_block_sum`` is the Neumann kernel at many points: its tail does
-not depend on t, so ``_neumann_coefficients`` finds the common stopping
+not depend on t, so ``_neumann_row`` finds the common stopping
 index K (or raises the same ``TolUnreachable``) from one row of libm powers
 q^k, sized by a log-space bound on K.  The coefficient q^k/k and its
 tail are written once, in ``NeumannParams.coefficient`` and
@@ -179,7 +179,7 @@ def _libm_powers(q: float, exponents) -> np.ndarray:
     return np.fromiter(map(math.pow, itertools.repeat(q), exponents), float, len(exponents))
 
 
-def _neumann_coefficients(params: NeumannParams, policy: EvalPolicy) -> np.ndarray:
+def _neumann_row(params: NeumannParams, policy: EvalPolicy) -> np.ndarray:
     """The coefficients psi(k) = q^k/k, k = 1..K, that ``eval_neumann_pair`` adds.
 
     The tail after term k, ``params.tail_bound(k)``, does not depend on t, so
@@ -318,9 +318,10 @@ def eval_bernoulli(t: float) -> float:
 def _pq_terms(q: float, u, j0: int = 1, cos=math.cos):
     """Terms 2 cos(j u)/(q^j + q^-j), j >= j0, of P_q, each with the tail
     bound 2 q^(j+1)/(1-q) after it; an array u with cos = np.cos gives one
-    term per lane."""
+    term per lane.  A term is formed as 2 q^j cos(j u)/(1 + q^(2j)), since
+    q^-j overflows from j0 = 155 at q = 0.01."""
     for j in itertools.count(j0):
-        yield 2.0 * cos(j * u) / (q**j + q**-j), 2.0 * q ** (j + 1) / (1.0 - q)
+        yield 2.0 * q**j * cos(j * u) / (1.0 + q ** (2 * j)), 2.0 * q ** (j + 1) / (1.0 - q)
 
 
 def eval_pq(q: float, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:

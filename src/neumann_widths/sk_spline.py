@@ -25,43 +25,50 @@ to working precision, which the test suite enforces.
 
 The Fourier-side decomposition is built once per shift (``_EigenAssembly``),
 in one array pass over j = 0..n-1, in units of the main coefficient A_j
-(below).  The r1 tails of all j are summed once, in blocks of rows
-(``_rho1``), to a tolerance relative to A_j that also meets the policy's
-absolute one.  The kernel-unit fields (the tail pieces r1, r2, r3, the
-eigenvalue magnitudes and the row constants of the P_q ledger) are numpy
-arrays over j, formed from it and the main coefficients; ``lambda_fourier``
-reads one row.  They scale like psi(n)/n = q^n/n^2: |lambda_n|^2
-underflows from n = 80 at q = 0.01 (226 at q = 0.2, 521 at q = 0.5), and
-the single-midpoint routes raise UnderflowLimit from there on.
+(below), the one unit system of this module.  The r1 tails of all j are
+summed once, in blocks of rows (``_rho1``), to a tolerance relative to A_j
+that also meets the policy's absolute one.  Every route reads these ratios,
+which neither overflow nor underflow at any n; only the values returned in
+the kernel's units are scaled back, and they raise UnderflowLimit only
+where that value is not a finite nonzero double: a midpoint derivative
+once (pi/4) q^-n overflows, lambda_{n-j} once A_j |Lambda_j| underflows.
 
 Routes 2 and 3 are one identity.  With P_q's terms p_j cos(j d), p_j =
 2/(q^j + q^-j), gamma_5 = -s sum_{j > isqrt(n)} p_j cos(j d) cancels P_q's
 tail term by term, and gamma_4's offsets delta_j turn each head term p_j,
-1 <= j <= isqrt(n), into e_j = 2 s (psi(n)/n)/(|lambda_{n-j}| cos(j pi/2n)),
-gamma_3's coefficient.  So at the offset d_k = t_k - y of midpoint k
+1 <= j <= isqrt(n), into gamma_3's coefficient e_j.  So at the offset d_k =
+t_k - y of midpoint k
 
     s P_q(d_k) + gamma_1 + ... + gamma_5
         = s/2 + gamma_2 + Re sum_{j<n} (c_j + e_j) e^(i j d_k),
 
 where c_j are gamma_1's coefficients and e_0 = 0; the derivative at t_k is
 (-1)^(k+1) pi/(4 n psi(n)) times this bracket.  The bracket needs no psi(n).
-With A_j = psi(n-j)/(n-j) and Lambda_j = e^(ijy) lambda_{n-j}/A_j, c_j +
-e_j = f_j for j >= 1 and s/2 + gamma_2 + c_0 = f_0 in real part, where
+With A_j = psi(n-j)/(n-j), a_j = (psi(n)/n)/A_j = q^j (n-j)^2/n^2 <= 1,
+Lambda_j = e^(ijy) lambda_{n-j}/A_j, r~_j = r_j/A_j and R~_j = |Lambda_j| -
+1 - B_j/A_j (``_EigenAssembly``),
 
-    f_j = w_j (psi(n)/n) / (A_j cos(j pi/2n) conj(Lambda_j)),  w_0 = 1, w_j = 2,
+    c_j = w_j a_j (r~_j - R~_j s)/(|Lambda_j|^2 cos(j pi/2n)),
+    e_j = 2 s a_j/(|Lambda_j| cos(j pi/2n)),  gamma_2 = -x s/(2 (2 + x)), x = R~_0,
 
-so the bracket is Re sum_{j<n} f_j e^(i j d_k).  The verifier forms f_j in
-these scaled units, where (psi(n)/n)/A_j = q^j (n-j)^2/n^2 <= 1 and
-|Lambda_j| >= |sin(n y - beta pi/2)|, so nothing overflows and no n lies past
-an underflow edge (``_EigenAssembly._scaled``).  It evaluates the brackets at
-all 2n midpoints from one length-2n FFT of twisted coefficients
+w_0 = 1, w_j = 2, and c_j + e_j = f_j for j >= 1 and s/2 + gamma_2 + c_0 =
+f_0 in real part, where
+
+    f_j = w_j a_j / (cos(j pi/2n) conj(Lambda_j)),
+
+so the bracket is Re sum_{j<n} f_j e^(i j d_k).  |Lambda_j| >= |sin(n y -
+beta pi/2)|, so nothing overflows and no n lies past an underflow edge
+(``_EigenAssembly._scaled``).  The verifier evaluates the brackets at all
+2n midpoints from one length-2n FFT of twisted coefficients
 (``_EigenAssembly._fft``), O(n log n), sums no series over the midpoints,
 and reports brackets, with their scale pi/(4 n psi(n)) = (pi/4) q^-n as a
 log10.  ``derivative_eigen(k)`` is bracket k times that scale.
 ``derivative_pq(k)`` evaluates the left side at one midpoint: gamma_1 and
-gamma_3 from column k of one FFT of kernel-unit coefficients, run once per
-assembly; gamma_4's sqrt(n) terms by ``math.fsum``; gamma_5's strip tail by
-one ``_certified_sum`` and P_q by ``eval_pq``, both at the offset d = t_k - y.
+gamma_3 from column k of one FFT of the coefficients c_j and e_j, run once
+per assembly; gamma_4's sqrt(n) terms by ``math.fsum``; gamma_5's strip tail
+by one ``_certified_sum`` and P_q by ``eval_pq``, both at the offset d = t_k
+- y.  ``gammas(k)`` gives the same terms at every n, where the derivative
+itself may overflow.
 """
 
 from __future__ import annotations
@@ -116,26 +123,21 @@ class Partition2n:
 
 @dataclass(frozen=True)
 class GammaLedger:
-    """Every intermediate of the P_q derivative representation at one midpoint.
+    """The correction ledger of the P_q derivative representation at one
+    midpoint, in the ratios of the verifier's pass, so it exists at every n.
 
-    ``gamma`` holds gamma_1..gamma_5; r1/r2/r3 are the Fourier-tail pieces of
-    r_j and r their sum; R[j] = |lambda_{n-j}| - psi(n-j)/(n-j) - psi(n+j)/(n+j);
-    z[j] is the midpoint-dependent combination entering gamma_1; delta[j] the
-    relative eigenvalue offsets for j = 1..floor(sqrt(n)).  gamma_total is
-    sum |gamma_m| and gamma_budget its certified bound (valid at the peak
-    shift under the tail condition).
+    ``gamma`` holds gamma_1..gamma_5, and s P_q(t_k - y) + sum(gamma) is the
+    derivative over (-1)^(k+1) (pi/4) q^-n; delta[j-1] are the relative
+    eigenvalue offsets for j = 1..floor(sqrt(n)).  gamma_total is sum
+    |gamma_m| and gamma_budget its certified bound (valid at the peak shift
+    under the tail condition).  min_abs_lambda is min_j |Lambda_j|, the
+    smallest eigenvalue magnitude over its main coefficient A_j.
     """
 
     k: int
     y: float
     s: float
     gamma: tuple[float, float, float, float, float]
-    r1: tuple[complex, ...]
-    r2: tuple[complex, ...]
-    r3: tuple[complex, ...]
-    r: tuple[complex, ...]
-    R: tuple[float, ...]
-    z: tuple[float, ...]
     delta: tuple[float, ...]
     gamma_total: float
     gamma_budget: float
@@ -202,15 +204,6 @@ def lambda_finite_sum(spec: KernelSpec, n: int, l: int, y: float,
     return complex(math.fsum(re) / n, math.fsum(im) / n)
 
 
-def _coef(q: float, k: np.ndarray) -> np.ndarray:
-    """psi(k)/k = q^k/k^2 for each integer k, bit for bit the scalar
-    ``q**k / k / k``: the powers are ``kernels._libm_powers``, the libm
-    ``pow`` Python's float power calls, and the two divisions are IEEE
-    divisions by the exactly converted k."""
-    k_float = k.astype(float)
-    return _libm_powers(q, k_float.tolist()) / k_float / k_float
-
-
 def _rho1(q: float, n: int, y: float, phase1: float, j: np.ndarray, squares: np.ndarray,
           tol: float, policy: EvalPolicy) -> np.ndarray | None:
     """The r1 tails in scaled units, rho1_j = r1_j/A_j for every j at once:
@@ -255,18 +248,15 @@ def _rho1(q: float, n: int, y: float, phase1: float, j: np.ndarray, squares: np.
     return s + c
 
 
-def _check_scale(nonzero: bool, n: int, psi_n: float) -> None:
-    """Raise UnderflowLimit unless ``nonzero``: |lambda_n|^2 (~ (2 q^n/n^2)^2),
-    the smallest divisor of gamma_1, is zero in double precision at this n."""
-    if not nonzero:
+def _kernel_units(size: float, n: int, q: float, what: str) -> float:
+    """``size``, the factor that takes a value asked for from the scaled
+    pass to the kernel's units, where it is a finite nonzero double; raise
+    UnderflowLimit where it is not, so the value would be 0 or inf."""
+    if not 0.0 < size < math.inf:
         raise UnderflowLimit(
-            f"|lambda_n|^2 underflows to zero at n={n} (q^n/n = {psi_n:.3e}): "
-            "the kernel-unit routes cannot form the midpoint derivatives from this n "
-            "on (verify_cy2n works in scaled units)")
-
-
-def _unscaled_field(name: str, doc: str) -> property:
-    return property(lambda self: getattr(self._unscaled, name), doc=doc)
+            f"{what} is {size:.3e} at n={n}, q={q}: not a finite nonzero double in the "
+            "kernel's units (eigen_assembly and verify_cy2n hold it in scaled units)")
+    return size
 
 
 class _EigenAssembly:
@@ -279,34 +269,23 @@ class _EigenAssembly:
     e^(ijy) lambda_{n-j} = (A_j + B_j) s + r_j.
 
     The pass (``_scaled``) divides every piece by A_j, so nothing overflows
-    or vanishes with psi(n).  One libm power row q^j, j < n, gives 1/A~_j =
-    q^j (n-j)^2/n^2 and B~_j = q^j n^2/(n+j)^2 (A~, B~ = A, B over
-    psi(n)/n), their product B_j/A_j, and q^(2j) for the r1 rows.  Lambda_j
-    = e^(ijy) lambda_{n-j}/A_j = (1 + B_j/A_j) sin(arg) + i (B_j/A_j - 1)
-    cos(arg) + r1_j/A_j, arg = n y - beta pi/2, and the bracket coefficients
-    are f_j = w_j (1/A~_j)/(cos(j pi/2n) conj(Lambda_j)) (module docstring);
-    a j whose q^j underflows has f_j = 0 exactly.  The r1 rows are summed
-    once (``_rho1``), and cut with a certified bound once they cannot matter
-    (``_scaled``).  ``_brackets`` reads all 2n midpoints from one FFT, and
-    ``derivative_eigen(k)`` is bracket k times pi/(4 n psi(n)).
+    or vanishes with psi(n).  One libm power row q^j, j < n, gives a_j =
+    (psi(n)/n)/A_j = q^j (n-j)^2/n^2, B_j/A_j = a_j q^j n^2/(n+j)^2, and
+    q^(2j) for the r1 rows.  Lambda_j = e^(ijy) lambda_{n-j}/A_j = (1 +
+    B_j/A_j) sin(arg) + i (B_j/A_j - 1) cos(arg) + r1_j/A_j, arg = n y -
+    beta pi/2, and the bracket coefficients are f_j = w_j a_j/(cos(j pi/2n)
+    conj(Lambda_j)) (module docstring); a j whose q^j underflows has f_j = 0
+    exactly.  The r1 rows are summed once (``_rho1``), and cut with a
+    certified bound once they cannot matter (``_scaled``).  ``_brackets``
+    reads all 2n midpoints from one FFT.
 
-    The kernel's units (``_unscaled``, the P_q ledger and
-    ``lambda_fourier``): r1_j = A_j rho1_j from the same pass, r2, r3, their
-    sum r, ``rotated``, the magnitudes lam_abs = |lambda_{n-j}| and the
-    offsets R_j = |lambda_{n-j}| - A_j - B_j, as arrays over j.  Building
-    them raises UnderflowLimit where psi(n) is zero.  gamma_1 and gamma_3
-    of the P_q ledger are one length-2n FFT of twisted coefficients
-    (``_g13``), run once per assembly, which ``gammas(k)`` reads one
-    midpoint at a time; z_j are a numpy row over the j axis (``_z``).
+    The P_q route reads the same ratios (``_pq_rows``): gamma_1's c_j and
+    the main coefficients e_j, which one length-2n FFT of twisted
+    coefficients (``_g13``), run once per assembly, turns into gamma_1 and
+    gamma_3 at every midpoint for ``gammas(k)``.  Only the values returned
+    in the kernel's units are scaled back: a midpoint derivative is its
+    bracket times (pi/4) q^-n, and lambda_{n-j} is A_j Lambda_j e^(-ijy).
     """
-
-    r1 = _unscaled_field("r1", "r1_j, the Fourier tail over frequencies past n + j")
-    r2 = _unscaled_field("r2", "r2_j = i (B_j - A_j) cos(n y - beta pi/2)")
-    r3 = _unscaled_field("r3", "r3_j = (A_j + B_j)(|sin(n y - beta pi/2)| - 1) s")
-    r = _unscaled_field("r", "r_j = r1_j + r2_j + r3_j")
-    rotated = _unscaled_field("rotated", "e^(ijy) lambda_{n-j} = (A_j + B_j) s + r_j")
-    lam_abs = _unscaled_field("lam_abs", "|lambda_{n-j}|")
-    R = _unscaled_field("R", "R_j = |lambda_{n-j}| - A_j - B_j")
 
     def __init__(self, params: NeumannParams, n: int, y: float,
                  policy: EvalPolicy = DEFAULT_POLICY):
@@ -320,8 +299,6 @@ class _EigenAssembly:
                 "decomposition is invalid here (use the finite node sum)")
         self._sin_arg, self._cos_arg = sin_arg, math.cos(arg)
         self._phase1 = _reduce_phase(params.beta, 1.0)
-        self.psi_n = params.psi(n)
-        self._psi_over_n = self.psi_n / n
         self.n, self.y, self.q, self.policy = n, y, params.q, policy
         self.s = math.copysign(1.0, sin_arg)
 
@@ -331,9 +308,11 @@ class _EigenAssembly:
 
     @functools.cached_property
     def _scaled(self) -> SimpleNamespace:
-        """The bracket coefficients f_j, j < n; the r1 tails rho1_j =
-        r1_j/A_j, summed to the tolerance tol (0 where no row is summed);
-        and ``cut``, the bound on the bracket error from the r1 rows left out.
+        """The bracket coefficients f_j, j < n, with their inputs a_j,
+        B_j/A_j, Lambda_j and ``weight`` = w_j a_j/cos(j pi/2n); the r1
+        tails rho1_j = r1_j/A_j, summed to the tolerance tol (0 where no row
+        is summed); ``smallest`` = min_j |Lambda_j|; and ``cut``, the bound
+        on the bracket error from the r1 rows left out.
 
         Changing Lambda_j by delta changes f_j by |f_j| |delta|/|Lambda_j +
         delta|, so if every lane's r1 remainder is at most T, the brackets
@@ -350,9 +329,9 @@ class _EigenAssembly:
         from the final coefficients."""
         n, j = self.n, self._j
         powers = _libm_powers(self.q, j.tolist())
-        a_inv = powers * ((n - j) / n) ** 2
-        b_over_a = a_inv * (powers * (n / (n + j)) ** 2)
-        weight = np.where(j == 0, 1.0, 2.0) * a_inv / np.sin((n - j) * (math.pi / (2 * n)))
+        a = powers * ((n - j) / n) ** 2
+        b_over_a = a * (powers * (n / (n + j)) ** 2)
+        weight = np.where(j == 0, 1.0, 2.0) * a / np.sin((n - j) * (math.pi / (2 * n)))
 
         def coefficients(lam):
             mag2 = lam.real**2 + lam.imag**2
@@ -367,10 +346,12 @@ class _EigenAssembly:
         rho1 = 0j
         if rows is not None:  # some rows were summed
             rho1 = rows[0] + 1j * rows[1]
-            f, smallest = coefficients(lam + rho1)
+            lam = lam + rho1
+            f, smallest = coefficients(lam)
             total = float(np.abs(f).sum())
         cut = total * tol / (smallest - tol) if smallest > tol else math.inf
-        return SimpleNamespace(f=f, rho1=rho1, tol=tol, cut=cut)
+        return SimpleNamespace(f=f, a=a, b_over_a=b_over_a, lam=lam, weight=weight,
+                               rho1=rho1, tol=tol, smallest=smallest, cut=cut)
 
     @functools.cached_property
     def _brackets(self) -> tuple[np.ndarray, float]:
@@ -389,24 +370,22 @@ class _EigenAssembly:
         return out, bound
 
     @functools.cached_property
-    def _unscaled(self) -> SimpleNamespace:
-        """The decomposition in the kernel's units (class docstring), with the
-        per-j constants of the midpoint sums; r_j is dropped from them when
-        |r_j| underflows (its term is bounded by |r_j| itself)."""
-        n, q, s = self.n, self.q, self.s
-        _check_scale(self.psi_n != 0.0, n, self.psi_n)  # before any O(n) array
-        j = self._j
-        a, b = _coef(q, n - j), _coef(q, n + j)
-        r1 = a * self._scaled.rho1
-        r2 = 1j * (b - a) * self._cos_arg
-        r3 = (a + b) * (abs(self._sin_arg) - 1.0) * s
-        r = r1 + r2 + r3
-        rotated = (a + b) * s + r
-        lam_abs = np.abs(rotated)
-        cos_half = np.cos(j * math.pi / (2 * n))
-        return SimpleNamespace(r1=r1, r2=r2, r3=r3, r=r, rotated=rotated, lam_abs=lam_abs,
-                               R=lam_abs - a - b, r_kept=np.where(np.abs(r) > 1e-300, r, 0.0),
-                               lam_cos=lam_abs * cos_half, lam2_cos=lam_abs**2 * cos_half)
+    def _pq_rows(self) -> SimpleNamespace:
+        """The P_q route's rows over j, ratios of ``_scaled``'s: r~_j =
+        r_j/A_j, formed from its pieces rho1_j + i (B_j/A_j - 1) cos(arg) +
+        (1 + B_j/A_j)(|sin(arg)| - 1) s, not as Lambda_j less its main term,
+        which cancels; |Lambda_j|; R~_j = |Lambda_j| - 1 - B_j/A_j; gamma_1's
+        c_j = w_j a_j (r~_j - R~_j s)/(|Lambda_j|^2 cos(j pi/2n)); and the
+        main coefficients e_j = 2 s a_j/(|Lambda_j| cos(j pi/2n)), j >= 1,
+        e_0 = 0.  |Lambda_j| >= |sin(arg)|, so no divisor vanishes."""
+        sc, s = self._scaled, self.s
+        r = (sc.rho1 + 1j * ((sc.b_over_a - 1.0) * self._cos_arg)
+             + (1.0 + sc.b_over_a) * (abs(self._sin_arg) - 1.0) * s)
+        lam_abs = np.abs(sc.lam)
+        R = lam_abs - 1.0 - sc.b_over_a
+        c = sc.weight * (r - R * s) / lam_abs**2
+        e = np.where(self._j > 0, s * sc.weight / lam_abs, 0.0)
+        return SimpleNamespace(r=r, R=R, lam_abs=lam_abs, c=c, e=e)
 
     def _check_k(self, k: int) -> None:
         if not 1 <= k <= 2 * self.n:
@@ -416,31 +395,12 @@ class _EigenAssembly:
         self._check_k(k)
         return k * math.pi / self.n - math.pi / (2 * self.n)
 
-    def _z(self, d: float) -> np.ndarray:
-        """z_j(d) = |r_j| cos(j d + arg r_j) - R_j cos(j d) s for j = 0..n-1
-        at the offset d = t_k - y."""
-        jd = d * self._j
-        r_kept = self._unscaled.r_kept
-        return np.abs(r_kept) * np.cos(jd + np.angle(r_kept)) - self.R * np.cos(jd) * self.s
-
-    def _g2(self) -> float:
-        x = float(self.R[0]) * self.n / self.psi_n
-        return -x / (2.0 * (2.0 + x)) * self.s
-
-    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """gamma_1's c_j = (psi(n)/n) w_j (r_j - R_j s)/(|lambda_{n-j}|^2
-        cos(j pi/2n)), w_0 = 1, w_j = 2, and the main coefficients e_j =
-        2 s (psi(n)/n)/(|lambda_{n-j}| cos(j pi/2n)), j >= 1, e_0 = 0."""
-        u = self._unscaled
-        _check_scale(u.lam2_cos.all(), self.n, self.psi_n)
-        scale = self._psi_over_n
-        # real divisions: numpy's complex division overflows on a subnormal
-        # |lambda_n|^2, which the last n before the underflow edge reach; and
-        # never a reciprocal, since 1/|lambda_n|^2 overflows there
-        z = np.where(self._j == 0, 1.0, 2.0) * (u.r_kept - self.R * self.s)
-        c = (z.real / u.lam2_cos + 1j * (z.imag / u.lam2_cos)) * scale
-        e = np.where(self._j > 0, 2.0 * self.s * scale / u.lam_cos, 0.0)
-        return c, e
+    def _scale(self) -> float:
+        """pi/(4 n psi(n)) = (pi/4) q^-n, a bracket's factor to the kernel's
+        units; UnderflowLimit, before any O(n) array, where it overflows."""
+        power = self.q ** self.n
+        return _kernel_units(math.pi / 4.0 / power if power else math.inf, self.n, self.q,
+                             "the derivative scale (pi/4) q^-n")
 
     def _fft(self, c: np.ndarray) -> np.ndarray:
         """Re sum_{j<n} c_j e^(i j d_k) at d_k = (k - 1/2)pi/n - y for each row
@@ -460,110 +420,113 @@ class _EigenAssembly:
         """gamma_1 and gamma_3 (the main coefficients e_j with j > isqrt(n))
         at t_k in column k mod 2n, k = 1..2n: one ``_fft``.
 
-        Error: against 40-digit direct sums over the same float inputs (r_j,
-        R_j, s, psi(n)/n and the divisors) at the exact offsets
-        (k - 1/2)pi/n - y, the largest error measured is 5.0e-16 sum_j |c_j|,
-        at q up to 0.99 and n up to 300; the tests hold it to 1e-15
-        sum_j |c_j|."""
-        c, e = self._coefficients()
-        e[1:math.isqrt(self.n) + 1] = 0.0
-        return self._fft(np.array([c, e]))
+        Error: against 40-digit direct sums over the same float inputs (r~_j,
+        R~_j, s and the divisors |Lambda_j|^2 and |Lambda_j| over ``weight``)
+        at the exact offsets (k - 1/2)pi/n - y, the largest error measured
+        is 4.4e-16 sum_j |c_j|, at q up to 0.99 and n up to 300; the tests
+        hold it to 1e-15 sum_j |c_j|."""
+        rows = self._pq_rows
+        e = np.where(self._j > math.isqrt(self.n), rows.e, 0.0)
+        return self._fft(np.array([rows.c, e]))
 
     def derivative_eigen(self, k: int) -> float:
         """Midpoint derivative on interval k through the eigenvalue magnitudes:
-        bracket k of the verifier's pass times pi/(4 n psi(n))."""
+        bracket k of the verifier's pass times (pi/4) q^-n."""
         self._check_k(k)
-        _check_scale(self._unscaled.lam2_cos.all(), self.n, self.psi_n)
-        return float(self._brackets[0][k - 1]) * (math.pi / (4.0 * self.n * self.psi_n))
+        scale = self._scale()
+        return float(self._brackets[0][k - 1]) * scale
 
     def gammas(self, k: int) -> tuple[float, float, float, float, float]:
         """gamma_1..gamma_5 at midpoint t_k (needs n >= 2 for the sqrt split).
 
-        gamma_1 and gamma_3 are column k of ``_g13``; gamma_4 is one
-        math.fsum over its sqrt(n) terms, and gamma_5, the P_q tail from
-        j = isqrt(n) + 1, one ``_certified_sum``, both at d = t_k - y."""
+        gamma_1 and gamma_3 are column k of ``_g13``; gamma_2 is -x/(2(2 +
+        x)) s with x = R~_0; gamma_4 = -sum delta_j cos(j d) e_j is one
+        math.fsum over its sqrt(n) terms, and gamma_5, the P_q tail from j =
+        isqrt(n) + 1, one ``_certified_sum``, both at d = t_k - y."""
         d = self.midpoint(k) - self.y
         n, s = self.n, self.s
         if n < 2:
             raise DomainError("the P_q decomposition needs n >= 2")
         g1, g3 = self._g13[:, k % (2 * n)].tolist()
+        x = float(self._pq_rows.R[0])
         root = math.isqrt(n)
         head = slice(1, root + 1)
-        g4 = -2.0 * s * math.fsum((np.array(self._deltas) * np.cos(d * self._j[head])
-                                   * self._psi_over_n / self._unscaled.lam_cos[head]).tolist())
+        g4 = -math.fsum((np.array(self._deltas) * np.cos(d * self._j[head])
+                         * self._pq_rows.e[head]).tolist())
         strip, strip_c = _certified_sum(_pq_terms(self.q, d, root + 1), self.policy.abs_tol,
                                         self.policy, "strip-kernel tail")
         g5 = -s * (strip + strip_c)  # P_q's terms already carry the factor 2
-        return g1, self._g2(), g3, g4, g5
+        return g1, -x / (2.0 * (2.0 + x)) * s, g3, g4, g5
 
     def delta(self, j: int) -> float:
-        """Relative offset of n |lambda_{n-j}| cos(j pi/2n) from (q^-j+q^j) psi(n)."""
-        n, q = self.n, self.q
-        return (n * float(self.lam_abs[j]) * math.cos(j * math.pi / (2 * n))
-                / ((q**-j + q**j) * self.psi_n) - 1.0)
+        """Relative offset of n |lambda_{n-j}| cos(j pi/2n) from (q^-j + q^j)
+        psi(n): |Lambda_j| cos(j pi/2n) n^2/((n-j)^2 (1 + q^(2j))) - 1, with
+        no q^-j, which overflows."""
+        n = self.n
+        return (float(self._pq_rows.lam_abs[j]) * math.cos(j * math.pi / (2 * n))
+                * (n / (n - j)) ** 2 / (1.0 + self.q ** (2 * j)) - 1.0)
 
     @functools.cached_property
     def _deltas(self) -> tuple[float, ...]:
         """delta_j for j = 1..isqrt(n): they do not depend on the midpoint."""
         return tuple(self.delta(j) for j in range(1, math.isqrt(self.n) + 1))
 
-    @functools.cached_property
-    def _ledger_fields(self) -> dict:
-        """The ``GammaLedger`` fields that are the same at every midpoint."""
-        return dict(y=self.y, s=self.s, r1=tuple(self.r1.tolist()), r2=tuple(self.r2.tolist()),
-                    r3=tuple(self.r3.tolist()), r=tuple(self.r.tolist()),
-                    R=tuple(self.R.tolist()), delta=self._deltas,
-                    gamma_budget=gamma_budget(self.q, self.n),
-                    min_abs_lambda=float(self.lam_abs.min()))
-
     def derivative_pq(self, k: int) -> tuple[float, GammaLedger]:
-        """Midpoint derivative via P_q plus the five correction terms."""
-        gs = self.gammas(k)
+        """Midpoint derivative via P_q plus the five correction terms: the
+        bracket s P_q(d) + sum gamma times (-1)^(k+1) (pi/4) q^-n."""
         d = self.midpoint(k) - self.y
+        scale = self._scale()
+        gs = self.gammas(k)
         bracket = eval_pq(self.q, d, self.policy) * self.s + math.fsum(gs)
         sign_k = 1.0 if k % 2 == 1 else -1.0
-        value = sign_k * math.pi / (4.0 * self.n * self.psi_n) * bracket
-        ledger = GammaLedger(k=k, gamma=gs, z=tuple(self._z(d).tolist()),
-                             gamma_total=sum(abs(g) for g in gs), **self._ledger_fields)
-        return value, ledger
+        ledger = GammaLedger(k=k, y=self.y, s=self.s, gamma=gs, delta=self._deltas,
+                             gamma_total=sum(abs(g) for g in gs),
+                             gamma_budget=gamma_budget(self.q, self.n),
+                             min_abs_lambda=self._scaled.smallest)
+        return sign_k * scale * bracket, ledger
 
 
 def lambda_fourier(params: NeumannParams, n: int, j: int, y: float,
                    policy: EvalPolicy = DEFAULT_POLICY) -> complex:
-    """Eigenvalue lambda_{n-j}(y) assembled from Fourier coefficient tails.
+    """Eigenvalue lambda_{n-j}(y) assembled from Fourier coefficient tails:
+    A_j Lambda_j e^(-ijy), with Lambda_j from the scaled pass.
 
     Requires sin(n y - beta pi/2) != 0; raises SignDegenerate otherwise
     (the decomposition through the sign factor is meaningless there, while
-    lambda_finite_sum still works).
+    lambda_finite_sum still works).  Raises UnderflowLimit where
+    |lambda_{n-j}| = A_j |Lambda_j| underflows to zero.
     """
     if not 0 <= j <= n - 1:
         raise DomainError(f"j must lie in 0..n-1, got j={j}, n={n}")
-    rotated = eigen_assembly(params, n, y, policy).rotated[j]
-    return cmath.exp(-1j * j * y) * complex(rotated)
+    assembly = _EigenAssembly(params, n, y, policy)
+    main = params.psi(n - j) / (n - j)  # A_j; a zero one needs no O(n) pass
+    lam = main * complex(assembly._scaled.lam[j]) if main else 0j
+    _kernel_units(abs(lam), n, params.q, f"|lambda_(n-j)| at j={j}")
+    return cmath.exp(-1j * j * y) * lam
 
 
 def eigen_assembly(params: NeumannParams, n: int, y: float,
                    policy: EvalPolicy = DEFAULT_POLICY) -> _EigenAssembly:
-    """Build the reusable Fourier-side decomposition for all j at once, in
-    the kernel's units, from the verifier's scaled pass (its r1 tails within
-    policy.abs_tol, and within 1e-16 A_j at the default policy); raises
-    UnderflowLimit where psi(n) is zero."""
-    assembly = _EigenAssembly(params, n, y, policy)
-    assembly._unscaled  # built now, as the routes below build it on first use
-    return assembly
+    """The reusable Fourier-side decomposition for all j at once, in the
+    verifier's scaled units, its r1 tails within policy.abs_tol and within
+    1e-16 A_j at the default policy.  Its passes run on first use; only
+    the values returned in the kernel's units can raise UnderflowLimit."""
+    return _EigenAssembly(params, n, y, policy)
 
 
 def derivative_eigen(params: NeumannParams, n: int, y: float, k: int,
                      policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Fundamental-spline derivative on interval ((k-1)pi/n, k pi/n) through
-    the eigenvalue-magnitude representation."""
+    the eigenvalue-magnitude representation: the verifier's bracket k times
+    (pi/4) q^-n, so it raises UnderflowLimit only where that overflows."""
     return eigen_assembly(params, n, y, policy).derivative_eigen(k)
 
 
 def derivative_pq(params: NeumannParams, n: int, y: float, k: int,
                   policy: EvalPolicy = DEFAULT_POLICY) -> tuple[float, GammaLedger]:
     """Fundamental-spline derivative via the P_q representation, with the
-    complete correction ledger."""
+    complete correction ledger; UnderflowLimit only where (pi/4) q^-n
+    overflows (``_EigenAssembly.gammas`` gives the ledger's terms there)."""
     return eigen_assembly(params, n, y, policy).derivative_pq(k)
 
 
@@ -694,7 +657,8 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     independent pass, one FFT of the coefficients c_j + e_j over a per-j
     decomposition whose r1 tails are summed to 1e-300, below the old
     underflow edge, on the benchmark's ladders and at q up to 0.99, and the
-    P_q route (``derivative_pq``) to within 1e-14 max_k |d_k| of them.
+    P_q route (``derivative_pq``, and ``gammas`` at the paper's thresholds)
+    to within 1e-14 max_k |bracket_k| of them.
 
     Each midpoint's sign is classified against one stated error bound
     (``Cy2nVerdict.bound``), the same at every midpoint k, in bracket units:

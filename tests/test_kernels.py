@@ -19,7 +19,7 @@ from neumann_widths import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParam
                             eval_psi_beta1, pq_floor)
 from neumann_widths import kernels
 from neumann_widths.kernels import (TWO_PI, _certified_sum, _cosine_block_sum,
-                                    _neumann_coefficients, _pq_terms, _reduce_phase,
+                                    _neumann_row, _pq_terms, _reduce_phase,
                                     _two_sum_error)
 from neumann_widths.sk_spline import derivative_pq, lambda_fourier, verify_cy2n
 from neumann_widths.widths import conv_square_wave, exact_width, theta_equation_lhs
@@ -125,7 +125,7 @@ ENTRY_POLICY = EvalPolicy(abs_tol=1e-16)  # det_D's per-entry policy
 
 def block_pairs(params, t, policy=ENTRY_POLICY):
     """The block pass det_D takes over an array of differences t."""
-    coef = _neumann_coefficients(params, policy)
+    coef = _neumann_row(params, policy)
     return _cosine_block_sum(coef, _reduce_phase(params.beta), t)
 
 # One call per tail-checked series; each policy runs out of terms in that
@@ -246,7 +246,7 @@ def test_block_chunks_continue_bit_for_bit(monkeypatch, rows):
     # K = 650 at q = 0.95: chunk boundaries fall inside K (and at its end
     # for 650), and each chunk must carry on from the last one's sums
     params = NeumannParams(0.95, 0.5)
-    assert len(_neumann_coefficients(params, ENTRY_POLICY)) == 650
+    assert len(_neumann_row(params, ENTRY_POLICY)) == 650
     monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
     assert entry_pairs(*block_pairs(params, BLOCK_T)) == scalar_pairs(params, BLOCK_T)
 
@@ -255,7 +255,7 @@ def test_block_chunks_continue_bit_for_bit(monkeypatch, rows):
 def test_block_pass_stops_where_the_scalar_sum_stops(q):
     # with K terms allowed both succeed; with K - 1 both raise the same error
     params = NeumannParams(q, 0.3)
-    need = len(_neumann_coefficients(params, ENTRY_POLICY))
+    need = len(_neumann_row(params, ENTRY_POLICY))
     exact = EvalPolicy(abs_tol=1e-16, max_terms=need)
     assert entry_pairs(*block_pairs(params, BLOCK_T, exact)) == scalar_pairs(
         params, BLOCK_T, exact)
@@ -298,12 +298,12 @@ def test_coefficient_row_is_the_scalar_definition(q, tol):
     for cap in sorted(caps - {0}):
         policy = EvalPolicy(abs_tol=tol, max_terms=cap)
         if need is not None and cap >= need:
-            got = _neumann_coefficients(params, policy)
+            got = _neumann_row(params, policy)
             assert got.dtype == np.float64 and len(got) == need
             assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64))
             continue
         with pytest.raises(TolUnreachable) as info:
-            _neumann_coefficients(params, policy)
+            _neumann_row(params, policy)
         tail = tails[cap - 1]
         assert (str(info.value), info.value.terms_used, info.value.tail_bound) == (
             f"eval_neumann: tail {tail:.3e} still above {tol:.3e} after {cap} terms",
@@ -317,10 +317,10 @@ def test_coefficient_row_grows_past_a_short_estimate(monkeypatch):
     params = NeumannParams(0.95, 0.0)
     row, need, tails = scalar_row(0.95, 1e-16, ROW_CAP)
     monkeypatch.setattr(kernels.math, "log1p", lambda x: 1000.0)  # estimate < 1
-    got = _neumann_coefficients(params, ENTRY_POLICY)
+    got = _neumann_row(params, ENTRY_POLICY)
     assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64))
     with pytest.raises(TolUnreachable) as info:
-        _neumann_coefficients(params, EvalPolicy(abs_tol=1e-16, max_terms=need - 1))
+        _neumann_row(params, EvalPolicy(abs_tol=1e-16, max_terms=need - 1))
     assert (info.value.terms_used, info.value.tail_bound) == (need - 1, tails[need - 2])
 
 
@@ -334,7 +334,7 @@ def test_power_row_is_sized_close_to_k(monkeypatch, q, tol):
     powers = kernels._libm_powers
     monkeypatch.setattr(kernels, "_libm_powers",
                         lambda q, exponents: sizes.append(len(exponents)) or powers(q, exponents))
-    need = len(_neumann_coefficients(NeumannParams(q, 0.0), EvalPolicy(abs_tol=tol)))
+    need = len(_neumann_row(NeumannParams(q, 0.0), EvalPolicy(abs_tol=tol)))
     assert len(sizes) == 1 and sizes[0] <= need + 2
 
 

@@ -21,7 +21,7 @@ from neumann_widths import (DEFAULT_POLICY, EvalPolicy, NeumannParams, Partition
                             eigen_assembly, eval_bernoulli, eval_pq, lambda_finite_sum,
                             lambda_fourier, solve_fundamental_spline, solve_theta,
                             verify_cy2n)
-from neumann_widths.kernels import TWO_PI, _certified_sum, _pq_terms
+from neumann_widths.kernels import TWO_PI, _certified_sum, _libm_powers, _pq_terms
 from neumann_widths.thresholds import check_tail_condition, gamma_budget
 
 
@@ -82,45 +82,58 @@ def _bound_assembly(n):
     return eigen_assembly(NeumannParams(BOUND_Q, BOUND_BETA), n, y0)
 
 
+def _main_coefficient(n, j):
+    """A_j = q^(n-j)/(n-j)^2, the unit of the assembly's ratios."""
+    return BOUND_Q ** (n - j) / (n - j) ** 2
+
+
 @pytest.mark.parametrize("n", BOUND_NS)
 class TestFourierTailBounds:
     """Magnitude bounds on the r-decomposition at the peak shift, in the
-    regime where the tail condition holds."""
+    regime where the tail condition holds, in the assembly's scaled units:
+    r~_j = r_j/A_j, R~_j = R_j/A_j and Lambda_j = e^(ijy) lambda_{n-j}/A_j."""
 
     def test_regime(self, n):
         assert check_tail_condition(BOUND_Q, n).holds
 
     def test_r_bound(self, n):
-        assembly = _bound_assembly(n)
+        r = _bound_assembly(n)._pq_rows.r
         q = BOUND_Q
         cap = 0.75 * q ** (2 * n) / (1 - q ** (2 * n))
-        assert all(abs(r) <= cap for r in assembly.r)
+        assert all(abs(r[j]) <= cap / _main_coefficient(n, j) for j in range(n))
 
     def test_r0_refined_bound(self, n):
         assembly = _bound_assembly(n)
         q = BOUND_Q
         cap = 8.0 / (9 * n**2) * q ** (3 * n) / (1 - q ** (2 * n))
-        assert abs(assembly.r[0]) <= cap
+        assert abs(assembly._pq_rows.r[0]) <= cap / _main_coefficient(n, 0)
 
     def test_r0_second_part_vanishes(self, n):
-        assert _bound_assembly(n).r2[0] == 0.0
+        # r2_0/A_0 = i (B_0/A_0 - 1) cos(n y - beta pi/2), and B_0/A_0 is 1
+        # exactly
+        assert _bound_assembly(n)._scaled.b_over_a[0] == 1.0
 
     def test_R_below_r(self, n):
-        assembly = _bound_assembly(n)
-        assert all(abs(R) <= abs(r) + 1e-18
-                   for R, r in zip(assembly.R, assembly.r))
+        # |R_j| <= |r_j| + 1e-18 over A_j
+        rows = _bound_assembly(n)._pq_rows
+        assert all(abs(rows.R[j]) <= abs(rows.r[j]) + 1e-18 / _main_coefficient(n, j)
+                   for j in range(n))
 
     def test_z_below_twice_r(self, n):
+        # z_j/A_j = |r~_j| cos(j d + arg r~_j) - R~_j cos(j d) s at the first
+        # midpoint's offset d = t_1 - y
         assembly = _bound_assembly(n)
-        z = assembly.derivative_pq(1)[1].z  # z_j at the first midpoint t_1
+        rows = assembly._pq_rows
+        d = assembly.midpoint(1) - assembly.y
         for j in range(n):
-            assert abs(z[j]) <= 2 * abs(assembly.r[j]) + 1e-18
+            r, R = complex(rows.r[j]), float(rows.R[j])
+            z = abs(r) * math.cos(j * d + cmath.phase(r)) - R * math.cos(j * d) * assembly.s
+            assert abs(z) <= 2 * abs(r) + 1e-18 / _main_coefficient(n, j)
 
     def test_lambda_lower_bound(self, n):
-        assembly = _bound_assembly(n)
-        q = BOUND_Q
-        for j, mag in enumerate(assembly.lam_abs):
-            assert mag >= 0.9 * q ** (n - j) / (n - j) ** 2
+        # |lambda_{n-j}| >= 0.9 q^(n-j)/(n-j)^2 = 0.9 A_j
+        lam = _bound_assembly(n)._scaled.lam
+        assert all(abs(complex(v)) >= 0.9 for v in lam)
 
     def test_delta_bound(self, n):
         assembly = _bound_assembly(n)
@@ -393,10 +406,11 @@ COEF_KS = np.array(list(range(1, 3001)) + list(range(3001, 200_001, 97)) + [200_
 class TestCoefficientRow:
     @pytest.mark.parametrize("q", COEF_QS)
     def test_bit_for_bit_the_scalar_power(self, q):
-        # the decomposition is bit for bit the scalar one only if every
-        # q^k/k^2 is Python's q**k / k / k, including in the subnormal range
-        got = sk_spline._coef(q, COEF_KS)
-        ref = np.array([q**i / i / i for i in COEF_KS.tolist()])
+        # the power rows (the scaled pass, the r1 rows, the Neumann
+        # coefficient row) are bit for bit the scalar ones only if every q^k
+        # is Python's q**k, including in the subnormal range
+        got = _libm_powers(q, COEF_KS.tolist())
+        ref = np.array([q**i for i in COEF_KS.tolist()])
         assert got.dtype == np.float64 and got.shape == ref.shape
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
@@ -407,8 +421,9 @@ class TestCoefficientRow:
 LADDER_QS = (0.05, 0.12, 0.19, 0.26)
 BETA_CLASSES = (0.0, 0.37, 1.0, 1.63)
 # the P_q route (derivative_pq) against the verifier's pass: bound on their
-# difference relative to max_k |d_k|.  Measured: at most 3.5e-15, at q up to
-# 0.99 and n up to 300; cos(j d) at a rounded offset d errs by about j |d - d_k|
+# difference relative to max_k |d_k|.  Measured: at most 4.9e-15, at
+# (0.9, 0, 300), for q up to 0.99 and n up to 300; cos(j d) at a rounded
+# offset d errs by about j |d - d_k|
 PQ_ROUTE_REL_BOUND = 1e-14
 PQ_ROUTE_POINTS = ((0.2, 0.37, 75), (0.26, 1.63, 268), (0.9, 0.0, 119))
 
@@ -423,8 +438,10 @@ def underflow_edge(q):
 
 
 def scalar_decomposition(params, n, y, abs_tol=DEFAULT_POLICY.abs_tol):
-    """r1_j, r_j, |lambda_{n-j}| and R_j from a per-j loop with two scalar
-    compensated sums per r1 tail, each stopping at its own lane's tail: the
+    """The r1_j tails from a per-j loop with two scalar compensated sums per
+    tail, each stopping at its own lane's tail, and from them the assembly's
+    ratios: A_j, a_j = q^j (n-j)^2/n^2, rho1_j = r1_j/A_j, r~_j = r_j/A_j
+    from its pieces, |Lambda_j| and R~_j = |Lambda_j| - 1 - B_j/A_j.  The
     loop the array construction replaced, kept as its reference."""
     q, psi = params.q, params.psi
     arg = n * y - params.beta_mod4 * math.pi / 2.0
@@ -440,63 +457,74 @@ def scalar_decomposition(params, n, y, abs_tol=DEFAULT_POLICY.abs_tol):
                    + lo_sign * t_lo * f((2 * m - 1) * n * y - phase1),
                    (t_hi + t_lo) * ratio / max(1.0 - ratio, 1e-300))
 
-    r1s, rs, lams, Rs = [], [], [], []
+    out = SimpleNamespace(n=n, q=q, y=y, s=s, main=[], a=[], r1=[], rho1=[], r=[],
+                          lam_abs=[], R=[])
     for j in range(n):
         parts = []
         for f, lo_sign in ((math.cos, 1.0), (math.sin, -1.0)):
             first = psi(3 * n - j) / (3 * n - j) * f(3 * n * y - phase1)
             parts.append(sum(_certified_sum(tail_terms(j, f, lo_sign), abs_tol,
                                             DEFAULT_POLICY, "r1", start=first)))
-        a = psi(n - j) / (n - j)
-        b = psi(n + j) / (n + j)
+        main = psi(n - j) / (n - j)
+        b_over_a = psi(n + j) / (n + j) / main
         r1 = complex(*parts)
-        r = r1 + 1j * (b - a) * math.cos(arg) + (a + b) * (abs(math.sin(arg)) - 1.0) * s
-        lam_abs = abs((a + b) * s + r)
-        r1s.append(r1)
-        rs.append(r)
-        lams.append(lam_abs)
-        Rs.append(lam_abs - a - b)
-    return SimpleNamespace(n=n, q=q, y=y, s=s, psi_n=q**n / n, r1=r1s, r=rs,
-                           lam_abs=lams, R=Rs)
+        r = (r1 / main + 1j * (b_over_a - 1.0) * math.cos(arg)
+             + (1.0 + b_over_a) * (abs(math.sin(arg)) - 1.0) * s)
+        lam_abs = abs((1.0 + b_over_a) * s + r)
+        for field, value in (("main", main), ("a", q**j * ((n - j) / n) ** 2), ("r1", r1),
+                             ("rho1", r1 / main), ("r", r), ("lam_abs", lam_abs),
+                             ("R", lam_abs - 1.0 - b_over_a)):
+            getattr(out, field).append(value)
+    return out
+
+
+def scaled_inputs(a):
+    """The P_q route's float inputs from an eigen_assembly ``a``, under the
+    names of a ``scalar_decomposition``: a_j, r~_j, |Lambda_j| and R~_j."""
+    rows = a._pq_rows
+    return SimpleNamespace(n=a.n, q=a.q, y=a.y, s=a.s, a=a._scaled.a, r=rows.r,
+                           lam_abs=rows.lam_abs, R=rows.R)
+
+
+def scaled_delta(a, j):
+    """delta_j = |Lambda_j| cos(j pi/2n) n^2/((n-j)^2 (1 + q^(2j))) - 1."""
+    n = a.n
+    return (a.lam_abs[j] * math.cos(j * math.pi / (2 * n)) * (n / (n - j)) ** 2
+            / (1.0 + a.q ** (2 * j)) - 1.0)
 
 
 def scalar_derivatives(a):
     """Midpoint derivatives via P_q from per-midpoint scalar j-loops (fsum
-    gamma_1, gamma_3 and gamma_4, a compensated strip tail and eval_pq): the
-    loops the array pass replaced, kept as its reference.  ``a`` is an
-    eigen_assembly or a scalar_decomposition."""
-    n, q, s, psi_n = a.n, a.q, a.s, a.psi_n
+    gamma_1, gamma_3 and gamma_4, a compensated strip tail and eval_pq) over
+    the ratios a_j, r~_j, |Lambda_j| and R~_j: the loops the array pass
+    replaced, kept as its reference.  ``a`` is a scalar_decomposition or
+    the ``scaled_inputs`` of an eigen_assembly."""
+    n, q, s = a.n, a.q, a.s
     root = math.isqrt(n)
-    inv_scale = psi_n / n
     cos_half = [math.cos(j * math.pi / (2 * n)) for j in range(n)]
-    delta = [n * a.lam_abs[j] * cos_half[j] / ((q**-j + q**j) * psi_n) - 1.0
-             for j in range(root + 1)]
-    x = a.R[0] * n / psi_n
+    delta = [scaled_delta(a, j) for j in range(root + 1)]
+    x = a.R[0]
     g2 = -x / (2.0 * (2.0 + x)) * s
     values = []
     for k in range(1, 2 * n + 1):
         d = k * math.pi / n - math.pi / (2 * n) - a.y
 
         def z(j):
-            c = math.cos(j * d)
-            if abs(a.r[j]) <= 1e-300:
-                return -a.R[j] * c * s
-            return abs(a.r[j]) * math.cos(j * d + cmath.phase(a.r[j])) - a.R[j] * c * s
+            r = complex(a.r[j])
+            return abs(r) * math.cos(j * d + cmath.phase(r)) - a.R[j] * math.cos(j * d) * s
 
-        g1 = psi_n / n * math.fsum(
-            [z(0) / a.lam_abs[0] ** 2]
-            + [2.0 * z(j) / (a.lam_abs[j] ** 2 * cos_half[j]) for j in range(1, n)])
-        g3 = 2.0 * s * math.fsum(math.cos(j * d) * inv_scale / (a.lam_abs[j] * cos_half[j])
+        g1 = math.fsum((1.0 if j == 0 else 2.0) * a.a[j] * z(j) / (a.lam_abs[j] ** 2 * cos_half[j])
+                       for j in range(n))
+        g3 = 2.0 * s * math.fsum(math.cos(j * d) * a.a[j] / (a.lam_abs[j] * cos_half[j])
                                  for j in range(root + 1, n))
-        g4 = -2.0 * s * math.fsum(delta[j] * math.cos(j * d) * inv_scale
+        g4 = -2.0 * s * math.fsum(delta[j] * math.cos(j * d) * a.a[j]
                                   / (a.lam_abs[j] * cos_half[j]) for j in range(1, root + 1))
         strip = ((2.0 * math.cos(j * d) / (q**j + q**-j), 2.0 * q ** (j + 1) / (1.0 - q))
                  for j in itertools.count(root + 1))
         tail = sum(_certified_sum(strip, DEFAULT_POLICY.abs_tol, DEFAULT_POLICY, "strip"))
         gs = (g1, g2, g3, g4, -s * tail)
         sign_k = 1.0 if k % 2 == 1 else -1.0
-        values.append(sign_k * math.pi / (4.0 * n * psi_n)
-                      * (eval_pq(q, d) * s + math.fsum(gs)))
+        values.append(sign_k * derivative_scale(q, n) * (eval_pq(q, d) * s + math.fsum(gs)))
     return values
 
 
@@ -529,36 +557,34 @@ def blocked_derivatives(a, block=64):
     """Midpoint derivatives via P_q with gamma_1, gamma_3 and gamma_4 as row
     sums over (midpoints x n) cosine blocks of at most ``block`` midpoints at
     the float offsets t_k - y: the pass the FFT replaced, kept as its
-    reference.  ``a`` is an eigen_assembly."""
+    reference.  ``a`` is the ``scaled_inputs`` of an eigen_assembly."""
     n, q, s = a.n, a.q, a.s
     root = math.isqrt(n)
-    psi_over_n = a.psi_n / n
     j = np.arange(n)
     cos_half = np.cos(j * math.pi / (2 * n))
     lam_cos, lam2_cos = a.lam_abs * cos_half, a.lam_abs**2 * cos_half
-    weight = np.where(j == 0, 1.0, 2.0)
-    kept = np.abs(a.r) > 1e-300
-    r_abs, r_phase = np.where(kept, np.abs(a.r), 0.0), np.where(kept, np.angle(a.r), 0.0)
-    delta = np.array([a.delta(i) for i in range(1, root + 1)])
+    weight = np.where(j == 0, 1.0, 2.0) * a.a
+    r_abs, r_phase = np.abs(a.r), np.angle(a.r)
+    delta = np.array([scaled_delta(a, i) for i in range(1, root + 1)])
     ks = range(1, 2 * n + 1)
-    d = np.array([a.midpoint(k) for k in ks]) - a.y
+    d = np.array([k * math.pi / n - math.pi / (2 * n) for k in ks]) - a.y
     g1, g3, g4 = [], [], []
     for lo in range(0, 2 * n, block):
         jd = np.multiply.outer(d[lo:lo + block], j)
         c = np.cos(jd)
         z = r_abs * np.cos(jd + r_phase) - a.R * c * s
-        g1 += (psi_over_n * (weight * z / lam2_cos).sum(axis=1)).tolist()
-        g3 += (2.0 * s * (c[:, root + 1:] * psi_over_n
+        g1 += (weight * z / lam2_cos).sum(axis=1).tolist()
+        g3 += (2.0 * s * (c[:, root + 1:] * a.a[root + 1:]
                           / lam_cos[root + 1:]).sum(axis=1)).tolist()
         g4 += [-2.0 * s * math.fsum(row) for row in
-               (delta * c[:, 1:root + 1] * psi_over_n / lam_cos[1:root + 1]).tolist()]
+               (delta * c[:, 1:root + 1] * a.a[1:root + 1] / lam_cos[1:root + 1]).tolist()]
     tol = DEFAULT_POLICY.abs_tol
     strip = sum(_certified_sum(_pq_terms(q, d, root + 1, np.cos), tol, DEFAULT_POLICY, "strip"))
     pq = sum(_certified_sum(_pq_terms(q, np.fmod(d, TWO_PI), 1, np.cos), tol, DEFAULT_POLICY,
                             "pq", start=0.5))
-    x = a.R[0] * n / a.psi_n
+    x = a.R[0]
     g2 = -x / (2.0 * (2.0 + x)) * s
-    return [(1.0 if k % 2 == 1 else -1.0) * math.pi / (4.0 * n * a.psi_n)
+    return [(1.0 if k % 2 == 1 else -1.0) * derivative_scale(q, n)
             * (p * s + math.fsum(gs))
             for k, p, gs in zip(ks, pq.tolist(), zip(g1, itertools.repeat(g2), g3, g4,
                                                      (-s * strip).tolist()))]
@@ -581,7 +607,7 @@ class TestArrayPass:
                 assert verdict_of(res) == reference_verdict(
                     scalar_derivatives(decomposition), res, q, n), (q, beta, n)
                 with mp.workdps(40):
-                    ref = direct_unscaled_brackets(decomposition)
+                    ref = direct_ce_brackets(decomposition)
                     assert all(abs(u - v) <= res.bound
                                for u, v in zip(res.brackets, ref)), (q, beta, n)
 
@@ -605,18 +631,18 @@ class TestArrayPass:
             params = NeumannParams(q, beta)
             for n in ladder(q):
                 res = verify_cy2n(params, n)
-                ref = blocked_derivatives(eigen_assembly(params, n, y0_of(q, beta, n)))
+                a = eigen_assembly(params, n, y0_of(q, beta, n))
+                ref = blocked_derivatives(scaled_inputs(a))
                 assert verdict_of(res) == reference_verdict(ref, res, q, n), (q, beta, n)
 
 
-# gamma_1 and gamma_3 of the unscaled FFT pass against 40-digit direct sums
-# over the same float inputs (r_j, R_j, s, psi(n)/n and the divisors
-# |lambda_{n-j}|^2 cos(j pi/2n) and |lambda_{n-j}| cos(j pi/2n), the first
-# subnormal at the top rung), and the verifier's brackets against 40-digit
-# direct sums over its coefficients f_j, at the exact offsets (k - 1/2)pi/n
-# - y.  The largest errors measured at these points are 5.0e-16 sum_j |c_j|
-# for the gammas (the _g13 docstring) and 5.8e-16 max_k |bracket_k| for the
-# brackets (the verify_cy2n docstring)
+# gamma_1 and gamma_3 of the P_q route's FFT pass against 40-digit direct
+# sums over the same float inputs (r~_j, R~_j, s and the divisors |Lambda_j|^2
+# and |Lambda_j| over the weights w_j a_j/cos(j pi/2n)), and the verifier's
+# brackets against 40-digit direct sums over its coefficients f_j, at the
+# exact offsets (k - 1/2)pi/n - y.  The largest errors measured at these
+# points are 4.4e-16 sum_j |c_j| for the gammas (the _g13 docstring) and
+# 5.8e-16 max_k |bracket_k| for the brackets (the verify_cy2n docstring)
 FFT_REL_BOUND = 1e-15
 FFT_POINTS = ((LADDER_QS[-1], BETA_CLASSES[-1], underflow_edge(LADDER_QS[-1]) - 1),
               (0.9, 0.0, 119), (0.95, 0.5, 239))
@@ -645,20 +671,21 @@ def direct_sums(a, rows):
 
 
 def direct_coefficients(a):
-    """gamma_1's c_j and the main coefficients e_j = 2 s (psi(n)/n)/(|lambda_{n-j}|
-    cos(j pi/2n)), j >= 1, in 40 digits over the float inputs of ``a`` (an
-    eigen_assembly or a scalar_decomposition), with the divisors formed in
-    floats as the assembly forms them."""
+    """gamma_1's c_j = w_j a_j (r~_j - R~_j s)/(|Lambda_j|^2 cos(j pi/2n)) and
+    the main coefficients e_j = 2 s a_j/(|Lambda_j| cos(j pi/2n)), j >= 1, in
+    40 digits over the float inputs of ``a`` (a scalar_decomposition or the
+    ``scaled_inputs`` of an eigen_assembly), with the weights w_j a_j/cos(j
+    pi/2n) and the divisors formed in floats as the assembly forms them."""
     n, s = a.n, a.s
-    psi = a.psi_n / n
+    j = np.arange(n)
+    weight = (np.where(j == 0, 1.0, 2.0) * np.asarray(a.a)
+              / np.sin((n - j) * (math.pi / (2 * n)))).tolist()
     lam_abs = np.asarray(a.lam_abs)
-    cos_half = np.cos(np.arange(n) * math.pi / (2 * n))
-    lam_cos, lam2_cos = (lam_abs * cos_half).tolist(), (lam_abs**2 * cos_half).tolist()
+    lam2 = (lam_abs**2).tolist()
     with mp.workdps(40):
-        r = [mp.mpc(complex(v)) if abs(v) > 1e-300 else 0 for v in a.r]
-        c = [psi * (1 if j == 0 else 2) * (r[j] - mp.mpf(float(a.R[j])) * s) / lam2_cos[j]
+        c = [weight[j] * (mp.mpc(complex(a.r[j])) - mp.mpf(float(a.R[j])) * s) / lam2[j]
              for j in range(n)]
-        e = [2 * s * mp.mpf(psi) / lam_cos[j] if j else mp.mpf(0) for j in range(n)]
+        e = [s * mp.mpf(weight[j]) / float(lam_abs[j]) if j else mp.mpf(0) for j in range(n)]
         return c, e
 
 
@@ -678,15 +705,15 @@ def direct_brackets(a):
         return [v if k % 2 else -v for k, v in enumerate(sums, start=1)]
 
 
-def direct_unscaled_brackets(a):
+def direct_ce_brackets(a):
     """The signed brackets (-1)^(k+1) (s/2 + gamma_2 + Re sum_j (c_j + e_j)
-    e^(i j (t_k - y))), k = 1..2n, in 40 digits over the unscaled
-    decomposition's floats."""
-    n = a.n
+    e^(i j (t_k - y))), k = 1..2n, in 40 digits over the floats of a
+    scalar_decomposition ``a``: the c_j + e_j form, which the kernel-unit
+    pass summed, not the verifier's f_j."""
     c, e = direct_coefficients(a)
     with mp.workdps(40):
         ((sums, _),) = direct_sums(a, ([u + v for u, v in zip(c, e)],))
-        x = mp.mpf(float(a.R[0])) * n / a.psi_n
+        x = mp.mpf(float(a.R[0]))
         base = (mp.mpf(1) / 2 - x / (2 * (2 + x))) * a.s
         return [(1 if k % 2 else -1) * (base + v) for k, v in enumerate(sums, start=1)]
 
@@ -697,7 +724,7 @@ class TestFftPass:
         a = eigen_assembly(NeumannParams(q, beta), n, y0_of(q, beta, n))
         gs = [a.gammas(k) for k in range(1, 2 * n + 1)]
         with mp.workdps(40):
-            for m, (ref, scale) in zip((0, 2), direct_gamma_sums(a)):
+            for m, (ref, scale) in zip((0, 2), direct_gamma_sums(scaled_inputs(a))):
                 err = max(abs(g[m] - v) for g, v in zip(gs, ref))
                 assert err <= FFT_REL_BOUND * scale, (m + 1, float(err / scale))
 
@@ -750,7 +777,7 @@ SMALL_GRID = [(q, beta, n) for q in (0.2, 0.5) for beta in (0.0, 1.0, 0.3)
 CONSTRUCTION_GRID = ([(q, beta, n) for q in LADDER_QS for beta in BETA_CLASSES
                       for n in (2, 10, underflow_edge(q) - 1)] + SMALL_GRID)
 # the eigenvalue magnitudes against the per-j loop with its tails summed to
-# 1e-300, relative (measured: at most 2.3e-16 on CONSTRUCTION_GRID)
+# 1e-300, relative (measured: at most 4.4e-16 on CONSTRUCTION_GRID)
 CONSTRUCTION_REL_BOUND = 1e-15
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -766,17 +793,19 @@ class TestArrayConstruction:
         y0 = y0_of(q, beta, n)
         got = eigen_assembly(params, n, y0)
         ref = scalar_decomposition(params, n, y0, 1e-300)
-        # every r1 lane meets the policy's absolute tolerance and the
-        # assembly's tolerance relative to A_j (``_EigenAssembly._scaled``),
-        # up to a few roundings of the value (measured: the r1 error is at
-        # most 7.4e-18 A_j here, below that tolerance at every j)
-        tol = got._scaled.tol
-        assert all(abs(u - v) <= DEFAULT_POLICY.abs_tol for u, v in zip(got.r1, ref.r1))
+        # every r1 lane, A_j rho1_j in the kernel's units, meets the policy's
+        # absolute tolerance, and rho1_j the assembly's tolerance
+        # (``_EigenAssembly._scaled``), up to a few roundings of the value
+        # (measured: the rho1 error is at most 7.4e-18 here, below that
+        # tolerance at every j)
+        tol, rho1 = got._scaled.tol, np.broadcast_to(got._scaled.rho1, n)
+        rows = got._pq_rows
+        assert all(abs(ref.main[j] * rho1[j] - ref.r1[j]) <= DEFAULT_POLICY.abs_tol
+                   for j in range(n))
         for j in range(n):
-            slack = params.psi(n - j) / (n - j) * tol
-            assert abs(got.r1[j] - ref.r1[j]) <= slack + 4 * UNIT_ROUNDOFF * abs(ref.r1[j]), j
-            assert abs(got.r[j] - ref.r[j]) <= slack + 4 * UNIT_ROUNDOFF * abs(ref.r[j]), j
-        assert all(rel_close(u, v) for u, v in zip(got.lam_abs, ref.lam_abs))
+            assert abs(rho1[j] - ref.rho1[j]) <= tol + 4 * UNIT_ROUNDOFF * abs(ref.rho1[j]), j
+            assert abs(rows.r[j] - ref.r[j]) <= tol + 4 * UNIT_ROUNDOFF * abs(ref.r[j]), j
+        assert all(rel_close(u, v) for u, v in zip(rows.lam_abs, ref.lam_abs))
         if n <= 8:  # the scalar midpoint loops are cheap here
             res = verify_cy2n(params, n)
             assert verdict_of(res) == reference_verdict(scalar_derivatives(ref), res, q, n)
@@ -790,8 +819,9 @@ class TestArrayConstruction:
         got = eigen_assembly(params, n, y0, policy)
         ref = scalar_decomposition(params, n, y0, 1e-300)
         assert got._scaled.tol == policy.abs_tol / q
-        assert all(abs(u - v) <= policy.abs_tol + 4 * UNIT_ROUNDOFF * abs(v)
-                   for u, v in zip(got.r1, ref.r1))
+        rho1 = np.broadcast_to(got._scaled.rho1, n)
+        assert all(abs(a * u - v) <= policy.abs_tol + 4 * UNIT_ROUNDOFF * abs(v)
+                   for a, u, v in zip(ref.main, rho1, ref.r1))
 
     def test_lambda_fourier_reads_the_assembly_row(self):
         params = NeumannParams(0.3, 0.7)
@@ -799,17 +829,19 @@ class TestArrayConstruction:
         assembly = eigen_assembly(params, n, y)
         for j in range(n):
             lam = lambda_fourier(params, n, j, y)
+            main = params.psi(n - j) / (n - j)  # A_j
             assert type(lam) is complex
-            assert lam == cmath.exp(-1j * j * y) * complex(assembly.rotated[j])
-            assert abs(lam) == pytest.approx(assembly.lam_abs[j], rel=1e-15)
+            assert lam == cmath.exp(-1j * j * y) * (main * complex(assembly._scaled.lam[j]))
+            assert abs(lam) == pytest.approx(main * assembly._pq_rows.lam_abs[j], rel=1e-15)
 
     def test_ledger_holds_python_numbers(self):
         _, ledger = derivative_pq(NeumannParams(0.2, 0.3), 12, y0_of(0.2, 0.3, 12), 3)
-        for field in ("r1", "r2", "r", "z", "delta", "R", "r3", "gamma"):
+        for field in ("delta", "gamma"):
             values = getattr(ledger, field)
             assert isinstance(values, tuple)
-            assert all(type(v) in (float, complex) for v in values), field
-        assert type(ledger.min_abs_lambda) is float
+            assert all(type(v) is float for v in values), field
+        for field in ("y", "s", "gamma_total", "gamma_budget", "min_abs_lambda"):
+            assert type(getattr(ledger, field)) is float, field
 
     def test_every_ledger_reads_its_assembly(self):
         # the midpoint-independent fields are built once per assembly; each
@@ -819,18 +851,20 @@ class TestArrayConstruction:
         for k in (1, 2, 17, 2 * n):
             ledger = a.derivative_pq(k)[1]
             assert (ledger.k, ledger.y, ledger.s) == (k, a.y, a.s)
-            for field in ("r1", "r2", "r3", "r", "R"):
-                assert getattr(ledger, field) == tuple(getattr(a, field).tolist()), field
-            assert ledger.z == tuple(a._z(a.midpoint(k) - a.y).tolist())
             assert ledger.delta == tuple(a.delta(j) for j in range(1, math.isqrt(n) + 1))
             assert ledger.gamma == a.gammas(k)
             assert ledger.gamma_budget == gamma_budget(q, n)
-            assert ledger.min_abs_lambda == float(a.lam_abs.min())
+            # min_j |Lambda_j|, scaled by A_j: the verifier's smallest divisor
+            assert ledger.min_abs_lambda == a._scaled.smallest
+            assert ledger.min_abs_lambda == pytest.approx(float(a._pq_rows.lam_abs.min()),
+                                                          rel=1e-15)
 
 
 class TestUnderflowEdge:
     # at q = 0.01, |lambda_n|^2 ~ (2 q^n / n^2)^2 is zero in double from n = 80
-    # on: the unscaled routes name the limit there, the verifier does not
+    # on; the routes read the scaled pass, so they return values past that
+    # edge, and name the limit only where the kernel-unit value itself is
+    # not a finite nonzero double
     PARAMS = NeumannParams(0.01, 0.0)
 
     def test_verify_returns_a_verdict_past_the_edge(self):
@@ -839,36 +873,52 @@ class TestUnderflowEdge:
             res = verify_cy2n(self.PARAMS, n)
             assert res.holds and res.unresolved == 0, n
 
-    def test_single_midpoint_routes_name_the_limit(self):
-        y0 = y0_of(0.01, 0.0, 90)
-        with pytest.raises(UnderflowLimit):
-            derivative_pq(self.PARAMS, 90, y0, 1)
-        with pytest.raises(UnderflowLimit):
-            derivative_eigen(self.PARAMS, 90, y0, 1)
+    def test_single_midpoint_routes_return_past_the_edge(self):
+        n = 90
+        y0 = y0_of(0.01, 0.0, n)
+        brackets = verify_cy2n(self.PARAMS, n).brackets
+        scale = math.pi / 4.0 / 0.01**n  # (pi/4) q^-n = 7.9e179
+        largest = max(abs(b) for b in brackets) * scale
+        for k in range(1, 2 * n + 1):
+            assert derivative_eigen(self.PARAMS, n, y0, k) == brackets[k - 1] * scale, k
+        for k in (1, 2, 91, 2 * n):
+            assert abs(derivative_pq(self.PARAMS, n, y0, k)[0] - brackets[k - 1] * scale) \
+                <= PQ_ROUTE_REL_BOUND * largest, k
+        assert lambda_fourier(self.PARAMS, n, 0, y0) != 0.0
 
-    def test_vanished_eigenvalue_names_the_limit(self):
-        # at n = 300 |lambda_n| itself is zero, not only its square
+    def test_single_midpoint_routes_name_the_limit(self):
+        # (pi/4) q^-n = (pi/4) 100^300 overflows
         y0 = y0_of(0.01, 0.0, 300)
-        with pytest.raises(UnderflowLimit, match=r"n=300 \(q\^n/n = "):
+        with pytest.raises(UnderflowLimit, match=r"\(pi/4\) q\^-n is inf at n=300, q=0\.01"):
             derivative_pq(self.PARAMS, 300, y0, 1)
         with pytest.raises(UnderflowLimit):
             derivative_eigen(self.PARAMS, 300, y0, 1)
+        assert eigen_assembly(self.PARAMS, 300, y0).gammas(1)[0] != 0.0
+
+    def test_vanished_eigenvalue_names_the_limit(self):
+        # at n = 300 |lambda_n| = A_0 |Lambda_0| is zero, A_0 = 1e-600/300^2
+        y0 = y0_of(0.01, 0.0, 300)
+        with pytest.raises(UnderflowLimit, match=r"\|lambda_\(n-j\)\| at j=0 is 0\.000e\+00 at n=300"):
+            lambda_fourier(self.PARAMS, 300, 0, y0)
 
     def test_zero_psi_raises_before_the_arrays(self, monkeypatch):
-        # q^n/n is 0.0 at q = 0.5, n = 5000: the unscaled assembly names the
-        # limit before it builds a coefficient array (its O(n) memory), and
-        # the verifier builds none of those arrays
-        def no_arrays(q, k):
-            raise AssertionError("built an O(n) coefficient array")
-
-        monkeypatch.setattr(sk_spline, "_coef", no_arrays)
+        # q^n/n is 0.0 at q = 0.5, n = 5000: the routes name the limit
+        # before they build a power row (the O(n) arrays), and building an
+        # assembly builds none
         params = NeumannParams(0.5, 0.0)
         res = verify_cy2n(params, 5000)
         assert res.holds and res.unresolved == 0
+
+        def no_arrays(q, exponents):
+            raise AssertionError("built an O(n) power row")
+
+        monkeypatch.setattr(sk_spline, "_libm_powers", no_arrays)
         y = 0.1 * math.pi / 5000
-        with pytest.raises(UnderflowLimit, match=r"n=5000 \(q\^n/n = 0\.000e\+00\)"):
-            eigen_assembly(params, 5000, y)
-        with pytest.raises(UnderflowLimit):
+        eigen_assembly(params, 5000, y)
+        for route in (derivative_eigen, derivative_pq):
+            with pytest.raises(UnderflowLimit, match=r"is inf at n=5000, q=0\.5"):
+                route(params, 5000, y, 1)
+        with pytest.raises(UnderflowLimit, match=r"is 0\.000e\+00 at n=5000, q=0\.5"):
             lambda_fourier(params, 5000, 0, y)
 
     def test_last_n_before_the_edge_still_verifies(self):
@@ -888,33 +938,32 @@ def past_edge(q):
     return rungs
 
 
-def unscaled_brackets(a):
+def ce_pass_brackets(a):
     """The signed brackets (-1)^(k+1) (s/2 + gamma_2 + Re sum_{j<n} (c_j +
-    e_j) e^(i j d_k)), k = 1..2n, from one length-2n FFT over the kernel-unit
+    e_j) e^(i j d_k)), k = 1..2n, from one length-2n FFT over the
     coefficients of a ``scalar_decomposition`` ``a`` (those of
-    ``direct_coefficients``, in floats): the pass the verifier's scaled one
-    replaced, kept as its reference."""
-    n, s, psi_over_n = a.n, a.s, a.psi_n / a.n
+    ``direct_coefficients``, in floats): the c_j + e_j pass, once in the
+    kernel's units, that the verifier's f_j pass replaced, kept as its
+    reference."""
+    n, s = a.n, a.s
     j = np.arange(n)
-    cos_half = np.cos(j * math.pi / (2 * n))
+    weight = np.where(j == 0, 1.0, 2.0) * np.array(a.a) / np.sin((n - j) * (math.pi / (2 * n)))
     lam_abs, R, r = np.array(a.lam_abs), np.array(a.R), np.array(a.r)
-    lam2_cos = lam_abs**2 * cos_half
-    z = np.where(j == 0, 1.0, 2.0) * (np.where(np.abs(r) > 1e-300, r, 0.0) - R * s)
-    c = (z.real / lam2_cos + 1j * (z.imag / lam2_cos)) * psi_over_n
-    e = np.where(j > 0, 2.0 * s * psi_over_n / (lam_abs * cos_half), 0.0)
+    c = weight * (r - R * s) / lam_abs**2
+    e = np.where(j > 0, s * weight / lam_abs, 0.0)
     twisted = np.conj(c + e) * np.exp(1j * j * (a.y + math.pi / (2 * n)))
     sums = np.fft.fft(twisted, 2 * n).real  # t_k reads bin k mod 2n
-    x = R[0] * n / a.psi_n
+    x = R[0]
     out = np.roll(sums, -1) + (0.5 - x / (2.0 * (2.0 + x))) * s
     out[1::2] *= -1.0
     return out.tolist()
 
 
 def reference_brackets(params, n):
-    """``unscaled_brackets`` at the peak shift, with the eigenvalue tails
+    """``ce_pass_brackets`` at the peak shift, with the eigenvalue tails
     summed far below their scale."""
     y0 = y0_of(params.q, params.beta, n)
-    return unscaled_brackets(scalar_decomposition(params, n, y0, 1e-300))
+    return ce_pass_brackets(scalar_decomposition(params, n, y0, 1e-300))
 
 
 # below the old edge, beyond the ladders: q up to 0.99 at small n, where the
@@ -949,11 +998,11 @@ class TestScaledPass:
         y0 = y0_of(q, beta, n)
         a = eigen_assembly(params, n, y0)
         ref = scalar_decomposition(params, n, y0, 1e-300)
-        assert all(abs(u - v) <= 1e-15 * params.psi(n - j) / (n - j)
-                   for j, (u, v) in enumerate(zip(a.r1, ref.r1)))
+        rho1 = np.broadcast_to(a._scaled.rho1, n)
+        assert all(abs(u - v) <= 1e-15 for u, v in zip(rho1, ref.rho1))
         bound = verify_cy2n(params, n).bound
         scale = derivative_scale(q, n)
-        brackets = unscaled_brackets(ref)
+        brackets = ce_pass_brackets(ref)
         assert all(abs(a.derivative_eigen(k) / scale - b) <= bound
                    for k, b in enumerate(brackets, start=1))
         largest = max(abs(b) for b in brackets) * scale
@@ -976,6 +1025,51 @@ class TestScaledPass:
         res = verify_cy2n(NeumannParams(q, 0.0), n)
         assert res.holds and res.unresolved == 0
         assert res.log10_scale == pytest.approx(math.log10(math.pi / 4) - n * math.log10(q))
+
+
+# the paper's thresholds n_q, where (pi/4) q^-n overflows, so the P_q route
+# is held to the verifier in bracket units.  Measured: the brackets agree
+# within 5.9e-16 and 2.7e-15 of the largest one, and max_k sum |gamma_m| is
+# 3.80e-3 against a budget of 5.99e-3, and 2.95e-4 against 4.67e-4
+THRESHOLD_POINTS = ((0.5, 0.0, 1717), (0.6, 0.5, 40878))
+
+
+def pq_brackets(q, beta, n, step=97):
+    """(k, the signed P_q bracket (-1)^(k+1) (s P_q(t_k - y) + sum gamma),
+    gammas(k)) at every ``step``-th midpoint k, and the verdict at the peak
+    shift."""
+    params = NeumannParams(q, beta)
+    a = eigen_assembly(params, n, y0_of(q, beta, n))
+    out = []
+    for k in range(1, 2 * n + 1, step):
+        gs = a.gammas(k)
+        bracket = eval_pq(q, a.midpoint(k) - a.y) * a.s + math.fsum(gs)
+        out.append((k, bracket if k % 2 else -bracket, gs))
+    return out, verify_cy2n(params, n)
+
+
+class TestPqRouteAtThresholds:
+    @pytest.mark.parametrize("q,beta,n", THRESHOLD_POINTS)
+    def test_pq_brackets_match_the_verifier(self, q, beta, n):
+        rows, res = pq_brackets(q, beta, n)
+        largest = max(abs(b) for b in res.brackets)
+        for k, bracket, _ in rows:
+            assert abs(bracket - res.brackets[k - 1]) <= PQ_ROUTE_REL_BOUND * largest, k
+
+    @pytest.mark.parametrize("q,beta,n", THRESHOLD_POINTS)
+    def test_corrections_meet_the_budget(self, q, beta, n):
+        # criterion 7's inequality at n_q
+        budget = gamma_budget(q, n)
+        rows, _ = pq_brackets(q, beta, n)
+        assert all(sum(abs(g) for g in gs) <= budget for _, _, gs in rows)
+
+    def test_gammas_past_the_inverse_power_overflow(self):
+        # isqrt(25000) = 158, and 0.01 ** -155 already overflows: delta_j and
+        # gamma_5's strip tail are formed with no q^-j
+        q, n = 0.01, 25000
+        a = eigen_assembly(NeumannParams(q, 0.0), n, y0_of(q, 0.0, n))
+        assert all(math.isfinite(g) for g in a.gammas(1))
+        assert all(math.isfinite(d) for d in a._deltas)
 
 
 def rho1_row_by_row(q, n, y, phase1, j, squares):
