@@ -30,7 +30,6 @@ from .policy import DEFAULT_POLICY, EvalPolicy
 SWEEP_COLUMNS = ["q", "beta", "n", "theta_n", "y0", "width", "gamma_n",
                  "sandwich_lo", "sandwich_hi", "nq_flag", "cy2n_holds",
                  "oracle_delta"]
-_SCHEMA_VERSION = 1
 
 ENV_WORKERS = "NEUMANN_WIDTHS_WORKERS"
 ENV_CACHE_DIR = "NEUMANN_WIDTHS_CACHE_DIR"
@@ -39,7 +38,7 @@ ENV_CACHE_DIR = "NEUMANN_WIDTHS_CACHE_DIR"
 # the cvd module itself).  ``_load_numerics`` binds them on first use.
 _NUMERICS = {"cvd_mod": "cvd", "NeumannParams": "kernels",
              "supnorm_square_conv": "oracles", "verify_cy2n": "sk_spline",
-             "is_integer_beta": "thresholds", "min_guaranteed_n": "thresholds",
+             "min_guaranteed_n": "thresholds",
              "min_guaranteed_n_beta": "thresholds", "verdict": "thresholds",
              "exact_width": "widths"}
 
@@ -175,11 +174,12 @@ def _job_key(job: dict) -> str:
 @functools.cache
 def _code_fingerprint() -> str:
     """``<version>-<digest>``: the package version and a sha256 of the
-    numerical modules' source bytes, read as files, not imported.  The sweep
-    cache is one log, ``<cache_dir>/<fingerprint>.jsonl``, so rows computed
-    by other code are never served."""
+    source bytes of the numerical modules and of this one, which builds the
+    rows, read as files, not imported.  The sweep cache is one log,
+    ``<cache_dir>/<fingerprint>.jsonl``, so rows computed by other code are
+    never served."""
     digest = hashlib.sha256()
-    for module in sorted(set(_NUMERICS.values())):
+    for module in sorted({*_NUMERICS.values(), "cli"}):
         digest.update(Path(__file__).with_name(f"{module}.py").read_bytes())
     return f"{__version__}-{digest.hexdigest()[:16]}"
 
@@ -204,19 +204,24 @@ def _cached_rows(log: Path, keys: set[str]) -> dict[str, dict]:
     return found
 
 
-def _sweep_job(task: tuple[dict, int | None]) -> dict:
-    """One sweep row from (job, its threshold n or None when not found); must
-    stay importable at module level for worker pools."""
+def _sweep_job(job: dict) -> dict:
+    """The sweep row of ``job``, a function of the job alone; must stay
+    importable at module level for worker pools."""
     _load_numerics()  # a spawned worker starts from a fresh import
-    job, threshold = task
     params = NeumannParams(job["q"], job["beta"])
     n = job["n"]
     policy = EvalPolicy(job["abs_tol"], job["max_terms"])
     report = exact_width(params, n, policy)
     row = _width_fields(report)
-    row["nq_flag"] = None if threshold is None else n >= threshold
     try:
-        row["cy2n_holds"] = verify_cy2n(params, n, policy=policy).holds
+        row["nq_flag"] = n >= min_guaranteed_n_beta(job["q"], job["beta"],
+                                                    n_cap=job["nq_cap"]).n
+    except NotFound:
+        row["nq_flag"] = None
+    try:
+        res = verify_cy2n(params, n, policy=policy)
+        # resolved signs that alternate say nothing of the unresolved ones
+        row["cy2n_holds"] = "undecided" if res.holds and res.unresolved else res.holds
     except NeumannWidthsError:
         row["cy2n_holds"] = None
     if job["verify"]:
@@ -282,8 +287,7 @@ def _load_sweep_config(path: str) -> dict:
         "verify": _shaped(cfg, "verify", bool, True),
         "oracle_grid": _number(cfg.get("oracle_grid", 4096), "oracle_grid", True),
         "oracle_refine_tol": _number(cfg.get("oracle_refine_tol", 1e-13), "oracle_refine_tol"),
-        "nq_cap": _number(cfg.get("nq_cap", 200_000), "nq_cap", True),
-        "schema": _SCHEMA_VERSION}
+        "nq_cap": _number(cfg.get("nq_cap", 200_000), "nq_cap", True)}
     if shared["nq_cap"] < 1:
         raise DomainError(f"sweep config nq_cap must be at least 1, got {shared['nq_cap']}")
     cfg["_jobs"] = [{"q": float(q), "beta": b, "n": n, **shared}
@@ -324,44 +328,27 @@ def cmd_sweep(args) -> int:
     rows = {i: cached[key] for i, key in enumerate(keys) if key in cached}
     pending = [i for i in range(len(jobs)) if i not in rows]
 
-    def run_pending():
-        if not pending:
-            return
-        _load_numerics()
-        # A threshold depends on q, the beta class and the cap only: scan
-        # it once per distinct key among the rows still to compute.
-        thresholds: dict[tuple, int | None] = {}
-        tasks = []
-        for i in pending:
-            job = jobs[i]
-            key = (job["q"], is_integer_beta(job["beta"]), job["nq_cap"])
-            if key not in thresholds:
-                try:
-                    thresholds[key] = min_guaranteed_n_beta(job["q"], job["beta"],
-                                                            n_cap=job["nq_cap"]).n
-                except NotFound:
-                    thresholds[key] = None
-            tasks.append((job, thresholds[key]))
-        if workers > 1:
-            from multiprocessing import Pool
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        with (Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool,
-              log.open("ab", buffering=0) as sink):
-            # a few chunks per worker: rows differ in cost, and each chunk
-            # is one round trip to a worker
-            results = (map(_sweep_job, tasks) if pool is None else
-                       pool.imap(_sweep_job, tasks, math.ceil(len(tasks) / (4 * workers))))
-            for i, row in zip(pending, results):
-                rows[i] = row
-                # one unbuffered write per row, appended whole; its leading
-                # newline ends any line a killed sweep left torn
-                record = f"\n{keys[i]}\t{json.dumps(row, sort_keys=True)}".encode("utf-8")
-                if sink.write(record) != len(record):
-                    raise OSError(f"short write to the sweep cache {log}")
-
     interrupted = False
     try:
-        run_pending()
+        if pending:
+            _load_numerics()  # before the pool forks, so workers inherit it
+            if workers > 1:
+                from multiprocessing import Pool
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            with (Pool(processes=workers) if workers > 1 else contextlib.nullcontext() as pool,
+                  log.open("ab", buffering=0) as sink):
+                todo = [jobs[i] for i in pending]
+                # a few chunks per worker: rows differ in cost, and each
+                # chunk is one round trip to a worker
+                results = (map(_sweep_job, todo) if pool is None else
+                           pool.imap(_sweep_job, todo, math.ceil(len(todo) / (4 * workers))))
+                for i, row in zip(pending, results):
+                    rows[i] = row
+                    # one unbuffered write per row, appended whole; its
+                    # leading newline ends any line a killed sweep left torn
+                    record = f"\n{keys[i]}\t{json.dumps(row, sort_keys=True)}".encode("utf-8")
+                    if sink.write(record) != len(record):
+                        raise OSError(f"short write to the sweep cache {log}")
     except KeyboardInterrupt:
         interrupted = True
 

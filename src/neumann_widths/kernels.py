@@ -13,19 +13,20 @@ error in a compensation word, stops after the first term whose tail is
 ``<= tol``, and adds at most ``policy.max_terms`` terms; if the tail is still
 above ``tol`` after the last of them it raises ``TolUnreachable`` with
 ``terms_used = max_terms`` and that tail as ``tail_bound``.  Its terms may
-be arrays of lanes that share one tail sequence (the r1 eigenvalue tails of
-``sk_spline``, one lane per index j): each lane then gets the scalar sum bit
-for bit, and all lanes stop, or hit the cap, together.  A long series runs
-in blocks of terms, added bit for bit the same by ``_accumulate_blocks``.
-``_cosine_block_sum`` is the Neumann kernel at many points: its tail does
-not depend on t, so ``_neumann_row`` finds the common stopping
-index K (or raises the same ``TolUnreachable``) from one row of libm powers
-q^k, sized by a log-space bound on K.  The coefficient q^k/k and its
-tail are written once, in ``NeumannParams.coefficient`` and
-``NeumannParams.tail_from``, as functions of the power that take floats or
-arrays: the scalar path reaches them through ``psi`` and ``tail_bound``,
-and the row applies them to its powers.  ``_libm_powers`` is the package's
-one power row, here and in ``sk_spline``.
+be arrays of lanes that share one tail sequence: each lane then gets the
+scalar sum bit for bit, and all lanes stop, or hit the cap, together.  A
+long series whose stopping index is known first runs in blocks of terms,
+added bit for bit the same by ``_accumulate_blocks``: the Neumann kernel at
+many points (``_cosine_block_sum``) and ``sk_spline``'s r1 eigenvalue
+tails (``_rho1``, one lane per index j).  The Neumann tail does not depend
+on t, so ``_neumann_row`` finds the common stopping index K (or raises the
+same ``TolUnreachable``) from one row of libm powers q^k, sized by a
+log-space bound on K.  The coefficient q^k/k and its tail are written once,
+in ``NeumannParams.coefficient`` and ``NeumannParams.tail_from``, as
+functions of the power that take floats or arrays: the scalar path reaches
+them through ``psi`` and ``tail_bound``, and the row applies them to its
+powers.  ``_libm_powers`` is the package's one power row, here and in
+``sk_spline``.
 
 Conventions
 -----------

@@ -14,10 +14,11 @@ Two strict inequalities on (q, n) are evaluated at machine precision:
 
 Here sqrt(n) is the real square root.  The smallest n >= 2 satisfying both
 is found by bisecting with the scalar ``verdict`` over [2, min(cap, N1)],
-N1 = 2^40.  Bisection returns what an upward scan returns because the float
-verdict is monotone on [2, N1]: false below some n, true from it on.  With
-L = ln(1/q) and N0 = max(3, ceil(3.64/L)) (6 at q = 0.5, 12 at 0.72, 363 at
-0.99), the proof is:
+N1 = 2^40, and memoized per (q, min(cap, N1)): a process bisects each q
+and range once, whether an n is found or not.  Bisection returns what an
+upward scan returns because the float verdict is monotone on [2, N1]:
+false below some n, true from it on.  With L = ln(1/q) and N0 = max(3,
+ceil(3.64/L)) (6 at q = 0.5, 12 at 0.72, 363 at 0.99), the proof is:
 
 0. n = 2 joins the range.  Steps 1-4 make the verdict monotone on [3, N1];
    a false verdict at n = 2 keeps it so, and a true one is followed by a
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, NotFound
 from .kernels import _check_beta, _check_q, pq_floor
@@ -153,30 +155,37 @@ def gamma_budget(q: float, n: int) -> float:
             + 160.0 / 63.0 * (2.0 * rn - 1.0) / (n * (rn - 1.0)) * q / (1.0 - q) ** 2)
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _min_n_cached(q: float, top: int) -> int | None:
+    """The smallest n in [2, top] where both conditions hold, None where
+    none does: bisection over the proven monotone range.  Typed, since n
+    has the type of ``top``: a float cap must not hand 1717.0 to an int one."""
+    if top < 2 or not verdict(q, top).both_hold:
+        return None
+    lo, hi = 1, top  # the verdict holds at hi; lo lies below the range
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if verdict(q, mid).both_hold else (mid, hi)
+    return hi
+
+
 def min_guaranteed_n(q: float, n_cap: int = 1_000_000) -> ScanResult:
     """Smallest n in [2, min(n_cap, SEARCH_LIMIT)] where both conditions hold.
 
     Bisects over the range, where the module docstring proves the verdict
     monotone: the result is the one an upward scan of scalar verdicts gives,
-    from O(log n_cap) of them.  Raises NotFound when no n in the range holds
-    (for q near 1, where the budget right side collapses much faster than
-    the left) and DomainError for n_cap < 1.
+    from O(log n_cap) of them, memoized.  Raises NotFound when no n in the
+    range holds (for q near 1, where the budget right side collapses much
+    faster than the left) and DomainError for n_cap < 1.
     """
     _check_q(q)
     _check_cap(n_cap)
     top = min(n_cap, SEARCH_LIMIT)
-
-    def holds(n: int) -> bool:
-        return verdict(q, n).both_hold
-
-    if top < 2 or not holds(top):
+    n = _min_n_cached(q, top)
+    if n is None:
         limit = " (the end of the proven monotone range)" if top < n_cap else ""
         raise NotFound(f"no n <= {top}{limit} satisfies both conditions for q={q}")
-    lo, hi = 1, top  # the verdict holds at hi; lo lies below the range
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    return ScanResult(n=hi, later_failures=())
+    return ScanResult(n=n, later_failures=())
 
 
 def is_integer_beta(beta: float) -> bool:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import neumann_widths
-from neumann_widths import NotFound, cli, cvd, min_guaranteed_n_beta
+from neumann_widths import cli, cvd, thresholds
 from neumann_widths.cli import SWEEP_COLUMNS, main
 
 
@@ -158,14 +158,13 @@ class TestLazyNumerics:
     def test_sweep_job_in_a_fresh_interpreter(self, tmp_path):
         """A spawned pool worker imports cli and runs ``_sweep_job`` only."""
         cfg_path, _ = sweep_config(tmp_path)
-        task = (cli._load_sweep_config(str(cfg_path))["_jobs"][3], 4)
+        job = cli._load_sweep_config(str(cfg_path))["_jobs"][3]
         script = ("import json, sys\n"
                   "from neumann_widths import cli\n"
-                  "job, threshold = json.loads(sys.argv[1])\n"
-                  "print(json.dumps(cli._sweep_job((job, threshold))))\n")
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(task)],
+                  "print(json.dumps(cli._sweep_job(json.loads(sys.argv[1]))))\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(job)],
                               capture_output=True, text=True, env=_package_env(), check=True)
-        assert json.loads(proc.stdout) == cli._sweep_job(task)
+        assert json.loads(proc.stdout) == cli._sweep_job(job)
 
 
 class TestThresholdCommand:
@@ -545,11 +544,11 @@ class TestSweepCommand:
         cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
         sweep_job, done = cli._sweep_job, []
 
-        def interrupted_on_third(task):
+        def interrupted_on_third(job):
             if len(done) == 2:
                 raise KeyboardInterrupt
-            done.append(task)
-            return sweep_job(task)
+            done.append(job)
+            return sweep_job(job)
         monkeypatch.setattr(cli, "_sweep_job", interrupted_on_third)
         code, out, err = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         assert code == 130
@@ -557,7 +556,7 @@ class TestSweepCommand:
         assert err == "interrupted: flushed 2 of 8 rows\n"
         rows = list(csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text())))
         assert [(float(r["q"]), float(r["beta"]), int(r["n"])) for r in rows] == [
-            (job["q"], job["beta"], job["n"]) for job, _ in done]
+            (job["q"], job["beta"], job["n"]) for job in done]
         assert len(log_lines(tmp_path / "cache")) == 2
 
     def test_past_underflow_edge_fills_cy2n_cell(self, capsys, tmp_path):
@@ -567,6 +566,16 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text())))
         assert [r["cy2n_holds"] for r in rows] == ["true", "true"]
+
+    def test_unresolved_midpoints_read_undecided(self, capsys, tmp_path):
+        # the resolved signs alternate, and 113 of the 500 midpoints are
+        # unresolved: verify-cy2n says "holds": true
+        cfg_path, _ = sweep_config(tmp_path, q_list=[0.9], beta_list=[0.0], n_list=[250],
+                                   verify=False)
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text())))
+        assert [r["cy2n_holds"] for r in rows] == ["undecided"]
 
     def test_boolean_flags(self, capsys, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, verify=False, no_timestamp=True)
@@ -684,7 +693,7 @@ class TestSweepCache:
             keys.add(key)
         assert len(keys) == 12 and all(len(key) == 64 for key in keys)
 
-    @pytest.mark.parametrize("module", ["kernels", "widths"])
+    @pytest.mark.parametrize("module", ["kernels", "widths", "cli"])
     def test_fingerprint_follows_numerical_sources(self, tmp_path, module):
         copy = tmp_path / "neumann_widths"
         shutil.copytree(Path(cli.__file__).parent, copy,
@@ -719,17 +728,12 @@ class TestSweepCache:
 
 
 def per_row_csv(cfg_path):
-    """The sweep CSV built row by row, each row scanning its own threshold."""
+    """The sweep CSV built row by row, one ``_sweep_job`` call per job."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     for job in cli._load_sweep_config(str(cfg_path))["_jobs"]:
-        try:
-            threshold = min_guaranteed_n_beta(job["q"], job["beta"],
-                                              n_cap=job["nq_cap"]).n
-        except NotFound:
-            threshold = None
-        row = cli._sweep_job((job, threshold))
+        row = cli._sweep_job(job)
         writer.writerow([cli._format_cell(row[c]) for c in SWEEP_COLUMNS])
     return buf.getvalue().encode("utf-8")
 
@@ -741,20 +745,16 @@ class TestSweepThresholds:
                      n_list=[1, 2, 50], verify=False, nq_cap=3000)
 
     def test_one_scan_per_key_and_none_from_cache(self, capsys, tmp_path, monkeypatch):
-        cfg_path, _ = sweep_config(tmp_path, **self.OVERRIDES)
-        calls = []
-
-        def counting(q, beta, n_cap):
-            calls.append((q, beta % 1.0 == 0.0, n_cap))
-            return min_guaranteed_n_beta(q, beta, n_cap=n_cap)
-        monkeypatch.setattr(cli, "min_guaranteed_n_beta", counting)
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        cfg_path, _ = sweep_config(tmp_path, workers=1, **self.OVERRIDES)
+        scans = thresholds._min_n_cached
+        scans.cache_clear()
         assert run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")[0] == 0
-        assert sorted(calls) == sorted({(q, integer, 3000)
-                                        for q in self.OVERRIDES["q_list"]
-                                        for integer in (False, True)})
-        calls.clear()
+        # one bisection per q past its cutoff: 0.197, 0.3 and 0.9, not 0.15
+        assert scans.cache_info().misses == 3
+        scans.cache_clear()
         assert run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")[0] == 0
-        assert calls == []
+        assert scans.cache_info()[:2] == (0, 0)  # no row asked for a threshold
 
     def test_csv_matches_per_row_thresholds(self, capsys, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, **self.OVERRIDES)
@@ -818,11 +818,11 @@ class TestSweepInputErrors:
         assert not (tmp_path / "out.csv").exists()
 
     def test_integral_numbers_keep_their_cache_keys(self, tmp_path):
-        # keys pinned from the float-converting loader: an integral float
-        # such as 1e5 is still the integer, and no valid key changed
-        pinned = ["1d1e10b7cb6b14e4", "9ae2e52dd38ab68f", "d8953d09b76313b0",
-                  "6a4d5f1b54d1b84e", "afa405cc38d24ddb", "a8e068cbe30bb751",
-                  "5de866d702fd02a0", "3eb4708995938440"]
+        # an integral float such as 1e5 keys as the integer: both configs
+        # give the same eight pinned keys
+        pinned = ["de014765867b0b6c", "1f4ad427addcd0d3", "a0a5ff9f9eae6ef0",
+                  "d5cfebf75636f8b0", "711eb9d62ec6d098", "1431b02fb1ffd13d",
+                  "6505647dd62ae0df", "32cf21a0c89137e4"]
         for max_terms, nq_cap in ((1e5, 5e3), (100_000, 5000)):
             path = tmp_path / "keys.json"
             path.write_text(json.dumps(

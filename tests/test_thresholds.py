@@ -131,7 +131,9 @@ def block_scan(q, n_cap=1_000_000):
 
 
 def recorded_verdicts(monkeypatch):
-    """The n of every scalar verdict the search asks for."""
+    """The n of every scalar verdict the search asks for; the memo is
+    cleared first, so every search bisects again."""
+    thresholds._min_n_cached.cache_clear()
     seen = []
 
     def recording(q, n):
@@ -191,6 +193,43 @@ class TestBlockScanMatchesScalar:
         # q^n and q^sqrt(n) underflow to 0: the tail sides are both 0
         assert min_guaranteed_n(1e-300) == ScanResult(n=2, later_failures=())
         assert scalar_scan(1e-300, 1_000_000) == ScanResult(n=2, later_failures=())
+
+
+class TestMemoizedSearch:
+    def test_second_call_asks_no_verdict(self, monkeypatch):
+        seen = recorded_verdicts(monkeypatch)
+        first = min_guaranteed_n(0.5, 3000)
+        asked = len(seen)
+        assert first.n == 1717 and asked > 0
+        assert min_guaranteed_n(0.5, 3000) == first
+        assert len(seen) == asked
+
+    def test_an_int_cap_gets_an_int_after_an_equal_float_cap(self):
+        thresholds._min_n_cached.cache_clear()
+        assert min_guaranteed_n(0.5, 3000.0).n == 1717
+        assert type(min_guaranteed_n(0.5, 3000).n) is int
+
+    def test_not_found_bisects_once(self, monkeypatch):
+        seen = recorded_verdicts(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NotFound, match="no n <= 50000 satisfies"):
+                min_guaranteed_n(0.7, 50_000)
+        assert seen == [50_000]  # the verdict at the top fails: nothing below holds
+
+    @pytest.mark.parametrize("q,cap", [(0.0, 100), (1.0, 100), (math.nan, 100), (0.5, 0)])
+    def test_domain_errors_come_before_the_memo(self, q, cap):
+        thresholds._min_n_cached.cache_clear()
+        with pytest.raises(DomainError):
+            min_guaranteed_n(q, cap)
+        with pytest.raises(DomainError):
+            min_guaranteed_n_beta(q, 0.5, cap)
+        assert thresholds._min_n_cached.cache_info()[:2] == (0, 0)
+
+    def test_below_the_cutoffs_no_search(self):
+        thresholds._min_n_cached.cache_clear()
+        for q, beta in ((0.15, 2.0), (0.2, 1.0), (0.193864, 0.5)):
+            assert min_guaranteed_n_beta(q, beta).n == 1
+        assert thresholds._min_n_cached.cache_info()[:2] == (0, 0)
 
 
 def n0(q):
