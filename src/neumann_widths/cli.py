@@ -133,8 +133,10 @@ def cmd_cvd(args) -> int:
     out = {"q": args.q, "beta": args.beta, "epsilon": args.epsilon}
 
     if args.witness_search:
-        seeds = list(cvd_mod.builtin_witnesses()) if args.q == cvd_mod.WITNESS_Q else []
-        found = dict(zip(("negative", "positive"), cvd_mod._witness_search(
+        # the built-in witnesses are order-3 nodes, so they seed only l = 1
+        seeds = (cvd_mod.builtin_witnesses()
+                 if args.q == cvd_mod.WITNESS_Q and args.l == 1 else ())
+        found = dict(zip(("negative", "positive"), cvd_mod.cvd_witness(
             kernel, args.l, args.search_budget, args.seed, seeds)))
         out["witnesses"] = {label: nodes.to_json_dict() for label, (nodes, _) in found.items()}
         for label, (nodes, res) in found.items():

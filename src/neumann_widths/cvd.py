@@ -17,8 +17,8 @@ all entries of a determinant, with the compensation words the exact fallback
 needs, come from one array pass over the series, bit for bit the per-entry
 ``eval_neumann_pair``; no separate pair evaluator is needed.
 
-The witness search takes each determinant once, at eps = +1;
-``_witness_search`` returns the two witnesses' results with their nodes, so
+The witness search, ``cvd_witness``, takes each determinant once, at
+eps = +1, and returns the two witnesses' results with their nodes, so
 ``cvd --witness-search`` reports them without taking them again, and takes
 them anew only for eps = -1.
 
@@ -383,8 +383,8 @@ def _perturb(rng: random.Random, nodes: NodeVectors, step: float) -> NodeVectors
 
 
 def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 100_000,
-                rng_seed: int = 0,
-                seeds: Sequence[NodeVectors] = ()) -> tuple[NodeVectors, NodeVectors]:
+                rng_seed: int = 0, seeds: Sequence[NodeVectors] = ()
+                ) -> tuple[tuple[NodeVectors, DetResult], tuple[NodeVectors, DetResult]]:
     """Search for node vectors giving significantly opposite signs of D_{2l+1}.
 
     Tries any ``seeds`` first, then random sampling, then a stochastic local
@@ -394,19 +394,10 @@ def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 1
     proof of the property.  The budget must be at least 1; the sampling takes
     at least one evaluation of it, so the descent has a start.
 
-    The search takes each determinant once, at eps = +1;
-    ``_witness_search`` returns those of the two witnesses with them, so a
-    caller that reports them need not take them again.
+    The search takes each determinant once, at eps = +1, and returns each
+    witness with that ``DetResult``: ((negative nodes, result), (positive
+    nodes, result)), so a caller that reports them need not take them again.
     """
-    (neg, _), (pos, _) = _witness_search(kernel, l, search_budget, rng_seed, seeds)
-    return neg, pos
-
-
-def _witness_search(kernel: Callable[[float], float], l: int, search_budget: int,
-                    rng_seed: int, seeds: Sequence[NodeVectors]
-                    ) -> tuple[tuple[NodeVectors, DetResult], tuple[NodeVectors, DetResult]]:
-    """``cvd_witness``, each witness with its eps = +1 ``DetResult``:
-    ((negative nodes, result), (positive nodes, result))."""
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l}")
     if search_budget < 1:

@@ -19,13 +19,12 @@ long series whose stopping index is known first runs in blocks of terms,
 added bit for bit the same by ``_accumulate_blocks``: the Neumann kernel at
 many points (``_cosine_block_sum``) and ``sk_spline``'s r1 eigenvalue
 tails (``_rho1``, one lane per index j).  The Neumann tail does not depend
-on t, so ``_neumann_row`` finds the common stopping index K (or raises the
-same ``TolUnreachable``) from one row of libm powers q^k, sized by a
-log-space bound on K.  The coefficient q^k/k and its tail are written once,
-in ``NeumannParams.coefficient`` and ``NeumannParams.tail_from``, as
-functions of the power that take floats or arrays: the scalar path reaches
-them through ``psi`` and ``tail_bound``, and the row applies them to its
-powers.  ``_libm_powers`` is the package's one power row, here and in
+on t, so ``_neumann_row`` bisects the scalar tail ``tail_bound`` for the
+common stopping index K (or raises the same ``TolUnreachable``) and builds
+one row of K libm powers q^k.  The coefficient q^k/k is written once, in
+``NeumannParams.coefficient``, as a function of the power that takes floats
+or arrays: the scalar path reaches it through ``psi``, and the row applies
+it to its powers.  ``_libm_powers`` is the package's one power row, here and in
 ``sk_spline``.
 
 Conventions
@@ -48,6 +47,7 @@ trust as stated.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,18 +82,13 @@ class NeumannParams:
         return self.coefficient(self.q**k, k)
 
     def tail_bound(self, k: int) -> float:
-        """Upper bound on sum_{m>k} q^m/m (geometric tail)."""
-        return self.tail_from(self.q ** (k + 1), k + 1)
+        """q^(k+1)/((k+1)(1-q)), an upper bound on sum_{m>k} q^m/m (geometric tail)."""
+        return self.q ** (k + 1) / ((k + 1) * (1.0 - self.q))
 
     @staticmethod
     def coefficient(power, k):
         """psi(k) = q^k/k from power = q^k; floats or arrays alike."""
         return power / k
-
-    def tail_from(self, power, j):
-        """q^j/(j(1-q)) >= sum_{m>=j} q^m/m from power = q^j, so
-        tail_bound(k) is tail_from(q^(k+1), k+1); floats or arrays alike."""
-        return power / (j * (1.0 - self.q))
 
     def spec(self) -> "KernelSpec":
         return KernelSpec(psi=self.psi, beta=self.beta, tail_bound=self.tail_bound)
@@ -185,32 +180,28 @@ def _neumann_row(params: NeumannParams, policy: EvalPolicy) -> np.ndarray:
 
     The tail after term k, ``params.tail_bound(k)``, does not depend on t, so
     every point stops at the same K: the first k whose tail is
-    <= policy.abs_tol.  One row of libm powers q^k, k = 1..size + 1, gives
-    both the coefficients (``params.coefficient``) and the tails
-    (``params.tail_from``), each bit for bit the scalar one.  The tail after
-    k, q^x/(x(1-q)) with x = k + 1, reaches abs_tol at the fixed point x* > K
-    of the decreasing map x -> (log tol + log(1-q) + log x)/log q.  From x = 1
-    one step overshoots x* (it drops the 1/x) and four more land just above it
-    (in logs, which cannot underflow).  ``size`` starts there and doubles, up
-    to policy.max_terms, in the rare case rounding puts K beyond it.  Raises
-    the TolUnreachable of ``eval_neumann_pair`` when no k up to max_terms does.
+    <= policy.abs_tol.  K is bisected on that same scalar tail, as
+    ``sk_spline._rho1`` bisects its own, and one row of exactly K libm powers
+    gives the coefficients (``params.coefficient``), each bit for bit the
+    scalar one.  Raises the TolUnreachable of ``eval_neumann_pair`` when no
+    k up to policy.max_terms qualifies.
+
+    Bisection finds the first hit because the computed tail
+    q^(k+1)/((k+1)(1-q)) is nonincreasing in k: its denominator only grows,
+    and consecutive libm powers fall whenever q <= 1 - 2.3e-16 in the normal
+    range, where one step by the factor q outweighs the rounding of both
+    powers; once they are subnormal, rounding a falling value cannot make
+    it rise.  A dense check of 4900 (q, abs_tol) pairs (700 q from 1e-300
+    to 1 - 10^-4.5, abs_tol from 1e-14 down to 5e-324, cap 4e5) found the
+    bisected K equal to the first-hit K on every pair, and no computed
+    tail rising anywhere along the scanned k.
     """
-    q, tol, cap = params.q, policy.abs_tol, policy.max_terms
-    base, estimate = math.log(tol) + math.log1p(-q), 1.0
-    for _ in range(5):
-        estimate = (base + math.log(max(estimate, 1.0))) / math.log(q)
-    size = int(min(max(estimate, 1.0), cap))
-    while True:
-        k = np.arange(1.0, size + 2.0)
-        powers = _libm_powers(q, range(1, size + 2))
-        tails = params.tail_from(powers[1:], k[1:])
-        hit = tails <= tol
-        stop = int(hit.argmax())
-        if hit[stop]:
-            return params.coefficient(powers[:stop + 1], k[:stop + 1])
-        if size == cap:
-            raise _unreachable("eval_neumann", float(tails[-1]), tol, policy)
-        size = min(2 * size, cap)
+    tol, cap = policy.abs_tol, policy.max_terms
+    k = 1 + bisect.bisect_left(range(1, cap + 1), True,
+                               key=lambda k: params.tail_bound(k) <= tol)
+    if k > cap:
+        raise _unreachable("eval_neumann", params.tail_bound(cap), tol, policy)
+    return params.coefficient(_libm_powers(params.q, range(1, k + 1)), np.arange(1.0, k + 1.0))
 
 
 def _cosine_block_sum(coef: np.ndarray, phase: float,

@@ -349,11 +349,23 @@ class TestCvdCommand:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "validation"
 
-    def test_witness_search(self, capsys):
+    def test_search_reports_witnesses(self, capsys):
         code, out, _ = run(capsys, "cvd", "--q", "0.21", "--beta", "0",
                            "--witness-search", "--search-budget", "5000")
         assert code == 0
         doc = json.loads(out)
+        assert doc["det_negative"]["value"] < 0.0 < doc["det_positive"]["value"]
+
+    def test_order_5_search_at_the_builtin_q(self, capsys):
+        # the order-3 built-in witnesses seed only l = 1; at l = 2 the search
+        # starts from random 5-node vectors
+        code, out, _ = run(capsys, "cvd", "--q", "0.21", "--beta", "0", "--l", "2",
+                           "--witness-search", "--search-budget", "2000")
+        assert code == 0
+        doc = json.loads(out)
+        for label in ("negative", "positive"):
+            nodes = cvd.NodeVectors.from_json_dict(doc["witnesses"][label])
+            assert nodes.size == 5
         assert doc["det_negative"]["value"] < 0.0 < doc["det_positive"]["value"]
 
     @pytest.mark.parametrize("epsilon", [1, -1])
@@ -363,7 +375,7 @@ class TestCvdCommand:
         # they are the search's own, and det_D runs only inside the search
         calls = {"search": 0, "outside": 0}
         inside = []
-        det_d, search = cvd.det_D, cvd._witness_search
+        det_d, search = cvd.det_D, cvd.cvd_witness
 
         def counting_det_d(*args, **kwargs):
             calls["search" if inside else "outside"] += 1
@@ -377,7 +389,7 @@ class TestCvdCommand:
                 inside.pop()
 
         monkeypatch.setattr(cvd, "det_D", counting_det_d)
-        monkeypatch.setattr(cvd, "_witness_search", flagged_search)
+        monkeypatch.setattr(cvd, "cvd_witness", flagged_search)
         code, out, _ = run(capsys, "cvd", "--q", str(q), "--beta", "0.5", "--epsilon",
                            str(epsilon), "--witness-search", "--search-budget", "2000")
         assert code == 0

@@ -211,11 +211,12 @@ class TestKernelObjectMatchesScalar:
         assert res.used_extended
         assert res == det_D(scalar, nodes, epsilon=epsilon, kernel_pair=pair)
 
-    def test_witness_search(self):
+    def test_search_finds_the_same_witnesses(self):
         params = NeumannParams(0.21, 1.0)
         scalar, _ = scalar_kernels(params)
-        assert (cvd_witness(neumann_evaluator(params), 1, search_budget=400, rng_seed=5)
-                == cvd_witness(scalar, 1, search_budget=400, rng_seed=5))
+        block = cvd_witness(neumann_evaluator(params), 1, search_budget=400, rng_seed=5)
+        plain = cvd_witness(scalar, 1, search_budget=400, rng_seed=5)
+        assert [nodes for nodes, _ in block] == [nodes for nodes, _ in plain]
 
 
 # The node file of the golden cvd cases: at q = 0.7, beta = 1 its determinant
@@ -324,15 +325,30 @@ class TestDeterminantOracle:
 class TestWitnessSearch:
     def test_seeded_with_builtin_is_immediate(self):
         kernel, _ = kernels_for(0.0)
-        neg, pos = cvd_witness(kernel, 1, search_budget=10, seeds=builtin_witnesses())
+        (neg, _), (pos, _) = cvd_witness(kernel, 1, search_budget=10,
+                                         seeds=builtin_witnesses())
+        assert (neg, pos) == builtin_witnesses()
         assert det_D(kernel, neg).value < 0.0 < det_D(kernel, pos).value
 
     def test_random_search_rediscovers_sign_change(self):
         kernel, _ = kernels_for(1.0)
-        neg, pos = cvd_witness(kernel, 1, search_budget=100_000, rng_seed=0)
+        (neg, _), (pos, _) = cvd_witness(kernel, 1, search_budget=100_000, rng_seed=0)
         r_neg, r_pos = det_D(kernel, neg), det_D(kernel, pos)
         assert r_neg.value < 0.0 < r_pos.value
         assert r_neg.significant and r_pos.significant
+
+    @pytest.mark.parametrize("q, beta, l, seed", [(0.21, 0.0, 1, 3), (0.5, 0.5, 1, 0),
+                                                  (0.9, 1.0, 2, 4), (0.21, 0.0, 2, 1)])
+    def test_results_are_det_d_at_the_witnesses(self, q, beta, l, seed):
+        # each returned result is det_D at its nodes, eps = +1, bit for bit
+        kernel = neumann_evaluator(NeumannParams(q, beta))
+        (neg, r_neg), (pos, r_pos) = cvd_witness(kernel, l, search_budget=5_000,
+                                                 rng_seed=seed)
+        assert neg.size == pos.size == 2 * l + 1
+        assert r_neg.value < 0.0 < r_pos.value
+        for nodes, res in ((neg, r_neg), (pos, r_pos)):
+            assert res == det_D(kernel, nodes, epsilon=1)
+            assert res.significant
 
     def test_rank_deficient_kernel_not_found(self):
         with pytest.raises(NotFound):

@@ -4,7 +4,6 @@ tail-control contracts, and the basic symmetry properties."""
 import cmath
 import math
 import random
-import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -311,31 +310,17 @@ def test_coefficient_row_is_the_scalar_definition(q, tol):
         assert type(info.value.tail_bound) is float
 
 
-def test_coefficient_row_grows_past_a_short_estimate(monkeypatch):
-    # the log estimate of K bounds it from above; were it to fall short, the
-    # row doubles up to max_terms, and K and the error stay the scalar ones
-    params = NeumannParams(0.95, 0.0)
-    row, need, tails = scalar_row(0.95, 1e-16, ROW_CAP)
-    monkeypatch.setattr(kernels.math, "log1p", lambda x: 1000.0)  # estimate < 1
-    got = _neumann_row(params, ENTRY_POLICY)
-    assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64))
-    with pytest.raises(TolUnreachable) as info:
-        _neumann_row(params, EvalPolicy(abs_tol=1e-16, max_terms=need - 1))
-    assert (info.value.terms_used, info.value.tail_bound) == (need - 1, tails[need - 2])
-
-
-@pytest.mark.parametrize("tol", [t for t in ROW_TOLS if t >= sys.float_info.min])
+@pytest.mark.parametrize("tol", ROW_TOLS)
 @pytest.mark.parametrize("q", [q for q in ROW_QS if q < 0.9999])
 def test_power_row_is_sized_close_to_k(monkeypatch, q, tol):
-    # one row of at most K + 2 libm powers (q^1 .. q^(K+1) is K + 1); at a
-    # subnormal abs_tol the rounded tails reach it before the real ones do,
-    # so K falls short of the log bound there
+    # one row of exactly K libm powers, q^1 .. q^K, at every abs_tol down to
+    # the smallest subnormal
     sizes = []
     powers = kernels._libm_powers
     monkeypatch.setattr(kernels, "_libm_powers",
                         lambda q, exponents: sizes.append(len(exponents)) or powers(q, exponents))
     need = len(_neumann_row(NeumannParams(q, 0.0), EvalPolicy(abs_tol=tol)))
-    assert len(sizes) == 1 and sizes[0] <= need + 2
+    assert sizes == [need]
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.2])
