@@ -3,8 +3,12 @@
 Exit codes: 0 success, 2 validation error, 3 not-found, 4 numerical failure.
 Errors are emitted as one JSON object on stderr.
 
-The numerical modules, and numpy with them, load on first use: ``--help``
-and a sweep whose rows all come from the cache never import them.
+Each command imports only the numerical modules it calls, on first use:
+``--help`` and a sweep whose rows all come from the cache import none of
+them (nor numpy, ``dataclasses`` or, with ``--no-timestamp``,
+``datetime``); ``cvd`` loads ``kernels`` and ``cvd``, ``threshold``
+``kernels`` and ``thresholds``, and a sweep with rows to compute every
+numerical module but ``cvd``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import datetime
 import functools
 import hashlib
 import importlib
@@ -35,28 +38,34 @@ ENV_WORKERS = "NEUMANN_WIDTHS_WORKERS"
 ENV_CACHE_DIR = "NEUMANN_WIDTHS_CACHE_DIR"
 
 # The numerical names this module calls, by defining module (``cvd_mod`` is
-# the cvd module itself).  ``_load_numerics`` binds them on first use.
+# the cvd module itself).  Each command binds the ones it calls with
+# ``_load_numerics``, so it imports only their modules.
 _NUMERICS = {"cvd_mod": "cvd", "NeumannParams": "kernels",
              "supnorm_square_conv": "oracles", "verify_cy2n": "sk_spline",
              "min_guaranteed_n": "thresholds",
              "min_guaranteed_n_beta": "thresholds", "verdict": "thresholds",
              "exact_width": "widths"}
 
+# The names a sweep row calls; the sweep cache fingerprint hashes their modules.
+_SWEEP_NAMES = ("NeumannParams", "exact_width", "min_guaranteed_n_beta", "verify_cy2n",
+                "supnorm_square_conv")
 
-def _load_numerics() -> None:
-    """Bind each name of ``_NUMERICS`` that is still unbound; a name already
-    bound, such as a wrapper set with ``setattr``, is what this module calls."""
+
+def _load_numerics(*names: str) -> None:
+    """Bind each of ``names``, keys of ``_NUMERICS``, that is still unbound; a
+    name already bound, such as a wrapper set with ``setattr``, is what this
+    module calls."""
     scope = globals()
-    for name, module in _NUMERICS.items():
+    for name in names:
         if name not in scope:
-            mod = importlib.import_module(f".{module}", __package__)
+            mod = importlib.import_module(f".{_NUMERICS[name]}", __package__)
             scope[name] = getattr(mod, name, mod)
 
 
 def __getattr__(name: str):
     if name not in _NUMERICS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_numerics()
+    _load_numerics(name)
     return globals()[name]
 
 
@@ -82,12 +91,13 @@ def _width_fields(report) -> dict:
 
 
 def cmd_width(args) -> int:
-    _load_numerics()
+    _load_numerics("NeumannParams", "exact_width")
     params = NeumannParams(args.q, args.beta)
     report = exact_width(params, args.n, _policy_from_args(args))
     out = {**_width_fields(report), "residual": report.residual,
            "branch": report.branch.value}
     if args.verify:
+        _load_numerics("supnorm_square_conv")
         max_abs, argmax = supnorm_square_conv(params, args.n)
         out["verify"] = {"supnorm": max_abs, "argmax": argmax,
                          "delta": abs(max_abs - report.width)}
@@ -96,7 +106,7 @@ def cmd_width(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    _load_numerics()
+    _load_numerics("min_guaranteed_n", "min_guaranteed_n_beta", "verdict")
     if args.beta is not None:
         res = min_guaranteed_n_beta(args.q, args.beta, n_cap=args.cap)
     else:
@@ -114,7 +124,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_verify_cy2n(args) -> int:
-    _load_numerics()
+    _load_numerics("NeumannParams", "verify_cy2n")
     params = NeumannParams(args.q, args.beta)
     res = verify_cy2n(params, args.n, y=args.y, policy=_policy_from_args(args))
     print(json.dumps({
@@ -127,7 +137,7 @@ def cmd_verify_cy2n(args) -> int:
 
 
 def cmd_cvd(args) -> int:
-    _load_numerics()
+    _load_numerics("NeumannParams", "cvd_mod")
     params = NeumannParams(args.q, args.beta)
     kernel = cvd_mod.neumann_evaluator(params)
     out = {"q": args.q, "beta": args.beta, "epsilon": args.epsilon}
@@ -176,12 +186,12 @@ def _job_key(job: dict) -> str:
 @functools.cache
 def _code_fingerprint() -> str:
     """``<version>-<digest>``: the package version and a sha256 of the
-    source bytes of the numerical modules and of this one, which builds the
-    rows, read as files, not imported.  The sweep cache is one log,
-    ``<cache_dir>/<fingerprint>.jsonl``, so rows computed by other code are
-    never served."""
+    source bytes of the modules a sweep row calls (those of ``_SWEEP_NAMES``)
+    and of this one, which builds the rows, read as files, not imported.
+    The sweep cache is one log, ``<cache_dir>/<fingerprint>.jsonl``, so rows
+    computed by other code are never served."""
     digest = hashlib.sha256()
-    for module in sorted({*_NUMERICS.values(), "cli"}):
+    for module in sorted({*(_NUMERICS[name] for name in _SWEEP_NAMES), "cli"}):
         digest.update(Path(__file__).with_name(f"{module}.py").read_bytes())
     return f"{__version__}-{digest.hexdigest()[:16]}"
 
@@ -209,7 +219,7 @@ def _cached_rows(log: Path, keys: set[str]) -> dict[str, dict]:
 def _sweep_job(job: dict) -> dict:
     """The sweep row of ``job``, a function of the job alone; must stay
     importable at module level for worker pools."""
-    _load_numerics()  # a spawned worker starts from a fresh import
+    _load_numerics(*_SWEEP_NAMES)  # a spawned worker starts from a fresh import
     params = NeumannParams(job["q"], job["beta"])
     n = job["n"]
     policy = EvalPolicy(job["abs_tol"], job["max_terms"])
@@ -292,6 +302,10 @@ def _load_sweep_config(path: str) -> dict:
         "nq_cap": _number(cfg.get("nq_cap", 200_000), "nq_cap", True)}
     if shared["nq_cap"] < 1:
         raise DomainError(f"sweep config nq_cap must be at least 1, got {shared['nq_cap']}")
+    if shared["oracle_refine_tol"] <= 0.0:
+        raise DomainError("sweep config oracle_refine_tol must be positive, "
+                          f"got {shared['oracle_refine_tol']!r}")
+    EvalPolicy(shared["abs_tol"], shared["max_terms"])  # refused before any row runs
     cfg["_jobs"] = [{"q": float(q), "beta": b, "n": n, **shared}
                     for q in cfg["q_list"] for b in betas for n in n_values]
     return cfg
@@ -333,7 +347,7 @@ def cmd_sweep(args) -> int:
     interrupted = False
     try:
         if pending:
-            _load_numerics()  # before the pool forks, so workers inherit it
+            _load_numerics(*_SWEEP_NAMES)  # before the pool forks, so workers inherit it
             if workers > 1:
                 from multiprocessing import Pool
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -355,7 +369,9 @@ def cmd_sweep(args) -> int:
         interrupted = True
 
     ordered = [rows[i] for i in sorted(rows)]
-    generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    if stamp:
+        import datetime  # only a written timestamp loads it
+        generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with out_path.open("w", newline="", encoding="utf-8") as f:

@@ -101,9 +101,15 @@ def supnorm_square_conv(params: NeumannParams, n: int, grid_points: int = 4096,
     or reports is a plain direct sum over the term table, so the oracle
     stays independent of the certified paths.  Each golden pair, and the
     parabola's stencil, is one evaluation of the table.
+
+    ``refine_tol`` must be a positive finite number.  The refinement also
+    stops once a step no longer narrows the bracket, as happens when
+    ``refine_tol`` is below the float spacing of the bracket's ends.
     """
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
+    if not 0.0 < refine_tol < math.inf:
+        raise DomainError(f"refine_tol must be a positive finite number, got {refine_tol}")
     _check_n(n)
     table = _SquareConvTable(params, n)
     period = math.pi / n
@@ -113,14 +119,18 @@ def supnorm_square_conv(params: NeumannParams, n: int, grid_points: int = 4096,
     a = grid[best] - h
     b = grid[best] + h
 
-    while b - a > refine_tol:
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
+    width = b - a
+    while width > refine_tol:
+        c = b - _INV_PHI * width
+        d = a + _INV_PHI * width
         fa_c, fa_d = table.abs_phi((c, d)).tolist()
         if fa_c >= fa_d:
             b = d
         else:
             a = c
+        if not b - a < width:  # rounding stalled the step
+            break
+        width = b - a
     t_star = 0.5 * (a + b)
 
     # parabolic vertex from a stencil wide enough to clear rounding noise

@@ -1,28 +1,42 @@
 """Truncation policy shared by every series evaluator.
 
-This module imports no numpy, so the command-line parser and the sweep
-cache key read the default policy without loading the numerical modules.
+This module imports neither numpy nor ``dataclasses``: ``EvalPolicy`` is a
+named tuple, so the command-line parser and the sweep cache read the
+default policy on the interpreter's start-up modules alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Truncation policy: absolute tolerance plus a hard cap on terms."""
+class EvalPolicy(namedtuple("EvalPolicy", ("abs_tol", "max_terms"),
+                            defaults=(1e-14, 1_000_000))):
+    """Truncation policy: absolute tolerance plus a hard cap on terms.
 
-    abs_tol: float = 1e-14
-    max_terms: int = 1_000_000
+    Immutable and hashable; ``abs_tol`` must be a positive finite number (an
+    infinite one would stop every certified series after one term) and
+    ``max_terms`` at least 1.  As a tuple it also unpacks and compares equal
+    to the plain tuple ``(abs_tol, max_terms)``.
+    """
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be a positive finite number, got {self.abs_tol}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """``_replace`` builds through here: validate as ``EvalPolicy(...)`` does."""
+        return cls(*iterable)
 
 
 DEFAULT_POLICY = EvalPolicy()

@@ -70,11 +70,11 @@ def _package_env():
     return {**os.environ, "PYTHONPATH": str(Path(neumann_widths.__file__).parents[1])}
 
 
-# Runs ``python -m neumann_widths <args>`` and writes, at exit, whether numpy
-# was imported as the last line of stderr.
-_NUMPY_PROBE = ("import atexit, runpy, sys\n"
-                "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
-                "runpy.run_module('neumann_widths', run_name='__main__')\n")
+# Runs ``python -m neumann_widths <args>`` and writes, at exit, the names of
+# the imported modules as a JSON list on the last line of stderr.
+_MODULES_PROBE = ("import atexit, json, runpy, sys\n"
+                  "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+                  "runpy.run_module('neumann_widths', run_name='__main__')\n")
 
 # Runs ``python -m neumann_widths <args>`` and writes, at exit, its own peak
 # resident memory in KiB (VmHWM of /proc/self/status) as the last line of
@@ -88,13 +88,20 @@ _PEAK_PROBE = ("import atexit, runpy, sys\n"
                "runpy.run_module('neumann_widths', run_name='__main__')\n")
 
 
-def _loads_numpy(*argv) -> bool:
+def _loaded_modules(*argv) -> set[str]:
+    """The modules ``python -m neumann_widths <argv>`` imported, which must exit 0."""
     env = _package_env()
     env.pop(cli.ENV_WORKERS, None)
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.splitlines()[-1] == "True"
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+# loaded only by a command that computes, or, for datetime, writes a timestamp
+HEAVY_MODULES = {"numpy", "dataclasses", "inspect", "datetime"}
+NUMERICAL_MODULES = {f"neumann_widths.{name}" for name in (
+    "kernels", "widths", "thresholds", "sk_spline", "cvd", "oracles")}
 
 
 @pytest.fixture
@@ -110,20 +117,45 @@ def exact_width_calls(monkeypatch):
 
 
 class TestLazyNumerics:
-    """Startup and the cache path run without numpy; the numerical names of
+    """Startup and the cache path run without numpy or ``dataclasses``; each
+    command imports only the numerical modules it calls, whose names in
     ``cli`` load on first use and never replace a name bound before."""
 
     @pytest.mark.parametrize("argv", [["--help"], ["width", "--help"], ["sweep", "--help"]])
     def test_help_imports_no_numpy(self, argv):
-        assert not _loads_numpy(*argv)
+        loaded = _loaded_modules(*argv)
+        assert not loaded & (HEAVY_MODULES | NUMERICAL_MODULES)
 
     def test_sweep_from_cache_imports_no_numpy(self, tmp_path):
-        cfg_path, _ = sweep_config(tmp_path, verify=False, n_list=[1, 3])
+        cfg_path, _ = sweep_config(tmp_path, verify=True, n_list=[1, 3])
         argv = ("sweep", "--config", str(cfg_path), "--no-timestamp")
-        assert _loads_numpy(*argv)  # cold: every row is computed
-        cold = (tmp_path / "out.csv").read_bytes()
-        assert not _loads_numpy(*argv)
-        assert (tmp_path / "out.csv").read_bytes() == cold
+        cold = _loaded_modules(*argv)  # every row is computed
+        assert cold & NUMERICAL_MODULES == NUMERICAL_MODULES - {"neumann_widths.cvd"}
+        assert "numpy" in cold
+        csv_bytes = (tmp_path / "out.csv").read_bytes()
+        assert not _loaded_modules(*argv) & (HEAVY_MODULES | NUMERICAL_MODULES)
+        assert (tmp_path / "out.csv").read_bytes() == csv_bytes
+
+    def test_timestamp_loads_datetime(self, tmp_path):
+        cfg_path, _ = sweep_config(tmp_path, verify=False, n_list=[1])
+        argv = ("sweep", "--config", str(cfg_path))
+        _loaded_modules(*argv)
+        warm = _loaded_modules(*argv)
+        assert "datetime" in warm and not warm & (HEAVY_MODULES - {"datetime"})
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8").startswith("# generated-at ")
+
+    @pytest.mark.parametrize("argv,modules", [
+        (("cvd", "--q", "0.21", "--beta", "0"), {"kernels", "cvd"}),
+        (("threshold", "--q", "0.5", "--beta", "0.5", "--trace"), {"kernels", "thresholds"}),
+        (("width", "--q", "0.5", "--beta", "0", "--n", "3"), {"kernels", "widths"}),
+        (("width", "--q", "0.5", "--beta", "0", "--n", "3", "--verify"),
+         {"kernels", "widths", "oracles"}),
+        (("verify-cy2n", "--q", "0.5", "--beta", "0", "--n", "3"),
+         {"kernels", "widths", "thresholds", "sk_spline"}),
+    ], ids=["cvd", "threshold", "width", "width-verify", "verify-cy2n"])
+    def test_command_imports_only_what_it_calls(self, argv, modules):
+        loaded = _loaded_modules(*argv) & NUMERICAL_MODULES
+        assert loaded == {f"neumann_widths.{name}" for name in modules}
 
     # the names bench/tracing.py wraps in cli's namespace
     @pytest.mark.parametrize("name", ["exact_width", "min_guaranteed_n_beta", "verify_cy2n",
@@ -277,6 +309,8 @@ class TestUsageErrors:
         (("threshold", "--q", "0.5", "--cap", "0"), "n_cap must be >= 1, got 0"),
         (("threshold", "--q", "0.5", "--cap", "-3"), "n_cap must be >= 1, got -3"),
         (("threshold", "--q", "0.1", "--beta", "0", "--cap", "0"), "n_cap must be >= 1"),
+        (("width", "--q", "0.5", "--beta", "0.3", "--n", "5", "--abs-tol", "inf"),
+         "abs_tol must be a positive finite number, got inf"),
     ])
     def test_bad_flags_are_validation_errors(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -705,8 +739,10 @@ class TestSweepCache:
             keys.add(key)
         assert len(keys) == 12 and all(len(key) == 64 for key in keys)
 
-    @pytest.mark.parametrize("module", ["kernels", "widths", "cli"])
-    def test_fingerprint_follows_numerical_sources(self, tmp_path, module):
+    @staticmethod
+    def edited_copy_fingerprint(tmp_path, module) -> str:
+        """The fingerprint of a copy of the package, checked equal to this
+        one's, after a newline is appended to ``<module>.py``."""
         copy = tmp_path / "neumann_widths"
         shutil.copytree(Path(cli.__file__).parent, copy,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -720,7 +756,14 @@ class TestSweepCache:
         assert fingerprint() == cli._code_fingerprint()
         with (copy / f"{module}.py").open("a", encoding="utf-8") as f:
             f.write("\n")
-        assert fingerprint() != cli._code_fingerprint()
+        return fingerprint()
+
+    @pytest.mark.parametrize("module", ["kernels", "widths", "oracles", "cli"])
+    def test_fingerprint_follows_numerical_sources(self, tmp_path, module):
+        assert self.edited_copy_fingerprint(tmp_path, module) != cli._code_fingerprint()
+
+    def test_fingerprint_ignores_modules_no_row_calls(self, tmp_path):
+        assert self.edited_copy_fingerprint(tmp_path, "cvd") == cli._code_fingerprint()
 
     def test_fingerprint_miss_computes_every_row(self, capsys, tmp_path, monkeypatch,
                                                  exact_width_calls):
@@ -803,6 +846,8 @@ class TestSweepInputErrors:
         {"policy": {"abs_tol": "1e-13"}},
         {"policy": {"abs_tol": 1e400}},
         {"oracle_refine_tol": True},
+        {"oracle_refine_tol": 0},
+        {"oracle_refine_tol": -1e-13},
         {"workers": 0},
         {"workers": -3},
         {"nq_cap": 0},
@@ -814,6 +859,15 @@ class TestSweepInputErrors:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["code"] == "validation"
+
+    @pytest.mark.parametrize("policy", [{"abs_tol": 0}, {"abs_tol": -1e-13},
+                                        {"max_terms": 0}])
+    def test_bad_policy_is_refused_before_any_row(self, capsys, tmp_path, policy):
+        cfg_path, _ = sweep_config(tmp_path, policy=policy)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "validation"
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"verify": "false"},

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neumann_widths import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
-                            TolUnreachable, eval_bernoulli, eval_gq, eval_hq, eval_neumann,
-                            eval_neumann_pair, eval_pq, eval_pq_theta,
+from neumann_widths import (DEFAULT_POLICY, DomainError, EvalPolicy, KernelSpec,
+                            NeumannParams, TolUnreachable, eval_bernoulli, eval_gq, eval_hq,
+                            eval_neumann, eval_neumann_pair, eval_pq, eval_pq_theta,
                             eval_psi_beta1, pq_floor)
 from neumann_widths import kernels
 from neumann_widths.kernels import (TWO_PI, _certified_sum, _cosine_block_sum,
@@ -464,6 +464,12 @@ class TestPolicies:
             EvalPolicy(abs_tol=0.0)
         with pytest.raises(Exception):
             EvalPolicy(abs_tol=1e-14, max_terms=0)
+
+    @pytest.mark.parametrize("abs_tol", [math.inf, -math.inf, math.nan, -1e-14])
+    def test_policy_needs_a_positive_finite_tolerance(self, abs_tol):
+        # an infinite abs_tol would stop every certified series after one term
+        with pytest.raises(DomainError, match="abs_tol must be a positive finite number"):
+            EvalPolicy(abs_tol=abs_tol)
 
     def test_params_validation(self):
         for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):

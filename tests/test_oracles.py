@@ -44,6 +44,28 @@ class TestSupnorm:
         params = NeumannParams(0.7, 0.9)
         assert supnorm_square_conv(params, 3) == supnorm_square_conv(params, 3)
 
+    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, math.inf, math.nan])
+    def test_refine_tol_must_be_positive_finite(self, refine_tol):
+        with pytest.raises(DomainError, match="refine_tol"):
+            supnorm_square_conv(NeumannParams(0.5, 0.3), 5, refine_tol=refine_tol)
+
+    @pytest.mark.parametrize("refine_tol", [1e-300, 5e-324])
+    @pytest.mark.parametrize("q,beta,n", [(0.5, 0.3, 5), (0.5, 1.0, 1)])
+    def test_refine_tol_below_float_spacing_ends(self, monkeypatch, refine_tol, q, beta, n):
+        # the bracket stops narrowing at its ends' float spacing; the table
+        # evaluations are capped so that a loop that never ends fails
+        calls = []
+        abs_phi = _SquareConvTable.abs_phi
+
+        def capped(table, points):
+            calls.append(None)
+            assert len(calls) < 5000, "golden-section loop did not end"
+            return abs_phi(table, points)
+        monkeypatch.setattr(_SquareConvTable, "abs_phi", capped)
+        params = NeumannParams(q, beta)
+        max_abs, _ = supnorm_square_conv(params, n, refine_tol=refine_tol)
+        assert max_abs == pytest.approx(exact_width(params, n).width, abs=1e-10)
+
 
 # The sup-norm oracle as it was before the term table: the whole (terms, grid)
 # array for the grid, and one rebuilt table per golden-section probe.  Kept
