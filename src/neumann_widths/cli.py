@@ -8,16 +8,15 @@ Each command imports only the numerical modules it calls, on first use:
 them (nor numpy, ``dataclasses`` or, with ``--no-timestamp``,
 ``datetime``); ``cvd`` loads ``kernels`` and ``cvd``, ``threshold``
 ``kernels`` and ``thresholds``, and a sweep with rows to compute every
-numerical module but ``cvd``.
+numerical module but ``cvd``.  Only a sweep loads ``hashlib`` (its cache
+keys) and ``csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import hashlib
 import importlib
 import json
 import math
@@ -149,10 +148,9 @@ def cmd_cvd(args) -> int:
         found = dict(zip(("negative", "positive"), cvd_mod.cvd_witness(
             kernel, args.l, args.search_budget, args.seed, seeds)))
         out["witnesses"] = {label: nodes.to_json_dict() for label, (nodes, _) in found.items()}
-        for label, (nodes, res) in found.items():
-            if res.epsilon != args.epsilon:  # the search took it at eps = +1
-                res = cvd_mod.det_D(kernel, nodes, epsilon=args.epsilon)
-            out[f"det_{label}"] = {"value": res.value,
+        for label, (_, res) in found.items():
+            # the search took it at eps = +1; at odd order eps = -1 negates it
+            out[f"det_{label}"] = {"value": res.value if args.epsilon == 1 else -res.value,
                                    "error_estimate": res.error_estimate,
                                    "significant": res.significant}
         print(json.dumps(out))
@@ -179,6 +177,8 @@ def cmd_cvd(args) -> int:
 # ---- sweep -------------------------------------------------------------
 
 def _job_key(job: dict) -> str:
+    import hashlib  # the sweep path alone hashes
+
     return hashlib.sha256(
         json.dumps(job, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -190,6 +190,8 @@ def _code_fingerprint() -> str:
     and of this one, which builds the rows, read as files, not imported.
     The sweep cache is one log, ``<cache_dir>/<fingerprint>.jsonl``, so rows
     computed by other code are never served."""
+    import hashlib
+
     digest = hashlib.sha256()
     for module in sorted({*(_NUMERICS[name] for name in _SWEEP_NAMES), "cli"}):
         digest.update(Path(__file__).with_name(f"{module}.py").read_bytes())
@@ -374,6 +376,8 @@ def cmd_sweep(args) -> int:
         generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
+        import csv
+
         with out_path.open("w", newline="", encoding="utf-8") as f:
             if stamp:
                 f.write(f"# generated-at {generated_at}\n")

@@ -7,20 +7,25 @@ of node configurations on which D changes sign therefore rules the property
 out for both eps at once (odd dimension flips the determinant under
 eps -> -eps).
 
-Determinants run through full-pivoting elimination with compensated entries;
-each result carries a forward-error estimate (entry error times the sum of
-the absolute cofactors).  One elimination gives both the value and that sum,
-in O(m^3), from its L and U factors.  Whenever a value is within two orders
-of its estimate, the determinant of the same entries is recomputed exactly,
-in integers, and rounded once.  For the Neumann kernel (``neumann_evaluator``)
-all entries of a determinant, with the compensation words the exact fallback
-needs, come from one array pass over the series, bit for bit the per-entry
-``eval_neumann_pair``; no separate pair evaluator is needed.
+Determinants run through full-pivoting elimination; each result carries a
+forward-error estimate (entry error times the sum of the absolute
+cofactors).  One elimination gives both the value and that sum, in O(m^3),
+from its L and U factors.  Whenever a value is within two orders of its
+estimate, the determinant is recomputed exactly from (sum, compensation)
+words of the entries, in integers, and rounded once.  For the Neumann kernel
+(``neumann_evaluator``) the elimination takes its entries from the closed
+form, one log and one atan2 per entry with a stated error bound
+(``kernels.eval_neumann_closed``), and only the exact fallback takes the
+words of the series, all of them in one array pass, bit for bit the
+per-entry ``eval_neumann_pair``.  The series needs more than 10^6 terms from
+q = 0.99999 on, so there a determinant that needs the fallback raises
+``TolUnreachable``; one that does not is served at any q < 1.
 
-The witness search, ``cvd_witness``, takes each determinant once, at
-eps = +1, and returns the two witnesses' results with their nodes, so
-``cvd --witness-search`` reports them without taking them again, and takes
-them anew only for eps = -1.
+Every determinant is taken at eps = +1 and given its sign once: the order is
+odd, so eps = -1 negates the value and keeps the estimate.  The witness
+search, ``cvd_witness``, takes each determinant once and returns the two
+witnesses' results with their nodes, so ``cvd --witness-search`` reports
+them, at either eps, without taking them again.
 
 The module ships the q = 0.21 witness node vectors, all rational multiples
 of pi, on which the sign change is established for both beta = 0 and
@@ -39,7 +44,8 @@ import numpy as np
 
 from .errors import DomainError, NotFound
 from .kernels import (TWO_PI, EvalPolicy, NeumannParams, _cosine_block_sum,
-                      _neumann_row, _reduce_phase, eval_neumann, eval_neumann_pair)
+                      _neumann_row, _reduce_phase, eval_neumann, eval_neumann_closed,
+                      eval_neumann_pair)
 
 ENTRY_POLICY = EvalPolicy(abs_tol=1e-16)
 
@@ -194,10 +200,12 @@ class DetResult:
 class NeumannKernel:
     """The Neumann kernel N_{q,beta} as an entry evaluator for ``det_D``.
 
-    Called on a float it is ``eval_neumann``.  ``pairs`` maps an array of
-    differences to the arrays of ``eval_neumann_pair`` words, bit for bit, in
-    one block pass.  The coefficient row (and with it K) is built on first
-    use and kept, so all determinants of one witness search share it.
+    Called on a float it is ``eval_neumann``.  ``det_D`` takes its entries
+    from the closed form (``eval_neumann_closed``) of ``params``; ``pairs``
+    maps an array of differences to the arrays of ``eval_neumann_pair``
+    words, bit for bit, in one block pass, for the exact fallback.  The
+    coefficient row (and with it K) is built on the first fallback and
+    kept, so all determinants of one witness search share it.
     """
 
     def __init__(self, params: NeumannParams, policy: EvalPolicy = ENTRY_POLICY):
@@ -218,7 +226,8 @@ class NeumannKernel:
 def neumann_evaluator(params: NeumannParams,
                       policy: EvalPolicy = ENTRY_POLICY) -> NeumannKernel:
     """N_{q,beta} to within policy.abs_tol per value: a callable on floats
-    whose ``pairs`` gives ``det_D`` all entries of a determinant at once."""
+    whose ``pairs`` gives ``det_D``'s exact fallback the series words of all
+    entries of a determinant at once."""
     return NeumannKernel(params, policy)
 
 
@@ -322,43 +331,59 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
           kernel_pair: Callable[[float], tuple[float, float]] | None = None) -> DetResult:
     """D_{2l+1}(x, y) = det(eps * kernel(x_i - y_j)) with an error estimate.
 
+    The order 2l+1 is odd, so the determinant is eps * det(kernel(x_i - y_j)):
+    the entries are taken at eps = +1 and the sign is applied to the value
+    once, and eps = -1 gives the negated value of eps = +1, bit for bit, with
+    the same estimate and fallback.
+
     ``entry_tol`` is the caller's certified absolute error per kernel value;
     the forward estimate is entry error (plus representation rounding) times
     sum |cofactor_ij|.  One full-pivot elimination of the entries gives the
-    value and that cofactor sum (``_det_full_pivot``).  When |det| falls below 100x this estimate the
-    determinant of the entries is recomputed exactly and rounded once
-    (``used_extended``), so entry error is then its only error.
+    value and that cofactor sum (``_det_full_pivot``).  When |det| falls
+    below 100x this estimate the determinant is recomputed exactly from the
+    entries' (hi, lo) words, the exact sum of each pair, and rounded once
+    (``used_extended``), so the words' error is then its only error.
 
-    Every kernel yields each entry as (hi, lo) words: the entry is
-    eps * (hi + lo), and the exact fallback takes the exact sum of the same
-    words.  A ``NeumannKernel`` (what ``neumann_evaluator`` returns) gives
-    the words of all m^2 entries in one block pass over the differences
-    x_i - y_j.  For any other callable, a given ``kernel_pair`` is the only
-    thing called, once per entry; without one the words are (kernel(t), 0).
+    A ``NeumannKernel`` (what ``neumann_evaluator`` returns) gives the
+    elimination all m^2 entries from the closed form
+    (``kernels.eval_neumann_closed``), and the entry error gains the largest
+    of their error bounds; only the exact fallback takes the series words
+    (``NeumannKernel.pairs``), in one block pass over the differences
+    x_i - y_j.  For any other callable the entries are the words' sums: a
+    given ``kernel_pair`` is the only thing called, once per entry; without
+    one the words are (kernel(t), 0).
     """
     if epsilon not in (1, -1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
     m = nodes.size
-    eps = float(epsilon)
     if isinstance(kernel, NeumannKernel):
-        hi, lo = kernel.pairs(np.subtract.outer(nodes.x, nodes.y))
+        t = np.subtract.outer(nodes.x, nodes.y)
+        values, bounds = eval_neumann_closed(kernel.params, t)
+        entry_err = entry_tol + float(bounds.max())
+
+        def words():
+            return kernel.pairs(t)
     else:
         word = kernel_pair or (lambda t: (kernel(t), 0.0))
         hi, lo = np.array([[word(xi - yj) for yj in nodes.y] for xi in nodes.x],
                           dtype=float).transpose(2, 0, 1)
-    entries = (eps * (hi + lo)).tolist()
+        values, entry_err = hi + lo, entry_tol
+
+        def words():
+            return hi, lo
+    entries = values.tolist()
     det, cofactors = _det_full_pivot(entries)
 
     max_entry = max(abs(e) for row in entries for e in row)
     eps_mach = sys.float_info.epsilon
-    per_entry = entry_tol + 4.0 * eps_mach * max_entry
+    per_entry = entry_err + 4.0 * eps_mach * max_entry
     err = per_entry * cofactors + m**3 * eps_mach * max_entry**m
 
     used_exact = abs(det) < 100.0 * err
     if used_exact:
-        det = _det_exact(np.stack((eps * hi, eps * lo), axis=-1).tolist())
-    return DetResult(value=det, error_estimate=err, epsilon=epsilon,
-                     used_extended=used_exact)
+        det = _det_exact(np.stack(words(), axis=-1).tolist())
+    return DetResult(value=det if epsilon == 1 else -det, error_estimate=err,
+                     epsilon=epsilon, used_extended=used_exact)
 
 
 def _random_nodes(rng: random.Random, size: int) -> NodeVectors:

@@ -25,7 +25,10 @@ one row of K libm powers q^k.  The coefficient q^k/k is written once, in
 ``NeumannParams.coefficient``, as a function of the power that takes floats
 or arrays: the scalar path reaches it through ``psi``, and the row applies
 it to its powers.  ``_libm_powers`` is the package's one power row, here and in
-``sk_spline``.
+``sk_spline``.  The Neumann kernel also has a closed form over arrays,
+``eval_neumann_closed``: one log and one atan2 per value, with an absolute
+error bound per value.  ``cvd.det_D`` eliminates its values, and only its
+exact fallback takes the series words.
 
 Conventions
 -----------
@@ -280,6 +283,57 @@ def eval_neumann_pair(params: NeumannParams, t: float,
     """
     terms = _cosine_terms(params.psi, params.tail_bound, _reduce_phase(params.beta), t)
     return _certified_sum(terms, policy.abs_tol, policy, "eval_neumann")
+
+
+# c of the closed form's error bound c u (1 + |L|/2 + |A|), u = 2^-53
+_CLOSED_FORM_C = 16.0
+
+
+def eval_neumann_closed(params: NeumannParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_{q,beta}(t) at every entry of the array t from its closed form, and
+    an absolute error bound for each value.
+
+    N = -Re(e^(-i phi) log(1 - q e^(it))), phi = ``_reduce_phase(beta)``, in
+    the real form without cancellation: with s = sin(t/2),
+    |1 - q e^(it)|^2 = (1-q)^2 + 4q s^2 and 1 - q cos t = (1-q) + 2q s^2, so
+
+        L = log((1-q)^2 + 4q s^2),  A = atan2(q sin t, (1-q) + 2q s^2),
+        N = -cos(phi) L/2 + sin(phi) A.
+
+    (The textbook 1 - q cos t loses all of its digits near q = 1, t = 0.)
+    The bound is 16 u (1 + |L|/2 + |A|), u = 2^-53, against the exact
+    phase beta pi/2, the float t taken as exact.  It assumes each sin, cos,
+    log and atan2 within one ulp (relative error 2u) and each arithmetic
+    operation correctly rounded; to first order, in units of u:
+
+    * s has error 2, q s^2 (twice rounded) 6, and 1 - q 1 (0 for q >= 1/2,
+      by Sterbenz), its square 3.  Sums of nonnegative terms add one to the
+      larger relative error: the log argument is off by 7, so L by
+      7 + 2|L|; q sin t is off by 3 and 1 - q cos t, which is positive, by
+      7.  Relative errors r_y, r_z move atan2(y, z) by
+      (r_y - r_z) yz/(y^2 + z^2), at most (3 + 7)/2, so A is off by 5 + 2|A|.
+    * beta mod 4 rounds by at most 2 (in beta, for a negative beta), the
+      float pi/2 is 0.55 low, and the product phi < 2pi rounds by at most
+      4: phi is off by 2 pi/2 + 4 * 0.55 + 4 < 9.4, cos(phi) and sin(phi)
+      by 11.4.
+    * The two products and the sum round by 2 (|L|/2 + |A|) at most.
+
+    The total, 3.5 + 5 + 15.4 (|L|/2 + |A|), lies within 16 (1 + |L|/2 +
+    |A|) with room for the second-order terms (|L| < 74, since 1 - q >=
+    2^-53).  On two seeded sets of 20 000 points (q up to 1 - 10^-8, t near
+    0, +-2pi and pi, beta in [-8, 8]; numpy 2.4 on x86-64 with AVX-512) the
+    worst error was 1.9 u times 1 + |L|/2 + |A| against the computed phi
+    and 5.0 u against the exact phase, where phi's rounding dominates.
+    """
+    phi = _reduce_phase(params.beta)
+    q, p = params.q, 1.0 - params.q
+    s = np.sin(0.5 * t)
+    qs2 = q * (s * s)
+    log_mod = np.log(p * p + 4.0 * qs2)
+    arg = np.arctan2(q * np.sin(t), p + 2.0 * qs2)
+    value = (-0.5 * math.cos(phi)) * log_mod + math.sin(phi) * arg
+    bound = _CLOSED_FORM_C * 2.0**-53 * (1.0 + 0.5 * np.abs(log_mod) + np.abs(arg))
+    return value, bound
 
 
 def eval_psi_beta1(spec: KernelSpec, t: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:

@@ -102,6 +102,8 @@ def _loaded_modules(*argv) -> set[str]:
 HEAVY_MODULES = {"numpy", "dataclasses", "inspect", "datetime"}
 NUMERICAL_MODULES = {f"neumann_widths.{name}" for name in (
     "kernels", "widths", "thresholds", "sk_spline", "cvd", "oracles")}
+# loaded only by a sweep: its cache keys and its CSV
+SWEEP_MODULES = {"hashlib", "_hashlib", "csv", "_csv"}
 
 
 @pytest.fixture
@@ -124,7 +126,7 @@ class TestLazyNumerics:
     @pytest.mark.parametrize("argv", [["--help"], ["width", "--help"], ["sweep", "--help"]])
     def test_help_imports_no_numpy(self, argv):
         loaded = _loaded_modules(*argv)
-        assert not loaded & (HEAVY_MODULES | NUMERICAL_MODULES)
+        assert not loaded & (HEAVY_MODULES | NUMERICAL_MODULES | SWEEP_MODULES)
 
     def test_sweep_from_cache_imports_no_numpy(self, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, verify=True, n_list=[1, 3])
@@ -154,8 +156,9 @@ class TestLazyNumerics:
          {"kernels", "widths", "thresholds", "sk_spline"}),
     ], ids=["cvd", "threshold", "width", "width-verify", "verify-cy2n"])
     def test_command_imports_only_what_it_calls(self, argv, modules):
-        loaded = _loaded_modules(*argv) & NUMERICAL_MODULES
-        assert loaded == {f"neumann_widths.{name}" for name in modules}
+        loaded = _loaded_modules(*argv)
+        assert loaded & NUMERICAL_MODULES == {f"neumann_widths.{name}" for name in modules}
+        assert not loaded & SWEEP_MODULES
 
     # the names bench/tracing.py wraps in cli's namespace
     @pytest.mark.parametrize("name", ["exact_width", "min_guaranteed_n_beta", "verify_cy2n",
@@ -405,8 +408,8 @@ class TestCvdCommand:
     @pytest.mark.parametrize("epsilon", [1, -1])
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.95])
     def test_witness_determinants_are_the_searchs(self, capsys, monkeypatch, q, epsilon):
-        # the printed determinants are det_D's at the witnesses; at eps = +1
-        # they are the search's own, and det_D runs only inside the search
+        # the printed determinants are det_D's at the witnesses: the search's
+        # own, negated at eps = -1, and det_D runs only inside the search
         calls = {"search": 0, "outside": 0}
         inside = []
         det_d, search = cvd.det_D, cvd.cvd_witness
@@ -436,7 +439,30 @@ class TestCvdCommand:
                                            "error_estimate": res.error_estimate,
                                            "significant": res.significant}
         assert calls["search"] >= 2
-        assert calls["outside"] == (0 if epsilon == 1 else 2)
+        assert calls["outside"] == 0
+
+    def test_near_one_q_without_the_fallback(self, capsys):
+        # closed-form entries serve any q < 1; the series would need more
+        # than 10^6 terms at q = 0.99999
+        code, out, _ = run(capsys, "cvd", "--q", "0.99999", "--beta", "0.5")
+        assert code == 0
+        dets = json.loads(out)["determinants"].values()
+        assert all(d["significant"] and not d["used_extended"] for d in dets)
+
+    @pytest.mark.parametrize("q,code", [(0.9999, 0), (0.99999, 4)])
+    def test_near_one_q_exact_fallback(self, capsys, tmp_path, q, code):
+        # the exact fallback reads the series words: at q = 0.9999 K is
+        # 333331, and from q = 0.99999 the series is TolUnreachable
+        path = tmp_path / "nodes.json"
+        path.write_text(json.dumps(GOLDEN["vectors"]), encoding="utf-8")
+        got, out, err = run(capsys, "cvd", "--q", str(q), "--beta", "1",
+                            "--vectors", str(path))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["determinants"]["custom"]["used_extended"]
+        else:
+            assert json.loads(err)["error"]["code"] == "numerical"
+            assert "eval_neumann" in err
 
     @pytest.mark.parametrize("pair", [[1, math.inf], [1, -math.inf], [math.inf, 1],
                                       [1, math.nan], [-math.inf, 18]])

@@ -18,6 +18,7 @@ from neumann_widths import (DomainError, NeumannParams, NodeVectors, NotFound,
                             neumann_evaluator, neumann_pair_evaluator)
 from neumann_widths.cvd import (ENCODING_CAPS, ENTRY_POLICY, _best_approximations,
                                 _det_exact, _det_full_pivot, _random_nodes)
+from neumann_widths.kernels import eval_neumann_closed
 
 # determinants at the built-in q = 0.21 witnesses, frozen from a 40-digit
 # direct-summation evaluation
@@ -109,6 +110,41 @@ class TestDeterminants:
         scale = 6 * 0.25**3
         assert abs(plus.value + minus.value) <= 1e-16 * scale
 
+    @staticmethod
+    def assert_negated(plus, minus):
+        assert minus.value.hex() == (-plus.value).hex()
+        assert (minus.error_estimate, minus.used_extended, minus.epsilon) == (
+            plus.error_estimate, plus.used_extended, -1)
+
+    def test_epsilon_is_a_sign_on_the_result(self):
+        # the order is odd: eps = -1 negates the eps = +1 value bit for bit,
+        # with the same estimate and fallback, on either entry path
+        rng = random.Random(720)
+        fallbacks = 0
+        for k in range(160):
+            params = NeumannParams(rng.uniform(0.05, 0.99),
+                                   rng.choice((0.0, 0.5, 1.0, 1.7, 3.2)))
+            nodes = _random_nodes(rng, (1, 3, 5, 7)[k % 4])
+            kernels = [neumann_evaluator(params)]
+            if k % 8 == 0:
+                kernels.append(lambda t: eval_neumann(params, t, ENTRY_POLICY))
+            for kernel in kernels:
+                plus = det_D(kernel, nodes, epsilon=1)
+                self.assert_negated(plus, det_D(kernel, nodes, epsilon=-1))
+                fallbacks += plus.used_extended
+        assert fallbacks > 0
+
+    def test_epsilon_sign_at_the_exact_fallback(self):
+        params = NeumannParams(0.7, 1.0)
+        nodes = NodeVectors.from_pi_rationals(((0, 1), (1, 1), (7, 4)),
+                                              ((0, 1), (1, 4), (7, 4)))
+        scalar, pair = scalar_kernels(params)
+        for kernel, pair in ((neumann_evaluator(params), None), (scalar, pair),
+                             (math.cos, None)):
+            plus = det_D(kernel, nodes, epsilon=1, kernel_pair=pair)
+            assert plus.used_extended
+            self.assert_negated(plus, det_D(kernel, nodes, epsilon=-1, kernel_pair=pair))
+
     def test_row_swap_flips_sign(self):
         kernel, _ = kernels_for(0.0)
         neg, _ = builtin_witnesses()
@@ -177,9 +213,12 @@ def scalar_kernels(params):
 
 
 class TestKernelObjectMatchesScalar:
-    """det_D over the kernel object's block pass equals det_D over plain
-    per-entry callables of the same kernel, with its pair evaluator, in every
-    DetResult field; the kernel object's result does not depend on
+    """det_D over the kernel object, whose elimination takes closed-form
+    entries, agrees with det_D over plain per-entry callables of the same
+    kernel, with its pair evaluator, which take the series: within the kernel
+    object's estimate, with the same sign wherever both are significant, and
+    bit for bit wherever both take the exact fallback, which reads the same
+    series words.  The kernel object's result does not depend on
     ``kernel_pair``."""
 
     @pytest.mark.parametrize("epsilon", [1, -1])
@@ -193,11 +232,15 @@ class TestKernelObjectMatchesScalar:
             scalar, pair = scalar_kernels(params)
             for _ in range(4):
                 nodes = _random_nodes(rng, size)
-                expected = det_D(scalar, nodes, epsilon=epsilon, kernel_pair=pair)
-                for with_pair in (pair, None):
-                    assert det_D(kernel, nodes, epsilon=epsilon,
-                                 kernel_pair=with_pair) == expected
-                fallbacks += expected.used_extended
+                series = det_D(scalar, nodes, epsilon=epsilon, kernel_pair=pair)
+                res = det_D(kernel, nodes, epsilon=epsilon, kernel_pair=pair)
+                assert det_D(kernel, nodes, epsilon=epsilon) == res
+                assert abs(res.value - series.value) <= res.error_estimate
+                if res.significant and series.significant:
+                    assert (res.value > 0) == (series.value > 0)
+                if res.used_extended and series.used_extended:
+                    assert res.value == series.value
+                fallbacks += res.used_extended
         if size == 7:
             assert fallbacks > 0  # the exact fallback ran on block words too
 
@@ -208,8 +251,9 @@ class TestKernelObjectMatchesScalar:
         nodes = NodeVectors.from_pi_rationals(((0, 1), (1, 1), (7, 4)),
                                               ((0, 1), (1, 4), (7, 4)))
         res = det_D(neumann_evaluator(params), nodes, epsilon=epsilon)
-        assert res.used_extended
-        assert res == det_D(scalar, nodes, epsilon=epsilon, kernel_pair=pair)
+        series = det_D(scalar, nodes, epsilon=epsilon, kernel_pair=pair)
+        assert res.used_extended and series.used_extended
+        assert res.value == series.value
 
     def test_search_finds_the_same_witnesses(self):
         params = NeumannParams(0.21, 1.0)
@@ -226,10 +270,10 @@ NEAR_SINGULAR = NodeVectors.from_json_dict(json.loads(
 
 
 def kernel_matrix(q, beta, nodes, epsilon=1):
-    """The entries det_D forms: eps * (hi + lo) of the block pass."""
-    kernel = neumann_evaluator(NeumannParams(q, beta))
-    hi, lo = kernel.pairs(np.subtract.outer(nodes.x, nodes.y))
-    return (epsilon * (hi + lo)).tolist()
+    """eps times the entries det_D eliminates, the closed form's values."""
+    values, _ = eval_neumann_closed(NeumannParams(q, beta),
+                                    np.subtract.outer(nodes.x, nodes.y))
+    return (epsilon * values).tolist()
 
 
 def minors_cofactor_norm(a):

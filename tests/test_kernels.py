@@ -118,8 +118,60 @@ class TestNeumann:
         assert hi + lo == pytest.approx(eval_neumann(params, 1.234), abs=1e-16)
 
 
-NEAR_ONE = NeumannParams(0.99, 0.3)
 ENTRY_POLICY = EvalPolicy(abs_tol=1e-16)  # det_D's per-entry policy
+
+
+def neumann_mp_closed(q, beta, t):
+    """-Re(e^(-i beta pi/2) log(1 - q e^(it))) at 40 digits, with the exact
+    phase beta pi/2 (beta not reduced in floats)."""
+    with mp.workdps(40):
+        rot = mp.expj(-mp.mpf(beta) * mp.pi / 2)
+        return mp.re(-rot * mp.log(1 - mp.mpf(q) * mp.expj(mp.mpf(t))))
+
+
+def closed_form_t(rng, count):
+    """Differences near 0, 2pi, -2pi and pi at scales down to 1e-12, and
+    uniform ones in (-2pi, 2pi), with the four exact points."""
+    near = [c + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(0.0, 12.0)
+            for c in (0.0, TWO_PI, -TWO_PI, math.pi) for _ in range(count)]
+    return np.array(near + [rng.uniform(-TWO_PI, TWO_PI) for _ in range(count)]
+                    + [0.0, math.pi, TWO_PI, -TWO_PI])
+
+
+_CLOSED_RNG = random.Random(20261020)
+# q = 1 - 10^-k up to k = 8, and random q; integer, half-integer, negative
+# and random beta, which take every rounding of the phase
+CLOSED_QS = [1.0 - 10.0**-k for k in range(1, 9)] + [
+    _CLOSED_RNG.uniform(0.0, 1.0) for _ in range(8)]
+CLOSED_BETAS = [0.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 3.5, -1.0, -0.5, 1e-9, -1e-9] + [
+    _CLOSED_RNG.uniform(-8.0, 8.0) for _ in range(8)]
+CLOSED_T = closed_form_t(_CLOSED_RNG, 4)
+
+
+class TestClosedForm:
+    """``eval_neumann_closed``: every value within its stated bound of the
+    40-digit closed form and of the series."""
+
+    @pytest.mark.parametrize("q", CLOSED_QS)
+    def test_within_bound_of_40_digits(self, q):
+        for beta in CLOSED_BETAS:
+            value, bound = kernels.eval_neumann_closed(NeumannParams(q, beta), CLOSED_T)
+            for t, v, b in zip(CLOSED_T, value, bound):
+                assert abs(v - neumann_mp_closed(q, beta, t)) <= b, (q, beta, t)
+
+    @pytest.mark.parametrize("q", [0.05, 0.21, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.7, 3.2, -2.3])
+    def test_within_bound_of_the_series(self, q, beta):
+        # the series words det_D's exact fallback takes, abs_tol 1e-16
+        params = NeumannParams(q, beta)
+        t = closed_form_t(random.Random(int(100 * q) + int(10 * beta)), 3)
+        value, bound = kernels.eval_neumann_closed(params, t)
+        for ti, v, b in zip(t, value, bound):
+            hi, lo = eval_neumann_pair(params, ti, ENTRY_POLICY)
+            assert abs(v - (hi + lo)) <= b + 1e-16, (q, beta, ti)
+
+
+NEAR_ONE = NeumannParams(0.99, 0.3)
 
 
 def block_pairs(params, t, policy=ENTRY_POLICY):
