@@ -9,7 +9,9 @@ them (nor numpy, ``dataclasses`` or, with ``--no-timestamp``,
 ``datetime``); ``cvd`` loads ``kernels`` and ``cvd``, ``threshold``
 ``kernels`` and ``thresholds``, and a sweep with rows to compute every
 numerical module but ``cvd``.  Only a sweep loads ``hashlib`` (its cache
-keys) and ``csv``.
+keys) and ``csv``.  Each name's module comes from the package's name
+table, and a sweep config's values pass the library's own checks
+(``policy``) before any row runs.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import re
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import _MODULE_OF, __version__
 from .errors import DomainError, NeumannWidthsError, NotFound
-from .policy import DEFAULT_POLICY, EvalPolicy
+from .policy import (DEFAULT_POLICY, EvalPolicy, _check_cap, _check_n, _check_oracle_grid,
+                     _check_q)
 
 SWEEP_COLUMNS = ["q", "beta", "n", "theta_n", "y0", "width", "gamma_n",
                  "sandwich_lo", "sandwich_hi", "nq_flag", "cy2n_holds",
@@ -36,33 +39,25 @@ SWEEP_COLUMNS = ["q", "beta", "n", "theta_n", "y0", "width", "gamma_n",
 ENV_WORKERS = "NEUMANN_WIDTHS_WORKERS"
 ENV_CACHE_DIR = "NEUMANN_WIDTHS_CACHE_DIR"
 
-# The numerical names this module calls, by defining module (``cvd_mod`` is
-# the cvd module itself).  Each command binds the ones it calls with
-# ``_load_numerics``, so it imports only their modules.
-_NUMERICS = {"cvd_mod": "cvd", "NeumannParams": "kernels",
-             "supnorm_square_conv": "oracles", "verify_cy2n": "sk_spline",
-             "min_guaranteed_n": "thresholds",
-             "min_guaranteed_n_beta": "thresholds", "verdict": "thresholds",
-             "exact_width": "widths"}
-
 # The names a sweep row calls; the sweep cache fingerprint hashes their modules.
 _SWEEP_NAMES = ("NeumannParams", "exact_width", "min_guaranteed_n_beta", "verify_cy2n",
                 "supnorm_square_conv")
 
 
 def _load_numerics(*names: str) -> None:
-    """Bind each of ``names``, keys of ``_NUMERICS``, that is still unbound; a
-    name already bound, such as a wrapper set with ``setattr``, is what this
-    module calls."""
+    """Bind each of ``names`` that is still unbound, from its module in the
+    package's name table (``cvd_mod``, the one name outside it, is the cvd
+    module itself); a name already bound, such as a wrapper set with
+    ``setattr``, is what this module calls."""
     scope = globals()
     for name in names:
         if name not in scope:
-            mod = importlib.import_module(f".{_NUMERICS[name]}", __package__)
+            mod = importlib.import_module(f".{_MODULE_OF.get(name, 'cvd')}", __package__)
             scope[name] = getattr(mod, name, mod)
 
 
 def __getattr__(name: str):
-    if name not in _NUMERICS:
+    if name != "cvd_mod" and name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_numerics(name)
     return globals()[name]
@@ -193,7 +188,7 @@ def _code_fingerprint() -> str:
     import hashlib
 
     digest = hashlib.sha256()
-    for module in sorted({*(_NUMERICS[name] for name in _SWEEP_NAMES), "cli"}):
+    for module in sorted({*(_MODULE_OF[name] for name in _SWEEP_NAMES), "cli"}):
         digest.update(Path(__file__).with_name(f"{module}.py").read_bytes())
     return f"{__version__}-{digest.hexdigest()[:16]}"
 
@@ -274,9 +269,9 @@ def _load_sweep_config(path: str) -> dict:
     for key in ("q_list", "beta_list"):
         if not _shaped(cfg, key, list, []):
             raise DomainError(f"sweep config must set a nonempty {key}")
-    for q in cfg["q_list"]:
-        if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
-            raise DomainError(f"sweep q values must be numbers in (0, 1), got {q!r}")
+    qs = [_number(q, "q_list entry") for q in cfg["q_list"]]
+    for q in qs:
+        _check_q(q)
     if "n_list" in cfg:
         n_values = [_number(n, "n_list entry", True) for n in _shaped(cfg, "n_list", list)]
     elif "n_range" in cfg:
@@ -292,6 +287,7 @@ def _load_sweep_config(path: str) -> dict:
         raise DomainError("sweep config must set n_list or n_range")
     if not n_values:
         raise DomainError("sweep n values are empty")
+    _check_n(min(n_values))  # every n is >= 1 iff the smallest is
     betas = [_number(b, "beta_list entry") for b in cfg["beta_list"]]
     policy = _shaped(cfg, "policy", dict, {})
     shared = {
@@ -302,14 +298,11 @@ def _load_sweep_config(path: str) -> dict:
         "oracle_grid": _number(cfg.get("oracle_grid", 4096), "oracle_grid", True),
         "oracle_refine_tol": _number(cfg.get("oracle_refine_tol", 1e-13), "oracle_refine_tol"),
         "nq_cap": _number(cfg.get("nq_cap", 200_000), "nq_cap", True)}
-    if shared["nq_cap"] < 1:
-        raise DomainError(f"sweep config nq_cap must be at least 1, got {shared['nq_cap']}")
-    if shared["oracle_refine_tol"] <= 0.0:
-        raise DomainError("sweep config oracle_refine_tol must be positive, "
-                          f"got {shared['oracle_refine_tol']!r}")
-    EvalPolicy(shared["abs_tol"], shared["max_terms"])  # refused before any row runs
-    cfg["_jobs"] = [{"q": float(q), "beta": b, "n": n, **shared}
-                    for q in cfg["q_list"] for b in betas for n in n_values]
+    _check_cap(shared["nq_cap"])
+    _check_oracle_grid(shared["oracle_grid"], shared["oracle_refine_tol"])
+    EvalPolicy(shared["abs_tol"], shared["max_terms"])
+    cfg["_jobs"] = [{"q": q, "beta": b, "n": n, **shared}
+                    for q in qs for b in betas for n in n_values]
     return cfg
 
 

@@ -208,32 +208,29 @@ class NeumannKernel:
     kept, so all determinants of one witness search share it.
     """
 
-    def __init__(self, params: NeumannParams, policy: EvalPolicy = ENTRY_POLICY):
+    def __init__(self, params: NeumannParams):
         self.params = params
-        self.policy = policy
         self._row: np.ndarray | None = None
 
     def __call__(self, t: float) -> float:
-        return eval_neumann(self.params, t, self.policy)
+        return eval_neumann(self.params, t, ENTRY_POLICY)
 
     def pairs(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sum, compensation) arrays of the series at every entry of t."""
         if self._row is None:
-            self._row = _neumann_row(self.params, self.policy)
+            self._row = _neumann_row(self.params, ENTRY_POLICY)
         return _cosine_block_sum(self._row, _reduce_phase(self.params.beta), t)
 
 
-def neumann_evaluator(params: NeumannParams,
-                      policy: EvalPolicy = ENTRY_POLICY) -> NeumannKernel:
-    """N_{q,beta} to within policy.abs_tol per value: a callable on floats
-    whose ``pairs`` gives ``det_D``'s exact fallback the series words of all
-    entries of a determinant at once."""
-    return NeumannKernel(params, policy)
+def neumann_evaluator(params: NeumannParams) -> NeumannKernel:
+    """N_{q,beta} to within ENTRY_POLICY.abs_tol per value: a callable on
+    floats whose ``pairs`` gives ``det_D``'s exact fallback the series words
+    of all entries of a determinant at once."""
+    return NeumannKernel(params)
 
 
-def neumann_pair_evaluator(params: NeumannParams,
-                           policy: EvalPolicy = ENTRY_POLICY):
-    return lambda t: eval_neumann_pair(params, t, policy)
+def neumann_pair_evaluator(params: NeumannParams):
+    return lambda t: eval_neumann_pair(params, t, ENTRY_POLICY)
 
 
 def _det_full_pivot(a: list[list[float]]) -> tuple[float, float]:

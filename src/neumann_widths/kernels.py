@@ -39,8 +39,8 @@ Conventions
   i.e. coefficients ``psi(k)/k`` and phase ``(beta+1)*pi/2``.
 * The phase is 4-periodic in ``beta``; ``_reduce_phase``, the package's one
   formula for it, reduces ``beta`` mod 4 before any trigonometry to avoid
-  large-argument error.  ``_check_q``, ``_check_beta`` and ``_check_n`` are
-  the package's one test each of 0 < q < 1, a finite beta and n >= 1.
+  large-argument error.  The tests of 0 < q < 1, a finite beta and n >= 1
+  are ``policy``'s ``_check_q``, ``_check_beta`` and ``_check_n``.
 
 Certified error bounds are only claimed for the geometric Neumann
 coefficients ``psi(k) = q^k/k``.  General ``KernelSpec`` sequences are
@@ -59,8 +59,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DomainError, TolUnreachable
-from .policy import DEFAULT_POLICY, EvalPolicy
+from .errors import TolUnreachable
+from .policy import DEFAULT_POLICY, EvalPolicy, _check_beta, _check_n, _check_q
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,24 +109,6 @@ class KernelSpec:
     psi: Callable[[int], float]
     beta: float
     tail_bound: Callable[[int], float]
-
-
-def _check_q(q: float) -> None:
-    """Reject q outside (0, 1), NaN and the infinities included."""
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-
-
-def _check_beta(beta: float) -> None:
-    """Reject a beta that is NaN or infinite."""
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta}")
-
-
-def _check_n(n: int) -> None:
-    """Reject an n below 1."""
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
 
 
 def _reduce_phase(beta: float, shift: float = 0.0) -> float:

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .kernels import NeumannParams, _check_n
+from .kernels import NeumannParams
+from .policy import _check_n, _check_oracle_grid
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _RECHECK_BLOCK = 1 << 18  # elements in one (terms, grid points) block of the grid recheck
@@ -106,10 +107,7 @@ def supnorm_square_conv(params: NeumannParams, n: int, grid_points: int = 4096,
     stops once a step no longer narrows the bracket, as happens when
     ``refine_tol`` is below the float spacing of the bracket's ends.
     """
-    if grid_points < 64:
-        raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    if not 0.0 < refine_tol < math.inf:
-        raise DomainError(f"refine_tol must be a positive finite number, got {refine_tol}")
+    _check_oracle_grid(grid_points, refine_tol)
     _check_n(n)
     table = _SquareConvTable(params, n)
     period = math.pi / n

@@ -86,8 +86,9 @@ import numpy as np
 
 from .errors import DomainError, SignDegenerate, SingularSystem, UnderflowLimit
 from .kernels import (DEFAULT_POLICY, EvalPolicy, KernelSpec, NeumannParams,
-                      _accumulate_blocks, _certified_sum, _check_n, _libm_powers, _pq_terms,
+                      _accumulate_blocks, _certified_sum, _libm_powers, _pq_terms,
                       _reduce_phase, _unreachable, eval_bernoulli, eval_pq, eval_psi_beta1)
+from .policy import _check_n
 from .thresholds import gamma_budget
 from .widths import solve_theta
 
@@ -651,12 +652,11 @@ def verify_cy2n(params: NeumannParams, n: int, y: float | None = None,
     at indices where the direct solve is condition-limited.  Against
     40-digit sums over the same coefficients f_j at the exact offsets
     (k - 1/2)pi/n - y, the largest error measured is 5.8e-16 max_k
-    |bracket_k| (q from 0.01 to 0.95, every beta class, n up to 300, past
-    the old underflow edge included).  The tests hold it to 1e-15 max_k
-    |bracket_k|; they hold the brackets to within ``bound`` of an
-    independent pass, one FFT of the coefficients c_j + e_j over a per-j
-    decomposition whose r1 tails are summed to 1e-300, below the old
-    underflow edge, on the benchmark's ladders and at q up to 0.99, and the
+    |bracket_k| (q from 0.01 to 0.95, every beta class, n up to 300).  The
+    tests hold it to 1e-15 max_k |bracket_k|; they hold the brackets to
+    within ``bound`` of an independent pass, one FFT of the coefficients
+    c_j + e_j over a per-j decomposition whose r1 tails are summed to
+    1e-300, on the benchmark's ladders and at q up to 0.99, and the
     P_q route (``derivative_pq``, and ``gammas`` at the paper's thresholds)
     to within 1e-14 max_k |bracket_k| of them.
 

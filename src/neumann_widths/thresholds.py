@@ -13,11 +13,12 @@ Two strict inequalities on (q, n) are evaluated at machine precision:
   total correction-term budget under the strict positive floor of P_q.
 
 Here sqrt(n) is the real square root.  The smallest n >= 2 satisfying both
-is found by bisecting with the scalar ``verdict`` over [2, min(cap, N1)],
-N1 = 2^40, and memoized per (q, min(cap, N1)): a process bisects each q
-and range once, whether an n is found or not.  Bisection returns what an
-upward scan returns because the float verdict is monotone on [2, N1]:
-false below some n, true from it on.  With L = ln(1/q) and N0 = max(3,
+is found by one ``bisect_left`` keyed on the scalar ``verdict`` over [2,
+min(cap, N1)], N1 = 2^40, memoized per (q, min(cap, N1)) as ints (only an
+integral cap, or inf, passes ``policy._check_cap``): a process bisects
+each q and range once, whether an n is found or not.  Bisection returns
+what an upward scan returns because the float verdict is monotone on [2,
+N1]: false below some n, true from it on.  With L = ln(1/q) and N0 = max(3,
 ceil(3.64/L)) (6 at q = 0.5, 12 at 0.72, 363 at 0.99), the proof is:
 
 0. n = 2 joins the range.  Steps 1-4 make the verdict monotone on [3, N1];
@@ -68,12 +69,14 @@ ceil(3.64/L)) (6 at q = 0.5, 12 at 0.72, 363 at 0.99), the proof is:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, NotFound
-from .kernels import _check_beta, _check_q, pq_floor
+from .kernels import pq_floor
+from .policy import _check_beta, _check_cap, _check_q
 
 # Below these cutoffs the width equalities hold from n = 1 already
 # (integer phase / non-integer phase respectively).
@@ -118,11 +121,6 @@ def _validate(q: float, n: int) -> None:
         raise DomainError(f"n must be >= 2, got {n}")
 
 
-def _check_cap(n_cap: int) -> None:
-    if n_cap < 1:
-        raise DomainError(f"n_cap must be >= 1, got {n_cap}")
-
-
 def check_tail_condition(q: float, n: int) -> ConditionCheck:
     """Strict inequality bounding q^n/(1-q^(2n)); exact float comparison."""
     _validate(q, n)
@@ -155,18 +153,14 @@ def gamma_budget(q: float, n: int) -> float:
             + 160.0 / 63.0 * (2.0 * rn - 1.0) / (n * (rn - 1.0)) * q / (1.0 - q) ** 2)
 
 
-@lru_cache(maxsize=4096, typed=True)
+@lru_cache(maxsize=4096)
 def _min_n_cached(q: float, top: int) -> int | None:
     """The smallest n in [2, top] where both conditions hold, None where
-    none does: bisection over the proven monotone range.  Typed, since n
-    has the type of ``top``: a float cap must not hand 1717.0 to an int one."""
+    none does: one bisection over the proven monotone range."""
     if top < 2 or not verdict(q, top).both_hold:
         return None
-    lo, hi = 1, top  # the verdict holds at hi; lo lies below the range
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if verdict(q, mid).both_hold else (mid, hi)
-    return hi
+    # the verdict holds at top, so the first n in [2, top) that holds, or top
+    return bisect.bisect_left(range(top), True, 2, key=lambda n: verdict(q, n).both_hold)
 
 
 def min_guaranteed_n(q: float, n_cap: int = 1_000_000) -> ScanResult:
@@ -176,11 +170,11 @@ def min_guaranteed_n(q: float, n_cap: int = 1_000_000) -> ScanResult:
     monotone: the result is the one an upward scan of scalar verdicts gives,
     from O(log n_cap) of them, memoized.  Raises NotFound when no n in the
     range holds (for q near 1, where the budget right side collapses much
-    faster than the left) and DomainError for n_cap < 1.
+    faster than the left) and DomainError for a cap ``_check_cap`` refuses.
     """
     _check_q(q)
     _check_cap(n_cap)
-    top = min(n_cap, SEARCH_LIMIT)
+    top = int(min(n_cap, SEARCH_LIMIT))
     n = _min_n_cached(q, top)
     if n is None:
         limit = " (the end of the proven monotone range)" if top < n_cap else ""

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import BracketFailure
-from .kernels import (DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, _check_n,
-                      _reduce_phase)
+from .kernels import DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, _reduce_phase
 from .kernels import eval_gq  # noqa: F401  (bench/tracing.py wraps it here; nothing calls it)
+from .policy import _check_n
 
 _BISECT_ITERS = 64  # interval width 0.5 / 2**64 ~ 2.7e-20
 

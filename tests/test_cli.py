@@ -896,6 +896,30 @@ class TestSweepInputErrors:
         assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("overrides", [
+        {"n_list": [0]},
+        {"n_list": [1, 0], "workers": 2},
+        {"n_list": None, "n_range": [-2, 1]},
+        {"oracle_grid": 10},
+        {"q_list": [0.3, 1.5]},
+        {"nq_cap": 0},
+        {"oracle_refine_tol": 0},
+    ])
+    def test_bad_value_is_refused_before_any_row(self, capsys, tmp_path, monkeypatch,
+                                                 overrides):
+        # the library's own checks refuse it before any numerical module loads
+        def no_numerics(*names):
+            raise AssertionError(f"loaded {names} for a bad config")
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        monkeypatch.setattr(cli, "_load_numerics", no_numerics)
+        cfg_path, cfg = sweep_config(tmp_path, **overrides)
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "validation"
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("overrides", [
         {"verify": "false"},
         {"verify": 0},
         {"no_timestamp": "false"},

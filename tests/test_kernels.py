@@ -148,9 +148,37 @@ CLOSED_BETAS = [0.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 3.5, -1.0, -0.5, 1e-9, -1e-9]
 CLOSED_T = closed_form_t(_CLOSED_RNG, 4)
 
 
+def ulp_error(computed, exact):
+    """|computed - exact| in ulps of the float nearest the mpmath value exact."""
+    return float(abs(mp.mpf(computed) - exact)) / math.ulp(float(exact))
+
+
 class TestClosedForm:
     """``eval_neumann_closed``: every value within its stated bound of the
     40-digit closed form and of the series."""
+
+    def test_each_function_within_one_ulp(self):
+        # the bound assumes each sin, cos, log and atan2 within one ulp: each
+        # is held to it on the arguments the closed form passes it
+        t = closed_form_t(random.Random(20261021), 150)
+        s = np.sin(0.5 * t)
+        worst = {}
+        with mp.workdps(40):
+            cases = [("np.sin", v, mp.sin(x)) for xs in (0.5 * t, t)
+                     for v, x in zip(np.sin(xs), xs)]
+            for q in CLOSED_QS:
+                p, qs2 = 1.0 - q, q * (s * s)
+                z, y, x = p * p + 4.0 * qs2, q * np.sin(t), p + 2.0 * qs2
+                cases += [("np.log", v, mp.log(a)) for v, a in zip(np.log(z), z)]
+                cases += [("np.arctan2", v, mp.atan2(a, b))
+                          for v, a, b in zip(np.arctan2(y, x), y, x)]
+            for beta in CLOSED_BETAS:
+                phi = kernels._reduce_phase(beta)
+                cases += [("math.cos", math.cos(phi), mp.cos(phi)),
+                          ("math.sin", math.sin(phi), mp.sin(phi))]
+            for name, computed, exact in cases:
+                worst[name] = max(worst.get(name, 0.0), ulp_error(computed, exact))
+        assert len(worst) == 5 and max(worst.values()) <= 1.0, worst
 
     @pytest.mark.parametrize("q", CLOSED_QS)
     def test_within_bound_of_40_digits(self, q):

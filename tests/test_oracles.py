@@ -12,7 +12,7 @@ from neumann_widths import (DomainError, NeumannParams, conv_square_wave,
                             eval_neumann, eval_pq, eval_psi_beta1, exact_width,
                             slow_series, solve_theta, supnorm_square_conv,
                             theta_equation_series, theta_sign_scan)
-from neumann_widths.kernels import _check_n
+from neumann_widths.policy import _check_n
 from neumann_widths.oracles import _SquareConvTable
 from neumann_widths.widths import theta_equation_lhs
 

@@ -2,6 +2,7 @@
 independent high-precision evaluation before the regression values were
 frozen."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -143,6 +144,19 @@ def recorded_verdicts(monkeypatch):
     return seen
 
 
+def bounded_verdicts(monkeypatch, limit=200):
+    """Clear the memo and make the search fail after ``limit`` verdicts, so
+    a bisection that stops narrowing fails instead of hanging."""
+    thresholds._min_n_cached.cache_clear()
+    calls = itertools.count(1)
+
+    def bounded(q, n):
+        if next(calls) > limit:
+            raise AssertionError(f"more than {limit} verdicts at q={q}")
+        return verdict(q, n)
+    monkeypatch.setattr(thresholds, "verdict", bounded)
+
+
 def budget_boundary(n):
     """Adjacent floats lo < hi: the budget condition holds at (lo, n) and
     fails at (hi, n), so its margin at either lies within a few ulps."""
@@ -153,6 +167,10 @@ def budget_boundary(n):
 
 
 class TestBlockScanMatchesScalar:
+    """The bisection of ``min_guaranteed_n`` against an upward scan of scalar
+    verdicts; the class keeps the name of the block scan the bisection
+    replaced."""
+
     def test_q_grid(self):
         grid = [0.2 + 0.0025 * k for k in range(169)]
         mismatches = [q for q in grid if block_scan(q, 50_000) != scalar_scan(q, 50_000)]
@@ -224,6 +242,26 @@ class TestMemoizedSearch:
         with pytest.raises(DomainError):
             min_guaranteed_n_beta(q, 0.5, cap)
         assert thresholds._min_n_cached.cache_info()[:2] == (0, 0)
+
+    @pytest.mark.parametrize("search", [
+        lambda: min_guaranteed_n(0.5, 1717.5),
+        lambda: min_guaranteed_n_beta(0.5, 0.3, n_cap=2.5),
+        lambda: min_guaranteed_n(0.5, math.nan),
+        lambda: min_guaranteed_n_beta(0.5, 0.0, n_cap=math.nan),
+    ], ids=["fractional", "fractional-beta", "nan", "nan-beta"])
+    def test_a_cap_that_is_no_integer_is_a_domain_error(self, monkeypatch, search):
+        bounded_verdicts(monkeypatch)
+        with pytest.raises(DomainError, match="n_cap must be"):
+            search()
+        assert thresholds._min_n_cached.cache_info()[:2] == (0, 0)
+
+    @pytest.mark.parametrize("cap", [3000.0, 1e6, math.inf])
+    def test_an_integral_float_cap_searches_as_an_int(self, monkeypatch, cap):
+        bounded_verdicts(monkeypatch)
+        res = min_guaranteed_n(0.5, cap)
+        assert res.n == 1717 and type(res.n) is int
+        assert min_guaranteed_n(0.5, int(min(cap, thresholds.SEARCH_LIMIT))) == res
+        assert thresholds._min_n_cached.cache_info().currsize == 1
 
     def test_below_the_cutoffs_no_search(self):
         thresholds._min_n_cached.cache_clear()
