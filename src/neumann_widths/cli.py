@@ -9,9 +9,10 @@ them (nor numpy, ``dataclasses`` or, with ``--no-timestamp``,
 ``datetime``); ``cvd`` loads ``kernels`` and ``cvd``, ``threshold``
 ``kernels`` and ``thresholds``, and a sweep with rows to compute every
 numerical module but ``cvd``.  Only a sweep loads ``hashlib`` (its cache
-keys) and ``csv``.  Each name's module comes from the package's name
-table, and a sweep config's values pass the library's own checks
-(``policy``) before any row runs.
+keys) and ``csv``.  The name loader takes each name's module from the
+package's name table, with no exception: ``cmd_cvd`` imports the ``cvd``
+module itself, as ``cmd_sweep`` imports ``Pool``.  A sweep config's values
+pass the library's own checks (``policy``) before any row runs.
 """
 
 from __future__ import annotations
@@ -46,18 +47,17 @@ _SWEEP_NAMES = ("NeumannParams", "exact_width", "min_guaranteed_n_beta", "verify
 
 def _load_numerics(*names: str) -> None:
     """Bind each of ``names`` that is still unbound, from its module in the
-    package's name table (``cvd_mod``, the one name outside it, is the cvd
-    module itself); a name already bound, such as a wrapper set with
+    package's name table; a name already bound, such as a wrapper set with
     ``setattr``, is what this module calls."""
     scope = globals()
     for name in names:
         if name not in scope:
-            mod = importlib.import_module(f".{_MODULE_OF.get(name, 'cvd')}", __package__)
-            scope[name] = getattr(mod, name, mod)
+            module = importlib.import_module(f".{_MODULE_OF[name]}", __package__)
+            scope[name] = getattr(module, name)
 
 
 def __getattr__(name: str):
-    if name != "cvd_mod" and name not in _MODULE_OF:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_numerics(name)
     return globals()[name]
@@ -130,39 +130,40 @@ def cmd_verify_cy2n(args) -> int:
     return 0
 
 
+def _det_fields(res, epsilon: int) -> dict:
+    """The JSON fields of ``res``, a determinant taken at eps = +1, at
+    ``epsilon``: the order is odd, so eps = -1 negates the value alone."""
+    return {"value": epsilon * res.value, "error_estimate": res.error_estimate,
+            "significant": res.significant}
+
+
 def cmd_cvd(args) -> int:
-    _load_numerics("NeumannParams", "cvd_mod")
-    params = NeumannParams(args.q, args.beta)
-    kernel = cvd_mod.neumann_evaluator(params)
+    from . import cvd
+
+    kernel = cvd.neumann_evaluator(cvd.NeumannParams(args.q, args.beta))
     out = {"q": args.q, "beta": args.beta, "epsilon": args.epsilon}
 
     if args.witness_search:
         # the built-in witnesses are order-3 nodes, so they seed only l = 1
-        seeds = (cvd_mod.builtin_witnesses()
-                 if args.q == cvd_mod.WITNESS_Q and args.l == 1 else ())
-        found = dict(zip(("negative", "positive"), cvd_mod.cvd_witness(
+        seeds = cvd.builtin_witnesses() if args.q == cvd.WITNESS_Q and args.l == 1 else ()
+        found = dict(zip(("negative", "positive"), cvd.cvd_witness(
             kernel, args.l, args.search_budget, args.seed, seeds)))
         out["witnesses"] = {label: nodes.to_json_dict() for label, (nodes, _) in found.items()}
         for label, (_, res) in found.items():
-            # the search took it at eps = +1; at odd order eps = -1 negates it
-            out[f"det_{label}"] = {"value": res.value if args.epsilon == 1 else -res.value,
-                                   "error_estimate": res.error_estimate,
-                                   "significant": res.significant}
+            out[f"det_{label}"] = _det_fields(res, args.epsilon)
         print(json.dumps(out))
         return 0
 
     if args.vectors is not None:
         data = json.loads(Path(args.vectors).read_text(encoding="utf-8"))
-        pairs = [("custom", cvd_mod.NodeVectors.from_json_dict(data))]
+        pairs = [("custom", cvd.NodeVectors.from_json_dict(data))]
     else:  # built-in q = 0.21 witness pair
-        neg, pos = cvd_mod.builtin_witnesses()
+        neg, pos = cvd.builtin_witnesses()
         pairs = [("negative_nodes", neg), ("positive_nodes", pos)]
     dets = {}
     for label, nodes in pairs:
-        res = cvd_mod.det_D(kernel, nodes, epsilon=args.epsilon)
-        dets[label] = {"nodes": nodes.to_json_dict(), "value": res.value,
-                       "error_estimate": res.error_estimate,
-                       "significant": res.significant,
+        res = cvd.det_D(kernel, nodes)
+        dets[label] = {"nodes": nodes.to_json_dict(), **_det_fields(res, args.epsilon),
                        "used_extended": res.used_extended}
     out["determinants"] = dets
     print(json.dumps(out))
@@ -277,12 +278,12 @@ def _load_sweep_config(path: str) -> dict:
     elif "n_range" in cfg:
         r = [_number(v, "n_range entry", True) for v in _shaped(cfg, "n_range", list)]
         if len(r) == 2:
-            n_values = list(range(r[0], r[1] + 1))
-        elif len(r) == 3 and r[2] != 0:
-            n_values = list(range(r[0], r[1] + 1, r[2]))
-        else:
+            r.append(1)
+        if len(r) != 3 or r[2] == 0:
             raise DomainError("n_range must be [start, stop] or [start, stop, step] "
                               "with a nonzero step")
+        start, stop, step = r  # stop is included for either sign of step
+        n_values = list(range(start, stop + (1 if step > 0 else -1), step))
     else:
         raise DomainError("sweep config must set n_list or n_range")
     if not n_values:
@@ -343,6 +344,7 @@ def cmd_sweep(args) -> int:
     try:
         if pending:
             _load_numerics(*_SWEEP_NAMES)  # before the pool forks, so workers inherit it
+            workers = min(workers, len(pending))  # no worker without a row
             if workers > 1:
                 from multiprocessing import Pool
             cache_dir.mkdir(parents=True, exist_ok=True)

@@ -410,15 +410,22 @@ def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 1
     """Search for node vectors giving significantly opposite signs of D_{2l+1}.
 
     Tries any ``seeds`` first, then random sampling, then a stochastic local
-    descent from the configuration closest to the missing sign.  A returned
-    pair defeats the CVD property for both eps.  Raises NotFound after
-    ``search_budget`` determinant evaluations -- which is inconclusive, not a
-    proof of the property.  The budget must be at least 1; the sampling takes
-    at least one evaluation of it, so the descent has a start.
+    descent toward each sign still missing, negative first, from the
+    configuration farthest toward it.  A returned pair defeats the CVD
+    property for both eps.  Raises NotFound after ``search_budget``
+    determinant evaluations -- which is inconclusive, not a proof of the
+    property.  The budget must be at least 1; the sampling takes at least one
+    evaluation of it, so the descent has a start.
 
-    The search takes each determinant once, at eps = +1, and returns each
-    witness with that ``DetResult``: ((negative nodes, result), (positive
-    nodes, result)), so a caller that reports them need not take them again.
+    The search keeps one state per sign (-1, +1): the first significant
+    determinant of that sign and the determinant farthest toward it.  Every
+    determinant updates both, and one descent loop serves either sign,
+    restarting at step 0.3 for each.  Given the seeds and ``rng_seed``, the
+    witnesses, their results and the NotFound message are fixed
+    (``tests/cvd_witness_frozen.json`` pins them).  It takes each
+    determinant once, at eps = +1, and returns each witness with that
+    ``DetResult``: ((negative nodes, result), (positive nodes, result)), so a
+    caller that reports them need not take them again.
     """
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l}")
@@ -426,53 +433,44 @@ def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 1
         raise DomainError(f"search_budget must be >= 1, got {search_budget}")
     size = 2 * l + 1
     rng = random.Random(rng_seed)
-    neg = pos = None
-    best_low = None  # (value, nodes) with the smallest signed determinant
-    best_high = None
+    found = {}  # sign -> (nodes, result): the first significant determinant of that sign
+    best = {}  # sign -> (value, nodes): the determinant farthest toward that sign
     spent = 0
 
     def consider(nodes: NodeVectors):
-        nonlocal neg, pos, best_low, best_high, spent
+        nonlocal spent
         spent += 1
         res = det_D(kernel, nodes, epsilon=1)
-        if res.significant:
-            if res.value < 0.0 and neg is None:
-                neg = nodes, res
-            elif res.value > 0.0 and pos is None:
-                pos = nodes, res
-        if best_low is None or res.value < best_low[0]:
-            best_low = (res.value, nodes)
-        if best_high is None or res.value > best_high[0]:
-            best_high = (res.value, nodes)
+        for sign in (-1, 1):
+            if res.significant and sign * res.value > 0.0:
+                found.setdefault(sign, (nodes, res))
+            if sign not in best or sign * res.value > sign * best[sign][0]:
+                best[sign] = (res.value, nodes)
 
     for s in seeds:
         if s.size != size:
             raise DomainError(f"seed size {s.size} does not match 2l+1 = {size}")
         consider(s)
-        if neg is not None and pos is not None:
-            return neg, pos
+        if len(found) == 2:
+            return found[-1], found[1]
 
     sample_budget = max(search_budget // 2, 1)  # the descent starts from a sample
-    while spent < sample_budget and (neg is None or pos is None):
+    while spent < sample_budget and len(found) < 2:
         consider(_random_nodes(rng, size))
-    # local descent toward whichever sign is still missing
-    while spent < search_budget and (neg is None or pos is None):
-        want_neg = neg is None
-        base = best_low[1] if want_neg else best_high[1]
-        step = 0.3
-        while spent < search_budget and (neg is None if want_neg else pos is None):
+    for sign in (-1, 1):  # local descent toward each sign still missing
+        base, step = best[sign][1], 0.3
+        while spent < search_budget and sign not in found:
             cand = _perturb(rng, base, step)
             if cand is None:
                 spent += 1  # degenerate perturbations still consume budget
                 continue
-            before = best_low[0] if want_neg else best_high[0]
+            before = best[sign][0]
             consider(cand)
-            after = best_low[0] if want_neg else best_high[0]
-            if after != before:  # improved: recentre and tighten
-                base = best_low[1] if want_neg else best_high[1]
+            if best[sign][0] != before:  # improved: recentre and tighten
+                base = best[sign][1]
                 step = max(step * 0.7, 1e-4)
-    if neg is None or pos is None:
+    if len(found) < 2:
         raise NotFound(
             f"no sign-changing pair within budget {search_budget} "
-            f"(observed range [{best_low[0]:.3e}, {best_high[0]:.3e}])")
-    return neg, pos
+            f"(observed range [{best[-1][0]:.3e}, {best[1][0]:.3e}])")
+    return found[-1], found[1]

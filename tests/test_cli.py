@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -611,6 +612,19 @@ class TestSweepCommand:
         lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
         assert [ln.split(",")[2] for ln in lines[1:]] == ["1", "4", "7"]
 
+    @pytest.mark.parametrize("n_range, n_values", [
+        ([5, 1, -1], [5, 4, 3, 2, 1]), ([5, 1, -2], [5, 3, 1]), ([9, 1, -4], [9, 5, 1]),
+        ([6, 1, -2], [6, 4, 2]), ([1, 6, 3], [1, 4])])
+    def test_n_range_includes_its_stop_for_either_sign_of_step(self, tmp_path, n_range,
+                                                               n_values):
+        cfg_path, _ = sweep_config(tmp_path, q_list=[0.4], beta_list=[0.0], n_list=None,
+                                   n_range=n_range)
+        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+        del cfg["n_list"]
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        jobs = cli._load_sweep_config(str(cfg_path))["_jobs"]
+        assert [job["n"] for job in jobs] == n_values
+
     def test_interrupt_flushes_finished_rows(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
         cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
@@ -670,6 +684,38 @@ class TestSweepCommand:
         run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         assert (tmp_path / "out.csv").read_bytes() == serial
 
+
+    @pytest.mark.parametrize("workers, cached_n, n_list, started", [
+        (2, [1], [1, 2], []), (4, [], [1, 2], [2])])
+    def test_no_more_workers_than_pending_rows(self, capsys, tmp_path, monkeypatch,
+                                               workers, cached_n, n_list, started):
+        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+        if cached_n:
+            cfg_path, _ = sweep_config(tmp_path, verify=False, q_list=[0.3],
+                                       beta_list=[0.0], n_list=cached_n)
+            run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, items, chunksize=1):
+                return map(func, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        cfg_path, _ = sweep_config(tmp_path, verify=False, q_list=[0.3], beta_list=[0.0],
+                                   n_list=n_list, workers=workers)
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
+        assert code == 0
+        assert pools == started
+        assert len(log_lines(tmp_path / "cache")) == len(n_list)
 
 class TestSweepCache:
     def sweep(self, capsys, cfg_path) -> bytes:

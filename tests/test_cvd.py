@@ -427,3 +427,49 @@ def test_random_nodes_always_valid(seed):
     assert len(nodes.x) == 5
     assert all(a < b for a, b in zip(nodes.x, nodes.x[1:]))
     assert all(0.0 <= v < 2 * math.pi for v in nodes.x + nodes.y)
+
+
+# Seeded witness searches with their exact outcomes: the nodes
+# (``to_json_dict``), each DetResult with its floats as ``float.hex``, or the
+# NotFound message.  Recorded from the search as it stood when each sign had
+# its own copy of the search state; any later form of the search must return
+# these bit for bit.  Besides the Neumann kernel the cases use two plain
+# callables: a periodic heat kernel, whose determinants of odd order are all
+# nonnegative (so the search exhausts its descent), and a rank-two cosine
+# pair plus a tiny higher harmonic, whose sample determinants are mostly
+# insignificant, so the descent has to find both signs.
+FROZEN_SEARCHES = json.loads(
+    (Path(__file__).parent / "cvd_witness_frozen.json").read_text(encoding="utf-8"))
+
+
+def frozen_kernel(spec):
+    kind, args = spec
+    if kind == "neumann":
+        return neumann_evaluator(NeumannParams(*args))
+    if kind == "heat":  # sum_k exp(-s k^2) cos(kt) over |k| <= 11, plus a cos(2t)
+        s, a = args
+        return lambda t: 1.0 + 2.0 * sum(math.exp(-s * k * k) * math.cos(k * t)
+                                         for k in range(1, 12)) + a * math.cos(2.0 * t)
+    e, = args  # cos t + e cos 2t + e^2
+    return lambda t: math.cos(t) + e * math.cos(2.0 * t) + e * e
+
+
+def frozen_outcome(case) -> dict:
+    """What ``cvd_witness`` returns on ``case``, in the table's form."""
+    seeds = builtin_witnesses() if case["builtin_seeds"] else ()
+    try:
+        found = cvd_witness(frozen_kernel(case["kernel"]), case["l"], case["search_budget"],
+                            case["rng_seed"], seeds)
+    except NotFound as exc:
+        return {"not_found": str(exc)}
+    return {label: {"nodes": nodes.to_json_dict(), "value": res.value.hex(),
+                    "error_estimate": res.error_estimate.hex(), "epsilon": res.epsilon,
+                    "used_extended": res.used_extended}
+            for label, (nodes, res) in zip(("negative", "positive"), found)}
+
+
+@pytest.mark.parametrize("case", FROZEN_SEARCHES, ids=[
+    f"{i:02d}-{c['kernel'][0]}" for i, c in enumerate(FROZEN_SEARCHES)])
+def test_frozen_witness_search(case):
+    expected = {key: case[key] for key in ("negative", "positive", "not_found") if key in case}
+    assert frozen_outcome(case) == expected

@@ -119,7 +119,8 @@ def scalar_scan(q, n_cap):
         if not verdict(q, n).both_hold))
 
 
-def block_scan(q, n_cap=1_000_000):
+def bisection(q, n_cap=1_000_000):
+    """The search under test, min_guaranteed_n; None where it raises NotFound."""
     try:
         res = min_guaranteed_n(q, n_cap)
     except NotFound:
@@ -166,27 +167,26 @@ def budget_boundary(n):
     return lo, hi
 
 
-class TestBlockScanMatchesScalar:
+class TestBisectionMatchesUpwardScan:
     """The bisection of ``min_guaranteed_n`` against an upward scan of scalar
-    verdicts; the class keeps the name of the block scan the bisection
-    replaced."""
+    verdicts."""
 
     def test_q_grid(self):
         grid = [0.2 + 0.0025 * k for k in range(169)]
-        mismatches = [q for q in grid if block_scan(q, 50_000) != scalar_scan(q, 50_000)]
+        mismatches = [q for q in grid if bisection(q, 50_000) != scalar_scan(q, 50_000)]
         assert mismatches == []
 
     def test_full_q06_range(self):
-        res = block_scan(0.6)
+        res = bisection(0.6)
         assert res == scalar_scan(0.6, 1_000_000)
         assert res.n == 40878
 
     @pytest.mark.parametrize("cap", [2, 1717, 3000, 1717 * 4 - 1])
     def test_cap_edges(self, cap):
-        assert block_scan(0.5, cap) == scalar_scan(0.5, cap)
+        assert bisection(0.5, cap) == scalar_scan(0.5, cap)
 
     def test_not_found(self, monkeypatch):
-        assert scalar_scan(0.7, 50_000) is None and block_scan(0.7, 50_000) is None
+        assert scalar_scan(0.7, 50_000) is None and bisection(0.7, 50_000) is None
         seen = recorded_verdicts(monkeypatch)
         with pytest.raises(NotFound):
             min_guaranteed_n(0.7)
@@ -204,7 +204,7 @@ class TestBlockScanMatchesScalar:
     @pytest.mark.parametrize("cut", [1986, 3000])
     def test_underflow_cut(self, cut):
         q = 2.0 ** (-1080.0 / (cut - 0.5))  # floor(1080 / log2(1/q)) + 1 == cut
-        assert block_scan(q, 2 * cut) == scalar_scan(q, 2 * cut)
+        assert bisection(q, 2 * cut) == scalar_scan(q, 2 * cut)
         assert all(check_tail_condition(q, n).lhs == 0.0 for n in range(cut, 2 * cut + 1))
 
     def test_zero_pairs_are_not_rechecked(self):
