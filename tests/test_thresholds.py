@@ -193,7 +193,7 @@ class TestBisectionMatchesUpwardScan:
         assert len(seen) < 100
 
     @pytest.mark.parametrize("n", [13, 1717])
-    def test_near_margins_are_decided_by_scalar_verdict(self, monkeypatch, n):
+    def test_near_margins_use_scalar_verdict(self, monkeypatch, n):
         for q in budget_boundary(n):
             expected = scalar_scan(q, 4 * n + 8)
             seen = recorded_verdicts(monkeypatch)
