@@ -11,8 +11,10 @@ them (nor numpy, ``dataclasses`` or, with ``--no-timestamp``,
 numerical module but ``cvd``.  Only a sweep loads ``hashlib`` (its cache
 keys) and ``csv``.  The name loader takes each name's module from the
 package's name table, with no exception: ``cmd_cvd`` imports the ``cvd``
-module itself, as ``cmd_sweep`` imports ``Pool``.  A sweep config's values
-pass the library's own checks (``policy``) before any row runs.
+module itself, as ``cmd_sweep`` imports ``Pool``.  The config file is the
+only source of a sweep's settings, but for ``--no-timestamp``; one function
+reads them, refuses a key it does not read, and passes each value through
+the library's own checks (``policy``) before any row runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import functools
 import importlib
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -37,8 +38,9 @@ SWEEP_COLUMNS = ["q", "beta", "n", "theta_n", "y0", "width", "gamma_n",
                  "sandwich_lo", "sandwich_hi", "nq_flag", "cy2n_holds",
                  "oracle_delta"]
 
-ENV_WORKERS = "NEUMANN_WIDTHS_WORKERS"
-ENV_CACHE_DIR = "NEUMANN_WIDTHS_CACHE_DIR"
+# The keys a sweep config may set; ``policy`` sets ``abs_tol`` and ``max_terms``.
+_SWEEP_KEYS = {"q_list", "beta_list", "n_list", "n_range", "policy", "output", "format",
+               "workers", "verify", "oracle_grid", "oracle_refine_tol", "nq_cap", "cache_dir"}
 
 # The names a sweep row calls; the sweep cache fingerprint hashes their modules.
 _SWEEP_NAMES = ("NeumannParams", "exact_width", "min_guaranteed_n_beta", "verify_cy2n",
@@ -264,18 +266,27 @@ def _shaped(cfg: dict, key: str, shape: type, default=None):
 
 
 def _load_sweep_config(path: str) -> dict:
+    """Every setting of the sweep config at ``path``, checked: the jobs under
+    ``"_jobs"``, ``output``, ``format``, ``workers`` and ``cache_dir``."""
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise DomainError("a sweep config must be a JSON object")
+    policy = _shaped(cfg, "policy", dict, {})
+    unknown = [*(key for key in cfg if key not in _SWEEP_KEYS),
+               *(f"policy.{key}" for key in policy if key not in ("abs_tol", "max_terms"))]
+    if unknown:
+        raise DomainError(f"sweep config has unknown keys: {', '.join(unknown)}")
     for key in ("q_list", "beta_list"):
         if not _shaped(cfg, key, list, []):
             raise DomainError(f"sweep config must set a nonempty {key}")
     qs = [_number(q, "q_list entry") for q in cfg["q_list"]]
     for q in qs:
         _check_q(q)
+    if ("n_list" in cfg) == ("n_range" in cfg):
+        raise DomainError("sweep config must set exactly one of n_list and n_range")
     if "n_list" in cfg:
         n_values = [_number(n, "n_list entry", True) for n in _shaped(cfg, "n_list", list)]
-    elif "n_range" in cfg:
+    else:
         r = [_number(v, "n_range entry", True) for v in _shaped(cfg, "n_range", list)]
         if len(r) == 2:
             r.append(1)
@@ -284,13 +295,10 @@ def _load_sweep_config(path: str) -> dict:
                               "with a nonzero step")
         start, stop, step = r  # stop is included for either sign of step
         n_values = list(range(start, stop + (1 if step > 0 else -1), step))
-    else:
-        raise DomainError("sweep config must set n_list or n_range")
     if not n_values:
         raise DomainError("sweep n values are empty")
     _check_n(min(n_values))  # every n is >= 1 iff the smallest is
     betas = [_number(b, "beta_list entry") for b in cfg["beta_list"]]
-    policy = _shaped(cfg, "policy", dict, {})
     shared = {
         "abs_tol": _number(policy.get("abs_tol", DEFAULT_POLICY.abs_tol), "policy abs_tol"),
         "max_terms": _number(policy.get("max_terms", DEFAULT_POLICY.max_terms),
@@ -302,9 +310,16 @@ def _load_sweep_config(path: str) -> dict:
     _check_cap(shared["nq_cap"])
     _check_oracle_grid(shared["oracle_grid"], shared["oracle_refine_tol"])
     EvalPolicy(shared["abs_tol"], shared["max_terms"])
-    cfg["_jobs"] = [{"q": q, "beta": b, "n": n, **shared}
-                    for q in qs for b in betas for n in n_values]
-    return cfg
+    fmt = _shaped(cfg, "format", str, "csv").lower()
+    if fmt not in ("csv", "json"):
+        raise DomainError(f"format must be csv or json, got {fmt}")
+    workers = _number(cfg.get("workers", 1), "workers", True)
+    if workers < 1:
+        raise DomainError(f"sweep config workers must be at least 1, got {workers}")
+    return {"_jobs": [{"q": q, "beta": b, "n": n, **shared}
+                      for q in qs for b in betas for n in n_values],
+            "output": Path(_shaped(cfg, "output", str, "sweep_out.csv")), "format": fmt,
+            "workers": workers, "cache_dir": Path(_shaped(cfg, "cache_dir", str, ".nw-cache"))}
 
 
 def _format_cell(v) -> str:
@@ -316,23 +331,8 @@ def _format_cell(v) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_sweep_config(args.config)
-    jobs = cfg["_jobs"]
-    out_path = Path(_shaped(cfg, "output", str, "sweep_out.csv"))
-    fmt = _shaped(cfg, "format", str, "csv").lower()
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"format must be csv or json, got {fmt}")
-    workers = _number(cfg.get("workers", 1), "workers", True)
-    try:  # the environment's value is a string by nature
-        workers = int(os.environ.get(ENV_WORKERS, workers))
-    except ValueError:
-        raise DomainError(f"{ENV_WORKERS} must be an integer, "
-                          f"got {os.environ[ENV_WORKERS]!r}") from None
-    if workers < 1:
-        source = ENV_WORKERS if ENV_WORKERS in os.environ else "sweep config workers"
-        raise DomainError(f"{source} must be at least 1, got {workers}")
-    cache_dir = Path(os.environ.get(ENV_CACHE_DIR, _shaped(cfg, "cache_dir", str, ".nw-cache")))
-    stamp = not (_shaped(cfg, "no_timestamp", bool, False) or args.no_timestamp)
+    settings = _load_sweep_config(args.config)
+    jobs, out_path, cache_dir = settings["_jobs"], settings["output"], settings["cache_dir"]
 
     log = cache_dir / f"{_code_fingerprint()}.jsonl"
     keys = [_job_key(j) for j in jobs]
@@ -344,7 +344,7 @@ def cmd_sweep(args) -> int:
     try:
         if pending:
             _load_numerics(*_SWEEP_NAMES)  # before the pool forks, so workers inherit it
-            workers = min(workers, len(pending))  # no worker without a row
+            workers = min(settings["workers"], len(pending))  # no worker without a row
             if workers > 1:
                 from multiprocessing import Pool
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -366,15 +366,15 @@ def cmd_sweep(args) -> int:
         interrupted = True
 
     ordered = [rows[i] for i in sorted(rows)]
-    if stamp:
+    if not args.no_timestamp:
         import datetime  # only a written timestamp loads it
         generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
+    if settings["format"] == "csv":
         import csv
 
         with out_path.open("w", newline="", encoding="utf-8") as f:
-            if stamp:
+            if not args.no_timestamp:
                 f.write(f"# generated-at {generated_at}\n")
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(SWEEP_COLUMNS)
@@ -382,7 +382,7 @@ def cmd_sweep(args) -> int:
                 writer.writerow([_format_cell(row[c]) for c in SWEEP_COLUMNS])
     else:
         doc = {"rows": ordered}
-        if stamp:
+        if not args.no_timestamp:
             doc["generated_at"] = generated_at
         out_path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
     if interrupted:

@@ -91,10 +91,8 @@ _PEAK_PROBE = ("import atexit, runpy, sys\n"
 
 def _loaded_modules(*argv) -> set[str]:
     """The modules ``python -m neumann_widths <argv>`` imported, which must exit 0."""
-    env = _package_env()
-    env.pop(cli.ENV_WORKERS, None)
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
-                          capture_output=True, text=True, env=env, check=False)
+                          capture_output=True, text=True, env=_package_env(), check=False)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
@@ -176,8 +174,7 @@ class TestLazyNumerics:
             cli.no_such_name
 
     def test_patched_exact_width_is_what_a_serial_sweep_calls(self, capsys, tmp_path,
-                                                              monkeypatch, exact_width_calls):
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+                                                              exact_width_calls):
         cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
         assert run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")[0] == 0
         assert exact_width_calls == [1, 2] * 4
@@ -626,7 +623,6 @@ class TestSweepCommand:
         assert [job["n"] for job in jobs] == n_values
 
     def test_interrupt_flushes_finished_rows(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
         cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
         sweep_job, done = cli._sweep_job, []
 
@@ -664,23 +660,23 @@ class TestSweepCommand:
         assert [r["cy2n_holds"] for r in rows] == ["undecided"]
 
     def test_boolean_flags(self, capsys, tmp_path):
-        cfg_path, _ = sweep_config(tmp_path, verify=False, no_timestamp=True)
-        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path))
+        cfg_path, _ = sweep_config(tmp_path, verify=False)
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         assert code == 0
         text = (tmp_path / "out.csv").read_text(encoding="utf-8")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert text.startswith("q,")
         assert {r["oracle_delta"] for r in rows} == {""}
 
-    def test_worker_pool_matches_serial(self, capsys, tmp_path, monkeypatch):
+    def test_worker_pool_matches_serial(self, capsys, tmp_path):
         # 18 rows: 2 workers take them in chunks of 3
-        cfg_path, _ = sweep_config(tmp_path, verify=False, q_list=[0.3, 0.5, 0.7],
-                                   n_list=[1, 2, 3])
+        grid = dict(verify=False, q_list=[0.3, 0.5, 0.7], n_list=[1, 2, 3])
+        cfg_path, _ = sweep_config(tmp_path, **grid)
         run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         serial = (tmp_path / "out.csv").read_bytes()
         (tmp_path / "out.csv").unlink()
         cache_log(tmp_path / "cache").unlink()  # or the rows come from the cache
-        monkeypatch.setenv("NEUMANN_WIDTHS_WORKERS", "2")
+        cfg_path, _ = sweep_config(tmp_path, workers=2, **grid)
         run(capsys, "sweep", "--config", str(cfg_path), "--no-timestamp")
         assert (tmp_path / "out.csv").read_bytes() == serial
 
@@ -689,7 +685,6 @@ class TestSweepCommand:
         (2, [1], [1, 2], []), (4, [], [1, 2], [2])])
     def test_no_more_workers_than_pending_rows(self, capsys, tmp_path, monkeypatch,
                                                workers, cached_n, n_list, started):
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
         if cached_n:
             cfg_path, _ = sweep_config(tmp_path, verify=False, q_list=[0.3],
                                        beta_list=[0.0], n_list=cached_n)
@@ -750,9 +745,7 @@ class TestSweepCache:
         # the row was appended again, and that line is the one read back
         assert log_lines(tmp_path / "cache")[-1] == key + b"\t" + row
 
-    def test_torn_last_line_is_computed_again(self, capsys, tmp_path, monkeypatch,
-                                              exact_width_calls):
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+    def test_torn_last_line_is_computed_again(self, capsys, tmp_path, exact_width_calls):
         cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
         cold = self.sweep(capsys, cfg_path)
         log = cache_log(tmp_path / "cache")
@@ -768,7 +761,6 @@ class TestSweepCache:
 
     def test_short_write_stops_the_sweep(self, capsys, tmp_path, monkeypatch):
         # a record written only in part is reported, not passed over
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
         cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
 
         class ShortFile(io.FileIO):
@@ -788,8 +780,6 @@ class TestSweepCache:
 
     def test_concurrent_sweeps_share_one_log(self, tmp_path):
         # more sweeps than cores, all appending to one log
-        env = _package_env()
-        env.pop(cli.ENV_WORKERS, None)
         names = ("a", "b", "c")
         procs = []
         for name in names:
@@ -798,7 +788,7 @@ class TestSweepCache:
                                        n_list=[1, 2, 3], cache_dir=str(tmp_path / "cache"))
             procs.append(subprocess.Popen(
                 [sys.executable, "-m", "neumann_widths", "sweep", "--config", str(cfg_path),
-                 "--no-timestamp"], env=env, stdout=subprocess.DEVNULL))
+                 "--no-timestamp"], env=_package_env(), stdout=subprocess.DEVNULL))
         assert [proc.wait(timeout=120) for proc in procs] == [0] * len(names)
         outputs = {(tmp_path / name / "out.csv").read_bytes() for name in names}
         assert len(outputs) == 1
@@ -839,7 +829,6 @@ class TestSweepCache:
 
     def test_fingerprint_miss_computes_every_row(self, capsys, tmp_path, monkeypatch,
                                                  exact_width_calls):
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
         cfg_path, _ = sweep_config(tmp_path, verify=False, workers=1)
         cold = self.sweep(capsys, cfg_path)
         assert len(exact_width_calls) == 8
@@ -871,8 +860,7 @@ class TestSweepThresholds:
     OVERRIDES = dict(q_list=[0.15, 0.197, 0.3, 0.9], beta_list=[0.0, 0.5, 1.0, 1.5],
                      n_list=[1, 2, 50], verify=False, nq_cap=3000)
 
-    def test_one_scan_per_key_and_none_from_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+    def test_one_scan_per_key_and_none_from_cache(self, capsys, tmp_path):
         cfg_path, _ = sweep_config(tmp_path, workers=1, **self.OVERRIDES)
         scans = thresholds._min_n_cached
         scans.cache_clear()
@@ -949,13 +937,18 @@ class TestSweepInputErrors:
         {"q_list": [0.3, 1.5]},
         {"nq_cap": 0},
         {"oracle_refine_tol": 0},
+        # keys the loader does not read, and both sources of n
+        {"nqcap": 5},
+        {"worker": 4},
+        {"no_timestamp": True},
+        {"policy": {"abs_tl": 1e-13}},
+        {"n_range": [1, 4]},
     ])
     def test_bad_value_is_refused_before_any_row(self, capsys, tmp_path, monkeypatch,
                                                  overrides):
-        # the library's own checks refuse it before any numerical module loads
+        # the config check refuses it before any numerical module loads
         def no_numerics(*names):
             raise AssertionError(f"loaded {names} for a bad config")
-        monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
         monkeypatch.setattr(cli, "_load_numerics", no_numerics)
         cfg_path, cfg = sweep_config(tmp_path, **overrides)
         cfg = {k: v for k, v in cfg.items() if v is not None}
@@ -965,11 +958,21 @@ class TestSweepInputErrors:
         assert json.loads(err)["error"]["code"] == "validation"
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"nqcap": 5, "worker": 4, "n_lst": [9]}, "nqcap, worker, n_lst"),
+        ({"no_timestamp": True}, "no_timestamp"),
+        ({"policy": {"abs_tl": 1e-13, "max_terms": 1000}}, "policy.abs_tl"),
+    ])
+    def test_unknown_keys_are_named(self, capsys, tmp_path, overrides, named):
+        cfg_path, _ = sweep_config(tmp_path, **overrides)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "code": "validation", "message": f"sweep config has unknown keys: {named}"}
+
     @pytest.mark.parametrize("overrides", [
         {"verify": "false"},
         {"verify": 0},
-        {"no_timestamp": "false"},
-        {"no_timestamp": 1},
     ])
     def test_flag_that_is_not_a_boolean(self, capsys, tmp_path, overrides):
         cfg_path, _ = sweep_config(tmp_path, **overrides)
@@ -993,28 +996,6 @@ class TestSweepInputErrors:
                  "oracle_grid": 256, "nq_cap": nq_cap}), encoding="utf-8")
             jobs = cli._load_sweep_config(str(path))["_jobs"]
             assert [cli._job_key(job)[:16] for job in jobs] == pinned
-
-    def test_non_numeric_workers_env(self, capsys, tmp_path, monkeypatch):
-        cfg_path, _ = sweep_config(tmp_path)
-        monkeypatch.setenv("NEUMANN_WIDTHS_WORKERS", "abc")
-        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
-        assert code == 2
-        assert out == ""
-        doc = json.loads(err)
-        assert doc["error"]["code"] == "validation"
-        assert "NEUMANN_WIDTHS_WORKERS" in doc["error"]["message"]
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_workers_env_below_one(self, capsys, tmp_path, monkeypatch, value):
-        cfg_path, _ = sweep_config(tmp_path, workers=2)
-        monkeypatch.setenv("NEUMANN_WIDTHS_WORKERS", value)
-        code, out, err = run(capsys, "sweep", "--config", str(cfg_path))
-        assert code == 2
-        assert out == ""
-        doc = json.loads(err)
-        assert doc["error"]["code"] == "validation"
-        assert "NEUMANN_WIDTHS_WORKERS must be at least 1" in doc["error"]["message"]
-        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"q_list": 0.3},
