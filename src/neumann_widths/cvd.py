@@ -23,7 +23,10 @@ q = 0.99999 on, so there a determinant that needs the fallback raises
 
 Every determinant is taken at eps = +1 and given its sign once: the order is
 odd, so eps = -1 negates the value and keeps the estimate.  The witness
-search, ``cvd_witness``, takes each determinant once and returns the two
+search, ``cvd_witness``, is random sampling: it tries any seed node vectors
+first, then random ones, one determinant per unit of its budget, until both
+signs have a significant determinant.  Running out of budget (``NotFound``)
+is inconclusive.  It takes each determinant once and returns the two
 witnesses' results with their nodes, so ``cvd --witness-search`` reports
 them, at either eps, without taking them again.
 
@@ -393,84 +396,47 @@ def _random_nodes(rng: random.Random, size: int) -> NodeVectors:
     return NodeVectors(x=draw(), y=draw())
 
 
-def _perturb(rng: random.Random, nodes: NodeVectors, step: float) -> NodeVectors | None:
-    def jiggle(v):
-        w = sorted(min(max(t + rng.gauss(0.0, step), 0.0), TWO_PI * (1 - 1e-12)) for t in v)
-        return tuple(w) if all(b - a > 1e-9 for a, b in zip(w, w[1:])) else None
-
-    x, y = jiggle(nodes.x), jiggle(nodes.y)
-    if x is None or y is None:
-        return None
-    return NodeVectors(x=x, y=y)
-
-
 def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 100_000,
                 rng_seed: int = 0, seeds: Sequence[NodeVectors] = ()
                 ) -> tuple[tuple[NodeVectors, DetResult], tuple[NodeVectors, DetResult]]:
     """Search for node vectors giving significantly opposite signs of D_{2l+1}.
 
-    Tries any ``seeds`` first, then random sampling, then a stochastic local
-    descent toward each sign still missing, negative first, from the
-    configuration farthest toward it.  A returned pair defeats the CVD
-    property for both eps.  Raises NotFound after ``search_budget``
-    determinant evaluations -- which is inconclusive, not a proof of the
-    property.  The budget must be at least 1; the sampling takes at least one
-    evaluation of it, so the descent has a start.
+    Tries every one of ``seeds`` (even past the budget), then random node
+    vectors, one determinant per unit of ``search_budget`` (at least 1),
+    until both signs have a significant determinant.  A returned pair
+    defeats the CVD property for both eps.  Raises NotFound, with the least
+    and greatest value taken, once the budget is spent -- which is
+    inconclusive, not a proof of the property.
 
-    The search keeps one state per sign (-1, +1): the first significant
-    determinant of that sign and the determinant farthest toward it.  Every
-    determinant updates both, and one descent loop serves either sign,
-    restarting at step 0.3 for each.  Given the seeds and ``rng_seed``, the
-    witnesses, their results and the NotFound message are fixed
-    (``tests/cvd_witness_frozen.json`` pins them).  It takes each
-    determinant once, at eps = +1, and returns each witness with that
-    ``DetResult``: ((negative nodes, result), (positive nodes, result)), so a
-    caller that reports them need not take them again.
+    Given the seeds and ``rng_seed``, the witnesses, their results and the
+    NotFound message are fixed (``tests/cvd_witness_frozen.json`` pins
+    them).  It takes each determinant once, at eps = +1, and returns each
+    witness with that ``DetResult``: ((negative nodes, result), (positive
+    nodes, result)), so a caller that reports them need not take them again.
     """
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l}")
     if search_budget < 1:
         raise DomainError(f"search_budget must be >= 1, got {search_budget}")
     size = 2 * l + 1
-    rng = random.Random(rng_seed)
-    found = {}  # sign -> (nodes, result): the first significant determinant of that sign
-    best = {}  # sign -> (value, nodes): the determinant farthest toward that sign
-    spent = 0
-
-    def consider(nodes: NodeVectors):
-        nonlocal spent
-        spent += 1
-        res = det_D(kernel, nodes, epsilon=1)
-        for sign in (-1, 1):
-            if res.significant and sign * res.value > 0.0:
-                found.setdefault(sign, (nodes, res))
-            if sign not in best or sign * res.value > sign * best[sign][0]:
-                best[sign] = (res.value, nodes)
-
     for s in seeds:
         if s.size != size:
             raise DomainError(f"seed size {s.size} does not match 2l+1 = {size}")
-        consider(s)
-        if len(found) == 2:
-            return found[-1], found[1]
+    rng = random.Random(rng_seed)
+    found = {}  # sign -> (nodes, result): the first significant determinant of that sign
+    spent, lo, hi = 0, math.inf, -math.inf
 
-    sample_budget = max(search_budget // 2, 1)  # the descent starts from a sample
-    while spent < sample_budget and len(found) < 2:
-        consider(_random_nodes(rng, size))
-    for sign in (-1, 1):  # local descent toward each sign still missing
-        base, step = best[sign][1], 0.3
-        while spent < search_budget and sign not in found:
-            cand = _perturb(rng, base, step)
-            if cand is None:
-                spent += 1  # degenerate perturbations still consume budget
-                continue
-            before = best[sign][0]
-            consider(cand)
-            if best[sign][0] != before:  # improved: recentre and tighten
-                base = best[sign][1]
-                step = max(step * 0.7, 1e-4)
-    if len(found) < 2:
-        raise NotFound(
-            f"no sign-changing pair within budget {search_budget} "
-            f"(observed range [{best[-1][0]:.3e}, {best[1][0]:.3e}])")
-    return found[-1], found[1]
+    def candidates():
+        yield from seeds
+        while spent < search_budget:
+            yield _random_nodes(rng, size)
+
+    for nodes in candidates():
+        res = det_D(kernel, nodes, epsilon=1)
+        spent, lo, hi = spent + 1, min(lo, res.value), max(hi, res.value)
+        if res.significant:
+            found.setdefault(1 if res.value > 0.0 else -1, (nodes, res))
+            if len(found) == 2:
+                return found[-1], found[1]
+    raise NotFound(f"no sign-changing pair within budget {search_budget} "
+                   f"(observed range [{lo:.3e}, {hi:.3e}])")

@@ -478,8 +478,7 @@ class TestCvdCommand:
         ("0", 2, "validation", "search_budget must be >= 1, got 0"),
         ("-5", 2, "validation", "search_budget must be >= 1, got -5"),
         ("1", 3, "not-found", "observed range [-2.452e-02, -2.452e-02]"),
-        # the node sets drawn for a budget of 2 or more are unchanged
-        ("3", 3, "not-found", "observed range [-2.452e-02, -4.390e-03]"),
+        ("2", 3, "not-found", "observed range [-2.452e-02, -3.357e-03]"),
     ])
     def test_small_search_budget(self, capsys, budget, code, error, message):
         got, out, err = run(capsys, "cvd", "--q", "0.5", "--beta", "0",
@@ -487,6 +486,19 @@ class TestCvdCommand:
         assert (got, out) == (code, "")
         doc = json.loads(err)["error"]
         assert doc["code"] == error and message in doc["message"]
+
+    def test_budget_of_three_finds_the_frozen_witnesses(self, capsys):
+        # the third sample is the first significant positive one, so budget 3
+        # returns the witnesses of the same search at budget 2000
+        case = json.loads((Path(__file__).parent / "cvd_witness_frozen.json")
+                          .read_text(encoding="utf-8"))[7]
+        assert (case["kernel"], case["l"], case["rng_seed"], case["builtin_seeds"]) == (
+            ["neumann", [0.5, 0.0]], 1, 0, False)
+        code, out, _ = run(capsys, "cvd", "--q", "0.5", "--beta", "0",
+                           "--witness-search", "--search-budget", "3")
+        assert code == 0
+        assert json.loads(out)["witnesses"] == {
+            label: case[label]["nodes"] for label in ("negative", "positive")}
 
 
 def sweep_config(tmp_path, **overrides):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from neumann_widths import (DomainError, NeumannParams, NodeVectors, NotFound,
                             builtin_witnesses, cvd_witness, det_D, eval_neumann,
                             neumann_evaluator, neumann_pair_evaluator)
+from neumann_widths import cvd
 from neumann_widths.cvd import (ENCODING_CAPS, ENTRY_POLICY, _best_approximations,
                                 _det_exact, _det_full_pivot, _random_nodes)
 from neumann_widths.kernels import eval_neumann_closed
@@ -419,6 +420,41 @@ class TestWitnessSearch:
         with pytest.raises(DomainError):
             cvd_witness(kernel, 2, search_budget=10, seeds=builtin_witnesses())
 
+    def test_seed_of_wrong_size_second_takes_no_determinant(self, monkeypatch):
+        taken = count_determinants(monkeypatch)
+        kernel, _ = kernels_for(0.0)
+        seeds = (builtin_witnesses()[0], _random_nodes(random.Random(0), 5))
+        with pytest.raises(DomainError, match="seed size 5"):
+            cvd_witness(kernel, 1, search_budget=10, seeds=seeds)
+        assert taken == []
+
+    @pytest.mark.parametrize("spec, l, budget, seed", [
+        (("heat", [1.0, 0.0]), 1, 400, 0), (("neumann", [0.01, 0.0]), 3, 50, 0)],
+        ids=["heat", "neumann"])
+    def test_budget_is_one_determinant_per_sample(self, monkeypatch, spec, l, budget, seed):
+        # a search that finds nothing takes exactly the budget's determinants,
+        # all of them at the sampled nodes, and reports their range
+        taken = count_determinants(monkeypatch)
+        kernel = frozen_kernel(spec)
+        with pytest.raises(NotFound) as exc:
+            cvd_witness(kernel, l, search_budget=budget, rng_seed=seed)
+        rng = random.Random(seed)
+        values = [det_D(kernel, _random_nodes(rng, 2 * l + 1)).value for _ in range(budget)]
+        assert [res.value for res in taken] == values
+        assert f"observed range [{min(values):.3e}, {max(values):.3e}])" in str(exc.value)
+
+
+def count_determinants(monkeypatch) -> list:
+    """Make the witness search record every ``det_D`` result it takes."""
+    taken = []
+
+    def recording(*args, **kwargs):
+        taken.append(det_D(*args, **kwargs))
+        return taken[-1]
+
+    monkeypatch.setattr(cvd, "det_D", recording)
+    return taken
+
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=10, deadline=None)
@@ -431,13 +467,13 @@ def test_random_nodes_always_valid(seed):
 
 # Seeded witness searches with their exact outcomes: the nodes
 # (``to_json_dict``), each DetResult with its floats as ``float.hex``, or the
-# NotFound message.  Recorded from the search as it stood when each sign had
-# its own copy of the search state; any later form of the search must return
-# these bit for bit.  Besides the Neumann kernel the cases use two plain
-# callables: a periodic heat kernel, whose determinants of odd order are all
-# nonnegative (so the search exhausts its descent), and a rank-two cosine
-# pair plus a tiny higher harmonic, whose sample determinants are mostly
-# insignificant, so the descent has to find both signs.
+# NotFound message.  Every case is decided by the seeds and random samples
+# alone; any later form of the search must return these bit for bit.  Besides
+# the Neumann kernel the cases use two plain callables: a periodic heat
+# kernel, whose determinants of odd order are all nonnegative (so the search
+# spends its whole budget) until a multiple of cos(2t) is added, and a
+# rank-two cosine pair plus a tiny higher harmonic, whose sample determinants
+# are mostly insignificant.
 FROZEN_SEARCHES = json.loads(
     (Path(__file__).parent / "cvd_witness_frozen.json").read_text(encoding="utf-8"))
 
