@@ -446,10 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--epsilon", type=int, default=1, choices=(1, -1))
-    p.add_argument("--vectors", type=str, default=None,
-                   help="JSON file of node vectors as rational multiples of pi "
-                        "(default: the built-in q=0.21 witness pair)")
-    p.add_argument("--witness-search", action="store_true")
+    nodes = p.add_mutually_exclusive_group()
+    nodes.add_argument("--vectors", type=str, default=None,
+                       help="JSON file of node vectors as rational multiples of pi "
+                            "(default: the built-in q=0.21 witness pair)")
+    nodes.add_argument("--witness-search", action="store_true")
     p.add_argument("--search-budget", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cvd)

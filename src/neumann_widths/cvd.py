@@ -28,7 +28,11 @@ first, then random ones, one determinant per unit of its budget, until both
 signs have a significant determinant.  Running out of budget (``NotFound``)
 is inconclusive.  It takes each determinant once and returns the two
 witnesses' results with their nodes, so ``cvd --witness-search`` reports
-them, at either eps, without taking them again.
+them, at either eps, without taking them again.  A random node is
+2pi * k / 2^53 for the integer k of its draw, and is drawn with its exact
+pair (k, 2^52) as a multiple of pi, so the command writes the witnesses'
+nodes as those pairs, with no fraction search, and a node file of them
+rebuilds the same floats.
 
 The module ships the q = 0.21 witness node vectors, all rational multiples
 of pi, on which the sign change is established for both beta = 0 and
@@ -58,7 +62,8 @@ class NodeVectors:
     """Strictly increasing evaluation nodes 0 <= x_1 < ... < x_{2l+1} < 2pi.
 
     ``pi_rationals`` holds the (numerator, denominator) pairs of x and y
-    when the nodes were built from them (``from_pi_rationals``).
+    when the nodes were built from them (``from_pi_rationals``) or drawn
+    with them (``_random_nodes``); each pair's num * pi / den is its node.
     """
 
     x: tuple[float, ...]
@@ -91,11 +96,12 @@ class NodeVectors:
     def to_json_dict(self) -> dict:
         """Serialize as exact rational multiples of pi.
 
-        Nodes built by from_pi_rationals are written as the pairs they were
-        built from.  Other floats are written as the fraction with the
-        smallest denominator cap that rebuilds them bit-exactly, else as the
-        exact dyadic fraction of t/pi (round trip is then within one ulp of
-        the product with pi).
+        Nodes that carry their pairs are written as those pairs: nodes built
+        by from_pi_rationals, and the witness search's random nodes, whose
+        pairs (k, 2^52) come from the draw (``_random_nodes``).  Other floats
+        are written as the fraction with the smallest denominator cap that
+        rebuilds them bit-exactly, else as the exact dyadic fraction of t/pi
+        (round trip is then within one ulp of the product with pi).
         """
         if self.pi_rationals is not None:
             return {key: [list(p) for p in pairs] for key, pairs in zip("xy", self.pi_rationals)}
@@ -387,13 +393,27 @@ def det_D(kernel: Callable[[float], float], nodes: NodeVectors, epsilon: int = 1
 
 
 def _random_nodes(rng: random.Random, size: int) -> NodeVectors:
+    """Sorted uniform nodes in [0, 2pi), redrawn until every gap exceeds
+    1e-9: the floats, and the stream they consume, of
+    ``sorted(rng.uniform(0.0, TWO_PI) ...)``, each with its exact pi pair.
+
+    ``uniform`` returns TWO_PI * r for r = rng.random() = k / 2^53, an
+    integer k.  TWO_PI is exactly 2 * math.pi, and rounding commutes with
+    scaling by powers of two, so k * math.pi / 2^52 (what
+    ``from_pi_rationals`` computes) rebuilds TWO_PI * r bit for bit: the
+    nodes carry the pairs (k, 2^52), and ``to_json_dict`` writes them
+    without a search.  Sorting r sorts the nodes, since rounding is
+    monotone.
+    """
     def draw():
         while True:
-            v = sorted(rng.uniform(0.0, TWO_PI) for _ in range(size))
+            r = sorted(rng.random() for _ in range(size))
+            v = [TWO_PI * a for a in r]
             if all(b - a > 1e-9 for a, b in zip(v, v[1:])):
-                return tuple(v)
+                return tuple(v), tuple((int(a * 2**53), 2**52) for a in r)
 
-    return NodeVectors(x=draw(), y=draw())
+    (x, x_pairs), (y, y_pairs) = draw(), draw()
+    return NodeVectors(x=x, y=y, pi_rationals=(x_pairs, y_pairs))
 
 
 def cvd_witness(kernel: Callable[[float], float], l: int, search_budget: int = 100_000,

@@ -384,6 +384,41 @@ class TestCvdCommand:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "validation"
 
+    @pytest.mark.parametrize("flags", [("--witness-search", "--vectors", "{path}"),
+                                       ("--vectors", "{path}", "--witness-search")],
+                             ids=["search-first", "vectors-first"])
+    def test_vectors_with_witness_search_is_refused(self, capsys, tmp_path, flags):
+        # a search ignores node files, so naming one with it is a usage error
+        path = tmp_path / "nodes.json"
+        path.write_text(json.dumps({"x": [[1, 18], [1, 9], [1, 6]],
+                                    "y": [[13, 36], [11, 30], [67, 180]]}), encoding="utf-8")
+        code, out, err = run(capsys, "cvd", "--q", "0.5", "--beta", "0",
+                             *(str(path) if f == "{path}" else f for f in flags))
+        assert (code, out) == (2, "")
+        doc = json.loads(err)["error"]
+        assert doc["code"] == "validation" and "not allowed with argument" in doc["message"]
+
+    @pytest.mark.parametrize("l", ["1", "2"])
+    @pytest.mark.parametrize("beta", ["0", "0.5", "1"])
+    @pytest.mark.parametrize("q", ["0.05", "0.3", "0.7", "0.95"])
+    def test_witnesses_round_trip_through_vectors(self, capsys, tmp_path, q, beta, l):
+        # each printed witness, read back as a node file, gives the search's
+        # determinant bytes
+        code, out, _ = run(capsys, "cvd", "--q", q, "--beta", beta, "--l", l,
+                           "--witness-search", "--search-budget", "2000", "--seed", "37")
+        assert code == 0
+        doc = json.loads(out)
+        fields = ("value", "error_estimate", "significant")
+        for label in ("negative", "positive"):
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps(doc["witnesses"][label]), encoding="utf-8")
+            code, out, _ = run(capsys, "cvd", "--q", q, "--beta", beta, "--vectors", str(path))
+            assert code == 0
+            custom = json.loads(out)["determinants"]["custom"]
+            assert custom["nodes"] == doc["witnesses"][label]
+            assert [json.dumps(custom[f]) for f in fields] == [
+                json.dumps(doc[f"det_{label}"][f]) for f in fields]
+
     def test_search_reports_witnesses(self, capsys):
         code, out, _ = run(capsys, "cvd", "--q", "0.21", "--beta", "0",
                            "--witness-search", "--search-budget", "5000")

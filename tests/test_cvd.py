@@ -19,7 +19,7 @@ from neumann_widths import (DomainError, NeumannParams, NodeVectors, NotFound,
 from neumann_widths import cvd
 from neumann_widths.cvd import (ENCODING_CAPS, ENTRY_POLICY, _best_approximations,
                                 _det_exact, _det_full_pivot, _random_nodes)
-from neumann_widths.kernels import eval_neumann_closed
+from neumann_widths.kernels import TWO_PI, eval_neumann_closed
 
 # determinants at the built-in q = 0.21 witnesses, frozen from a 40-digit
 # direct-summation evaluation
@@ -463,6 +463,70 @@ def test_random_nodes_always_valid(seed):
     assert len(nodes.x) == 5
     assert all(a < b for a, b in zip(nodes.x, nodes.x[1:]))
     assert all(0.0 <= v < 2 * math.pi for v in nodes.x + nodes.y)
+
+
+def uniform_reference_nodes(rng: random.Random, size: int) -> tuple[tuple, tuple]:
+    """The witness search's draw written with ``rng.uniform``: sorted uniform
+    nodes in [0, 2pi), redrawn until every gap exceeds 1e-9."""
+    def draw():
+        while True:
+            v = sorted(rng.uniform(0.0, TWO_PI) for _ in range(size))
+            if all(b - a > 1e-9 for a, b in zip(v, v[1:])):
+                return tuple(v)
+
+    return draw(), draw()
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose ``random()`` (and so ``uniform``) returns ``values``
+    in turn: repeated values force the draw's redraw."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+class TestRandomNodePairs:
+    SIZES = range(1, 16, 2)
+
+    def test_floats_and_stream_are_the_uniform_draws(self):
+        # the nodes are the reference's floats, bit for bit, the stream is
+        # left where the reference leaves it, and the carried pairs rebuild
+        # the reference's floats
+        for seed in range(300):
+            for size in self.SIZES:
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                nodes = _random_nodes(rng, size)
+                ref = uniform_reference_nodes(ref_rng, size)
+                assert (nodes.x, nodes.y) == ref
+                assert rng.getstate() == ref_rng.getstate()
+                assert nodes.pi_rationals is not None
+                for pairs, v in zip(nodes.pi_rationals, ref):
+                    assert tuple(num * math.pi / den for num, den in pairs) == v
+
+    def test_redraw_keeps_to_the_uniform_draws(self):
+        # the first x draw repeats a value, so both take the next three;
+        # every value is some k / 2^53, as random() gives
+        values = [0.5, 0.25, 0.5, 0.75, 0.125, 0.875, 0.375, 0.625, 0.0625]
+        nodes = _random_nodes(ScriptedRandom(values), 3)
+        assert (nodes.x, nodes.y) == uniform_reference_nodes(ScriptedRandom(values), 3)
+        assert nodes.to_json_dict() == {
+            "x": [[int(r * 2**53), 2**52] for r in (0.125, 0.75, 0.875)],
+            "y": [[int(r * 2**53), 2**52] for r in (0.0625, 0.375, 0.625)]}
+
+    def test_printed_pairs_are_the_nodes_over_2_52(self):
+        for seed in range(300):
+            for size in self.SIZES:
+                nodes = _random_nodes(random.Random(seed), size)
+                doc = nodes.to_json_dict()
+                for key, v in (("x", nodes.x), ("y", nodes.y)):
+                    assert all(den == 2**52 and 0 <= num < 2**53 for num, den in doc[key])
+                    assert [num * math.pi / den for num, den in doc[key]] == list(v)
+                back = NodeVectors.from_json_dict(doc)
+                assert (back.x, back.y) == (nodes.x, nodes.y)
 
 
 # Seeded witness searches with their exact outcomes: the nodes
