@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 validation error, 3 not-found, 4 numerical failure.
 Errors are emitted as one JSON object on stderr.
 
+Each call is parsed once: the first token picks the command, and that
+command's own parser reads the rest.  The top-level parser only prints
+``--help`` and reports usage errors (no command, an unknown one, tokens a
+command leaves over), in the words a full top-level parse would use.
+
 Each command imports only the numerical modules it calls, on first use:
 ``--help`` and a sweep whose rows all come from the cache import none of
 them (nor numpy, ``dataclasses`` or, with ``--no-timestamp``,
@@ -126,7 +131,7 @@ def cmd_verify_cy2n(args) -> int:
     print(json.dumps({
         "q": args.q, "beta": args.beta, "n": args.n,
         "holds": res.holds, "epsilon": res.epsilon,
-        "pattern": list(res.pattern), "signs": list(res.signs),
+        "pattern": res.pattern, "signs": res.signs,  # tuples write as JSON arrays
         "unresolved": res.unresolved, "bound": res.bound, "log10_scale": res.log10_scale,
     }))
     return 0
@@ -412,7 +417,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
-    ``main`` call in the process."""
+    ``main`` call in the process; ``commands`` maps each command's name to
+    its own parser."""
     top = _Parser(prog="neumann-widths", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -459,12 +465,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     p.set_defaults(func=cmd_sweep)
+    top.commands = dict(sub.choices)  # the subparsers action's public name map
     return top
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed once, by the parser of the command its first token
+    names.  The top-level parser runs only where that token names no
+    command (``--help``, no token, an unknown command), and reports the
+    tokens a command leaves over in its own words, as a full top-level
+    parse would: ``neumann-widths: unrecognized arguments: ...``."""
+    top = build_parser()
+    command = top.commands.get(argv[0]) if argv else None
+    if command is None:
+        return top.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except DomainError as exc:
         _emit_error("validation", str(exc))

@@ -41,6 +41,7 @@ beta = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -187,8 +188,10 @@ WITNESS_Y_POS = ((13, 30), (10, 9), (7, 6))
 WITNESS_Q = 0.21
 
 
+@functools.cache
 def builtin_witnesses() -> tuple[NodeVectors, NodeVectors]:
-    """(negative-determinant nodes, positive-determinant nodes) at q = 0.21."""
+    """(negative-determinant nodes, positive-determinant nodes) at q = 0.21,
+    built once per process; ``NodeVectors`` is frozen, so callers share them."""
     return (NodeVectors.from_pi_rationals(WITNESS_X, WITNESS_Y_NEG),
             NodeVectors.from_pi_rationals(WITNESS_X, WITNESS_Y_POS))
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .errors import BracketFailure
+from .errors import BracketFailure, NeumannWidthsError
 from .kernels import DEFAULT_POLICY, EvalPolicy, NeumannParams, _certified_sum, _reduce_phase
 from .kernels import eval_gq  # noqa: F401  (bench/tracing.py wraps it here; nothing calls it)
 from .policy import _check_n
@@ -112,7 +112,7 @@ def theta_equation_lhs(params: NeumannParams, n: int, theta: float,
 
 
 def _limit_theta(beta_r: float) -> float:
-    # q^n has underflowed: only the nu=0 term survives, cos(theta*pi - beta*pi/2) = 0.
+    # the nu = 0 limit: the root of cos(theta*pi - beta*pi/2) = 0 in [0, 1).
     if beta_r < 1.0:
         return beta_r / 2.0 + 0.5
     if beta_r < 3.0:
@@ -134,9 +134,19 @@ def _bisect_theta(params: NeumannParams, n: int, lo: float, hi: float) -> float:
     re-evaluate an end without moving it.  _BISECT_ITERS caps the steps
     (about 53 are taken).  Raises BracketFailure when the closed form has
     no sign change on [lo, hi].
+
+    Where 1 - q^n is below about 1e-8 (2^-26.5), q^(2n) - 2 q^n rounds to
+    -1 or below, so log1p has no value at the bracket end theta = 1 (or
+    theta = 0), and the solve raises NeumannWidthsError naming that limit.
+    Every other argument of log1p is at least that one, since rounding is
+    monotone, so the one test before the first step covers every step.
     """
     a = params.q**n
     two_a, a2 = 2.0 * a, a * a
+    if a2 - two_a <= -1.0:
+        raise NeumannWidthsError(
+            f"theta closed form has no value for q={params.q}, n={n}: 1 - q^n = {1.0 - a:.3e} "
+            "is below its float limit of about 1e-8, where q^(2n) - 2 q^n rounds to <= -1")
     one_minus_a2 = 1.0 - a * a
     half = _reduce_phase(params.beta)
     cos_half, sin_half = math.cos(half), math.sin(half)
@@ -174,8 +184,25 @@ def _bisect_theta(params: NeumannParams, n: int, lo: float, hi: float) -> float:
 @lru_cache(maxsize=4096)
 def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> ThetaRoot:
     """``solve_theta``'s root: exact at integer beta, the nu = 0 limit where
-    q^n underflows, and otherwise ``_bisect_theta`` on the branch's bracket
-    (it stops once the bracket's ends are adjacent floats)."""
+    the closed form cannot resolve the root, and otherwise ``_bisect_theta``
+    on the branch's bracket (it stops once the bracket's ends are adjacent
+    floats).
+
+    The cut: at the root the closed form has slope pi psi(n) in theta,
+    psi(n) = q^n/n, so over one ulp of the root it moves by
+    pi psi(n) ulp(theta).  Below the normal range its two quotients and two
+    products each round by up to half a subnormal step, 2^-1075, and the
+    rounding of 2 q^n cos(theta pi), divided by 4n and 2n, adds at most
+    half a step more: 2.5 steps of 2^-1074 in all.  Where the move over one
+    ulp of the limit is at least 8 steps, pi psi(n) ulp(limit) >= 2^-1071,
+    those errors shift the sign change by under a third of an ulp and the
+    bisection runs unchanged.  Below it they can shift it by many ulps (by
+    up to half the bracket where psi(n) is subnormal), so the limit is
+    taken; q^n == 0 lies inside.  There the limit is the root to half an
+    ulp: q^n < n 2^-966, and the nu >= 1 terms move the root by at most
+    q^(2n)/(3 pi (1 - q^(2n))) in theta, far below the ulp of any limit
+    (at least 2^-105).
+    """
     q, beta = params.q, params.beta
     beta_r = params.beta_mod4
     branch = Branch.HALF if beta_r < 1.0 or 2.0 <= beta_r < 3.0 else Branch.ZERO
@@ -184,8 +211,8 @@ def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> Th
         theta = 0.5
     elif beta_r == 1.0 or beta_r == 3.0:
         theta = 0.0
-    elif q**n == 0.0:
-        theta = _limit_theta(beta_r)
+    elif params.psi(n) < 2.0**-1071 / math.ulp(limit := _limit_theta(beta_r)) / math.pi:
+        theta = limit
     else:
         bracket = (0.5, 1.0) if branch is Branch.HALF else (0.0, 0.5)
         theta = min(_bisect_theta(params, n, *bracket), math.nextafter(1.0, 0.0))
@@ -199,6 +226,8 @@ def solve_theta(params: NeumannParams, n: int,
 
     Results are memoized per (params, n, policy); the returned object is
     immutable (its residual is summed once), so concurrent readers share it.
+    Raises NeumannWidthsError where 1 - q^n is below about 1e-8, the float
+    limit of the bisection's closed form (``_bisect_theta``).
     """
     _check_n(n)
     return _solve_theta_cached(params, n, policy)

@@ -46,6 +46,21 @@ class TestWidthCommand:
         assert doc["error"]["code"] == "validation"
         assert "q" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("beta,theta", [(0.3, 0.65), (1.98, 0.49)])
+    def test_subnormal_q_pow_n_takes_the_limit_root(self, capsys, beta, theta):
+        # q^320 = 1e-320 is subnormal: theta is the nu = 0 limit beta/2 + 1/2 mod 1
+        code, out, _ = run(capsys, "width", "--q", "0.1", "--beta", str(beta), "--n", "320")
+        assert code == 0
+        assert json.loads(out)["theta_n"] == theta
+
+    @pytest.mark.parametrize("command", ["width", "verify-cy2n"])
+    def test_q_within_1e_8_of_one_is_a_numerical_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--q", "0.999999999", "--beta", "0.3", "--n", "3")
+        assert (code, out) == (4, "")
+        doc = json.loads(err)["error"]
+        assert doc["code"] == "numerical"
+        assert "float limit of about 1e-8" in doc["message"]
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="needs /proc/self/status for the child's VmHWM")
     def test_verify_near_one_q_stays_small(self):
@@ -271,10 +286,24 @@ class TestVerifyCy2nCommand:
         assert len(doc["signs"]) == 2 * 1717
 
 
-# one command per subcommand path, and an argument error that exits 2
+# one command per subcommand path, an argument error that exits 2, the help
+# and usage errors the top-level parser reports, and the argv shapes a
+# command's own parser must read as the top-level parse did
 PARSER_CALLS = (("verify-cy2n", "--q", "0.2", "--beta", "0.5", "--n", "10"),
                 ("width", "--q", "0.3", "--beta", "1", "--n", "4"),
-                ("width", "--q", "abc", "--beta", "0", "--n", "1"))
+                ("width", "--q", "abc", "--beta", "0", "--n", "1"),
+                ("--help",),
+                ("cvd", "--help"),
+                (),
+                ("bogus",),
+                ("--", "width", "--q", "0.3", "--beta", "1", "--n", "4"),
+                ("width", "--q", "0.3", "--beta", "1", "--n", "4", "--bogus"),
+                ("width", "--q", "0.3", "--beta", "1", "--n", "4", "extra"),
+                ("cvd", "--q", "0.21", "--beta", "1", "--search", "3", "--witness-search"),
+                ("width", "--q=0.5", "--beta", "0.3", "--n", "2"),
+                ("width", "--q", "0.3", "--beta", "-1e-3", "--n", "2"),
+                ("cvd", "--q", "0.5", "--beta", "0", "--vectors", "nodes.json",
+                 "--witness-search"))
 
 
 def main_in_process(capsys, argv):
@@ -296,7 +325,25 @@ class TestParserReuse:
                                   capture_output=True, text=True, env=_package_env(),
                                   check=False)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv
-        assert [code for code, _, _ in in_process] == [0, 0, 2]
+        assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 2, 2, 2, 2, 2, 0, 0, 0, 2]
+
+    def test_one_parse_same_bytes_as_the_top_level_parse(self, capsys, monkeypatch):
+        # the top-level parser hands a command's tokens to that command's
+        # parser, so parsing them there alone gives the same namespace and
+        # the same errors
+        one_parse = [main_in_process(capsys, argv) for argv in PARSER_CALLS]
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert [main_in_process(capsys, argv) for argv in PARSER_CALLS] == one_parse
+
+    def test_a_call_naming_a_command_never_runs_the_top_level_parse(self, capsys, monkeypatch):
+        top, calls = cli.build_parser(), []
+        parse = top.parse_known_args
+        monkeypatch.setattr(top, "parse_known_args",
+                            lambda *args, **kwargs: calls.append(args) or parse(*args, **kwargs))
+        for argv in PARSER_CALLS:
+            main_in_process(capsys, argv)
+        assert [list(args[0]) for args in calls] == [
+            list(argv) for argv in PARSER_CALLS if not argv or argv[0] not in top.commands]
 
 
 class TestUsageErrors:
@@ -312,6 +359,9 @@ class TestUsageErrors:
         (("threshold", "--q", "0.1", "--beta", "0", "--cap", "0"), "n_cap must be >= 1"),
         (("width", "--q", "0.5", "--beta", "0.3", "--n", "5", "--abs-tol", "inf"),
          "abs_tol must be a positive finite number, got inf"),
+        # tokens a command leaves over are reported in the top-level parser's words
+        (("width", "--q", "0.5", "--beta", "0", "--n", "3", "--bogus"),
+         "neumann-widths: unrecognized arguments: --bogus"),
     ])
     def test_bad_flags_are_validation_errors(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,13 +1,17 @@
 """Theta roots, exact width values, and the asymptotic decomposition."""
 
+import itertools
 import math
 import random
+import sys
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumann_widths import (BracketFailure, Branch, EvalPolicy, NeumannParams, TolUnreachable,
+from neumann_widths import (BracketFailure, Branch, EvalPolicy, NeumannParams, NeumannWidthsError,
+                            TolUnreachable,
                             conv_square_wave, exact_width, solve_theta, theta_cos_bound,
                             theta_equation_lhs, verify_cy2n)
 from neumann_widths.kernels import eval_gq, eval_hq
@@ -86,6 +90,31 @@ class TestThetaRoots:
         widths._solve_theta_cached.cache_clear()
         monkeypatch.setattr(widths, "theta_equation_lhs", None)
         assert verify_cy2n(params, 2) == expected
+
+    @pytest.mark.parametrize("q", [0.01, 0.015, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_roots_where_q_pow_n_is_subnormal(self, q):
+        # every n from 3 below the first subnormal q^n to the first zero one,
+        # where the closed form's size q^n/n leaves too few bits to bisect on
+        first_subnormal = next(n for n in itertools.count(1) if q**n < sys.float_info.min)
+        first_zero = next(n for n in itertools.count(first_subnormal) if q**n == 0.0)
+        for beta in (0.3, 0.5, 1.3, 1.98, 2.7, 3.5):
+            for n in range(first_subnormal - 3, first_zero + 1):
+                theta = solve_theta(NeumannParams(q, beta), n).theta
+                exact = theta_series_root(q, beta, n)
+                assert abs(mp.mpf(theta) - exact) <= 4 * math.ulp(float(exact)), (q, beta, n)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_q_near_one_names_its_limit(self, k):
+        # q = 1 - 10^-k: where 1 - q^n < ~1e-8 the closed form's log1p has no
+        # value at the bracket end, which is a numerical error, not a ValueError
+        q = 1.0 - 10.0**-k
+        for beta in (0.3, 0.5, 1.3, 2.5):
+            for n in (1, 2, 3, 5, 10):
+                try:
+                    solve_theta(NeumannParams(q, beta), n)
+                except NeumannWidthsError as exc:
+                    assert k >= 9 and not isinstance(exc, ValueError), (k, beta, n)
+                    assert "below its float limit of about 1e-8" in str(exc)
 
     def test_underflow_width_is_zero(self):
         r = exact_width(NeumannParams(0.1, 0.5), 400)
@@ -201,6 +230,25 @@ def test_root_uniqueness_dense_scan(q, beta, n):
         # the change straddles the computed root
         idx = int(np.argmax(np.sign(lhs[1:] * lhs[:-1]) < 0))
         assert thetas[idx] <= root.theta <= thetas[idx + 1] + 1e-12
+
+
+def theta_series_root(q, beta, n):
+    """The root in [0, 1) of the theta series to 40 digits, from the float
+    q and beta taken exactly: sum_nu q^(2 nu n)/(2 nu + 1)
+    cos((2 nu + 1) theta pi - beta pi/2), summed until a term is below
+    1e-60, solved on whichever half of [0, 1] has the sign change."""
+    with mp.workdps(40):
+        ratio, phase = (mp.mpf(q) ** n) ** 2, mp.mpf(beta) * mp.pi / 2
+
+        def lhs(theta):
+            total, coef, m = mp.mpf(0), mp.mpf(1), 1
+            while coef > mp.mpf(10) ** -60:
+                total += coef / m * mp.cos(m * mp.pi * theta - phase)
+                coef, m = coef * ratio, m + 2
+            return total
+
+        lo = mp.mpf(0) if lhs(0) * lhs(mp.mpf(1) / 2) <= 0 else mp.mpf(1) / 2
+        return mp.findroot(lhs, (lo, lo + mp.mpf(1) / 2), solver="anderson")
 
 
 def retired_bisection(params, n, lo, hi):
