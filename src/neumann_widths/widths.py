@@ -10,7 +10,10 @@ G_q(theta*pi) cos(beta*pi/2) + H_q(theta*pi) sin(beta*pi/2) (up to the
 positive factor q^n/n), monotonicity of G_q on (0, pi) and positivity of
 H_q there pin the root to [1/2, 1) when beta mod 4 is in [0,1) u [2,3) and
 to [0, 1/2) otherwise, with theta = 1/2 exactly at beta even and theta = 0
-exactly at beta odd.  Bisection then converges unconditionally.
+exactly at beta odd.  Bisection then converges unconditionally; it
+evaluates the closed form only inside a proven window around the nu = 0
+limit, where q^n <= 1/2, and takes every other midpoint's sign from its
+side of the window (``_bisect_theta``).
 
 The three odd-harmonic series (this left side, the square-wave convolution
 and the width peak) share one term generator, ``_odd_terms``; each caller
@@ -31,6 +34,7 @@ from .kernels import eval_gq  # noqa: F401  (bench/tracing.py wraps it here; not
 from .policy import _check_n
 
 _BISECT_ITERS = 64  # interval width 0.5 / 2**64 ~ 2.7e-20
+_WINDOW_MARGIN = 2.0**-44  # m in _bisect_theta's window, over the closed form's error band
 
 
 class Branch(enum.Enum):
@@ -123,7 +127,7 @@ def _limit_theta(beta_r: float) -> float:
 def _bisect_theta(params: NeumannParams, n: int, lo: float, hi: float) -> float:
     """The theta-equation root in [lo, hi] by bisection, for q^n > 0.
 
-    Each step evaluates the closed form G_q(x) cos(beta pi/2) + H_q(x)
+    Each evaluation computes the closed form G_q(x) cos(beta pi/2) + H_q(x)
     sin(beta pi/2), x = theta pi, with the operations of ``eval_gq`` and
     ``eval_hq`` in their order, so every value is bit for bit
     eval_gq(q, n, x) cos(beta pi/2) + eval_hq(q, n, x) sin(beta pi/2); the
@@ -134,6 +138,29 @@ def _bisect_theta(params: NeumannParams, n: int, lo: float, hi: float) -> float:
     re-evaluate an end without moving it.  _BISECT_ITERS caps the steps
     (about 53 are taken).  Raises BracketFailure when the closed form has
     no sign change on [lo, hi].
+
+    The window: a midpoint outside W = [theta0 - R, theta0 + R], theta0 the
+    nu = 0 limit ``_limit_theta(beta mod 4)``, takes the sign of its side
+    without an evaluation.  R = asin(r)/pi + m, r = q^(2n)/(3(1 - q^(2n))),
+    m = 2^-44, where q^n <= 1/2 and psi(n) is normal; elsewhere R = 1 and
+    every midpoint is evaluated.  Where r is small a solve so evaluates the
+    closed form about 13 times (the ends, then the steps once the bracket
+    fits in W), not about 55.  The margin m: the closed form is
+    psi(n) L(theta), L the theta-equation left side.  The nu >= 1 terms of
+    L sum to at most r in magnitude and its nu = 0 term is +-sin(pi d) at
+    distance d <= 1/2 from theta0, so at d > R, L has the sign of its side
+    of theta0 and |L| >= sin(asin r + pi m) - r >= 0.99 pi m > 2^-42.5
+    (r <= 1/9).  The float value is psi(n) (L + e): each log1p argument
+    lies in [-3/4, 5/4], where log1p has slope at most 4, and the atan
+    argument in [-4/3, 4/3], so the roundings of x = theta pi (math.pi
+    included), of the products, sums and quotients, and of cos, sin, log1p
+    and atan (each within an ulp) give |e| < 64 u (u = 2^-53); the 2.5
+    subnormal steps of 2^-1074 add at most 5 u, as psi(n) >= 2^-1022.  The
+    roundings of the phase, of theta0 and of W's ends put the zero of the
+    nu = 0 term within 2^-49 of theta0, which keeps |L| above 2^-42.5.  So
+    at every midpoint outside W (and at an end outside W) the closed form
+    has its side's sign, far above the error band: the bisection moves the
+    same end as the evaluate-every-midpoint loop, and returns its bits.
 
     Where 1 - q^n is below about 1e-8 (2^-26.5), q^(2n) - 2 q^n rounds to
     -1 or below, so log1p has no value at the bracket end theta = 1 (or
@@ -167,14 +194,21 @@ def _bisect_theta(params: NeumannParams, n: int, lo: float, hi: float) -> float:
             f"no sign change on [{lo}, {hi}] for q={params.q}, beta={params.beta}, n={n}: "
             f"f({lo})={f_lo:.3e}, f({hi})={f_hi:.3e}")
     neg_lo = f_lo < 0.0
+    reach = (math.asin(a2 / (3.0 * one_minus_a2)) / pi + _WINDOW_MARGIN
+             if a <= 0.5 and a / n >= 2.0**-1022 else 1.0)
+    theta0 = _limit_theta(params.beta_mod4)
+    w_lo, w_hi = theta0 - reach, theta0 + reach
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        f_mid = closed(mid)
-        if f_mid == 0.0:
+        if mid < w_lo:
+            lo = mid
+        elif mid > w_hi:
+            hi = mid
+        elif (f_mid := closed(mid)) == 0.0:
             return mid
-        if (f_mid < 0.0) == neg_lo:
+        elif (f_mid < 0.0) == neg_lo:
             lo = mid
         else:
             hi = mid
@@ -200,8 +234,11 @@ def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> Th
     up to half the bracket where psi(n) is subnormal), so the limit is
     taken; q^n == 0 lies inside.  There the limit is the root to half an
     ulp: q^n < n 2^-966, and the nu >= 1 terms move the root by at most
-    q^(2n)/(3 pi (1 - q^(2n))) in theta, far below the ulp of any limit
-    (at least 2^-105).
+    asin(r)/pi in theta, r = q^(2n)/(3(1 - q^(2n))) (their sum is at most r,
+    and the nu = 0 term is sin(pi d) at distance d from the limit), far
+    below the ulp of any limit (at least 2^-105).  Either root is clamped
+    below 1: the limit beta/2 + 1/2 rounds to 1.0 for beta within an ulp
+    below 1 (mod 4), and the bisection's last midpoint can round to its end.
     """
     q, beta = params.q, params.beta
     beta_r = params.beta_mod4
@@ -215,7 +252,8 @@ def _solve_theta_cached(params: NeumannParams, n: int, policy: EvalPolicy) -> Th
         theta = limit
     else:
         bracket = (0.5, 1.0) if branch is Branch.HALF else (0.0, 0.5)
-        theta = min(_bisect_theta(params, n, *bracket), math.nextafter(1.0, 0.0))
+        theta = _bisect_theta(params, n, *bracket)
+    theta = min(theta, math.nextafter(1.0, 0.0))
 
     return ThetaRoot(q=q, beta=beta, n=n, theta=theta, branch=branch, policy=policy)
 

@@ -296,13 +296,67 @@ def theta_grid(count, seed=2023):
     return grid
 
 
+DYADIC_LIMIT_BETAS = (0.5, 1.5, 2.5, 3.5, 0.25, -0.5, -2.5, 5.25)
+
+
+def theta_edge_grid(count, seed=39):
+    """Seeded (q, beta, n) at the edges of the bisection's window: half of
+    them at betas whose nu = 0 limit is a coarse dyadic point (3/4, 1/4,
+    5/8, ...), with n = 1-3 at q >= 1/2 (where the window spans the
+    bracket), n up to 3000 at any q, or n up to 40878 at q near 1; q^n > 0."""
+    rng = random.Random(seed)
+    grid = []
+    while len(grid) < count:
+        kind = rng.randrange(3)
+        if kind == 0:
+            q, n = rng.uniform(0.5, 1.0 - 1e-5), rng.randint(1, 3)
+        elif kind == 1:
+            q, n = rng.random(), rng.randint(1, 3000)
+        else:
+            q, n = 1.0 - 10.0 ** rng.uniform(-5.0, -1.5), rng.randint(3000, 40878)
+        beta = rng.choice(DYADIC_LIMIT_BETAS) if rng.random() < 0.5 else rng.uniform(-8.0, 8.0)
+        if 0.0 < q and q**n > 0.0 and beta % 1.0:
+            grid.append((q, beta, n))
+    return grid
+
+
+def window_evaluations(params, n, lo, hi, ref, moving):
+    """The closed-form evaluations of ``_bisect_theta`` on [lo, hi], where
+    the retired loop took ``moving`` moving steps to ``ref``: one per end,
+    and one per moving step whose midpoint lies in the window
+    W = [theta0 - R, theta0 + R] of the ``_bisect_theta`` docstring.  The
+    steps are replayed from ref, which every bracket holds: a midpoint below
+    ref moved lo, one above it moved hi, and at a midpoint equal to ref the
+    closed form's sign there decided."""
+    a = params.q**n
+    reach = (math.asin(a * a / (3.0 * (1.0 - a * a))) / math.pi + 2.0**-44
+             if a <= 0.5 and a / n >= 2.0**-1022 else 1.0)
+    theta0 = widths._limit_theta(params.beta_mod4)
+    half = params.beta_mod4 * (math.pi / 2.0)
+
+    def closed(theta):
+        x = theta * math.pi
+        return eval_gq(params.q, n, x) * math.cos(half) + eval_hq(params.q, n, x) * math.sin(half)
+
+    neg_lo, count = closed(lo) < 0.0, 2
+    for _ in range(moving):
+        mid = 0.5 * (lo + hi)
+        count += theta0 - reach <= mid <= theta0 + reach
+        if (mid < ref) if mid != ref else (closed(mid) < 0.0) == neg_lo:
+            lo = mid
+        else:
+            hi = mid
+    return count
+
+
 def test_bisection_is_the_retired_loop_bit_for_bit(monkeypatch):
     # same theta bits, and one closed-form evaluation (one atan) per end and
-    # per step that moves the bracket, none after it stops moving
+    # per step that moves the bracket with its midpoint inside the window,
+    # none after it stops moving
     calls = []
     atan = math.atan
     monkeypatch.setattr(math, "atan", lambda x: calls.append(1) or atan(x))
-    for q, beta, n in theta_grid(3000):
+    for q, beta, n in theta_grid(3000) + theta_edge_grid(1500):
         params = NeumannParams(q, beta)
         bracket = (0.5, 1.0) if solve_branch(params) is Branch.HALF else (0.0, 0.5)
         ref, moving = retired_bisection(params, n, *bracket)
@@ -312,8 +366,48 @@ def test_bisection_is_the_retired_loop_bit_for_bit(monkeypatch):
                 _bisect_theta(params, n, *bracket)
             continue
         theta = _bisect_theta(params, n, *bracket)
+        evaluations = len(calls)  # before the replay, whose evaluations call atan too
         assert theta.hex() == ref.hex(), (q, beta, n)
-        assert len(calls) == 2 + moving, (q, beta, n)
+        assert evaluations == window_evaluations(params, n, *bracket, ref, moving), (q, beta, n)
+
+
+def test_root_lies_within_the_window_bound_of_the_limit():
+    # |theta - theta0| <= asin(r)/pi, r = q^(2n)/(3(1 - q^(2n))), up to
+    # 2^-49 for the roundings of the phase, of theta0 and of the root
+    for q, beta, n in theta_grid(3000) + theta_edge_grid(1500):
+        params = NeumannParams(q, beta)
+        a2 = (q**n) ** 2
+        r = a2 / (3.0 * (1.0 - a2))
+        theta = solve_theta(params, n).theta
+        bound = math.asin(min(r, 1.0)) / math.pi + 2.0**-49
+        assert abs(theta - widths._limit_theta(params.beta_mod4)) <= bound, (q, beta, n)
+
+
+def test_a_non_integer_beta_ladder_solve_evaluates_the_closed_form_at_most_16_times(monkeypatch):
+    # the non-integer-beta rungs of the benchmark's sign-check ladder at
+    # seeds 7 and 911, where the evaluate-every-midpoint loop took 52-55
+    calls = []
+    atan = math.atan
+    monkeypatch.setattr(math, "atan", lambda x: calls.append(1) or atan(x))
+    ladders = {(0.121487, 0.7312): (10, 14, 20, 29, 41, 59, 84, 121, 172),
+               (0.261605, 1.9193): (10, 15, 23, 34, 52, 78, 118, 179, 270),
+               (0.12144, 0.7222): (10, 14, 20, 29, 41, 59, 84, 121, 172),
+               (0.260045, 1.8088): (10, 15, 23, 34, 52, 78, 118, 178, 268)}
+    for (q, beta), rungs in ladders.items():
+        for n in rungs:
+            calls.clear()
+            widths._solve_theta_cached(NeumannParams(q, beta), n, widths.DEFAULT_POLICY)
+            assert 2 < len(calls) <= 16, (q, beta, n)
+
+
+def test_theta_from_the_limit_lies_below_one():
+    # beta/2 + 1/2 rounds up to 1.0 for beta within an ulp below 1; the root
+    # is clamped below 1 as the bisection's is, so y0 < pi/n
+    params = NeumannParams(0.1, 0.9999999999999999)
+    root = solve_theta(params, 400)
+    assert root.theta == math.nextafter(1.0, 0.0)
+    assert 0.0 <= root.y0 < math.pi / 400
+    assert exact_width(params, 400).y0 == root.y0
 
 
 def solve_branch(params):
